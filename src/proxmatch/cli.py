@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,18 @@ def _parse_active(csv_names: str) -> frozenset[Activity]:
     if not classes:
         raise ValueError("at least one active class is required")
     return frozenset(classes)
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type for a finite, nonnegative number, so a bad match flag
+    stops the command before any stage runs or writes a file."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
 
 
 def _load_params(args: argparse.Namespace) -> EkfParams:
@@ -270,11 +283,11 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--margin-m", type=float, default=SURE_MARGIN_M,
+        "--margin-m", type=_nonnegative_float, default=SURE_MARGIN_M,
         help="distance lead required for a sure assignment (default %(default)s)",
     )
     p.add_argument(
-        "--adv-interval-s", type=float, default=EVENT_WINDOW_S,
+        "--adv-interval-s", type=_nonnegative_float, default=EVENT_WINDOW_S,
         help="window for treating session starts as simultaneous (default %(default)s)",
     )
 

@@ -98,10 +98,12 @@ class EkfParams:
             "d_max_m": self.d_max,
             "p0": self.p0,
             "dt_mode": self.dt_mode,
+            "x_floor_m": self.x_floor,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> EkfParams:
+        """Inverse of ``to_dict``; a config without ``x_floor_m`` gets the default floor."""
         return cls(
             model=PathLossModel(
                 n=float(d["n"]), x0=float(d["x0_m"]), rssi0=float(d["rssi0_db"])
@@ -112,6 +114,7 @@ class EkfParams:
             d_max=float(d["d_max_m"]),
             p0=float(d["p0"]),
             dt_mode=str(d["dt_mode"]),
+            x_floor=float(d.get("x_floor_m", cls.x_floor)),
         )
 
 

@@ -3,9 +3,10 @@
 The server sees one distance report per (badge, session) pair and must decide
 who operated each asset. Assignment is event-driven: sessions are handled in
 activation order, a badge stays bound to its running session, and sessions
-starting together are solved jointly by exhaustive search. Each decision also
-carries a trust label so downstream consumers can separate confident
-assignments from coin flips between nearby workers.
+starting together are solved jointly by one exact-integer assignment solve,
+polynomial in the event size. Each decision also carries a trust label so
+downstream consumers can separate confident assignments from coin flips
+between nearby workers.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ EVENT_WINDOW_S = 7.0
 #: assignment is flagged rather than trusted.
 SURE_MARGIN_M = 0.75
 
-_SOFT_LIMIT = 15
 _BRUTE_FORCE_LIMIT = 6
 
 
@@ -116,13 +116,6 @@ class MatchProblem:
             for (tag, start, stop), dists in sorted(by_session.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0]))
         )
         wearables = tuple(sorted({w for s in sessions for w in s.distances}))
-        if len(wearables) > _SOFT_LIMIT or len({s.tag for s in sessions}) > _SOFT_LIMIT:
-            warnings.warn(
-                f"matching {len(wearables)} wearables x {len({s.tag for s in sessions})} tags; "
-                "joint events may be slow to solve exhaustively",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return cls(wearables=wearables, sessions=sessions)
 
 
@@ -147,45 +140,96 @@ def trust_classify(
     return trust, margin
 
 
-def _search_assignment(
-    group: Sequence[TagSession], free: Sequence[str]
-) -> list[str | None]:
-    """Exhaustive search over injective badge assignments for one event.
+def _min_cost_assignment(costs: Sequence[dict[int, int]], n_cols: int) -> list[int]:
+    """Minimum-cost assignment of every row to its own column.
+
+    ``costs[i]`` maps each column row ``i`` may take to an integer cost; an
+    absent column is forbidden. Each row must reach at least one column that
+    no other row can take, so a full assignment always exists. This is the
+    shortest augmenting path method of Crouse (2016), "On implementing 2D
+    rectangular assignment algorithms": rows are added one at a time, each by
+    a Dijkstra search over reduced costs from the current dual potentials.
+    Integer costs keep every comparison exact.
+    """
+    u = [0] * len(costs)
+    v = [0] * n_cols
+    col_of = [-1] * len(costs)
+    row_of = [-1] * n_cols
+    for cur in range(len(costs)):
+        reached: dict[int, int] = {}  # column -> tentative path cost
+        pred: dict[int, int] = {}
+        scanned: dict[int, int] = {}  # column -> final path cost
+        lowest = 0
+        i = cur
+        while True:
+            offset = lowest - u[i]
+            for j, c in costs[i].items():
+                if j not in scanned:
+                    r = offset + c - v[j]
+                    if r < reached.get(j, math.inf):
+                        reached[j] = r
+                        pred[j] = i
+            sink = min(reached, key=reached.__getitem__)
+            lowest = scanned[sink] = reached.pop(sink)
+            if row_of[sink] < 0:
+                break
+            i = row_of[sink]
+        u[cur] += lowest
+        for j, d in scanned.items():
+            v[j] -= lowest - d
+            if j != sink:
+                u[row_of[j]] += lowest - d
+        j = sink
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    return col_of
+
+
+def _assign_event(group: Sequence[TagSession], free: Sequence[str]) -> list[str | None]:
+    """Best injective badge assignment for one event, by one assignment solve.
 
     Maximizes the number of assigned sessions, then minimizes the summed
-    distance; among exact ties the first assignment in candidate order wins,
-    which makes ties resolve to the lexicographically smallest badge ids.
+    distance; among exact ties the first assignment in candidate order wins
+    (session by session, badges in ``free`` order, unassigned last), which
+    makes ties resolve to the lexicographically smallest badge ids.
+
+    The three keys become one exact integer cost. Distances are scaled to
+    integers by the event's largest power-of-two denominator. With ``m`` free
+    badges, ``K = m + 1`` and ``T = K**n``, session ``i`` on the badge of rank
+    ``r`` costs ``dist * T + r * K**(n-1-i)``, and its own "unassigned" column
+    costs ``D + m * K**(n-1-i)`` with ``D`` above any total of assigned
+    distances. The rank terms of a whole assignment are the digits of a base-K
+    number below ``T``, so the sum orders assignments by coverage, then by
+    distance, then by candidate order, and no two assignments cost the same.
     """
-    best_count = -1
-    best_total = math.inf
-    best: list[str | None] = [None] * len(group)
-    chosen: list[str | None] = [None] * len(group)
-
-    def rec(i: int, used: set[str], count: int, total: float) -> None:
-        nonlocal best_count, best_total, best
-        if i == len(group):
-            if count > best_count or (count == best_count and total < best_total):
-                best_count, best_total, best = count, total, chosen.copy()
-            return
-        # Prune: even assigning every remaining session cannot beat the best.
-        if count + (len(group) - i) < best_count:
-            return
-        dists = group[i].distances
-        for w in free:
-            if w in used:
-                continue
-            d = dists.get(w)
-            if d is None:
-                continue
-            used.add(w)
-            chosen[i] = w
-            rec(i + 1, used, count + 1, total + d)
-            chosen[i] = None
-            used.remove(w)
-        rec(i + 1, used, count, total)
-
-    rec(0, set(), 0, 0.0)
-    return best
+    n, m = len(group), len(free)
+    ratios = []
+    scale = 1
+    for s in group:
+        row = []
+        for r, w in enumerate(free):
+            d = s.distances.get(w)
+            if d is not None:
+                p, q = d.as_integer_ratio()
+                row.append((r, p, q))
+                if q > scale:
+                    scale = q
+        ratios.append(row)
+    dists = [[(r, p * (scale // q)) for r, p, q in row] for row in ratios]
+    k = m + 1
+    t = k**n
+    unassigned = (sum(d for row in dists for _, d in row) + 1) * t
+    costs = []
+    for i, row in enumerate(dists):
+        weight = k ** (n - 1 - i)
+        c = {r: d * t + r * weight for r, d in row}
+        c[m + i] = unassigned + m * weight
+        costs.append(c)
+    return [free[j] if j < m else None for j in _min_cost_assignment(costs, m + n)]
 
 
 def _enumerate_assignment(
@@ -194,7 +238,7 @@ def _enumerate_assignment(
     """Reference assigner: literally try every injective assignment.
 
     Exponential and deliberately unclever; guarded to small events. Kept as
-    an independent cross-check of the search above.
+    an independent cross-check of ``_assign_event``.
     """
     if len(group) > _BRUTE_FORCE_LIMIT or len(free) > _BRUTE_FORCE_LIMIT:
         raise ValueError(
@@ -231,6 +275,10 @@ def _solve_events(
     window: float,
     assigner: Callable[[Sequence[TagSession], Sequence[str]], list[str | None]],
 ) -> list[MatchResult]:
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"sure margin must be finite and nonnegative, got {threshold}")
+    if not (math.isfinite(window) and window >= 0):
+        raise ValueError(f"event window must be finite and nonnegative, got {window}")
     sessions = sorted(problem.sessions, key=lambda s: (s.start, s.stop, s.tag))
     results: list[MatchResult] = []
     busy: list[tuple[str, float]] = []  # (wearable, bound until stop, exclusive)
@@ -279,12 +327,14 @@ def solve(
     """Assign an operator to every session, event by event.
 
     Sessions are processed in activation order. Starts within ``window``
-    seconds of an event's first start are solved jointly: the search picks
-    the injective badge assignment that covers the most sessions and, among
-    those, has the smallest summed distance. A badge stays bound to its
-    session until the session's stop and is free again from that instant on.
+    seconds of an event's first start are solved jointly: one assignment
+    solve picks the injective badge assignment that covers the most sessions
+    and, among those, has the smallest summed distance. A badge stays bound
+    to its session until the session's stop and is free again from that
+    instant on. Raises ValueError unless ``threshold`` and ``window`` are
+    finite and nonnegative.
     """
-    return _solve_events(problem, threshold, window, _search_assignment)
+    return _solve_events(problem, threshold, window, _assign_event)
 
 
 def brute_force_solve(

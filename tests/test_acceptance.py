@@ -190,7 +190,7 @@ def test_criterion_6_solver_matches_exhaustive_search(capfd):
             assert fast == brute
             _assert_feasible(fast)
             n_sessions += len(fast)
-    verdict(capfd, 6, "search equals exhaustive enumeration", True,
+    verdict(capfd, 6, "assignment solve equals exhaustive enumeration", True,
             f"1000 random instances, {n_sessions} sessions, assignments identical "
             "and exclusivity/continuity hold")
 

@@ -247,6 +247,28 @@ class TestMatchFlags:
         assert run("match", reports, "-o", out, "--margin-m", "10") == 0
         assert io.read_matches(out)[0].trust is Trust.UNSURE
 
+    @pytest.mark.parametrize(
+        "flags", [("--margin-m", "nan"), ("--margin-m", "-1"), ("--adv-interval-s", "-1")]
+    )
+    def test_bad_margin_or_window_exits_2(self, tmp_path, capsys, flags):
+        reports = tmp_path / "reports.jsonl"
+        io.write_reports(
+            reports,
+            [DistanceReport(wearable="W1", tag="T1", start=0.0, stop=60.0, distance=1.0, n_obs=5)],
+        )
+        with pytest.raises(SystemExit) as e:
+            run("match", reports, "-o", tmp_path / "matches.jsonl", *flags)
+        assert e.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        scen = tmp_path / "scen.json"
+        run("scenario", "static", "-n", 1, "--spacing", 1.0, "--duration", 30, "-o", scen)
+        with pytest.raises(SystemExit) as e:
+            run("pipeline", scen, "--out-dir", tmp_path / "run", *flags)
+        assert e.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        # Rejected before any stage runs: nothing is written.
+        assert not (tmp_path / "run").exists()
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

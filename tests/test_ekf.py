@@ -68,7 +68,9 @@ class TestParams:
     def test_dict_round_trip(self):
         p = EkfParams(r=48.92, dt_mode=DT_LINEAR)
         d = p.to_dict()
-        assert set(d) == {"n", "x0_m", "rssi0_db", "q", "r", "d_min_m", "d_max_m", "p0", "dt_mode"}
+        assert set(d) == {
+            "n", "x0_m", "rssi0_db", "q", "r", "d_min_m", "d_max_m", "p0", "dt_mode", "x_floor_m",
+        }
         assert EkfParams.from_dict(d) == p
 
 

@@ -108,9 +108,16 @@ class TestDocuments:
 
     def test_params_round_trip(self, tmp_path):
         p = tmp_path / "ekf.json"
-        params = EkfParams(r=48.92, dt_mode=DT_LINEAR)
-        io.write_ekf_params(p, params)
-        assert io.read_ekf_params(p) == params
+        for params in (EkfParams(r=48.92, dt_mode=DT_LINEAR), EkfParams(x_floor=0.2)):
+            io.write_ekf_params(p, params)
+            assert io.read_ekf_params(p) == params
+
+    def test_params_without_a_floor_key_get_the_default_floor(self, tmp_path):
+        p = tmp_path / "ekf.json"
+        doc = EkfParams(r=48.92).to_dict()
+        del doc["x_floor_m"]
+        p.write_text(json.dumps(doc))
+        assert io.read_ekf_params(p) == EkfParams(r=48.92)
 
     def test_scenario_round_trip(self, tmp_path):
         p = tmp_path / "scenario.json"
