@@ -13,10 +13,7 @@ from .edge import (
     Advertisement,
     DistanceReport,
     SESSION_GAP_S,
-    Session,
-    downsample,
     run_edge,
-    segment_sessions,
 )
 from .ekf import (
     DT_LINEAR,
@@ -55,7 +52,6 @@ from .simulator import (
     Trace,
     WorkerSpec,
     generate,
-    random_walk_trace,
     scenario_static,
     scenario_swap,
 )

@@ -46,16 +46,26 @@ def _parse_active(csv_names: str) -> frozenset[Activity]:
     return frozenset(classes)
 
 
-def _nonnegative_float(text: str) -> float:
-    """argparse type for a finite, nonnegative number, so a bad match flag
-    stops the command before any stage runs or writes a file."""
+def _finite_float(text: str, positive: bool) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        rule = "positive" if positive else "nonnegative"
+        raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text!r}")
     return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type for a finite, nonnegative number, so a bad match flag
+    stops the command before any stage runs or writes a file."""
+    return _finite_float(text, positive=False)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a finite, positive number (the session gap)."""
+    return _finite_float(text, positive=True)
 
 
 def _load_params(args: argparse.Namespace) -> EkfParams:
@@ -214,10 +224,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = io.read_scenario(args.scenario)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = _load_params(args)
     active = _parse_active(args.active_classes)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def stage(name, fn):
         try:
@@ -272,7 +282,7 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
         help="how predicted variance grows with the observation gap",
     )
     p.add_argument(
-        "--gap-s", type=float, default=SESSION_GAP_S,
+        "--gap-s", type=_positive_float, default=SESSION_GAP_S,
         help="pause that splits two sessions (default %(default)s)",
     )
     p.add_argument(

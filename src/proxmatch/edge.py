@@ -1,8 +1,9 @@
-"""Wearable-side processing: session segmentation and per-session distance reports.
+"""Wearable-side processing: one pass per tag that cuts sessions and filters RSSI.
 
 Tags broadcast an activity class with each advertisement; badges that hear a
-broadcast feed its RSSI to a per-session filter and ship one compact distance
-report per session, so the radio link and the server never see raw RSSI.
+broadcast feed its RSSI to a per-session filter as it arrives and ship one
+compact distance report per session, so the radio link and the server never
+see raw RSSI.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import ekf
-from .ekf import EkfParams
+from .ekf import EkfParams, EkfState
 
 __all__ = [
     "ACTIVE_DEFAULT",
@@ -22,10 +23,7 @@ __all__ = [
     "Advertisement",
     "DistanceReport",
     "SESSION_GAP_S",
-    "Session",
-    "downsample",
     "run_edge",
-    "segment_sessions",
 ]
 
 #: A pause longer than this splits two activity runs into separate sessions.
@@ -67,15 +65,6 @@ class Advertisement:
 
 
 @dataclass(frozen=True)
-class Session:
-    """Maximal run of active broadcasts of one tag; boundaries are observed instants."""
-
-    tag: str
-    start: float
-    stop: float
-
-
-@dataclass(frozen=True)
 class DistanceReport:
     """What a badge ships per session: final distance estimate and observation count."""
 
@@ -87,47 +76,26 @@ class DistanceReport:
     n_obs: int
 
 
-def _active_instants(
-    ads: Sequence[Advertisement], active: frozenset[Activity]
-) -> list[float]:
-    """Distinct timestamps of active broadcasts; several badges hearing the
-    same broadcast collapse to one instant."""
-    return sorted({a.ts for a in ads if a.activity in active})
+def _sessions(
+    tag_ads: Sequence[Advertisement], gap: float, params: EkfParams
+) -> Iterator[tuple[float, float, dict[str, tuple[EkfState, int]]]]:
+    """Sweep one tag's time-sorted active broadcasts once, filtering as they come.
 
-
-def segment_sessions(
-    ads: Sequence[Advertisement],
-    *,
-    gap: float = SESSION_GAP_S,
-    active: frozenset[Activity] = ACTIVE_DEFAULT,
-) -> list[Session]:
-    """Split one tag's time-sorted advertisement stream into sessions.
-
-    A session is a maximal run of active broadcast instants in which
-    consecutive instants are at most ``gap`` seconds apart; a gap of exactly
-    ``gap`` does not split. Inactive broadcasts never extend a session.
+    Yields ``(start, stop, filters)`` per session, where ``filters`` maps each
+    badge that heard the session to its final filter state and observation
+    count. A pause longer than ``gap`` closes the session; a pause of exactly
+    ``gap`` does not, and several badges hearing one instant stay together.
     """
-    if not (math.isfinite(gap) and gap > 0):
-        raise ValueError(f"session gap must be finite and positive, got {gap}")
-    tags = {a.tag for a in ads}
-    if len(tags) > 1:
-        raise ValueError(f"expected advertisements of a single tag, got {sorted(tags)}")
-    for prev, cur in zip(ads, ads[1:]):
-        if cur.ts < prev.ts:
-            raise ValueError(f"advertisements must be time-sorted ({cur.ts} after {prev.ts})")
-    instants = _active_instants(ads, active)
-    if not instants:
-        return []
-    tag = next(iter(tags))
-    sessions: list[Session] = []
-    run_start = prev_t = instants[0]
-    for t in instants[1:]:
-        if t - prev_t > gap:
-            sessions.append(Session(tag=tag, start=run_start, stop=prev_t))
-            run_start = t
-        prev_t = t
-    sessions.append(Session(tag=tag, start=run_start, stop=prev_t))
-    return sessions
+    start = stop = tag_ads[0].ts
+    filters: dict[str, tuple[EkfState, int]] = {}
+    for a in tag_ads:
+        if a.ts - stop > gap:
+            yield start, stop, filters
+            start, filters = a.ts, {}
+        stop = a.ts
+        state, n = filters.get(a.wearable, (None, 0))
+        filters[a.wearable] = (ekf.step(state, a.rssi, a.ts, params), n + 1)
+    yield start, stop, filters
 
 
 def run_edge(
@@ -139,84 +107,26 @@ def run_edge(
 ) -> list[DistanceReport]:
     """Replay a mixed advertisement stream into per-session distance reports.
 
-    Sessions are cut per tag from the union of all badges' receptions, so
-    every badge reports against the same session boundaries even when it
-    missed the boundary broadcasts. Each (badge, session) pair runs a fresh
-    filter over the active broadcasts that badge actually heard inside the
-    window and yields exactly one report.
+    A session is a maximal run of one tag's active broadcast instants in
+    which consecutive instants are at most ``gap`` seconds apart; inactive
+    broadcasts never extend it. Sessions are cut per tag from the union of
+    all badges' receptions, so every badge reports against the same session
+    boundaries even when it missed the boundary broadcasts. Each (badge,
+    session) pair runs a fresh filter over the active broadcasts that badge
+    actually heard inside the window and yields exactly one report.
     """
+    if not (math.isfinite(gap) and gap > 0):
+        raise ValueError(f"session gap must be finite and positive, got {gap}")
     if params is None:
         params = EkfParams()
-    stream = sorted(ads, key=lambda a: a.ts)
     by_tag: dict[str, list[Advertisement]] = defaultdict(list)
-    for a in stream:
+    for a in sorted((a for a in ads if a.activity in active), key=lambda a: a.ts):
         by_tag[a.tag].append(a)
-
-    reports: list[DistanceReport] = []
-    for tag in sorted(by_tag):
-        tag_ads = by_tag[tag]
-        for session in segment_sessions(tag_ads, gap=gap, active=active):
-            heard: dict[str, list[Advertisement]] = defaultdict(list)
-            for a in tag_ads:
-                if a.activity in active and session.start <= a.ts <= session.stop:
-                    heard[a.wearable].append(a)
-            for wearable in sorted(heard):
-                state = None
-                for a in heard[wearable]:
-                    state = ekf.step(state, a.rssi, a.ts, params)
-                assert state is not None
-                reports.append(
-                    DistanceReport(
-                        wearable=wearable,
-                        tag=tag,
-                        start=session.start,
-                        stop=session.stop,
-                        distance=state.x,
-                        n_obs=len(heard[wearable]),
-                    )
-                )
+    reports = [
+        DistanceReport(wearable=w, tag=tag, start=start, stop=stop, distance=state.x, n_obs=n)
+        for tag, tag_ads in by_tag.items()
+        for start, stop, filters in _sessions(tag_ads, gap, params)
+        for w, (state, n) in filters.items()
+    ]
     reports.sort(key=lambda r: (r.start, r.stop, r.tag, r.wearable))
     return reports
-
-
-def downsample(
-    ads: Iterable[Advertisement], target_interval: float, phase: int = 0
-) -> list[Advertisement]:
-    """Thin a stream to a coarser broadcast interval.
-
-    Keeps, per tag, the broadcast instants whose index is congruent to
-    ``phase`` modulo k = target_interval / source_interval, where the source
-    interval is inferred as the smallest positive spacing between any tag's
-    consecutive instants. The outputs for phases 0..k-1 partition the input.
-    """
-    if not (math.isfinite(target_interval) and target_interval > 0):
-        raise ValueError(f"target interval must be finite and positive, got {target_interval}")
-    stream = sorted(ads, key=lambda a: a.ts)
-    instants: dict[str, list[float]] = {}
-    for a in stream:
-        ts = instants.setdefault(a.tag, [])
-        if not ts or a.ts != ts[-1]:
-            ts.append(a.ts)
-    source = math.inf
-    for ts in instants.values():
-        for prev, cur in zip(ts, ts[1:]):
-            if cur - prev > 0:
-                source = min(source, cur - prev)
-    if not math.isfinite(source):
-        # No tag broadcast twice; nothing to thin.
-        if phase != 0:
-            raise ValueError(f"phase must be 0 for a stream with no repeat broadcasts, got {phase}")
-        return stream
-    ratio = target_interval / source
-    k = round(ratio)
-    if k < 1 or abs(ratio - k) > 1e-6:
-        raise ValueError(
-            f"target interval {target_interval} is not an integer multiple "
-            f"of the source interval {source}"
-        )
-    if not 0 <= phase < k:
-        raise ValueError(f"phase must lie in [0, {k}), got {phase}")
-    index = {
-        (tag, ts): i for tag, tss in instants.items() for i, ts in enumerate(tss)
-    }
-    return [a for a in stream if index[(a.tag, a.ts)] % k == phase]

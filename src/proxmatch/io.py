@@ -10,7 +10,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .edge import Activity, Advertisement, DistanceReport
 from .ekf import EkfParams
@@ -38,6 +38,8 @@ __all__ = [
     "write_truth",
 ]
 
+_R = TypeVar("_R")
+
 
 def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -48,6 +50,18 @@ def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 def _read_lines(path: str | Path) -> list[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as f:
         return [(i, line) for i, line in enumerate(f.read().splitlines(), start=1) if line.strip()]
+
+
+def _read_records(path: str | Path, what: str, parse: Callable[[dict], _R]) -> list[_R]:
+    """Parse every nonblank line of a JSON Lines file; the first bad line
+    raises ``ValueError`` naming the file, the line and the record kind."""
+    out = []
+    for i, line in _read_lines(path):
+        try:
+            out.append(parse(json.loads(line)))
+        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}:{i}: bad {what}: {e}") from e
+    return out
 
 
 def _ad_to_dict(a: Advertisement) -> dict:
@@ -142,23 +156,18 @@ def write_reports(path: str | Path, reports: Iterable[DistanceReport]) -> None:
 
 
 def read_reports(path: str | Path) -> list[DistanceReport]:
-    out = []
-    for i, line in _read_lines(path):
-        try:
-            d = json.loads(line)
-            out.append(
-                DistanceReport(
-                    wearable=str(d["wearable"]),
-                    tag=str(d["tag"]),
-                    start=float(d["start_s"]),
-                    stop=float(d["stop_s"]),
-                    distance=float(d["distance_m"]),
-                    n_obs=int(d["n_obs"]),
-                )
-            )
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}:{i}: bad distance report: {e}") from e
-    return out
+    return _read_records(
+        path,
+        "distance report",
+        lambda d: DistanceReport(
+            wearable=str(d["wearable"]),
+            tag=str(d["tag"]),
+            start=float(d["start_s"]),
+            stop=float(d["stop_s"]),
+            distance=float(d["distance_m"]),
+            n_obs=int(d["n_obs"]),
+        ),
+    )
 
 
 def write_truth(path: str | Path, truth: Iterable[TruthRecord]) -> None:
@@ -172,21 +181,16 @@ def write_truth(path: str | Path, truth: Iterable[TruthRecord]) -> None:
 
 
 def read_truth(path: str | Path) -> list[TruthRecord]:
-    out = []
-    for i, line in _read_lines(path):
-        try:
-            d = json.loads(line)
-            out.append(
-                TruthRecord(
-                    tag=str(d["tag"]),
-                    start=float(d["start_s"]),
-                    stop=float(d["stop_s"]),
-                    wearable=str(d["wearable"]),
-                )
-            )
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}:{i}: bad truth record: {e}") from e
-    return out
+    return _read_records(
+        path,
+        "truth record",
+        lambda d: TruthRecord(
+            tag=str(d["tag"]),
+            start=float(d["start_s"]),
+            stop=float(d["stop_s"]),
+            wearable=str(d["wearable"]),
+        ),
+    )
 
 
 def write_matches(path: str | Path, matches: Iterable[MatchResult]) -> None:
@@ -208,23 +212,18 @@ def write_matches(path: str | Path, matches: Iterable[MatchResult]) -> None:
 
 
 def read_matches(path: str | Path) -> list[MatchResult]:
-    out = []
-    for i, line in _read_lines(path):
-        try:
-            d = json.loads(line)
-            out.append(
-                MatchResult(
-                    tag=str(d["tag"]),
-                    start=float(d["start_s"]),
-                    stop=float(d["stop_s"]),
-                    wearable=None if d["wearable"] is None else str(d["wearable"]),
-                    trust=Trust(d["trust"]),
-                    margin=math.inf if d["margin_m"] is None else float(d["margin_m"]),
-                )
-            )
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}:{i}: bad match result: {e}") from e
-    return out
+    return _read_records(
+        path,
+        "match result",
+        lambda d: MatchResult(
+            tag=str(d["tag"]),
+            start=float(d["start_s"]),
+            stop=float(d["stop_s"]),
+            wearable=None if d["wearable"] is None else str(d["wearable"]),
+            trust=Trust(d["trust"]),
+            margin=math.inf if d["margin_m"] is None else float(d["margin_m"]),
+        ),
+    )
 
 
 def write_eval(path: str | Path, report: EvalReport) -> None:

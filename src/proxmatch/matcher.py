@@ -237,8 +237,10 @@ def _enumerate_assignment(
 ) -> list[str | None]:
     """Reference assigner: literally try every injective assignment.
 
-    Exponential and deliberately unclever; guarded to small events. Kept as
-    an independent cross-check of ``_assign_event``.
+    Exponential and deliberately unclever; guarded to small events. Distance
+    sums are exact fractions, so equal sums tie and the first assignment in
+    candidate order wins. Kept as an independent cross-check of
+    ``_assign_event``.
     """
     if len(group) > _BRUTE_FORCE_LIMIT or len(free) > _BRUTE_FORCE_LIMIT:
         raise ValueError(
@@ -247,11 +249,11 @@ def _enumerate_assignment(
         )
     pool: list[str | None] = list(free) + [None] * len(group)
     best_count = -1
-    best_total = math.inf
+    best_total: Fraction | float = math.inf
     best: list[str | None] = [None] * len(group)
     for combo in itertools.permutations(pool, len(group)):
         count = 0
-        total = 0.0
+        total = Fraction(0)
         valid = True
         for s, w in zip(group, combo):
             if w is None:
@@ -261,7 +263,7 @@ def _enumerate_assignment(
                 valid = False
                 break
             count += 1
-            total += d
+            total += Fraction(d)
         if not valid:
             continue
         if count > best_count or (count == best_count and total < best_total):

@@ -32,7 +32,6 @@ __all__ = [
     "V_MAX_M_S",
     "WorkerSpec",
     "generate",
-    "random_walk_trace",
     "scenario_static",
     "scenario_swap",
 ]
@@ -492,25 +491,3 @@ def scenario_swap(
         drop_prob=drop_prob,
         model=model,
     )
-
-
-def random_walk_trace(
-    rng: np.random.Generator,
-    start: tuple[float, float],
-    duration: float,
-    *,
-    step_s: float = ADV_INTERVAL_S,
-    speed: float = V_MAX_M_S,
-) -> Trace:
-    """Bounded-speed random walk: fresh heading every ``step_s``, speed uniform in [0, speed]."""
-    if not (math.isfinite(duration) and duration > 0):
-        raise ValueError(f"duration must be finite and positive, got {duration}")
-    knots = [(0.0, float(start[0]), float(start[1]))]
-    t, x, y = knots[0]
-    while t < duration:
-        dt = min(step_s, duration - t)
-        heading = rng.uniform(0.0, 2.0 * math.pi)
-        v = rng.uniform(0.0, speed)
-        t, x, y = t + dt, x + v * dt * math.cos(heading), y + v * dt * math.sin(heading)
-        knots.append((t, x, y))
-    return Trace(tuple(knots))

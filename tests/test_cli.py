@@ -16,6 +16,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """Exit status of a command, whether argparse or the command rejects it."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
+
+
 class TestFit:
     def test_noiseless_samples_recover_the_model(self, tmp_path, capsys):
         samples_path = tmp_path / "samples.csv"
@@ -192,6 +200,25 @@ class TestEstimateFlags:
         assert run("estimate", ads, "-o", tmp_path / "r.jsonl",
                    "--active-classes", "inactive") == 2
         assert "active" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--gap-s", "nan"), ("--gap-s", "inf"), ("--gap-s", "-5"), ("--gap-s", "0"),
+         ("--r", "nan"), ("--active-classes", "bogus")],
+    )
+    def test_bad_estimate_flag_exits_2_before_writing(self, tmp_path, capsys, flags):
+        # An empty stream never reaches the filters, so the flag must be
+        # checked before any stage runs.
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert exit_code("estimate", empty, "-o", tmp_path / "r.jsonl", *flags) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+        scen = tmp_path / "scen.json"
+        run("scenario", "static", "-n", 1, "--spacing", 1.0, "--duration", 30, "-o", scen)
+        assert exit_code("pipeline", scen, "--out-dir", tmp_path / "run", *flags) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_r_and_dt_mode_change_the_estimates(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -12,10 +12,7 @@ from proxmatch.edge import (
     Advertisement,
     DistanceReport,
     SESSION_GAP_S,
-    Session,
-    downsample,
     run_edge,
-    segment_sessions,
 )
 from proxmatch.ekf import EkfParams
 from proxmatch.pathloss import DEFAULT_MODEL
@@ -43,60 +40,65 @@ class TestAdvertisement:
         assert ad(0.0, rssi=20.0).rssi == 20.0
 
 
+def windows(ads, **kwargs):
+    """Distinct (start, stop) session windows of the reports run_edge ships."""
+    return sorted({(r.start, r.stop) for r in run_edge(ads, PARAMS, **kwargs)})
+
+
 class TestSegmentation:
     def test_steady_stream_is_one_session(self):
         ads = [ad(7.0 * k) for k in range(26)]
-        assert segment_sessions(ads) == [Session(tag="T1", start=0.0, stop=175.0)]
+        assert windows(ads) == [(0.0, 175.0)]
 
     def test_gap_of_exactly_21s_does_not_split(self):
         ads = [ad(0.0), ad(21.0), ad(42.0)]
-        assert segment_sessions(ads) == [Session(tag="T1", start=0.0, stop=42.0)]
+        assert windows(ads) == [(0.0, 42.0)]
 
     def test_anything_longer_splits(self):
         late = 7.0 + 21.0001
-        got = segment_sessions([ad(0.0), ad(7.0), ad(late)])
-        assert got == [
-            Session(tag="T1", start=0.0, stop=7.0),
-            Session(tag="T1", start=late, stop=late),
-        ]
+        assert windows([ad(0.0), ad(7.0), ad(late)]) == [(0.0, 7.0), (late, late)]
 
     def test_inactive_broadcasts_never_extend_or_bridge(self):
         # A lone inactive broadcast inside a run is invisible...
         ads = [ad(0.0), ad(7.0), ad(10.0, activity=Activity.INACTIVE), ad(14.0)]
-        assert segment_sessions(ads) == [Session(tag="T1", start=0.0, stop=14.0)]
+        assert windows(ads) == [(0.0, 14.0)]
         # ...and inactive chatter does not bridge a long pause.
         ads = [ad(0.0), ad(7.0)] + [
             ad(t, activity=Activity.INACTIVE) for t in (14.0, 21.0, 28.0)
         ] + [ad(35.0)]
-        assert segment_sessions(ads) == [
-            Session(tag="T1", start=0.0, stop=7.0),
-            Session(tag="T1", start=35.0, stop=35.0),
-        ]
+        assert windows(ads) == [(0.0, 7.0), (35.0, 35.0)]
+        # Trailing inactive broadcasts do not extend a session either.
+        ads = [ad(0.0), ad(7.0), ad(14.0, activity=Activity.INACTIVE)]
+        assert windows(ads) == [(0.0, 7.0)]
 
     def test_transport_counts_only_when_asked(self):
         # 14 s spacing: continuous if the transport instant counts, a 28 s
         # hole (split) if it does not.
         ads = [ad(0.0), ad(14.0, activity=Activity.TRANSPORT), ad(28.0)]
-        assert len(segment_sessions(ads)) == 2
-        merged = segment_sessions(ads, active=frozenset({Activity.USAGE, Activity.TRANSPORT}))
-        assert merged == [Session(tag="T1", start=0.0, stop=28.0)]
+        assert windows(ads) == [(0.0, 0.0), (28.0, 28.0)]
+        merged = windows(ads, active=frozenset({Activity.USAGE, Activity.TRANSPORT}))
+        assert merged == [(0.0, 28.0)]
 
     def test_duplicate_receptions_collapse_to_one_instant(self):
         ads = [ad(0.0, wearable="W1"), ad(0.0, wearable="W2"), ad(7.0, wearable="W2")]
-        assert segment_sessions(ads) == [Session(tag="T1", start=0.0, stop=7.0)]
+        reports = run_edge(ads, PARAMS)
+        assert [(r.wearable, r.start, r.stop, r.n_obs) for r in reports] == [
+            ("W1", 0.0, 7.0, 1),
+            ("W2", 0.0, 7.0, 2),
+        ]
 
     def test_all_inactive_gives_no_sessions(self):
         ads = [ad(7.0 * k, activity=Activity.INACTIVE) for k in range(5)]
-        assert segment_sessions(ads) == []
-        assert segment_sessions([]) == []
+        assert run_edge(ads, PARAMS) == []
+        assert run_edge([], PARAMS) == []
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            segment_sessions([ad(7.0), ad(0.0)])
-        with pytest.raises(ValueError):
-            segment_sessions([ad(0.0, tag="T1"), ad(7.0, tag="T2")])
-        with pytest.raises(ValueError):
-            segment_sessions([ad(0.0)], gap=0.0)
+        # The gap is checked up front, even when no broadcast would use it.
+        inactive = [ad(7.0 * k, activity=Activity.INACTIVE) for k in range(3)]
+        for gap in (0.0, -5.0, math.nan, math.inf):
+            for ads in ([ad(0.0), ad(7.0)], inactive, []):
+                with pytest.raises(ValueError, match="session gap"):
+                    run_edge(ads, PARAMS, gap=gap)
 
     @settings(max_examples=80)
     @given(
@@ -105,15 +107,16 @@ class TestSegmentation:
     )
     def test_sessions_partition_the_active_instants(self, offsets, gap):
         instants = sorted(set(offsets))
-        ads = [ad(t) for t in instants]
-        sessions = segment_sessions(ads, gap=gap)
+        reports = run_edge([ad(t) for t in instants], PARAMS, gap=gap)
+        # one badge: one report per session, covering all its instants
+        assert sum(r.n_obs for r in reports) == len(instants)
         # every active instant lies in exactly one session
         for t in instants:
-            assert sum(1 for s in sessions if s.start <= t <= s.stop) == 1
+            assert sum(1 for r in reports if r.start <= t <= r.stop) == 1
         # boundaries are observed instants, and consecutive sessions are > gap apart
-        for s in sessions:
-            assert s.start in instants and s.stop in instants and s.start <= s.stop
-        for a, b in zip(sessions, sessions[1:]):
+        for r in reports:
+            assert r.start in instants and r.stop in instants and r.start <= r.stop
+        for a, b in zip(reports, reports[1:]):
             assert b.start - a.stop > gap
 
 
@@ -190,49 +193,3 @@ class TestRunEdge:
         shuffled = list(ads)
         rng.shuffle(shuffled)
         assert run_edge(ads, PARAMS) == run_edge(shuffled, PARAMS)
-
-
-class TestDownsample:
-    def test_identity_when_target_equals_source(self):
-        ads = [ad(0.5 * k) for k in range(10)]
-        assert downsample(ads, 0.5, 0) == ads
-
-    def test_half_second_stream_to_seven_seconds(self):
-        # 84 broadcasts at 0.5 s; k = 14 phases of 6 broadcasts each.
-        ads = [ad(0.5 * k) for k in range(84)]
-        phases = [downsample(ads, 7.0, p) for p in range(14)]
-        assert all(len(ph) == 6 for ph in phases)
-        recombined = sorted((a for ph in phases for a in ph), key=lambda a: a.ts)
-        assert recombined == ads
-        assert [a.ts for a in phases[0]] == [0.0, 7.0, 14.0, 21.0, 28.0, 35.0]
-        assert phases[3][0].ts == 1.5
-
-    def test_per_tag_indexing(self):
-        fast = [ad(1.0 * k, tag="TA") for k in range(8)]
-        slow = [ad(2.0 * k, tag="TB") for k in range(8)]
-        out = downsample(sorted(fast + slow, key=lambda a: a.ts), 4.0, 0)
-        assert [a.ts for a in out if a.tag == "TA"] == [0.0, 4.0]
-        assert [a.ts for a in out if a.tag == "TB"] == [0.0, 8.0]
-
-    def test_errors(self):
-        ads = [ad(0.5 * k) for k in range(10)]
-        with pytest.raises(ValueError):
-            downsample(ads, 1.3, 0)  # not an integer multiple
-        with pytest.raises(ValueError):
-            downsample(ads, 7.0, 14)  # phase out of range
-        with pytest.raises(ValueError):
-            downsample(ads, 0.0, 0)
-
-    @settings(max_examples=50)
-    @given(
-        n=st.integers(min_value=2, max_value=60),
-        k=st.integers(min_value=1, max_value=8),
-        source=st.sampled_from([0.5, 1.0, 7.0]),
-    )
-    def test_phases_partition_the_stream(self, n, k, source):
-        # n >= 2 so the source interval is inferable from the stream itself.
-        ads = [ad(source * i) for i in range(n)]
-        phases = [downsample(ads, source * k, p) for p in range(k)]
-        assert sorted((a for ph in phases for a in ph), key=lambda a: a.ts) == ads
-        seen = [a.ts for ph in phases for a in ph]
-        assert len(seen) == len(set(seen)) == n

@@ -161,6 +161,18 @@ class TestSolve:
         assert res[0].margin == 0.0
         assert res[0].trust is Trust.UNSURE
 
+    def test_exactly_equal_sums_that_round_apart_tie(self):
+        # W1,W2,W3 and W3,W2,W1 both sum to exactly 0.1 + 0.2 + 0.3, but as
+        # floats in session order the first gives 0.6000000000000001 and the
+        # second 0.6. Exact sums tie, so the first in candidate order wins.
+        rows = [(w, t, 0.0, 90.0, 5.0) for w in ("W1", "W2", "W3") for t in ("T1", "T2", "T3")]
+        near = {("W1", "T1"): 0.1, ("W2", "T2"): 0.2, ("W3", "T3"): 0.3,
+                ("W3", "T1"): 0.3, ("W1", "T3"): 0.1}
+        prob = problem(*[(w, t, a, b, near.get((w, t), d)) for w, t, a, b, d in rows])
+        expected = ["W1", "W2", "W3"]
+        assert [r.wearable for r in solve(prob)] == expected
+        assert [r.wearable for r in brute_force_solve(prob)] == expected
+
     def test_more_sessions_than_badges_leaves_one_unassigned(self):
         with pytest.warns(RuntimeWarning, match="unassigned"):
             res = solve(problem(
@@ -233,11 +245,22 @@ _START_SPREAD_S = 10.0
 _MIN_BATCH_GAP_S = (EVENT_WINDOW_S + _START_SPREAD_S) / 2 + 0.5
 
 
-def random_problem(rng, ties=False):
+def _draw_distance(rng, mode):
+    if mode == "ties":
+        return float(rng.integers(1, 4))
+    if mode == "floor":
+        return 0.01 if rng.random() < 0.3 else 0.1 * int(rng.integers(1, 10))
+    return float(rng.uniform(0.1, 10.0))
+
+
+def random_problem(rng, mode="uniform"):
     """Small random instance: a few badges, overlapping session batches.
 
-    Adjacent batches may fall into one event; three never do. With ``ties``
-    every distance is 1, 2 or 3 m, so exactly tied assignments are common.
+    Adjacent batches may fall into one event; three never do. Distances are
+    uniform in [0.1, 10) m by default. With ``mode="ties"`` every distance is
+    1, 2 or 3 m, so exactly tied assignments are common. With ``mode="floor"``
+    they mix the 0.01 m filter floor with multiples of 0.1 m, whose exactly
+    equal sums can round apart as floats.
     """
     n_wear = int(rng.integers(1, 5))
     wearables = [f"W{i+1}" for i in range(n_wear)]
@@ -252,8 +275,7 @@ def random_problem(rng, ties=False):
             stop = start + float(rng.uniform(5.0, 120.0))
             for w in wearables:
                 if rng.random() < 0.8:
-                    d = float(rng.integers(1, 4)) if ties else float(rng.uniform(0.1, 10.0))
-                    reports.append(report(w, tag, start, stop, d))
+                    reports.append(report(w, tag, start, stop, _draw_distance(rng, mode)))
         t = batch_start + float(rng.uniform(_MIN_BATCH_GAP_S, 150.0))
     return MatchProblem.from_reports(reports)
 
@@ -280,9 +302,12 @@ class TestInvariants:
                 assert b.start >= a.stop, "badge reassigned before its session stopped"
 
     @settings(max_examples=120, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), ties=st.booleans())
-    def test_search_agrees_with_exhaustive_enumeration(self, seed, ties):
-        prob = random_problem(np.random.default_rng(seed), ties)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mode=st.sampled_from(["uniform", "ties", "floor"]),
+    )
+    def test_search_agrees_with_exhaustive_enumeration(self, seed, mode):
+        prob = random_problem(np.random.default_rng(seed), mode)
         import warnings
 
         with warnings.catch_warnings():

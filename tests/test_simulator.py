@@ -15,7 +15,6 @@ from proxmatch.simulator import (
     Trace,
     WorkerSpec,
     generate,
-    random_walk_trace,
     scenario_static,
     scenario_swap,
 )
@@ -314,17 +313,3 @@ class TestSwapScenario:
             scenario_swap(3, 2.0, [10.0])  # no room for the first period
         with pytest.raises(ValueError):
             scenario_swap(3, 2.0, [120.0], gap=21.0)  # pause must exceed the session gap
-
-
-class TestRandomWalk:
-    def test_respects_the_speed_bound(self):
-        rng = np.random.default_rng(4)
-        tr = random_walk_trace(rng, (1.0, 2.0), 140.0)
-        assert tr.max_speed() <= 0.7 + 1e-9
-        assert tr.knots[0] == (0.0, 1.0, 2.0)
-        assert tr.knots[-1][0] == 140.0
-
-    def test_deterministic_given_the_generator(self):
-        t1 = random_walk_trace(np.random.default_rng(8), (0.0, 0.0), 70.0)
-        t2 = random_walk_trace(np.random.default_rng(8), (0.0, 0.0), 70.0)
-        assert t1 == t2
