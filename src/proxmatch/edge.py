@@ -79,23 +79,34 @@ class DistanceReport:
 def _sessions(
     tag_ads: Sequence[Advertisement], gap: float, params: EkfParams
 ) -> Iterator[tuple[float, float, dict[str, tuple[EkfState, int]]]]:
-    """Sweep one tag's time-sorted active broadcasts once, filtering as they come.
+    """Sweep one tag's time-sorted active broadcasts once, filtering per session.
 
     Yields ``(start, stop, filters)`` per session, where ``filters`` maps each
     badge that heard the session to its final filter state and observation
     count. A pause longer than ``gap`` closes the session; a pause of exactly
     ``gap`` does not, and several badges hearing one instant stay together.
+    Each badge's readings are collected during the sweep and folded in by one
+    ``ekf.run_filter`` call when its session closes.
     """
+
+    def filtered(
+        heard: dict[str, tuple[list[float], list[float]]]
+    ) -> dict[str, tuple[EkfState, int]]:
+        return {w: (ekf.run_filter(rssi, ts, params), len(ts)) for w, (rssi, ts) in heard.items()}
+
     start = stop = tag_ads[0].ts
-    filters: dict[str, tuple[EkfState, int]] = {}
+    heard: dict[str, tuple[list[float], list[float]]] = {}
     for a in tag_ads:
         if a.ts - stop > gap:
-            yield start, stop, filters
-            start, filters = a.ts, {}
+            yield start, stop, filtered(heard)
+            start, heard = a.ts, {}
         stop = a.ts
-        state, n = filters.get(a.wearable, (None, 0))
-        filters[a.wearable] = (ekf.step(state, a.rssi, a.ts, params), n + 1)
-    yield start, stop, filters
+        obs = heard.get(a.wearable)
+        if obs is None:
+            obs = heard[a.wearable] = ([], [])
+        obs[0].append(a.rssi)
+        obs[1].append(a.ts)
+    yield start, stop, filtered(heard)
 
 
 def run_edge(

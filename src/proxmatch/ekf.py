@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Sequence
 
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -23,6 +25,7 @@ __all__ = [
     "jacobian",
     "predict",
     "process_noise_from_speed",
+    "run_filter",
     "step",
     "update",
 ]
@@ -165,20 +168,65 @@ def jacobian(model: PathLossModel, x: float) -> float:
 
 
 def update(state: EkfState, rssi: float, params: EkfParams) -> EkfState:
-    """Fold one RSSI observation into the state (measurement update)."""
-    h = jacobian(params.model, state.x)
-    y = rssi - params.model.forward(state.x)
-    s = h * state.p * h + params.r
-    k = state.p * h / s
-    x = state.x + k * y
-    if x < params.x_floor:
-        x = params.x_floor
-    p = (1.0 - k * h) * state.p
-    return EkfState(x=x, p=p, ts=state.ts)
+    """Fold one RSSI observation into the state (measurement update).
+
+    A zero-gap ``run_filter`` step: its prediction adds exactly 0.0 to ``p``.
+    """
+    return run_filter((rssi,), (state.ts,), params, state)
 
 
 def step(state: EkfState | None, rssi: float, ts: float, params: EkfParams) -> EkfState:
     """Process one observation: initialize on the first, predict then update after."""
     if state is None:
         return init(params, rssi, ts)
-    return update(predict(state, ts, params), rssi, params)
+    return run_filter((rssi,), (ts,), params, state)
+
+
+def run_filter(
+    rssi: Sequence[float],
+    ts: Sequence[float],
+    params: EkfParams,
+    state: EkfState | None = None,
+) -> EkfState:
+    """Fold a time-ordered observation stream into a filter; the final state.
+
+    Starts from ``state``, or from ``init`` on the first observation when
+    ``state`` is None, then predicts and updates once per observation. This
+    is the only copy of the update arithmetic: one loop over plain floats
+    performing the float operations of ``predict``, ``jacobian``,
+    ``PathLossModel.forward`` and the measurement update in the same order,
+    so its result is bit-identical to folding ``step`` over the stream.
+    """
+    if len(rssi) != len(ts):
+        raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")
+    skip = 0
+    if state is None:
+        if not rssi:
+            raise ValueError("a filter needs at least one observation to start")
+        state = init(params, rssi[0], ts[0])
+        skip = 1
+    x, p, t = state.x, state.p, state.ts
+    model = params.model
+    h_num = -10.0 * model.n
+    ln10 = math.log(10.0)
+    slope, x0, rssi0 = 10.0 * model.n, model.x0, model.rssi0
+    q, r, floor = params.q, params.r, params.x_floor
+    squared = params.dt_mode == DT_SQUARED
+    log10 = math.log10
+    for z, now in islice(zip(rssi, ts), skip, None):
+        dt = now - t
+        if dt < 0:
+            raise ValueError(f"observations must be processed in time order ({now} < {t})")
+        p = p + (q * dt * dt if squared else q * dt)
+        if not (x > 0):
+            raise ValueError(f"jacobian needs a positive distance, got {x}")
+        h = h_num / (ln10 * x)
+        y = z - (rssi0 - slope * log10(x / x0))
+        s = h * p * h + r
+        k = p * h / s
+        x = x + k * y
+        if x < floor:
+            x = floor
+        p = (1.0 - k * h) * p
+        t = now
+    return EkfState(x=x, p=p, ts=t)

@@ -40,6 +40,10 @@ __all__ = [
 
 _R = TypeVar("_R")
 
+#: ``json.loads``' own decoder; its ``raw_decode`` skips the whitespace and
+#: trailing-data checks that ``json.loads`` adds.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -48,8 +52,26 @@ def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def _read_lines(path: str | Path) -> list[tuple[int, str]]:
+    """Numbered nonblank lines. Only ``\\n`` ends a line (text mode already
+    turns ``\\r\\n`` and ``\\r`` into it): JSON strings may hold raw U+2028 and
+    other characters that ``str.splitlines`` would also split on."""
     with open(path, "r", encoding="utf-8") as f:
-        return [(i, line) for i, line in enumerate(f.read().splitlines(), start=1) if line.strip()]
+        return [(i, line) for i, line in enumerate(f.read().split("\n"), start=1) if line.strip()]
+
+
+def _loads(line: str):
+    """``json.loads(line)``, faster on a line that is exactly one JSON value.
+
+    Anything else (surrounding whitespace, trailing data, a syntax error)
+    goes through ``json.loads`` itself, so results and error messages match.
+    """
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)
 
 
 def _read_records(path: str | Path, what: str, parse: Callable[[dict], _R]) -> list[_R]:
@@ -74,17 +96,59 @@ def _ad_to_dict(a: Advertisement) -> dict:
     }
 
 
+_ACTIVITIES = {a.value: a for a in Activity}
+
+
+def _activity(value) -> Activity:
+    """``Activity(value)``; a table lookup first, the enum (and its error) on a miss."""
+    try:
+        return _ACTIVITIES[value]
+    except (KeyError, TypeError):
+        return Activity(value)
+
+
 def _ad_from_dict(d: dict) -> Advertisement:
     return Advertisement(
         ts=float(d["ts"]),
         wearable=str(d["wearable"]),
         tag=str(d["tag"]),
         rssi=float(d["rssi_db"]),
-        activity=Activity(d["activity"]),
+        activity=_activity(d["activity"]),
     )
 
 
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
+_ACTIVITY_JSON = {a: json.dumps(a.value) for a in Activity}
+
+
+def _write_ads_jsonl(path: Path, ads: Iterable[Advertisement]) -> None:
+    """Byte for byte ``_write_jsonl(path, map(_ad_to_dict, ads))`` (the
+    reference the tests compare against), formatted directly.
+
+    Each distinct id string is JSON-encoded once per file. Floats (numpy
+    scalars included) go through ``float.__repr__``, as in ``json``; any
+    other value through ``json.dumps``. Non-finite floats cannot occur:
+    ``Advertisement`` rejects them.
+    """
+    ids: dict[str, str] = {}
+
+    def text(v) -> str:
+        if type(v) is not str:
+            return json.dumps(v)
+        enc = ids.get(v)
+        if enc is None:
+            enc = ids[v] = json.dumps(v)
+        return enc
+
+    num = float.__repr__
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(
+            f'{{"ts":{num(a.ts) if isinstance(a.ts, float) else json.dumps(a.ts)},'
+            f'"wearable":{text(a.wearable)},"tag":{text(a.tag)},'
+            f'"rssi_db":{num(a.rssi) if isinstance(a.rssi, float) else json.dumps(a.rssi)},'
+            f'"activity":{_ACTIVITY_JSON[a.activity]}}}\n'
+            for a in ads
+        )
 
 
 def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None:
@@ -100,7 +164,7 @@ def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None
                     [repr(float(a.ts)), a.wearable, a.tag, repr(float(a.rssi)), a.activity.value]
                 )
         return
-    _write_jsonl(path, (_ad_to_dict(a) for a in ads))
+    _write_ads_jsonl(path, ads)
 
 
 def read_advertisements(
@@ -132,7 +196,7 @@ def read_advertisements(
         return ads, skipped
     for i, line in _read_lines(path):
         try:
-            ads.append(_ad_from_dict(json.loads(line)))
+            ads.append(_ad_from_dict(_loads(line)))
         except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
             skipped.append((i, str(e)))
     return ads, skipped

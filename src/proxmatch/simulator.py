@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,17 +77,28 @@ class Trace:
     def stationary(cls, x: float, y: float) -> Trace:
         return cls(((0.0, x, y),))
 
+    @cached_property
+    def _knot_times(self) -> tuple[float, ...]:
+        return tuple(t for t, _, _ in self.knots)
+
     def position(self, ts: float) -> tuple[float, float]:
+        """Interpolated position at ``ts``.
+
+        Inside the knot range the segment is the first one whose end is at
+        or after ``ts``, found by bisection over the knot times, so a knot
+        instant interpolates on the segment that ends there.
+        """
         knots = self.knots
         if ts <= knots[0][0]:
             return knots[0][1], knots[0][2]
         if ts >= knots[-1][0]:
             return knots[-1][1], knots[-1][2]
-        for (t0, x0, y0), (t1, x1, y1) in zip(knots, knots[1:]):
-            if t0 <= ts <= t1:
-                a = (ts - t0) / (t1 - t0)
-                return x0 + a * (x1 - x0), y0 + a * (y1 - y0)
-        raise AssertionError("unreachable: ts inside knot range but no segment found")
+        if ts != ts:
+            raise ValueError("trace position needs a timestamp, got NaN")
+        j = bisect_left(self._knot_times, ts)
+        (t0, x0, y0), (t1, x1, y1) = knots[j - 1], knots[j]
+        a = (ts - t0) / (t1 - t0)
+        return x0 + a * (x1 - x0), y0 + a * (y1 - y0)
 
     def max_speed(self) -> float:
         """Largest segment speed in m/s; 0 for a single-knot trace."""

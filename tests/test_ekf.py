@@ -280,3 +280,114 @@ class TestConvergence:
             errs.append(abs(state.x - 2.0))
         med = float(np.median(errs))
         assert 1.0 <= med <= 1.8
+
+
+def reference_filter(rssi, ts, params):
+    """Test-local oracle: the per-observation ``init``, ``predict`` and
+    ``update`` arithmetic, copied from before ``run_filter`` existed."""
+    model = params.model
+
+    def init(rssi, ts):
+        x = min(max(model.x0 * 10.0 ** ((model.rssi0 - rssi) / (10.0 * model.n)), params.d_min),
+                params.d_max)
+        return x, params.p0, ts
+
+    def predict(state, ts):
+        x, p, t = state
+        dt = ts - t
+        if dt < 0:
+            raise ValueError(f"observations must be processed in time order ({ts} < {t})")
+        if params.dt_mode == DT_SQUARED:
+            growth = params.q * dt * dt
+        else:
+            growth = params.q * dt
+        return x, p + growth, ts
+
+    def update(state, rssi):
+        x, p, t = state
+        h = -10.0 * model.n / (math.log(10.0) * x)
+        y = rssi - (model.rssi0 - 10.0 * model.n * math.log10(x / model.x0))
+        s = h * p * h + params.r
+        k = p * h / s
+        x_new = x + k * y
+        if x_new < params.x_floor:
+            x_new = params.x_floor
+        return x_new, (1.0 - k * h) * p, t
+
+    state = init(rssi[0], ts[0])
+    for z, t in zip(rssi[1:], ts[1:]):
+        state = update(predict(state, t), z)
+    return state
+
+
+def _bits(x, p, t):
+    return x.hex(), p.hex(), float(t).hex()
+
+
+# A strong reading straight after a near-bound start drives x below the floor.
+FLOOR_STREAM = ([-30.0, 20.0, 20.0, -50.0], [0.0, 7.0, 7.0, 21.0])
+
+
+@st.composite
+def streams(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    rssi = draw(st.lists(st.floats(min_value=-127.0, max_value=20.0), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=60.0)),
+                         min_size=n, max_size=n))
+    ts = [draw(st.floats(min_value=-1e4, max_value=1e4))]
+    for g in gaps[1:]:
+        ts.append(ts[-1] + g)
+    return rssi, ts
+
+
+class TestRunFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=streams(),
+        dt_mode=st.sampled_from([DT_SQUARED, DT_LINEAR]),
+        q=st.floats(min_value=1e-4, max_value=10.0),
+        r=st.floats(min_value=0.1, max_value=200.0),
+        x_floor=st.sampled_from([0.01, 0.2, 0.5]),
+    )
+    def test_bit_identical_to_the_reference_steps(self, stream, dt_mode, q, r, x_floor):
+        params = EkfParams(q=q, r=r, dt_mode=dt_mode, x_floor=x_floor)
+        rssi, ts = stream
+        want = _bits(*reference_filter(rssi, ts, params))
+        got = ekf.run_filter(rssi, ts, params)
+        assert _bits(got.x, got.p, got.ts) == want
+        state = None
+        for z, t in zip(rssi, ts):
+            state = ekf.step(state, z, t, params)
+        assert _bits(state.x, state.p, state.ts) == want
+        k = len(rssi) // 2
+        if k:
+            head = ekf.run_filter(rssi[:k], ts[:k], params)
+            tail = ekf.run_filter(rssi[k:], ts[k:], params, head)
+            assert _bits(tail.x, tail.p, tail.ts) == want
+
+    @pytest.mark.parametrize("dt_mode", [DT_SQUARED, DT_LINEAR])
+    def test_floor_and_zero_gap_stream(self, dt_mode):
+        params = EkfParams(dt_mode=dt_mode)
+        rssi, ts = FLOOR_STREAM
+        assert ekf.run_filter(rssi[:2], ts[:2], params).x == params.x_floor
+        got = ekf.run_filter(rssi, ts, params)
+        assert _bits(got.x, got.p, got.ts) == _bits(*reference_filter(rssi, ts, params))
+
+    def test_update_is_a_zero_gap_step(self):
+        before = EkfState(x=1.7, p=3.3, ts=5.0)
+        after = ekf.update(before, -50.0, PARAMS)
+        assert after == ekf.run_filter([-50.0], [5.0], PARAMS, before)
+        assert after.ts == 5.0
+
+    def test_time_must_not_run_backwards(self):
+        with pytest.raises(ValueError, match="time order"):
+            ekf.run_filter([-50.0, -50.0, -50.0], [0.0, 7.0, 6.0], PARAMS)
+        with pytest.raises(ValueError, match="time order"):
+            ekf.run_filter([-50.0], [4.0], PARAMS, EkfState(x=1.0, p=1.0, ts=5.0))
+
+    def test_malformed_input(self):
+        with pytest.raises(ValueError):
+            ekf.run_filter([], [], PARAMS)
+        with pytest.raises(ValueError):
+            ekf.run_filter([-50.0, -51.0], [0.0], PARAMS)
+        assert ekf.run_filter([], [], PARAMS, EkfState(x=1.0, p=1.0, ts=5.0)) == EkfState(1.0, 1.0, 5.0)

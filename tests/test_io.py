@@ -1,7 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxmatch import io
 from proxmatch.edge import Activity, Advertisement, DistanceReport
@@ -48,11 +51,158 @@ class TestAdvertisements:
         assert len(got) == 1 and got[0].ts == 0.0
         assert [line for line, _ in skipped] == [2, 3, 4, 5]
 
+    @pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_newline_ends_a_line(self, tmp_path, ch):
+        """A raw Unicode line break inside a record stays in its line. JSON
+        strings may hold U+2028, U+2029 and U+0085; a raw control character
+        makes the record bad, but it is still one line."""
+        p = tmp_path / "ads.jsonl"
+        good = '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}'
+        odd = '{"ts":7.0,"wearable":"W' + ch + '1","tag":"T1","rssi_db":-45.6,"activity":"usage"}'
+        p.write_text("\n".join([good, odd, good[:30]]) + "\n", encoding="utf-8")
+        got, skipped = io.read_advertisements(p)
+        if ch < " ":
+            assert [a.ts for a in got] == [0.0] and [i for i, _ in skipped] == [2, 3]
+        else:
+            assert [a.wearable for a in got] == ["W1", "W" + ch + "1"]
+            assert [i for i, _ in skipped] == [3]
+
+    def test_record_readers_keep_unicode_line_breaks(self, tmp_path):
+        p = tmp_path / "truth.jsonl"
+        p.write_text('{"tag":"T\u20281","start_s":0,"stop_s":7,"wearable":"W1"}\n', encoding="utf-8")
+        assert io.read_truth(p) == [TruthRecord(tag="T\u20281", start=0.0, stop=7.0, wearable="W1")]
+
     def test_csv_header_is_checked(self, tmp_path):
         p = tmp_path / "ads.csv"
         p.write_text("time,badge\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             io.read_advertisements(p)
+
+
+def reference_ads_bytes(ads) -> bytes:
+    return "".join(json.dumps(io._ad_to_dict(a), separators=(",", ":")) + "\n" for a in ads).encode()
+
+
+def reference_read_ads(path):
+    """Per-line ``json.loads`` and the ``Activity(...)`` enum call: what the
+    fast path in ``read_advertisements`` must reproduce, reasons included."""
+    ads, skipped = [], []
+    for i, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+            ads.append(
+                Advertisement(
+                    ts=float(d["ts"]),
+                    wearable=str(d["wearable"]),
+                    tag=str(d["tag"]),
+                    rssi=float(d["rssi_db"]),
+                    activity=Activity(d["activity"]),
+                )
+            )
+        except (ValueError, KeyError, TypeError) as e:
+            skipped.append((i, str(e)))
+    return ads, skipped
+
+
+ODD_IDS = ['W"1', "W\\1", "Wé", "W\u2028", "\u00ff\u4e2d", "", "W\x00"]
+ACTIVITIES = list(Activity)
+
+
+@st.composite
+def advertisements(draw):
+    ts = draw(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(min_value=-(2**70), max_value=2**70),
+            st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        )
+    )
+    rssi = draw(
+        st.one_of(
+            st.floats(min_value=-127.0, max_value=20.0),
+            st.floats(min_value=-127.0, max_value=20.0).map(np.float64),
+            st.integers(min_value=-127, max_value=20),
+        )
+    )
+    ids = st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=6))
+    return Advertisement(
+        ts=ts, wearable=draw(ids), tag=draw(ids), rssi=rssi, activity=draw(st.sampled_from(ACTIVITIES))
+    )
+
+
+class TestAdvertisementCodec:
+    def test_writer_bytes_match_json_dumps(self, tmp_path):
+        ads = [
+            Advertisement(ts=0.0, wearable='W"1', tag="T\\1", rssi=-45.6, activity=Activity.USAGE),
+            Advertisement(ts=np.float64(7.1), wearable="Wé", tag="T\u2028", rssi=np.float64(-52.25),
+                          activity=Activity.TRANSPORT),
+            Advertisement(ts=14, wearable="W1", tag="T1", rssi=-40, activity=Activity.INACTIVE),
+            Advertisement(ts=1e22, wearable="W1", tag="T1", rssi=-1e-7, activity=Activity.USAGE),
+        ]
+        p = tmp_path / "ads.jsonl"
+        io.write_advertisements(p, ads)
+        assert p.read_bytes() == reference_ads_bytes(ads)
+        assert io.read_advertisements(p) == reference_read_ads(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ads=st.lists(advertisements(), max_size=12))
+    def test_writer_property(self, tmp_path_factory, ads):
+        p = tmp_path_factory.mktemp("codec") / "ads.jsonl"
+        io.write_advertisements(p, ads)
+        assert p.read_bytes() == reference_ads_bytes(ads)
+        got, skipped = io.read_advertisements(p)
+        assert skipped == [] and got == reference_read_ads(p)[0]
+
+    def test_reader_matches_per_line_json_loads(self, tmp_path):
+        good = '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}'
+        lines = [
+            good,
+            good[:40],  # truncated
+            good + " x",  # trailing garbage
+            good + "{}",  # a second value
+            "  " + good + "\t ",  # leading and trailing whitespace
+            good.replace("0.0", "NaN"),  # NaN literal
+            good.replace("-45.6", "Infinity"),
+            "[1, 2]",  # not an object
+            '"usage"',
+            "3",
+            "null",
+            good.replace(',"tag":"T1"', ""),  # missing key
+            good.replace("usage", "flying"),  # unknown activity
+            good.replace('"usage"', "[1]"),  # unhashable activity
+            good.replace('"usage"', "1"),
+            good.replace('"W1"', "null"),  # read as the id "None"
+            "\ufeff" + good,  # byte order mark
+            "{",
+            "",
+            "   ",
+            good,
+        ]
+        p = tmp_path / "ads.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = io.read_advertisements(p)
+        assert got == reference_read_ads(p)
+        assert len(got[0]) == 4
+        assert [i for i, _ in got[1]] == [2, 3, 4, *range(6, 16), 17, 18]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ['{"ts":1.5,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"transport"}']
+                ).flatmap(lambda s: st.integers(0, len(s)).map(lambda k: s[:k])),
+                st.text(alphabet=' \t{}[]":,0123456789.-eENaIfinytrulsWTagd_\\u\u2028', max_size=30),
+            ),
+            max_size=8,
+        )
+    )
+    def test_reader_property(self, tmp_path_factory, lines):
+        p = tmp_path_factory.mktemp("codec") / "ads.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert io.read_advertisements(p) == reference_read_ads(p)
 
 
 class TestRecordStreams:

@@ -38,6 +38,32 @@ class TestTrace:
         tr = Trace(((0.0, 0.0, 0.0), (10.0, 3.0, 4.0)))  # 5 m in 10 s
         assert tr.max_speed() == pytest.approx(0.5)
 
+    def test_bisection_matches_a_linear_scan(self):
+        def scan(knots, ts):
+            """Reference: the first segment whose end is at or after ts."""
+            if ts <= knots[0][0]:
+                return knots[0][1], knots[0][2]
+            if ts >= knots[-1][0]:
+                return knots[-1][1], knots[-1][2]
+            for (t0, x0, y0), (t1, x1, y1) in zip(knots, knots[1:]):
+                if t0 <= ts <= t1:
+                    a = (ts - t0) / (t1 - t0)
+                    return x0 + a * (x1 - x0), y0 + a * (y1 - y0)
+            raise AssertionError(ts)
+
+        cfg = scenario_swap(3, 2.0, [100.0 * k for k in range(1, 20)], duration=2000.0)
+        for w in cfg.workers:
+            knots = w.trace.knots
+            assert len(knots) == 39
+            for t, _, _ in knots:
+                for ts in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf), t + 0.5):
+                    assert w.trace.position(ts) == scan(knots, ts), (w.id, ts)
+
+    def test_nan_time_is_an_error(self):
+        tr = Trace(((0.0, 0.0, 0.0), (10.0, 4.0, 2.0)))
+        with pytest.raises(ValueError):
+            tr.position(math.nan)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Trace(())
