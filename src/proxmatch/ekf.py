@@ -170,7 +170,8 @@ def jacobian(model: PathLossModel, x: float) -> float:
 def update(state: EkfState, rssi: float, params: EkfParams) -> EkfState:
     """Fold one RSSI observation into the state (measurement update).
 
-    A zero-gap ``run_filter`` step: its prediction adds exactly 0.0 to ``p``.
+    A zero-gap ``run_filter`` step: for a finite ``state.ts`` its prediction
+    adds exactly 0.0 to ``p``.
     """
     return run_filter((rssi,), (state.ts,), params, state)
 
@@ -201,7 +202,7 @@ def run_filter(
         raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")
     skip = 0
     if state is None:
-        if not rssi:
+        if len(rssi) == 0:
             raise ValueError("a filter needs at least one observation to start")
         state = init(params, rssi[0], ts[0])
         skip = 1

@@ -390,4 +390,5 @@ class TestRunFilter:
             ekf.run_filter([], [], PARAMS)
         with pytest.raises(ValueError):
             ekf.run_filter([-50.0, -51.0], [0.0], PARAMS)
-        assert ekf.run_filter([], [], PARAMS, EkfState(x=1.0, p=1.0, ts=5.0)) == EkfState(1.0, 1.0, 5.0)
+        start = EkfState(x=1.0, p=1.0, ts=5.0)
+        assert ekf.run_filter([], [], PARAMS, start) == start

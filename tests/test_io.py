@@ -127,9 +127,8 @@ def advertisements(draw):
         )
     )
     ids = st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=6))
-    return Advertisement(
-        ts=ts, wearable=draw(ids), tag=draw(ids), rssi=rssi, activity=draw(st.sampled_from(ACTIVITIES))
-    )
+    activity = draw(st.sampled_from(ACTIVITIES))
+    return Advertisement(ts=ts, wearable=draw(ids), tag=draw(ids), rssi=rssi, activity=activity)
 
 
 class TestAdvertisementCodec:
@@ -194,7 +193,8 @@ class TestAdvertisementCodec:
                 st.sampled_from(
                     ['{"ts":1.5,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"transport"}']
                 ).flatmap(lambda s: st.integers(0, len(s)).map(lambda k: s[:k])),
-                st.text(alphabet=' \t{}[]":,0123456789.-eENaIfinytrulsWTagd_\\u\u2028', max_size=30),
+                st.text(alphabet=' \t{}[]":,0123456789.-eENaIfinytrulsWTagd_\\u\u2028',
+                        max_size=30),
             ),
             max_size=8,
         )
