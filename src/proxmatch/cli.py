@@ -1,15 +1,15 @@
 """Command-line interface: calibration, simulation, and the staged pipeline.
 
-Each stage reads and writes plain files, so stages can run separately or via
-``pipeline``, which chains them through the exact same readers and writers
-and therefore produces byte-identical outputs. Exit codes: 0 on success, 2
-for invalid inputs or configuration, 1 for unexpected runtime failures.
+Each stage reads and writes plain files, and each stage command's body is
+one stage function. ``pipeline`` chains those same functions, so it produces
+byte-identical outputs and prints the same stage lines as the commands run
+one by one. Exit codes: 0 on success, 2 for invalid inputs or configuration,
+1 for unexpected runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
@@ -20,7 +20,7 @@ from .edge import ACTIVE_DEFAULT, SESSION_GAP_S, Activity, run_edge
 from .ekf import DT_LINEAR, DT_SQUARED, EkfParams
 from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, evaluate, solve
 from .pathloss import DEFAULT_MODEL, fit, residual_variance
-from .simulator import GroundTruth, generate, scenario_static, scenario_swap
+from .simulator import GroundTruth, ScenarioConfig, generate, scenario_static, scenario_swap
 
 __all__ = ["main"]
 
@@ -68,22 +68,29 @@ def _positive_float(text: str) -> float:
     return _finite_float(text, positive=True)
 
 
+def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario file, with --seed overriding its seed."""
+    config = io.read_scenario(args.scenario)
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+
+
 def _load_params(args: argparse.Namespace) -> EkfParams:
-    """Filter config from --config (a bare path-loss model JSON is accepted
-    and completed with defaults), with flag overrides applied."""
-    if args.config:
-        doc = io._read_json(args.config)
-        if {"q", "r"} <= doc.keys():
-            params = EkfParams.from_dict(doc)
-        else:
-            params = EkfParams(model=io.read_model(args.config))
-    else:
-        params = EkfParams()
+    """Filter config from --config, with flag overrides applied."""
+    params = io.read_ekf_params(args.config) if args.config else EkfParams()
     if args.r is not None:
         params = dataclasses.replace(params, r=args.r)
     if args.dt_mode is not None:
         params = dataclasses.replace(params, dt_mode=args.dt_mode)
     return params
+
+
+def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> GroundTruth:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ads, truth = generate(config)
+    io.write_advertisements(out_dir / "advertisements.jsonl", ads)
+    io.write_truth(out_dir / "truth.jsonl", truth.sessions)
+    print(f"{len(ads)} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")
+    return truth
 
 
 def _estimate_stage(
@@ -92,17 +99,16 @@ def _estimate_stage(
     params: EkfParams,
     gap: float,
     active: frozenset[Activity],
-) -> int:
+) -> None:
     ads, skipped = io.read_advertisements(ads_path)
     for lineno, reason in skipped:
         print(f"{ads_path}:{lineno}: skipped: {reason}", file=sys.stderr)
     reports = run_edge(ads, params, gap=gap, active=active)
     io.write_reports(out_path, reports)
     print(f"{len(reports)} report(s) from {len(ads)} advertisement(s) -> {out_path}")
-    return 0
 
 
-def _match_stage(reports_path: Path, out_path: Path, margin: float, window: float) -> int:
+def _match_stage(reports_path: Path, out_path: Path, margin: float, window: float) -> None:
     problem = MatchProblem.from_reports(io.read_reports(reports_path))
     results = solve(problem, threshold=margin, window=window)
     io.write_matches(out_path, results)
@@ -112,19 +118,22 @@ def _match_stage(reports_path: Path, out_path: Path, margin: float, window: floa
         f"{len(results)} session(s): {sure} sure, "
         f"{len(results) - sure - unassigned} unsure, {unassigned} unassigned -> {out_path}"
     )
-    return 0
 
 
-def _eval_summary(report) -> str:
+def _evaluate_stage(matches_path: Path, truth_path: Path, out_path: Path | None) -> None:
+    report = evaluate(io.read_matches(matches_path), io.read_truth(truth_path))
     d = report.to_dict()
 
     def pct(m):
         return f"{m['percent']}% ({m['ratio']})" if m else "n/a"
 
-    return (
+    print(
         f"total {d['total']}  accuracy {pct(d['accuracy'])}  "
         f"recall {pct(d['recall'])}  precision {pct(d['precision'])}"
     )
+    if out_path is not None:
+        io.write_eval(out_path, report)
+        print(f"metrics -> {out_path}")
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -169,107 +178,66 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = io.read_scenario(args.scenario)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ads, truth = generate(config)
-    io.write_advertisements(out / "advertisements.jsonl", ads)
-    io.write_truth(out / "truth.jsonl", truth.sessions)
-    print(f"{len(ads)} advertisement(s), {len(truth.sessions)} truth session(s) -> {out}")
+    _simulate_stage(_load_scenario(args), Path(args.out_dir))
     return 0
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    return _estimate_stage(
+    _estimate_stage(
         Path(args.advertisements),
         Path(args.out),
         _load_params(args),
         args.gap_s,
         _parse_active(args.active_classes),
     )
+    return 0
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    return _match_stage(Path(args.reports), Path(args.out), args.margin_m, args.adv_interval_s)
+    _match_stage(Path(args.reports), Path(args.out), args.margin_m, args.adv_interval_s)
+    return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    results = io.read_matches(args.matches)
-    truth = io.read_truth(args.truth)
-    report = evaluate(results, truth)
-    print(_eval_summary(report))
-    if args.out:
-        io.write_eval(args.out, report)
-        print(f"metrics -> {args.out}")
+    _evaluate_stage(Path(args.matches), Path(args.truth), Path(args.out) if args.out else None)
     return 0
 
 
 def _write_errors_csv(path: Path, reports, truth: GroundTruth) -> None:
     """Per-report ranging error against the true distance at the session midpoint."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"])
-        for r in reports:
-            mid = 0.5 * (r.start + r.stop)
-            true = truth.true_distance(r.wearable, r.tag, mid)
-            w.writerow(
-                [r.wearable, r.tag, repr(r.start), repr(r.stop),
-                 repr(r.distance), repr(true), repr(r.distance - true)]
-            )
+
+    def row(r) -> list:
+        true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
+        return [r.wearable, r.tag, repr(r.start), repr(r.stop),
+                repr(r.distance), repr(true), repr(r.distance - true)]
+
+    header = ["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"]
+    io._write_csv(path, header, map(row, reports))
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = io.read_scenario(args.scenario)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _load_scenario(args)
     params = _load_params(args)
     active = _parse_active(args.active_classes)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    def stage(name, fn):
+    def stage(name, fn, *stage_args):
         try:
-            return fn()
+            return fn(*stage_args)
         except (ValueError, OSError) as e:
             raise ValueError(f"[{name}] {e}") from e
         except Exception as e:
             raise RuntimeError(f"[{name}] {e}") from e
 
-    def simulate():
-        ads, truth = generate(config)
-        io.write_advertisements(out / "advertisements.jsonl", ads)
-        io.write_truth(out / "truth.jsonl", truth.sessions)
-        return truth
-
-    truth = stage("simulate", simulate)
-    stage(
-        "estimate",
-        lambda: _estimate_stage(
-            out / "advertisements.jsonl", out / "reports.jsonl", params, args.gap_s, active
-        ),
-    )
-    stage(
-        "match",
-        lambda: _match_stage(
-            out / "reports.jsonl", out / "matches.jsonl", args.margin_m, args.adv_interval_s
-        ),
-    )
-
-    def evaluate_stage():
-        results = io.read_matches(out / "matches.jsonl")
-        truth_records = io.read_truth(out / "truth.jsonl")
-        report = evaluate(results, truth_records)
-        io.write_eval(out / "metrics.json", report)
-        return report
-
-    report = stage("evaluate", evaluate_stage)
-    stage(
-        "errors",
-        lambda: _write_errors_csv(out / "errors.csv", io.read_reports(out / "reports.jsonl"), truth),
-    )
-    print(_eval_summary(report))
+    truth = stage("simulate", _simulate_stage, config, out)
+    stage("estimate", _estimate_stage, out / "advertisements.jsonl", out / "reports.jsonl",
+          params, args.gap_s, active)
+    stage("match", _match_stage, out / "reports.jsonl", out / "matches.jsonl",
+          args.margin_m, args.adv_interval_s)
+    stage("evaluate", _evaluate_stage, out / "matches.jsonl", out / "truth.jsonl",
+          out / "metrics.json")
+    stage("errors", lambda: _write_errors_csv(
+        out / "errors.csv", io.read_reports(out / "reports.jsonl"), truth))
     print(f"outputs -> {out}")
     return 0
 

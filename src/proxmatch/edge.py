@@ -104,6 +104,8 @@ def _sessions(
         obs = heard.get(a.wearable)
         if obs is None:
             obs = heard[a.wearable] = ([], [])
+        elif obs[1][-1] == a.ts:
+            continue  # the same broadcast logged again: the first reception wins
         obs[0].append(a.rssi)
         obs[1].append(a.ts)
     yield start, stop, filtered(heard)
@@ -124,7 +126,8 @@ def run_edge(
     all badges' receptions, so every badge reports against the same session
     boundaries even when it missed the boundary broadcasts. Each (badge,
     session) pair runs a fresh filter over the active broadcasts that badge
-    actually heard inside the window and yields exactly one report.
+    actually heard inside the window and yields exactly one report. A badge
+    that logs one broadcast twice (same timestamp) keeps its first reception.
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"session gap must be finite and positive, got {gap}")

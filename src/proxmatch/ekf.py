@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from statistics import NormalDist
 from typing import Sequence
 
 from .pathloss import DEFAULT_MODEL, PathLossModel
@@ -43,15 +44,14 @@ def process_noise_from_speed(v_max: float = 0.7, tail: float = 0.05) -> float:
     Folding a hard speed bound into a Gaussian: |v| <= v_max with probability
     1 - tail requires v_max^2 / q to be the (1 - tail) quantile of a
     chi-squared with one degree of freedom, so q = v_max^2 / chi2_ppf(1 - tail, 1).
+    That quantile is the square of the standard normal's (1 - tail/2) quantile.
     The defaults (0.7 m/s, 5% tail) give q = 0.1276 m^2/s^2.
     """
-    from scipy.stats import chi2
-
     if not (math.isfinite(v_max) and v_max > 0):
         raise ValueError(f"speed bound must be finite and positive, got {v_max}")
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail probability must lie in (0, 1), got {tail}")
-    return v_max**2 / float(chi2.ppf(1.0 - tail, df=1))
+    return v_max**2 / NormalDist().inv_cdf(1.0 - tail / 2) ** 2
 
 
 @dataclass(frozen=True)

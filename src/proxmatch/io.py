@@ -2,6 +2,13 @@
 
 Writers emit keys in a fixed order and floats through ``repr`` (the json
 default), so a given record sequence always produces byte-identical files.
+
+Every reader applies one rule to bad input. A line, row or document is bad
+when it does not decode, lacks a field, or holds a value of the wrong type,
+out of range or too large for a float (any exception in ``_BAD_INPUT``).
+``read_advertisements`` skips its bad lines and returns them with their
+numbers. Every other reader raises ``ValueError`` naming the file, the line
+and the record kind, which the CLI turns into exit status 2.
 """
 
 from __future__ import annotations
@@ -40,6 +47,11 @@ __all__ = [
 
 _R = TypeVar("_R")
 
+#: What a bad line, row or document raises while it is decoded and built:
+#: ``OverflowError`` comes from ``float()`` of a huge JSON integer and
+#: ``RecursionError`` from decoding deeply nested brackets.
+_BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
+
 #: ``json.loads``' own decoder; its ``raw_decode`` skips the whitespace and
 #: trailing-data checks that ``json.loads`` adds.
 _raw_decode = json.JSONDecoder().raw_decode
@@ -51,12 +63,77 @@ def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
             f.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
-def _read_lines(path: str | Path) -> list[tuple[int, str]]:
-    """Numbered nonblank lines. Only ``\\n`` ends a line (text mode already
-    turns ``\\r\\n`` and ``\\r`` into it): JSON strings may hold raw U+2028 and
-    other characters that ``str.splitlines`` would also split on."""
+def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_json(path: str | Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _records(
+    path: str | Path, lines: Iterable[tuple], parse: Callable[..., _R], what: str, skipped=None
+) -> list[_R]:
+    """``parse`` every numbered line. A bad line goes into ``skipped`` as
+    (line number, reason) when a list is given; otherwise the first one
+    raises ``ValueError`` naming the file, the line and the record kind."""
+    out = []
+    for i, line in lines:
+        try:
+            out.append(parse(line))
+        except _BAD_INPUT as e:
+            if skipped is None:
+                raise ValueError(f"{path}:{i}: bad {what}: {e}") from e
+            skipped.append((i, str(e)))
+    return out
+
+
+def _read_jsonl(
+    path: str | Path, what: str, from_dict: Callable[[dict], _R], skipped=None
+) -> list[_R]:
+    """One record per nonblank line of a JSON Lines file. Only ``\\n`` ends a
+    line (text mode already turns ``\\r\\n`` and ``\\r`` into it): JSON strings
+    may hold raw U+2028 and other characters that ``str.splitlines`` would
+    also split on."""
     with open(path, "r", encoding="utf-8") as f:
-        return [(i, line) for i, line in enumerate(f.read().split("\n"), start=1) if line.strip()]
+        lines = [(i, line) for i, line in enumerate(f.read().split("\n"), start=1) if line.strip()]
+    return _records(path, lines, lambda line: from_dict(_loads(line)), what, skipped)
+
+
+def _read_csv(
+    path: str | Path, fields: tuple, what: str, from_dict: Callable[[dict], _R], skipped=None
+) -> list[_R]:
+    """One record per nonempty data row of a CSV file whose header row must
+    be ``fields``; a row with another number of columns is bad."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or rows[0] != list(fields):
+        raise ValueError(f"{path}: expected CSV header {','.join(fields)}")
+
+    def parse(row: list[str]) -> _R:
+        if len(row) != len(fields):
+            raise ValueError(f"expected {len(fields)} columns, got {len(row)}")
+        return from_dict(dict(zip(fields, row)))
+
+    lines = [(i, row) for i, row in enumerate(rows[1:], start=2) if row]
+    return _records(path, lines, parse, what, skipped)
+
+
+def _read_doc(path: str | Path, what: str, from_dict: Callable[[dict], _R]) -> _R:
+    """A JSON document that must be one object, built by ``from_dict``."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return from_dict(doc)
+    except _BAD_INPUT as e:
+        raise ValueError(f"{path}: bad {what}: {e}") from e
 
 
 def _loads(line: str):
@@ -72,18 +149,6 @@ def _loads(line: str):
     except ValueError:
         pass
     return json.loads(line)
-
-
-def _read_records(path: str | Path, what: str, parse: Callable[[dict], _R]) -> list[_R]:
-    """Parse every nonblank line of a JSON Lines file; the first bad line
-    raises ``ValueError`` naming the file, the line and the record kind."""
-    out = []
-    for i, line in _read_lines(path):
-        try:
-            out.append(parse(json.loads(line)))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}:{i}: bad {what}: {e}") from e
-    return out
 
 
 def _ad_to_dict(a: Advertisement) -> dict:
@@ -155,14 +220,15 @@ def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None
     """JSON Lines by default; a ``.csv`` suffix selects CSV with a header row."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(_AD_FIELDS)
-            for a in ads:
-                # float() first: repr of a numpy scalar is not a number.
-                w.writerow(
-                    [repr(float(a.ts)), a.wearable, a.tag, repr(float(a.rssi)), a.activity.value]
-                )
+        # float() first: repr of a numpy scalar is not a number.
+        _write_csv(
+            path,
+            _AD_FIELDS,
+            (
+                [repr(float(a.ts)), a.wearable, a.tag, repr(float(a.rssi)), a.activity.value]
+                for a in ads
+            ),
+        )
         return
     _write_ads_jsonl(path, ads)
 
@@ -176,29 +242,11 @@ def read_advertisements(
     every line that did not parse or validate; radio logs routinely contain
     truncated lines and the rest of the stream is still useful.
     """
-    path = Path(path)
-    ads: list[Advertisement] = []
     skipped: list[tuple[int, str]] = []
-    if path.suffix.lower() == ".csv":
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            rows = list(csv.reader(f))
-        if not rows or rows[0] != list(_AD_FIELDS):
-            raise ValueError(f"{path}: expected CSV header {','.join(_AD_FIELDS)}")
-        for i, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != len(_AD_FIELDS):
-                    raise ValueError(f"expected {len(_AD_FIELDS)} columns, got {len(row)}")
-                ads.append(_ad_from_dict(dict(zip(_AD_FIELDS, row))))
-            except (ValueError, KeyError) as e:
-                skipped.append((i, str(e)))
-        return ads, skipped
-    for i, line in _read_lines(path):
-        try:
-            ads.append(_ad_from_dict(_loads(line)))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
-            skipped.append((i, str(e)))
+    if Path(path).suffix.lower() == ".csv":
+        ads = _read_csv(path, _AD_FIELDS, "advertisement", _ad_from_dict, skipped)
+    else:
+        ads = _read_jsonl(path, "advertisement", _ad_from_dict, skipped)
     return ads, skipped
 
 
@@ -220,7 +268,7 @@ def write_reports(path: str | Path, reports: Iterable[DistanceReport]) -> None:
 
 
 def read_reports(path: str | Path) -> list[DistanceReport]:
-    return _read_records(
+    return _read_jsonl(
         path,
         "distance report",
         lambda d: DistanceReport(
@@ -245,7 +293,7 @@ def write_truth(path: str | Path, truth: Iterable[TruthRecord]) -> None:
 
 
 def read_truth(path: str | Path) -> list[TruthRecord]:
-    return _read_records(
+    return _read_jsonl(
         path,
         "truth record",
         lambda d: TruthRecord(
@@ -276,7 +324,7 @@ def write_matches(path: str | Path, matches: Iterable[MatchResult]) -> None:
 
 
 def read_matches(path: str | Path) -> list[MatchResult]:
-    return _read_records(
+    return _read_jsonl(
         path,
         "match result",
         lambda d: MatchResult(
@@ -291,45 +339,25 @@ def read_matches(path: str | Path) -> list[MatchResult]:
 
 
 def write_eval(path: str | Path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_json(path, report.to_dict())
+
+
+_SAMPLE_FIELDS = ("distance_m", "rssi_db")
 
 
 def write_samples(path: str | Path, samples: Iterable[RangeSample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["distance_m", "rssi_db"])
-        for s in samples:
-            w.writerow([repr(float(s.distance)), repr(float(s.rssi))])
+    _write_csv(
+        path, _SAMPLE_FIELDS, ([repr(float(s.distance)), repr(float(s.rssi))] for s in samples)
+    )
 
 
 def read_samples(path: str | Path) -> list[RangeSample]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != ["distance_m", "rssi_db"]:
-        raise ValueError(f"{path}: expected CSV header distance_m,rssi_db")
-    out = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            out.append(RangeSample(distance=float(row[0]), rssi=float(row[1])))
-        except (ValueError, IndexError) as e:
-            raise ValueError(f"{path}:{i}: bad range sample: {e}") from e
-    return out
-
-
-def _write_json(path: str | Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _read_json(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON: {e}") from e
+    return _read_csv(
+        path,
+        _SAMPLE_FIELDS,
+        "range sample",
+        lambda d: RangeSample(distance=float(d["distance_m"]), rssi=float(d["rssi_db"])),
+    )
 
 
 def write_model(path: str | Path, model: PathLossModel) -> None:
@@ -337,21 +365,23 @@ def write_model(path: str | Path, model: PathLossModel) -> None:
 
 
 def read_model(path: str | Path) -> PathLossModel:
-    try:
-        return PathLossModel.from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: bad path-loss model: {e}") from e
+    return _read_doc(path, "path-loss model", PathLossModel.from_dict)
 
 
 def write_ekf_params(path: str | Path, params: EkfParams) -> None:
     _write_json(path, params.to_dict())
 
 
+def _ekf_params_from_dict(doc: dict) -> EkfParams:
+    if {"q", "r"} <= doc.keys():
+        return EkfParams.from_dict(doc)
+    return EkfParams(model=PathLossModel.from_dict(doc))
+
+
 def read_ekf_params(path: str | Path) -> EkfParams:
-    try:
-        return EkfParams.from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: bad filter config: {e}") from e
+    """A filter config; a bare path-loss model (no ``q`` and ``r``) gets the
+    default filter settings around it."""
+    return _read_doc(path, "filter config", _ekf_params_from_dict)
 
 
 def write_scenario(path: str | Path, config: ScenarioConfig) -> None:
@@ -359,7 +389,4 @@ def write_scenario(path: str | Path, config: ScenarioConfig) -> None:
 
 
 def read_scenario(path: str | Path) -> ScenarioConfig:
-    try:
-        return ScenarioConfig.from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: bad scenario: {e}") from e
+    return _read_doc(path, "scenario", ScenarioConfig.from_dict)

@@ -81,19 +81,24 @@ class TestStagedChain:
         assert doc["total"] == 3
         assert "accuracy" in capsys.readouterr().out
 
-    def test_pipeline_is_byte_identical_to_the_staged_run(self, tmp_path):
+    def test_pipeline_is_byte_identical_to_the_staged_run(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         run("scenario", "static", "-n", 3, "--spacing", 2.0, "--duration", 120, "-o", scen)
         a, b = tmp_path / "staged", tmp_path / "piped"
+        capsys.readouterr()
         assert run("simulate", scen, "--out-dir", a, "--seed", 5) == 0
         assert run("estimate", a / "advertisements.jsonl", "-o", a / "reports.jsonl") == 0
         assert run("match", a / "reports.jsonl", "-o", a / "matches.jsonl") == 0
         assert run("evaluate", a / "matches.jsonl", a / "truth.jsonl",
                    "-o", a / "metrics.json") == 0
+        staged = capsys.readouterr().out.replace(str(a), "DIR").splitlines()
         assert run("pipeline", scen, "--out-dir", b, "--seed", 5) == 0
+        piped = capsys.readouterr().out.replace(str(b), "DIR").splitlines()
         for name in ("advertisements.jsonl", "truth.jsonl", "reports.jsonl",
                      "matches.jsonl", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        # pipeline runs the same stage functions, so it prints each stage's line
+        assert len(staged) == 5 and piped == staged + ["outputs -> DIR"]
 
     def test_same_seed_same_bytes_different_seed_different_bytes(self, tmp_path):
         scen = tmp_path / "scen.json"
@@ -204,11 +209,16 @@ class TestEstimateFlags:
     @pytest.mark.parametrize(
         "flags",
         [("--gap-s", "nan"), ("--gap-s", "inf"), ("--gap-s", "-5"), ("--gap-s", "0"),
-         ("--r", "nan"), ("--active-classes", "bogus")],
+         ("--r", "nan"), ("--active-classes", "bogus"),
+         ("--config", '{"q":0.1,"r":40}'), ("--config", "[1,2]")],
     )
     def test_bad_estimate_flag_exits_2_before_writing(self, tmp_path, capsys, flags):
         # An empty stream never reaches the filters, so the flag must be
         # checked before any stage runs.
+        if flags[0] == "--config":  # the value is the document; pass its path
+            config = tmp_path / "config.json"
+            config.write_text(flags[1])
+            flags = ("--config", config)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert exit_code("estimate", empty, "-o", tmp_path / "r.jsonl", *flags) == 2

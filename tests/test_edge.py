@@ -86,6 +86,12 @@ class TestSegmentation:
             ("W1", 0.0, 7.0, 1),
             ("W2", 0.0, 7.0, 2),
         ]
+        # One badge logging one broadcast twice: the first reception wins.
+        dup = run_edge([ad(0.0), ad(0.0, rssi=-60.0), ad(7.0)], PARAMS)
+        assert [(r.distance, r.n_obs) for r in dup] == [(1.0, 2)]
+        assert dup == run_edge([ad(0.0), ad(7.0)], PARAMS)
+        first_low = [ad(0.0, rssi=-60.0), ad(0.0), ad(7.0)]
+        assert run_edge(first_low, PARAMS) == run_edge([ad(0.0, rssi=-60.0), ad(7.0)], PARAMS)
 
     def test_all_inactive_gives_no_sessions(self):
         ads = [ad(7.0 * k, activity=Activity.INACTIVE) for k in range(5)]

@@ -287,3 +287,50 @@ class TestDocuments:
         p.write_text("{")
         with pytest.raises(ValueError):
             io.read_model(p)
+
+
+GOOD_AD = {"ts": 0.0, "wearable": "W1", "tag": "T1", "rssi_db": -45.6, "activity": "usage"}
+#: An integer too large for a float.
+HUGE = 10**400
+
+BAD_INPUTS = [
+    # (reader, file name, text, error pattern); None: the bad line is skipped
+    (io.read_advertisements, "ads.jsonl", json.dumps({**GOOD_AD, "ts": HUGE}), None),
+    (io.read_advertisements, "ads.jsonl", "[" * 100_000, None),
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": 1,
+                 "distance_m": HUGE, "n_obs": 1}), ":1: bad distance report"),
+    (io.read_truth, "truth.jsonl",
+     json.dumps({"tag": "T1", "start_s": HUGE, "stop_s": 7, "wearable": "W1"}),
+     ":1: bad truth record"),
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": HUGE, "wearable": "W1",
+                 "trust": "sure", "margin_m": 1.0}), ":1: bad match result"),
+    (io.read_scenario, "scenario.json",
+     json.dumps({**scenario_swap(2, 2.0, [60.0], seed=1).to_dict(), "duration_s": HUGE}),
+     "bad scenario"),
+    (io.read_model, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "n": HUGE}),
+     "bad path-loss model"),
+    (io.read_model, "model.json", "3", "expected a JSON object"),
+    (io.read_ekf_params, "ekf.json", "[1, 2]", "expected a JSON object"),
+    (io.read_samples, "samples.csv", "distance_m,rssi_db\n1.0,-45.6\n2.0,-48.7,9\n",
+     ":3: bad range sample: expected 2 columns"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, name, text, error", BAD_INPUTS,
+    ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(BAD_INPUTS)],
+)
+def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, error):
+    """One rule for every file: an advertisement file skips the bad line,
+    every other reader raises ValueError naming the file and the line."""
+    p = tmp_path / name
+    if error is None:
+        p.write_text(json.dumps(GOOD_AD) + "\n" + text + "\n")
+        ads, skipped = reader(p)
+        assert len(ads) == 1 and [i for i, _ in skipped] == [2]
+    else:
+        p.write_text(text)
+        with pytest.raises(ValueError, match=error):
+            reader(p)
