@@ -11,7 +11,6 @@ Usage:
 
 import argparse
 import time
-import warnings
 
 from proxmatch.edge import run_edge
 from proxmatch.matcher import EvalReport, MatchProblem, evaluate, solve
@@ -20,13 +19,11 @@ from proxmatch.simulator import generate, scenario_static, scenario_swap
 
 def pooled(make_config, n_seeds):
     totals = dict(correct_sure=0, correct_unsure=0, wrong_sure=0, wrong_unsure=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for seed in range(n_seeds):
-            ads, truth = generate(make_config(seed))
-            report = evaluate(solve(MatchProblem.from_reports(run_edge(ads))), truth.sessions)
-            for key in totals:
-                totals[key] += getattr(report, key)
+    for seed in range(n_seeds):
+        ads, truth = generate(make_config(seed))
+        report = evaluate(solve(MatchProblem.from_reports(run_edge(ads))), truth.sessions)
+        for key in totals:
+            totals[key] += getattr(report, key)
     return EvalReport(**totals)
 
 

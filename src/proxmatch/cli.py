@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import io
+from . import io, simulator
 from .edge import ACTIVE_DEFAULT, SESSION_GAP_S, Activity, run_edge
 from .ekf import DT_LINEAR, DT_SQUARED, EkfParams
 from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, evaluate, solve
@@ -87,6 +87,13 @@ def _load_params(args: argparse.Namespace) -> EkfParams:
 def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> GroundTruth:
     out_dir.mkdir(parents=True, exist_ok=True)
     ads, truth = generate(config)
+    if truth.floored:
+        print(f"warning: {truth.floored} true distance(s) below "
+              f"{simulator.MIN_TRUE_DISTANCE_M} m floored", file=sys.stderr)
+    traces = {**truth.worker_traces, **truth.tool_traces}
+    for name in truth.too_fast:
+        print(f"warning: trace of {name!r} reaches {traces[name].max_speed():.2f} m/s, "
+              f"above the walking bound {simulator.V_MAX_M_S} m/s", file=sys.stderr)
     io.write_advertisements(out_dir / "advertisements.jsonl", ads)
     io.write_truth(out_dir / "truth.jsonl", truth.sessions)
     print(f"{len(ads)} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")

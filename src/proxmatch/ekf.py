@@ -24,11 +24,9 @@ __all__ = [
     "EkfState",
     "init",
     "jacobian",
-    "predict",
     "process_noise_from_speed",
     "run_filter",
     "step",
-    "update",
 ]
 
 #: Grow the predicted variance by q * dt^2 (dt treated as a scale on a
@@ -92,9 +90,7 @@ class EkfParams:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.model.n,
-            "x0_m": self.model.x0,
-            "rssi0_db": self.model.rssi0,
+            **self.model.to_dict(),
             "q": self.q,
             "r": self.r,
             "d_min_m": self.d_min,
@@ -108,9 +104,7 @@ class EkfParams:
     def from_dict(cls, d: dict) -> EkfParams:
         """Inverse of ``to_dict``; a config without ``x_floor_m`` gets the default floor."""
         return cls(
-            model=PathLossModel(
-                n=float(d["n"]), x0=float(d["x0_m"]), rssi0=float(d["rssi0_db"])
-            ),
+            model=PathLossModel.from_dict(d),
             q=float(d["q"]),
             r=float(d["r"]),
             d_min=float(d["d_min_m"]),
@@ -144,22 +138,6 @@ def init(params: EkfParams, rssi: float, ts: float) -> EkfState:
     return EkfState(x=x, p=params.p0, ts=ts)
 
 
-def predict(state: EkfState, ts: float, params: EkfParams) -> EkfState:
-    """Propagate the state to a later timestamp: estimate unchanged, variance grown.
-
-    A missed broadcast needs no special case; the next observation simply
-    arrives with a larger gap and the variance grows accordingly.
-    """
-    dt = ts - state.ts
-    if dt < 0:
-        raise ValueError(f"observations must be processed in time order ({ts} < {state.ts})")
-    if params.dt_mode == DT_SQUARED:
-        growth = params.q * dt * dt
-    else:
-        growth = params.q * dt
-    return EkfState(x=state.x, p=state.p + growth, ts=ts)
-
-
 def jacobian(model: PathLossModel, x: float) -> float:
     """Derivative of expected RSSI with respect to distance at ``x``, in dB/m."""
     if not (x > 0):
@@ -167,17 +145,12 @@ def jacobian(model: PathLossModel, x: float) -> float:
     return -10.0 * model.n / (math.log(10.0) * x)
 
 
-def update(state: EkfState, rssi: float, params: EkfParams) -> EkfState:
-    """Fold one RSSI observation into the state (measurement update).
-
-    A zero-gap ``run_filter`` step: for a finite ``state.ts`` its prediction
-    adds exactly 0.0 to ``p``.
-    """
-    return run_filter((rssi,), (state.ts,), params, state)
-
-
 def step(state: EkfState | None, rssi: float, ts: float, params: EkfParams) -> EkfState:
-    """Process one observation: initialize on the first, predict then update after."""
+    """Process one observation: initialize on the first, predict then update after.
+
+    A step at ``state.ts`` is a pure measurement update: its prediction adds
+    exactly 0.0 to ``p``.
+    """
     if state is None:
         return init(params, rssi, ts)
     return run_filter((rssi,), (ts,), params, state)
@@ -192,11 +165,12 @@ def run_filter(
     """Fold a time-ordered observation stream into a filter; the final state.
 
     Starts from ``state``, or from ``init`` on the first observation when
-    ``state`` is None, then predicts and updates once per observation. This
-    is the only copy of the update arithmetic: one loop over plain floats
-    performing the float operations of ``predict``, ``jacobian``,
-    ``PathLossModel.forward`` and the measurement update in the same order,
-    so its result is bit-identical to folding ``step`` over the stream.
+    ``state`` is None, then per observation predicts (the estimate kept, the
+    variance grown by ``q * dt**2``, or ``q * dt`` under ``DT_LINEAR``, so a
+    missed broadcast just widens the gap) and updates. This is the only copy
+    of the filter arithmetic: one loop over plain floats performing the float
+    operations of ``jacobian`` and ``PathLossModel.forward`` in the same
+    order, so its result is bit-identical to folding ``step`` over the stream.
     """
     if len(rssi) != len(ts):
         raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")

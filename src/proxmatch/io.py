@@ -48,9 +48,10 @@ __all__ = [
 _R = TypeVar("_R")
 
 #: What a bad line, row or document raises while it is decoded and built:
-#: ``OverflowError`` comes from ``float()`` of a huge JSON integer and
-#: ``RecursionError`` from decoding deeply nested brackets.
-_BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
+#: ``OverflowError`` comes from ``float()`` of a huge JSON integer,
+#: ``RecursionError`` from decoding deeply nested brackets and ``csv.Error``
+#: from a CSV field over the csv module's size limit.
+_BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error)
 
 #: ``json.loads``' own decoder; its ``raw_decode`` skips the whitespace and
 #: trailing-data checks that ``json.loads`` adds.
@@ -108,13 +109,25 @@ def _read_csv(
     path: str | Path, fields: tuple, what: str, from_dict: Callable[[dict], _R], skipped=None
 ) -> list[_R]:
     """One record per nonempty data row of a CSV file whose header row must
-    be ``fields``; a row with another number of columns is bad."""
+    be ``fields``; a row with another number of columns, or one the csv
+    module cannot split, is bad. The reader goes on after such a row, which
+    is kept as its ``csv.Error``."""
+    rows: list[list[str] | csv.Error] = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
+        reader = csv.reader(f)
+        while True:
+            try:
+                rows.append(next(reader))
+            except StopIteration:
+                break
+            except csv.Error as e:
+                rows.append(e)
     if not rows or rows[0] != list(fields):
         raise ValueError(f"{path}: expected CSV header {','.join(fields)}")
 
-    def parse(row: list[str]) -> _R:
+    def parse(row: list[str] | csv.Error) -> _R:
+        if isinstance(row, csv.Error):
+            raise row
         if len(row) != len(fields):
             raise ValueError(f"expected {len(fields)} columns, got {len(row)}")
         return from_dict(dict(zip(fields, row)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -90,10 +89,6 @@ class MatchProblem:
 
     wearables: tuple[str, ...]
     sessions: tuple[TagSession, ...]
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(sorted({s.tag for s in self.sessions}))
 
     @classmethod
     def from_reports(cls, reports: Iterable[DistanceReport]) -> MatchProblem:
@@ -298,12 +293,6 @@ def _solve_events(
         assignment = assigner(group, free)
         for s, w in zip(group, assignment):
             if w is None:
-                warnings.warn(
-                    f"session {s.tag!r}@[{s.start}, {s.stop}]: no free wearable "
-                    "with a distance report; left unassigned",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
                 results.append(
                     MatchResult(tag=s.tag, start=s.start, stop=s.stop, wearable=None,
                                 trust=Trust.UNSURE, margin=0.0)
@@ -333,8 +322,10 @@ def solve(
     solve picks the injective badge assignment that covers the most sessions
     and, among those, has the smallest summed distance. A badge stays bound
     to its session until the session's stop and is free again from that
-    instant on. Raises ValueError unless ``threshold`` and ``window`` are
-    finite and nonnegative.
+    instant on. A session left without a free badge that reported on it is
+    an outcome, not an error: its result has ``wearable=None``, trust
+    UNSURE and margin 0. Raises ValueError unless ``threshold`` and
+    ``window`` are finite and nonnegative.
     """
     return _solve_events(problem, threshold, window, _assign_event)
 

@@ -10,7 +10,6 @@ records who operated what and exposes true distances for error analysis.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .edge import Activity, Advertisement
+from .edge import SESSION_GAP_S, Activity, Advertisement
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -256,11 +255,15 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Constructed truth: session operators plus true-distance lookup."""
+    """Constructed truth: session operators plus true-distance lookup, with
+    the true distances ``generate`` floored and the ids of traces faster than
+    ``V_MAX_M_S`` (workers by id, then tools by id)."""
 
     sessions: tuple[TruthRecord, ...]
     worker_traces: dict[str, Trace]
     tool_traces: dict[str, Trace]
+    floored: int = 0
+    too_fast: tuple[str, ...] = ()
 
     def true_distance(self, wearable: str, tag: str, ts: float) -> float:
         """Floored Euclidean distance between a badge and a tag at ``ts``."""
@@ -290,20 +293,12 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     noise draw, optionally dropped with the configured probability. Draws
     happen in a fixed order (tools by id, instants ascending, workers by id;
     noise before drop), so a seed pins the byte-exact stream. RSSI values are
-    clamped to the plausible radio range [-127, 20] dB.
+    clamped to the plausible radio range [-127, 20] dB. Floored distances
+    and too-fast traces are reported in the returned ``GroundTruth``.
     """
     rng = np.random.default_rng(config.seed)
     workers = sorted(config.workers, key=lambda w: w.id)
     tools = sorted(config.tools, key=lambda t: t.id)
-
-    for spec in (*workers, *tools):
-        if spec.trace.max_speed() > V_MAX_M_S + 1e-9:
-            warnings.warn(
-                f"trace of {spec.id!r} reaches {spec.trace.max_speed():.2f} m/s, "
-                f"above the walking bound {V_MAX_M_S} m/s",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     ads: list[Advertisement] = []
     truth_sessions: list[TruthRecord] = []
@@ -346,18 +341,16 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
                     TruthRecord(tag=tool.id, start=instants[0], stop=instants[-1], wearable=operator)
                 )
 
-    if floored:
-        warnings.warn(
-            f"{floored} true distance(s) below {MIN_TRUE_DISTANCE_M} m floored",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     ads.sort(key=lambda a: (a.ts, a.tag, a.wearable))
     truth_sessions.sort(key=lambda t: (t.start, t.stop, t.tag))
     return ads, GroundTruth(
         sessions=tuple(truth_sessions),
         worker_traces={w.id: w.trace for w in workers},
         tool_traces={t.id: t.trace for t in tools},
+        floored=floored,
+        too_fast=tuple(
+            s.id for s in (*workers, *tools) if s.trace.max_speed() > V_MAX_M_S + 1e-9
+        ),
     )
 
 
@@ -444,8 +437,8 @@ def scenario_swap(
         raise ValueError(f"swapping needs at least two workers, got {n_workers}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
-    if not (math.isfinite(gap) and gap > 21.0):
-        raise ValueError(f"swap pause must exceed the 21 s session gap, got {gap}")
+    if not (math.isfinite(gap) and gap > SESSION_GAP_S):
+        raise ValueError(f"swap pause must exceed the {SESSION_GAP_S:g} s session gap, got {gap}")
     swaps = [float(t) for t in swap_times]
     if any(b <= a for a, b in zip(swaps, swaps[1:])):
         raise ValueError(f"swap times must be strictly increasing, got {swaps}")

@@ -18,7 +18,6 @@ the margin is labelled sure. With the margin rule off (threshold 0) the
 same runs give 1440/1491 = 0.966 and fail the bound.
 """
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -112,17 +111,13 @@ def test_criterion_4_error_grows_with_distance(capfd):
 
 def pooled_matching(make_config, n_seeds=500):
     totals = dict(correct_sure=0, correct_unsure=0, wrong_sure=0, wrong_unsure=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for seed in range(n_seeds):
-            ads, truth = generate(make_config(seed))
-            report = evaluate(
-                solve(MatchProblem.from_reports(run_edge(ads))), truth.sessions
-            )
-            totals["correct_sure"] += report.correct_sure
-            totals["correct_unsure"] += report.correct_unsure
-            totals["wrong_sure"] += report.wrong_sure
-            totals["wrong_unsure"] += report.wrong_unsure
+    for seed in range(n_seeds):
+        ads, truth = generate(make_config(seed))
+        report = evaluate(solve(MatchProblem.from_reports(run_edge(ads))), truth.sessions)
+        totals["correct_sure"] += report.correct_sure
+        totals["correct_unsure"] += report.correct_unsure
+        totals["wrong_sure"] += report.wrong_sure
+        totals["wrong_unsure"] += report.wrong_unsure
     return EvalReport(**totals)
 
 
@@ -181,15 +176,13 @@ def _assert_feasible(results):
 def test_criterion_6_solver_matches_exhaustive_search(capfd):
     rng = np.random.default_rng(20260821)
     n_sessions = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(1000):
-            problem = _random_problem(rng)
-            fast = solve(problem)
-            brute = brute_force_solve(problem)
-            assert fast == brute
-            _assert_feasible(fast)
-            n_sessions += len(fast)
+    for _ in range(1000):
+        problem = _random_problem(rng)
+        fast = solve(problem)
+        brute = brute_force_solve(problem)
+        assert fast == brute
+        _assert_feasible(fast)
+        n_sessions += len(fast)
     verdict(capfd, 6, "assignment solve equals exhaustive enumeration", True,
             f"1000 random instances, {n_sessions} sessions, assignments identical "
             "and exclusivity/continuity hold")

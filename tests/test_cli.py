@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from proxmatch.cli import main
 from proxmatch.edge import Activity, Advertisement, DistanceReport
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, RangeSample
+from proxmatch.simulator import Trace, WorkerSpec, scenario_static
 
 
 def run(*argv):
@@ -117,6 +119,22 @@ class TestStagedChain:
         assert run("pipeline", scen, "--out-dir", out, "--seed", 1) == 0
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["total"] == 9
+
+    def test_floored_distances_and_fast_traces_are_warned_on_stderr(self, tmp_path, capsys):
+        colocated = tmp_path / "colocated.json"
+        io.write_scenario(colocated, scenario_static(1, 1.0, 21.0, operating_distance=0.0))
+        assert run("pipeline", colocated, "--out-dir", tmp_path / "a") == 0
+        cap = capsys.readouterr()
+        assert cap.err.splitlines() == ["warning: 3 true distance(s) below 0.05 m floored"]
+        assert "warning" not in cap.out
+        sprinter = WorkerSpec(id="W1", trace=Trace(((0.0, 0.0, 0.0), (1.0, 5.0, 0.0))))
+        fast = tmp_path / "fast.json"
+        io.write_scenario(fast, dataclasses.replace(scenario_static(1, 1.0, 10.0),
+                                                    workers=(sprinter,)))
+        assert run("simulate", fast, "--out-dir", tmp_path / "b") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: trace of 'W1' reaches 5.00 m/s, above the walking bound 0.7 m/s"
+        ]
 
     def test_zero_duration_pipeline_is_empty_but_ok(self, tmp_path):
         scen = tmp_path / "scen.json"

@@ -100,26 +100,39 @@ class TestInit:
         assert s.p == PARAMS.p0
 
 
+def steady_step(x, p, t0, t1, params=PARAMS):
+    """A step from (x, p) at t0 to t1 with zero innovation: only p moves."""
+    return ekf.step(EkfState(x=x, p=p, ts=t0), params.model.forward(x), t1, params)
+
+
+def updated_variance(p_pred, x, params=PARAMS):
+    """p after a zero-innovation update at x: p_pred * r / (h^2 * p_pred + r)."""
+    h = ekf.jacobian(params.model, x)
+    return p_pred * params.r / (h * h * p_pred + params.r)
+
+
 class TestPredict:
     def test_variance_grows_with_the_squared_gap(self):
-        s = ekf.predict(EkfState(x=1.0, p=1.0, ts=0.0), 7.0, PARAMS)
-        assert s.p == pytest.approx(1.0 + 0.1275 * 49.0, abs=1e-12)  # 7.2475
-        assert s.x == 1.0
-        s = ekf.predict(EkfState(x=1.0, p=2.0, ts=0.0), 14.0, PARAMS)
-        assert s.p == pytest.approx(26.99, abs=1e-9)
+        s = steady_step(1.0, 1.0, 0.0, 7.0)
+        assert s.p == pytest.approx(updated_variance(7.2475, 1.0), abs=1e-12)  # 1 + 0.1275 * 49
+        assert (s.x, s.ts) == (1.0, 7.0)
+        s = steady_step(1.0, 2.0, 0.0, 14.0)
+        assert s.p == pytest.approx(updated_variance(26.99, 1.0), abs=1e-9)
 
     def test_zero_gap_changes_nothing(self):
-        s = ekf.predict(EkfState(x=1.3, p=0.8, ts=5.0), 5.0, PARAMS)
-        assert (s.x, s.p, s.ts) == (1.3, 0.8, 5.0)
+        # The prediction adds nothing; only the update's shrink shows.
+        s = steady_step(1.3, 0.8, 5.0, 5.0)
+        assert (s.x, s.ts) == (1.3, 5.0)
+        assert s.p == pytest.approx(updated_variance(0.8, 1.3), abs=1e-12)
 
     def test_linear_mode(self):
         p = dataclasses.replace(PARAMS, dt_mode=DT_LINEAR)
-        s = ekf.predict(EkfState(x=1.0, p=1.0, ts=0.0), 7.0, p)
-        assert s.p == pytest.approx(1.0 + 0.1275 * 7.0, abs=1e-12)  # 1.8925
+        s = steady_step(1.0, 1.0, 0.0, 7.0, p)
+        assert s.p == pytest.approx(updated_variance(1.8925, 1.0, p), abs=1e-12)  # 1 + 0.1275 * 7
 
     def test_time_must_not_run_backwards(self):
         with pytest.raises(ValueError):
-            ekf.predict(EkfState(x=1.0, p=1.0, ts=10.0), 9.0, PARAMS)
+            steady_step(1.0, 1.0, 10.0, 9.0)
 
 
 class TestJacobian:
@@ -157,12 +170,14 @@ class TestJacobian:
 
 
 class TestUpdate:
+    """A measurement update is a step with no time gap."""
+
     def test_hand_worked_observation(self):
         """x=1, p=1, observation 3 dB above the expected value:
         H = -4.3907, S = H^2 + 43.53 = 62.808, K = H / S = -0.069907,
         x' = 1 + K * 3 = 0.79028, p' = (1 - K*H) * 1 = 0.69306."""
         before = EkfState(x=1.0, p=1.0, ts=0.0)
-        after = ekf.update(before, DEFAULT_MODEL.forward(1.0) + 3.0, PARAMS)
+        after = ekf.step(before, DEFAULT_MODEL.forward(1.0) + 3.0, 0.0, PARAMS)
         assert after.x == pytest.approx(0.7902804062533448, abs=1e-9)
         assert after.p == pytest.approx(0.6930601900113771, abs=1e-9)
         assert after.ts == 0.0
@@ -171,19 +186,19 @@ class TestUpdate:
 
     def test_zero_innovation_leaves_the_estimate(self):
         before = EkfState(x=2.0, p=1.5, ts=0.0)
-        after = ekf.update(before, DEFAULT_MODEL.forward(2.0), PARAMS)
+        after = ekf.step(before, DEFAULT_MODEL.forward(2.0), 0.0, PARAMS)
         assert after.x == 2.0
         assert 0.0 < after.p < before.p
 
     def test_stronger_signal_pulls_closer(self):
         before = EkfState(x=2.0, p=1.5, ts=0.0)
-        closer = ekf.update(before, DEFAULT_MODEL.forward(2.0) + 5.0, PARAMS)
-        farther = ekf.update(before, DEFAULT_MODEL.forward(2.0) - 5.0, PARAMS)
+        closer = ekf.step(before, DEFAULT_MODEL.forward(2.0) + 5.0, 0.0, PARAMS)
+        farther = ekf.step(before, DEFAULT_MODEL.forward(2.0) - 5.0, 0.0, PARAMS)
         assert closer.x < 2.0 < farther.x
 
     def test_floor_keeps_the_estimate_off_zero(self):
         before = EkfState(x=0.02, p=100.0, ts=0.0)
-        after = ekf.update(before, -20.0, PARAMS)
+        after = ekf.step(before, -20.0, 0.0, PARAMS)
         assert after.x == PARAMS.x_floor
 
     @settings(max_examples=60, deadline=None)
@@ -212,7 +227,8 @@ class TestStep:
     def test_later_observations_predict_then_update(self):
         s0 = ekf.step(None, -45.6, 0.0, PARAMS)
         s1 = ekf.step(s0, -45.6, 7.0, PARAMS)
-        assert s1 == ekf.update(ekf.predict(s0, 7.0, PARAMS), -45.6, PARAMS)
+        predicted = EkfState(x=s0.x, p=s0.p + PARAMS.q * 7.0 * 7.0, ts=7.0)
+        assert s1 == ekf.step(predicted, -45.6, 7.0, PARAMS)
 
     def test_out_of_order_observation_is_an_error(self):
         s0 = ekf.step(None, -45.6, 10.0, PARAMS)
@@ -372,12 +388,6 @@ class TestRunFilter:
         assert ekf.run_filter(rssi[:2], ts[:2], params).x == params.x_floor
         got = ekf.run_filter(rssi, ts, params)
         assert _bits(got.x, got.p, got.ts) == _bits(*reference_filter(rssi, ts, params))
-
-    def test_update_is_a_zero_gap_step(self):
-        before = EkfState(x=1.7, p=3.3, ts=5.0)
-        after = ekf.update(before, -50.0, PARAMS)
-        assert after == ekf.run_filter([-50.0], [5.0], PARAMS, before)
-        assert after.ts == 5.0
 
     def test_time_must_not_run_backwards(self):
         with pytest.raises(ValueError, match="time order"):

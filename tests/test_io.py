@@ -292,11 +292,17 @@ class TestDocuments:
 GOOD_AD = {"ts": 0.0, "wearable": "W1", "tag": "T1", "rssi_db": -45.6, "activity": "usage"}
 #: An integer too large for a float.
 HUGE = 10**400
+#: A CSV field longer than the csv module's limit of 131,072 characters.
+LONG_FIELD = "T" * 200_000
+GOOD_AD_LINE = json.dumps(GOOD_AD)
+AD_CSV_HEADER = "ts,wearable,tag,rssi_db,activity"
 
 BAD_INPUTS = [
-    # (reader, file name, text, error pattern); None: the bad line is skipped
-    (io.read_advertisements, "ads.jsonl", json.dumps({**GOOD_AD, "ts": HUGE}), None),
-    (io.read_advertisements, "ads.jsonl", "[" * 100_000, None),
+    # (reader, file name, text, outcome); the outcome is an error pattern, or
+    # (records read, the line skipped) for an advertisement file
+    (io.read_advertisements, "ads.jsonl",
+     f"{GOOD_AD_LINE}\n{json.dumps({**GOOD_AD, 'ts': HUGE})}\n", (1, 2)),
+    (io.read_advertisements, "ads.jsonl", f"{GOOD_AD_LINE}\n{'[' * 100_000}\n", (1, 2)),
     (io.read_reports, "reports.jsonl",
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": 1,
                  "distance_m": HUGE, "n_obs": 1}), ":1: bad distance report"),
@@ -315,22 +321,27 @@ BAD_INPUTS = [
     (io.read_ekf_params, "ekf.json", "[1, 2]", "expected a JSON object"),
     (io.read_samples, "samples.csv", "distance_m,rssi_db\n1.0,-45.6\n2.0,-48.7,9\n",
      ":3: bad range sample: expected 2 columns"),
+    (io.read_advertisements, "ads.csv",
+     f"{AD_CSV_HEADER}\n0.0,W1,T1,-45.6,usage\n0.0,W1,{LONG_FIELD},-45.6,usage\n"
+     "7.0,W1,T1,-45.6,usage\n", (2, 3)),
+    (io.read_samples, "samples.csv",
+     f"distance_m,rssi_db\n1.0,-45.6\n2.0,{LONG_FIELD}\n4.0,-51.7\n",
+     ":3: bad range sample: field larger than field limit"),
 ]
 
 
 @pytest.mark.parametrize(
-    "reader, name, text, error", BAD_INPUTS,
+    "reader, name, text, outcome", BAD_INPUTS,
     ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(BAD_INPUTS)],
 )
-def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, error):
+def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, outcome):
     """One rule for every file: an advertisement file skips the bad line,
     every other reader raises ValueError naming the file and the line."""
     p = tmp_path / name
-    if error is None:
-        p.write_text(json.dumps(GOOD_AD) + "\n" + text + "\n")
+    p.write_text(text)
+    if isinstance(outcome, tuple):
         ads, skipped = reader(p)
-        assert len(ads) == 1 and [i for i, _ in skipped] == [2]
+        assert (len(ads), [i for i, _ in skipped]) == (outcome[0], [outcome[1]])
     else:
-        p.write_text(text)
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(ValueError, match=outcome):
             reader(p)

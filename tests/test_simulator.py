@@ -206,10 +206,11 @@ class TestGenerate:
         ]
         assert float(np.mean(sq)) == pytest.approx(48.92, abs=2.0)
 
-    def test_colocated_devices_warn_and_floor(self):
+    def test_colocated_devices_are_floored_and_counted(self):
         cfg = scenario_static(1, 1.0, 21.0, operating_distance=0.0, noise_std=0.0)
-        with pytest.warns(RuntimeWarning, match="floored"):
-            ads, truth = generate(cfg)
+        ads, truth = generate(cfg)
+        assert truth.floored == 3
+        assert truth.too_fast == ()
         assert truth.true_distance("W1", "T1", 0.0) == 0.05
         assert {a.rssi for a in ads} == {DEFAULT_MODEL.forward(0.05)}
 
@@ -225,15 +226,17 @@ class TestGenerate:
         _, truth = generate(cfg)
         assert truth.sessions[0].wearable == "W2"
 
-    def test_fast_trace_warns(self):
+    def test_fast_trace_is_reported(self):
         sprinter = WorkerSpec(id="W1", trace=Trace(((0.0, 0.0, 0.0), (1.0, 5.0, 0.0))))
+        walker = WorkerSpec(id="W2", trace=Trace(((0.0, 0.0, 1.0), (10.0, 7.0, 1.0))))
         t = ToolSpec(
             id="T1", trace=Trace.stationary(0.0, 0.3),
             schedule=(ScheduleSegment(start=0.0, stop=10.0),),
         )
-        cfg = ScenarioConfig(seed=0, duration=10.0, workers=(sprinter,), tools=(t,))
-        with pytest.warns(RuntimeWarning, match="walking bound"):
-            generate(cfg)
+        cfg = ScenarioConfig(seed=0, duration=10.0, workers=(walker, sprinter), tools=(t,))
+        _, truth = generate(cfg)
+        assert truth.too_fast == ("W1",)
+        assert truth.floored == 0
 
 
 class TestStaticScenario:
