@@ -12,7 +12,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ekf
 from .ekf import EkfParams, EkfState
@@ -39,29 +39,47 @@ class Activity(Enum):
     TRANSPORT = "transport"
     INACTIVE = "inactive"
 
+    # Members are singletons and Enum compares by identity, so the identity
+    # hash is consistent with equality; Enum's own hashes the member name in
+    # Python, once per advertisement in set and dict lookups.
+    __hash__ = object.__hash__
+
 
 #: Classes that count as "the asset is being operated". Transport is excluded
 #: by default: carrying a tool is not using it.
 ACTIVE_DEFAULT = frozenset({Activity.USAGE})
 
 
-@dataclass(frozen=True)
-class Advertisement:
-    """One received broadcast: reception time, both ids, RSSI, activity class."""
-
+class _AdvertisementFields(NamedTuple):
     ts: float
     wearable: str
     tag: str
     rssi: float
     activity: Activity
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.ts):
-            raise ValueError(f"timestamp must be finite, got {self.ts}")
-        if not -127.0 <= self.rssi <= 20.0:
-            raise ValueError(f"rssi outside plausible range [-127, 20] dB: {self.rssi}")
-        if not isinstance(self.activity, Activity):
-            raise ValueError(f"activity must be an Activity, got {self.activity!r}")
+
+class Advertisement(_AdvertisementFields):
+    """One received broadcast: reception time, both ids, RSSI, activity class.
+
+    A named tuple whose constructor validates, positionally or by keyword.
+    Being a tuple, an instance is immutable and hashable, iterates over its
+    fields and compares equal to a plain tuple of the same values (and to
+    any other tuple of them). ``_make`` and ``_replace`` build instances
+    without the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, ts: float, wearable: str, tag: str, rssi: float, activity: Activity
+    ) -> Advertisement:
+        if not math.isfinite(ts):
+            raise ValueError(f"timestamp must be finite, got {ts}")
+        if not -127.0 <= rssi <= 20.0:
+            raise ValueError(f"rssi outside plausible range [-127, 20] dB: {rssi}")
+        if not isinstance(activity, Activity):
+            raise ValueError(f"activity must be an Activity, got {activity!r}")
+        return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))
 
 
 @dataclass(frozen=True)

@@ -111,18 +111,21 @@ def _read_csv(
     """One record per nonempty data row of a CSV file whose header row must
     be ``fields``; a row with another number of columns, or one the csv
     module cannot split, is bad. The reader goes on after such a row, which
-    is kept as its ``csv.Error``."""
-    rows: list[list[str] | csv.Error] = []
+    is kept as its ``csv.Error``. A row is numbered by the file line it
+    starts on, which a quoted field holding a newline makes differ from its
+    ordinal."""
+    rows: list[tuple[int, list[str] | csv.Error]] = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         while True:
+            line = reader.line_num + 1
             try:
-                rows.append(next(reader))
+                rows.append((line, next(reader)))
             except StopIteration:
                 break
             except csv.Error as e:
-                rows.append(e)
-    if not rows or rows[0] != list(fields):
+                rows.append((line, e))
+    if not rows or rows[0][1] != list(fields):
         raise ValueError(f"{path}: expected CSV header {','.join(fields)}")
 
     def parse(row: list[str] | csv.Error) -> _R:
@@ -132,7 +135,7 @@ def _read_csv(
             raise ValueError(f"expected {len(fields)} columns, got {len(row)}")
         return from_dict(dict(zip(fields, row)))
 
-    lines = [(i, row) for i, row in enumerate(rows[1:], start=2) if row]
+    lines = [(i, row) for i, row in rows[1:] if row]
     return _records(path, lines, parse, what, skipped)
 
 
@@ -187,11 +190,11 @@ def _activity(value) -> Activity:
 
 def _ad_from_dict(d: dict) -> Advertisement:
     return Advertisement(
-        ts=float(d["ts"]),
-        wearable=str(d["wearable"]),
-        tag=str(d["tag"]),
-        rssi=float(d["rssi_db"]),
-        activity=_activity(d["activity"]),
+        float(d["ts"]),
+        str(d["wearable"]),
+        str(d["tag"]),
+        float(d["rssi_db"]),
+        _activity(d["activity"]),
     )
 
 

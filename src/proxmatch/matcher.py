@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -407,29 +408,42 @@ def evaluate(results: Iterable[MatchResult], truth: Iterable[TruthRecord]) -> Ev
     """Score match results against ground truth sessions.
 
     Each result joins to the same-tag truth record with the largest window
-    overlap (touching intervals count); a result whose tag has no overlapping
-    truth record is an error, since scoring it would silently misalign the
-    two session sets. An unassigned result counts as wrong.
+    overlap (touching intervals count), ties going to the earliest start and
+    then to the first record in input order; a result whose tag has no
+    overlapping truth record is an error, since scoring it would silently
+    misalign the two session sets. An unassigned result counts as wrong. A
+    truth record with a NaN time is an error.
+
+    Each tag's truth is sorted stably by start once, so a result scans only
+    the records that start by its stop and come at or after the first one
+    whose stop, or an earlier record's, reaches its start.
     """
     truth_by_tag: dict[str, list[TruthRecord]] = {}
     for t in truth:
+        if math.isnan(t.start) or math.isnan(t.stop):
+            raise ValueError(
+                f"ground-truth session {t.tag!r}@[{t.start}, {t.stop}] has a NaN time"
+            )
         truth_by_tag.setdefault(t.tag, []).append(t)
+    index: dict[str, tuple[list[TruthRecord], list[float], list[float]]] = {}
+    for tag, records in truth_by_tag.items():
+        records.sort(key=lambda t: t.start)
+        reach = list(itertools.accumulate((t.stop for t in records), max))
+        index[tag] = (records, [t.start for t in records], reach)
 
     counts = {(True, Trust.SURE): 0, (True, Trust.UNSURE): 0,
               (False, Trust.SURE): 0, (False, Trust.UNSURE): 0}
     for r in results:
-        candidates = [
-            t for t in truth_by_tag.get(r.tag, ())
-            if _overlap(r.start, r.stop, t.start, t.stop) >= 0
-        ]
-        if not candidates:
+        records, starts, reach = index.get(r.tag, ((), (), ()))
+        best, best_key = None, None
+        for t in records[bisect_left(reach, r.start):bisect_right(starts, r.stop)]:
+            key = (_overlap(r.start, r.stop, t.start, t.stop), -t.start)
+            if key[0] >= 0 and (best is None or key > best_key):
+                best, best_key = t, key
+        if best is None:
             raise ValueError(
                 f"no ground-truth session overlaps result {r.tag!r}@[{r.start}, {r.stop}]"
             )
-        best = max(
-            candidates,
-            key=lambda t: (_overlap(r.start, r.stop, t.start, t.stop), -t.start),
-        )
         correct = r.wearable == best.wearable
         counts[(correct, r.trust)] += 1
     return EvalReport(

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -269,7 +270,7 @@ class GroundTruth:
         """Floored Euclidean distance between a badge and a tag at ``ts``."""
         wx, wy = self.worker_traces[wearable].position(ts)
         tx, ty = self.tool_traces[tag].position(ts)
-        return max(math.hypot(tx - wx, ty - wy), MIN_TRUE_DISTANCE_M)
+        return _floored_distance(tx, ty, wx, wy)[0]
 
 
 def _segment_instants(seg: ScheduleSegment, interval: float) -> list[float]:
@@ -285,6 +286,14 @@ def _segment_instants(seg: ScheduleSegment, interval: float) -> list[float]:
         k += 1
 
 
+def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float, bool]:
+    """True distance, raised to ``MIN_TRUE_DISTANCE_M``, and whether it was."""
+    d = math.hypot(tx - wx, ty - wy)
+    if d < MIN_TRUE_DISTANCE_M:
+        return MIN_TRUE_DISTANCE_M, True
+    return d, False
+
+
 def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     """Synthesize the advertisement stream a seeded scenario run describes.
 
@@ -292,45 +301,64 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     start; every worker hears every broadcast through its own independent
     noise draw, optionally dropped with the configured probability. Draws
     happen in a fixed order (tools by id, instants ascending, workers by id;
-    noise before drop), so a seed pins the byte-exact stream. RSSI values are
+    noise before drop), so a seed pins the byte-exact stream. Without drop,
+    a segment's noise is drawn as one batch in that order, which numpy
+    makes equal to the scalar draws value for value. RSSI values are
     clamped to the plausible radio range [-127, 20] dB. Floored distances
     and too-fast traces are reported in the returned ``GroundTruth``.
     """
     rng = np.random.default_rng(config.seed)
     workers = sorted(config.workers, key=lambda w: w.id)
     tools = sorted(config.tools, key=lambda t: t.id)
+    forward = config.model.forward
+    std, drop_prob = config.noise_std, config.drop_prob
 
     ads: list[Advertisement] = []
     truth_sessions: list[TruthRecord] = []
     floored = 0
 
     for tool in tools:
+        # (distance, floored, model mean) of each worker whose distance to
+        # the tool cannot change because both traces are a single knot.
+        fixed: list[tuple[float, bool, float] | None] = []
+        for w in workers:
+            if len(tool.trace.knots) == len(w.trace.knots) == 1:
+                d, floor = _floored_distance(*tool.trace.knots[0][1:], *w.trace.knots[0][1:])
+                fixed.append((d, floor, forward(d)))
+            else:
+                fixed.append(None)
         for seg in tool.schedule:
             instants = _segment_instants(seg, config.adv_interval)
             if not instants:
                 continue
+            noise = (
+                iter(rng.normal(0.0, std, size=len(instants) * len(workers)).tolist())
+                if drop_prob == 0
+                else None
+            )
             mean_dist = {w.id: 0.0 for w in workers}
             for ts in instants:
                 tx, ty = tool.trace.position(ts)
-                for w in workers:
-                    wx, wy = w.trace.position(ts)
-                    d = math.hypot(tx - wx, ty - wy)
-                    if d < MIN_TRUE_DISTANCE_M:
-                        d = MIN_TRUE_DISTANCE_M
+                for w, pair in zip(workers, fixed):
+                    if pair is None:
+                        d, floor = _floored_distance(tx, ty, *w.trace.position(ts))
+                        mean = forward(d)
+                    else:
+                        d, floor, mean = pair
+                    if floor:
                         floored += 1
                     mean_dist[w.id] += d
-                    rssi = config.model.forward(d) + rng.normal(0.0, config.noise_std)
-                    dropped = config.drop_prob > 0 and rng.uniform() < config.drop_prob
-                    if not dropped:
-                        ads.append(
-                            Advertisement(
-                                ts=ts,
-                                wearable=w.id,
-                                tag=tool.id,
-                                rssi=min(max(rssi, _RSSI_MIN), _RSSI_MAX),
-                                activity=seg.activity,
-                            )
-                        )
+                    if noise is not None:
+                        rssi = mean + next(noise)
+                    else:
+                        rssi = mean + rng.normal(0.0, std)
+                        if rng.uniform() < drop_prob:
+                            continue
+                    if rssi < _RSSI_MIN:
+                        rssi = _RSSI_MIN
+                    elif rssi > _RSSI_MAX:
+                        rssi = _RSSI_MAX
+                    ads.append(Advertisement(ts, w.id, tool.id, rssi, seg.activity))
             if seg.activity is Activity.USAGE:
                 operator = seg.operator
                 if operator is None:
@@ -341,7 +369,7 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
                     TruthRecord(tag=tool.id, start=instants[0], stop=instants[-1], wearable=operator)
                 )
 
-    ads.sort(key=lambda a: (a.ts, a.tag, a.wearable))
+    ads.sort(key=itemgetter(0, 2, 1))  # ts, tag, wearable
     truth_sessions.sort(key=lambda t: (t.start, t.stop, t.tag))
     return ads, GroundTruth(
         sessions=tuple(truth_sessions),

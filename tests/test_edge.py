@@ -39,6 +39,36 @@ class TestAdvertisement:
         assert ad(0.0, rssi=-127.0).rssi == -127.0
         assert ad(0.0, rssi=20.0).rssi == 20.0
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ts", math.inf, "timestamp must be finite"),
+            ("rssi", math.nan, "rssi outside plausible range"),
+            ("activity", "usage", "activity must be an Activity"),
+        ],
+    )
+    def test_positional_and_keyword_construction_both_validate(self, field, value, message):
+        fields = {"ts": 0.0, "wearable": "W1", "tag": "T1", "rssi": -45.6,
+                  "activity": Activity.USAGE, field: value}
+        with pytest.raises(ValueError, match=message):
+            Advertisement(**fields)
+        with pytest.raises(ValueError, match=message):
+            Advertisement(*fields.values())
+
+    def test_a_validated_immutable_tuple(self):
+        """Equal by fields (also to a plain tuple of them), hashable, immutable."""
+        a = Advertisement(7.0, "W1", "T1", -45.6, Activity.USAGE)
+        b = ad(7.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a == (7.0, "W1", "T1", -45.6, Activity.USAGE)
+        assert a != ad(7.0, wearable="W2") and a != ad(7.0, activity=Activity.TRANSPORT)
+        assert (a.ts, a.wearable, a.tag, a.rssi, a.activity) == tuple(a)
+        with pytest.raises(AttributeError):
+            a.rssi = -50.0
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert {Activity.USAGE: 1}[Activity("usage")] == 1
+
 
 def windows(ads, **kwargs):
     """Distinct (start, stop) session windows of the reports run_edge ships."""

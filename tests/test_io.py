@@ -26,6 +26,8 @@ class TestAdvertisements:
         io.write_advertisements(p, ADS)
         got, skipped = io.read_advertisements(p)
         assert got == ADS and skipped == []
+        # equality alone would also accept plain tuples
+        assert all(type(a) is Advertisement for a in got)
 
     def test_csv_round_trip(self, tmp_path):
         p = tmp_path / "ads.csv"
@@ -33,6 +35,7 @@ class TestAdvertisements:
         assert p.read_text().splitlines()[0] == "ts,wearable,tag,rssi_db,activity"
         got, skipped = io.read_advertisements(p)
         assert got == ADS and skipped == []
+        assert all(type(a) is Advertisement for a in got)
 
     def test_malformed_lines_are_collected_not_fatal(self, tmp_path):
         p = tmp_path / "ads.jsonl"
@@ -327,6 +330,11 @@ BAD_INPUTS = [
     (io.read_samples, "samples.csv",
      f"distance_m,rssi_db\n1.0,-45.6\n2.0,{LONG_FIELD}\n4.0,-51.7\n",
      ":3: bad range sample: field larger than field limit"),
+    # a quoted field holding a newline spans lines 2-3: the bad row is line 4
+    (io.read_advertisements, "ads.csv",
+     f'{AD_CSV_HEADER}\n0.0,"W\n1",T1,-45.6,usage\nbad,W1,T1,-45.6,usage\n', (1, 4)),
+    (io.read_samples, "samples.csv", 'distance_m,rssi_db\n"1.0\n",-45.6\n2.0,bad\n',
+     ":4: bad range sample: could not convert"),
 ]
 
 

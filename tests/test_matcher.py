@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -336,7 +337,107 @@ class TestInvariants:
             brute_force_solve(problem(*rows))
 
 
+def scan_evaluate(results, truth):
+    """The reference join: every same-tag truth record is scanned for each
+    result and the largest overlap wins, then the earliest start, then the
+    first in input order. ``evaluate`` sweeps sorted truth instead and must
+    agree exactly, errors included."""
+    truth_by_tag = {}
+    for t in truth:
+        truth_by_tag.setdefault(t.tag, []).append(t)
+
+    def overlap(r, t):
+        return min(r.stop, t.stop) - max(r.start, t.start)
+
+    counts = {(c, trust): 0 for c in (True, False) for trust in Trust}
+    for r in results:
+        candidates = [t for t in truth_by_tag.get(r.tag, ()) if overlap(r, t) >= 0]
+        if not candidates:
+            raise ValueError(
+                f"no ground-truth session overlaps result {r.tag!r}@[{r.start}, {r.stop}]"
+            )
+        best = max(candidates, key=lambda t: (overlap(r, t), -t.start))
+        counts[(r.wearable == best.wearable, r.trust)] += 1
+    return EvalReport(
+        correct_sure=counts[(True, Trust.SURE)],
+        correct_unsure=counts[(True, Trust.UNSURE)],
+        wrong_sure=counts[(False, Trust.SURE)],
+        wrong_unsure=counts[(False, Trust.UNSURE)],
+    )
+
+
+#: Few distinct times, so that equal starts, touching and nested intervals
+#: and inverted windows are common, plus some arbitrary floats.
+EVAL_TIMES = st.one_of(
+    st.integers(min_value=0, max_value=4).map(float),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.sampled_from([-math.inf, math.inf, -0.0]),
+)
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """Truth records with distinct wearables in no particular order, so a
+    count can tell which record a result joined to, and results on two of
+    the three tags."""
+    ids = draw(st.integers(min_value=0, max_value=8).flatmap(lambda n: st.permutations(range(n))))
+    truth = [
+        TruthRecord(
+            tag=draw(st.sampled_from(["T1", "T2"])),
+            start=draw(EVAL_TIMES), stop=draw(EVAL_TIMES), wearable=f"W{i}",
+        )
+        for i in ids
+    ]
+    results = [
+        MatchResult(
+            tag=draw(st.sampled_from(["T1", "T2", "T3"])),
+            start=draw(EVAL_TIMES), stop=draw(EVAL_TIMES),
+            wearable=draw(st.sampled_from([None, "W0"])),
+            trust=draw(st.sampled_from(list(Trust))), margin=1.0,
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    return results, truth
+
+
 class TestEvaluate:
+    @settings(max_examples=400, deadline=None)
+    @given(evaluation_inputs())
+    def test_sweep_matches_the_scan(self, inputs):
+        """Whole result lists agree, and so does each result alone under
+        every truth wearable, which pins the record it joins to."""
+        results, truth = inputs
+        probes = [results] + [
+            [dataclasses.replace(r, wearable=t.wearable)] for r in results for t in truth
+        ]
+        for probe in probes:
+            try:
+                expected = scan_evaluate(probe, truth)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    evaluate(probe, truth)
+                assert str(got.value) == str(e)
+            else:
+                assert evaluate(probe, truth) == expected
+
+    def test_ties_go_to_the_earliest_start_then_input_order(self):
+        res = [MatchResult(tag="T1", start=0.0, stop=10.0, wearable="W2",
+                           trust=Trust.SURE, margin=2.0)]
+        later = TruthRecord(tag="T1", start=5.0, stop=20.0, wearable="W1")
+        earlier = TruthRecord(tag="T1", start=-5.0, stop=5.0, wearable="W2")
+        assert evaluate(res, [later, earlier]).correct_sure == 1
+        first = TruthRecord(tag="T1", start=0.0, stop=10.0, wearable="W2")
+        second = TruthRecord(tag="T1", start=0.0, stop=10.0, wearable="W1")
+        assert evaluate(res, [first, second]).correct_sure == 1
+        assert evaluate(res, [second, first]).wrong_sure == 1
+
+    def test_nan_truth_time_is_an_error(self):
+        res = [MatchResult(tag="T1", start=0.0, stop=10.0, wearable="W1",
+                           trust=Trust.SURE, margin=2.0)]
+        ok = TruthRecord(tag="T1", start=0.0, stop=10.0, wearable="W1")
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate(res, [ok, TruthRecord(tag="T2", start=math.nan, stop=1.0, wearable="W1")])
+
     @staticmethod
     def synthetic(counts):
         """Build results/truth realizing exact (correct_sure, correct_unsure,

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxmatch.edge import Activity, run_edge
+from proxmatch.edge import Activity, Advertisement, run_edge
 from proxmatch.matcher import TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel
 from proxmatch.simulator import (
+    MIN_TRUE_DISTANCE_M,
+    V_MAX_M_S,
     GroundTruth,
     ScenarioConfig,
     ScheduleSegment,
@@ -237,6 +241,153 @@ class TestGenerate:
         _, truth = generate(cfg)
         assert truth.too_fast == ("W1",)
         assert truth.floored == 0
+
+
+def scalar_generate(config):
+    """The reference stream: one scalar ``rng.normal`` per reading (then one
+    ``rng.uniform`` when drop is on) and every distance computed afresh at
+    every instant. ``generate`` batches the noise and hoists stationary
+    distances and must reproduce this exactly.
+
+    Returns (ads, truth sessions, floored, too_fast).
+    """
+    rng = np.random.default_rng(config.seed)
+    workers = sorted(config.workers, key=lambda w: w.id)
+    tools = sorted(config.tools, key=lambda t: t.id)
+    ads, sessions, floored = [], [], 0
+    for tool in tools:
+        for seg in tool.schedule:
+            instants = []
+            while seg.start + len(instants) * config.adv_interval < seg.stop:
+                instants.append(seg.start + len(instants) * config.adv_interval)
+            if not instants:
+                continue
+            mean_dist = {w.id: 0.0 for w in workers}
+            for ts in instants:
+                tx, ty = tool.trace.position(ts)
+                for w in workers:
+                    wx, wy = w.trace.position(ts)
+                    d = math.hypot(tx - wx, ty - wy)
+                    if d < MIN_TRUE_DISTANCE_M:
+                        d = MIN_TRUE_DISTANCE_M
+                        floored += 1
+                    mean_dist[w.id] += d
+                    rssi = config.model.forward(d) + rng.normal(0.0, config.noise_std)
+                    dropped = config.drop_prob > 0 and rng.uniform() < config.drop_prob
+                    if not dropped:
+                        ads.append(
+                            Advertisement(
+                                ts=ts,
+                                wearable=w.id,
+                                tag=tool.id,
+                                rssi=min(max(rssi, -127.0), 20.0),
+                                activity=seg.activity,
+                            )
+                        )
+            if seg.activity is Activity.USAGE:
+                operator = seg.operator
+                if operator is None:
+                    operator = min(mean_dist, key=lambda wid: (mean_dist[wid], wid))
+                sessions.append(
+                    TruthRecord(tag=tool.id, start=instants[0], stop=instants[-1], wearable=operator)
+                )
+    ads.sort(key=lambda a: (a.ts, a.tag, a.wearable))
+    sessions.sort(key=lambda t: (t.start, t.stop, t.tag))
+    too_fast = tuple(
+        s.id for s in (*workers, *tools) if s.trace.max_speed() > V_MAX_M_S + 1e-9
+    )
+    return ads, tuple(sessions), floored, too_fast
+
+
+def without_operators(cfg):
+    return dataclasses.replace(
+        cfg,
+        tools=tuple(
+            dataclasses.replace(
+                t, schedule=tuple(dataclasses.replace(s, operator=None) for s in t.schedule)
+            )
+            for t in cfg.tools
+        ),
+    )
+
+
+def assert_same_stream(cfg):
+    ads, truth = generate(cfg)
+    ref_ads, ref_sessions, ref_floored, ref_too_fast = scalar_generate(cfg)
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    assert list(map(repr, ads)) == list(map(repr, ref_ads))
+    assert all(type(a) is Advertisement for a in ads)
+    assert (truth.sessions, truth.floored, truth.too_fast) == (
+        ref_sessions, ref_floored, ref_too_fast
+    )
+
+
+ORACLE_SCENARIOS = {
+    "static": scenario_static(3, 3.0, 600.0, seed=1),
+    "swap": scenario_swap(3, 2.0, [120.0, 240.0], seed=2),
+    "static-drop": scenario_static(3, 2.0, 400.0, bystanders=1, seed=3, drop_prob=0.3),
+    "swap-drop": scenario_swap(4, 1.5, [100.0, 200.0], seed=4, drop_prob=0.1),
+    "floored": scenario_static(3, 0.01, 100.0, seed=5, operating_distance=0.01),
+    "bystanders": scenario_static(2, 3.0, 300.0, bystanders=2, seed=6),
+    "inferred": without_operators(scenario_swap(3, 2.0, [120.0, 240.0], seed=7)),
+    "inferred-static": without_operators(scenario_static(3, 2.0, 300.0, bystanders=1, seed=8)),
+}
+
+
+@st.composite
+def small_configs(draw):
+    """One to three workers and tools with one- or two-knot traces (close
+    enough to floor some distances), a few segments each, any noise and drop."""
+    coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).map(lambda v: round(v, 2))
+
+    def trace():
+        first = (0.0, draw(coord), draw(coord))
+        if draw(st.booleans()):
+            return Trace((first,))
+        second = (draw(st.floats(min_value=1.0, max_value=60.0)), draw(coord), draw(coord))
+        return Trace((first, second))
+
+    duration = 60.0
+    n_workers = draw(st.integers(min_value=1, max_value=3))
+    workers = tuple(WorkerSpec(id=f"W{i + 1}", trace=trace()) for i in range(n_workers))
+    tools = []
+    for j in range(draw(st.integers(min_value=1, max_value=3))):
+        cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=duration), max_size=4)))
+        segments = tuple(
+            ScheduleSegment(
+                start=a,
+                stop=b,
+                activity=draw(st.sampled_from([Activity.USAGE, Activity.TRANSPORT])),
+                operator=draw(st.sampled_from([None, *(w.id for w in workers)])),
+            )
+            for a, b in zip(cuts[::2], cuts[1::2])
+        )
+        tools.append(ToolSpec(id=f"T{j + 1}", trace=trace(), schedule=segments))
+    return ScenarioConfig(
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        duration=duration,
+        workers=workers,
+        tools=tuple(tools),
+        adv_interval=draw(st.sampled_from([7.0, 2.5, 0.7])),
+        noise_std=draw(st.sampled_from([0.0, 6.99, 40.0])),
+        drop_prob=draw(st.sampled_from([0.0, 0.0, 0.5])),
+    )
+
+
+class TestStreamOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+    def test_scenario_matches_the_scalar_loop(self, name):
+        assert_same_stream(ORACLE_SCENARIOS[name])
+
+    def test_the_scenarios_reach_every_branch(self):
+        _, floored = generate(ORACLE_SCENARIOS["floored"])
+        assert floored.floored > 0
+        assert {a.wearable for a in generate(ORACLE_SCENARIOS["bystanders"])[0]} >= {"B1", "B2"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_configs())
+    def test_small_configs_match_the_scalar_loop(self, cfg):
+        assert_same_stream(cfg)
 
 
 class TestStaticScenario:
