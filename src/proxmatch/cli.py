@@ -1,10 +1,12 @@
 """Command-line interface: calibration, simulation, and the staged pipeline.
 
-Each stage reads and writes plain files, and each stage command's body is
-one stage function. ``pipeline`` chains those same functions, so it produces
-byte-identical outputs and prints the same stage lines as the commands run
-one by one. Exit codes: 0 on success, 2 for invalid inputs or configuration,
-1 for unexpected runtime failures.
+Each stage function takes its input records, writes its output file, prints
+its stage line and returns its output records. A stage command reads the
+file it starts from and runs one stage function; ``pipeline`` chains the
+same functions and passes each stage's records on in memory, so it writes
+byte-identical files and prints the same stage lines as the commands run one
+by one without reading any file back. Exit codes: 0 on success, 2 for
+invalid inputs or configuration, 1 for unexpected runtime failures.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import io, simulator
-from .edge import ACTIVE_DEFAULT, SESSION_GAP_S, Activity, run_edge
+from .edge import SESSION_GAP_S, Activity, Advertisement, DistanceReport, run_edge
 from .ekf import DT_LINEAR, DT_SQUARED, EkfParams
-from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, evaluate, solve
+from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, MatchResult, TruthRecord, evaluate, solve
 from .pathloss import DEFAULT_MODEL, fit, residual_variance
 from .simulator import GroundTruth, ScenarioConfig, generate, scenario_static, scenario_swap
 
@@ -84,7 +87,7 @@ def _load_params(args: argparse.Namespace) -> EkfParams:
     return params
 
 
-def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> GroundTruth:
+def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Advertisement], GroundTruth]:
     out_dir.mkdir(parents=True, exist_ok=True)
     ads, truth = generate(config)
     if truth.floored:
@@ -97,27 +100,20 @@ def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> GroundTruth:
     io.write_advertisements(out_dir / "advertisements.jsonl", ads)
     io.write_truth(out_dir / "truth.jsonl", truth.sessions)
     print(f"{len(ads)} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")
-    return truth
+    return ads, truth
 
 
-def _estimate_stage(
-    ads_path: Path,
-    out_path: Path,
-    params: EkfParams,
-    gap: float,
-    active: frozenset[Activity],
-) -> None:
-    ads, skipped = io.read_advertisements(ads_path)
-    for lineno, reason in skipped:
-        print(f"{ads_path}:{lineno}: skipped: {reason}", file=sys.stderr)
+def _estimate_stage(ads: Sequence[Advertisement], out_path: Path, params: EkfParams, gap: float,
+                    active: frozenset[Activity]) -> list[DistanceReport]:
     reports = run_edge(ads, params, gap=gap, active=active)
     io.write_reports(out_path, reports)
     print(f"{len(reports)} report(s) from {len(ads)} advertisement(s) -> {out_path}")
+    return reports
 
 
-def _match_stage(reports_path: Path, out_path: Path, margin: float, window: float) -> None:
-    problem = MatchProblem.from_reports(io.read_reports(reports_path))
-    results = solve(problem, threshold=margin, window=window)
+def _match_stage(reports: Sequence[DistanceReport], out_path: Path, margin: float,
+                 window: float) -> list[MatchResult]:
+    results = solve(MatchProblem.from_reports(reports), threshold=margin, window=window)
     io.write_matches(out_path, results)
     sure = sum(1 for r in results if r.wearable is not None and r.trust.value == "sure")
     unassigned = sum(1 for r in results if r.wearable is None)
@@ -125,10 +121,12 @@ def _match_stage(reports_path: Path, out_path: Path, margin: float, window: floa
         f"{len(results)} session(s): {sure} sure, "
         f"{len(results) - sure - unassigned} unsure, {unassigned} unassigned -> {out_path}"
     )
+    return results
 
 
-def _evaluate_stage(matches_path: Path, truth_path: Path, out_path: Path | None) -> None:
-    report = evaluate(io.read_matches(matches_path), io.read_truth(truth_path))
+def _evaluate_stage(matches: Sequence[MatchResult], truth: Sequence[TruthRecord],
+                    out_path: Path | None) -> None:
+    report = evaluate(matches, truth)
     d = report.to_dict()
 
     def pct(m):
@@ -190,23 +188,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    _estimate_stage(
-        Path(args.advertisements),
-        Path(args.out),
-        _load_params(args),
-        args.gap_s,
-        _parse_active(args.active_classes),
-    )
+    params, active = _load_params(args), _parse_active(args.active_classes)
+    ads_path = Path(args.advertisements)
+    ads, skipped = io.read_advertisements(ads_path)
+    for lineno, reason in skipped:
+        print(f"{ads_path}:{lineno}: skipped: {reason}", file=sys.stderr)
+    _estimate_stage(ads, Path(args.out), params, args.gap_s, active)
     return 0
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    _match_stage(Path(args.reports), Path(args.out), args.margin_m, args.adv_interval_s)
+    _match_stage(io.read_reports(Path(args.reports)), Path(args.out), args.margin_m, args.adv_interval_s)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _evaluate_stage(Path(args.matches), Path(args.truth), Path(args.out) if args.out else None)
+    matches, truth = io.read_matches(Path(args.matches)), io.read_truth(Path(args.truth))
+    _evaluate_stage(matches, truth, Path(args.out) if args.out else None)
     return 0
 
 
@@ -236,15 +234,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except Exception as e:
             raise RuntimeError(f"[{name}] {e}") from e
 
-    truth = stage("simulate", _simulate_stage, config, out)
-    stage("estimate", _estimate_stage, out / "advertisements.jsonl", out / "reports.jsonl",
-          params, args.gap_s, active)
-    stage("match", _match_stage, out / "reports.jsonl", out / "matches.jsonl",
-          args.margin_m, args.adv_interval_s)
-    stage("evaluate", _evaluate_stage, out / "matches.jsonl", out / "truth.jsonl",
-          out / "metrics.json")
-    stage("errors", lambda: _write_errors_csv(
-        out / "errors.csv", io.read_reports(out / "reports.jsonl"), truth))
+    ads, truth = stage("simulate", _simulate_stage, config, out)
+    reports = stage("estimate", _estimate_stage, ads, out / "reports.jsonl",
+                    params, args.gap_s, active)
+    del ads  # not held through match and evaluate
+    matches = stage("match", _match_stage, reports, out / "matches.jsonl",
+                    args.margin_m, args.adv_interval_s)
+    stage("evaluate", _evaluate_stage, matches, truth.sessions, out / "metrics.json")
+    stage("errors", _write_errors_csv, out / "errors.csv", reports, truth)
     print(f"outputs -> {out}")
     return 0
 

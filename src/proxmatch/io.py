@@ -5,7 +5,8 @@ default), so a given record sequence always produces byte-identical files.
 
 Every reader applies one rule to bad input. A line, row or document is bad
 when it does not decode, lacks a field, or holds a value of the wrong type,
-out of range or too large for a float (any exception in ``_BAD_INPUT``).
+out of range (a time or margin that is ``NaN`` or infinite, which Python's
+``json`` decodes) or too large for a float (any exception in ``_BAD_INPUT``).
 ``read_advertisements`` skips its bad lines and returns them with their
 numbers. Every other reader raises ``ValueError`` naming the file, the line
 and the record kind, which the CLI turns into exit status 2.
@@ -57,11 +58,15 @@ _BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError, RecursionError, cs
 #: trailing-data checks that ``json.loads`` adds.
 _raw_decode = json.JSONDecoder().raw_decode
 
+#: What ``json.dumps(row, separators=(",", ":"))`` calls, built once instead
+#: of once per row.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for row in rows:
-            f.write(json.dumps(row, separators=(",", ":")) + "\n")
+            f.write(_encode(row) + "\n")
 
 
 def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -165,6 +170,15 @@ def _loads(line: str):
     except ValueError:
         pass
     return json.loads(line)
+
+
+def _finite(d: dict, key: str) -> float:
+    """``float(d[key])``, which must be finite: Python's ``json`` decodes
+    ``NaN`` and ``Infinity``, which JSON does not allow."""
+    value = float(d[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def _ad_to_dict(a: Advertisement) -> dict:
@@ -290,8 +304,8 @@ def read_reports(path: str | Path) -> list[DistanceReport]:
         lambda d: DistanceReport(
             wearable=str(d["wearable"]),
             tag=str(d["tag"]),
-            start=float(d["start_s"]),
-            stop=float(d["stop_s"]),
+            start=_finite(d, "start_s"),
+            stop=_finite(d, "stop_s"),
             distance=float(d["distance_m"]),
             n_obs=int(d["n_obs"]),
         ),
@@ -314,8 +328,8 @@ def read_truth(path: str | Path) -> list[TruthRecord]:
         "truth record",
         lambda d: TruthRecord(
             tag=str(d["tag"]),
-            start=float(d["start_s"]),
-            stop=float(d["stop_s"]),
+            start=_finite(d, "start_s"),
+            stop=_finite(d, "stop_s"),
             wearable=str(d["wearable"]),
         ),
     )
@@ -345,11 +359,11 @@ def read_matches(path: str | Path) -> list[MatchResult]:
         "match result",
         lambda d: MatchResult(
             tag=str(d["tag"]),
-            start=float(d["start_s"]),
-            stop=float(d["stop_s"]),
+            start=_finite(d, "start_s"),
+            stop=_finite(d, "stop_s"),
             wearable=None if d["wearable"] is None else str(d["wearable"]),
             trust=Trust(d["trust"]),
-            margin=math.inf if d["margin_m"] is None else float(d["margin_m"]),
+            margin=math.inf if d["margin_m"] is None else _finite(d, "margin_m"),
         ),
     )
 

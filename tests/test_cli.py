@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from proxmatch import io
-from proxmatch.cli import main
+from proxmatch.cli import _write_errors_csv, main
 from proxmatch.edge import Activity, Advertisement, DistanceReport
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, RangeSample
-from proxmatch.simulator import Trace, WorkerSpec, scenario_static
+from proxmatch.simulator import Trace, WorkerSpec, generate, scenario_static
 
 
 def run(*argv):
@@ -83,9 +84,21 @@ class TestStagedChain:
         assert doc["total"] == 3
         assert "accuracy" in capsys.readouterr().out
 
-    def test_pipeline_is_byte_identical_to_the_staged_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ("static", "-n", 3, "--spacing", 2.0, "--duration", 120),
+            # dropped broadcasts take the simulator's scalar-draw noise path
+            ("swap", "-n", 3, "--spacing", 2.0, "--swap-times", 60, "--duration", 120,
+             "--drop-prob", 0.2),
+            # a lone badge has no competitor: its infinite margin is written as null
+            ("static", "-n", 1, "--spacing", 2.0, "--duration", 120),
+        ],
+        ids=["static", "swap-drop", "lone-badge"],
+    )
+    def test_pipeline_is_byte_identical_to_the_staged_run(self, tmp_path, capsys, scenario):
         scen = tmp_path / "scen.json"
-        run("scenario", "static", "-n", 3, "--spacing", 2.0, "--duration", 120, "-o", scen)
+        run("scenario", *scenario, "-o", scen)
         a, b = tmp_path / "staged", tmp_path / "piped"
         capsys.readouterr()
         assert run("simulate", scen, "--out-dir", a, "--seed", 5) == 0
@@ -93,14 +106,35 @@ class TestStagedChain:
         assert run("match", a / "reports.jsonl", "-o", a / "matches.jsonl") == 0
         assert run("evaluate", a / "matches.jsonl", a / "truth.jsonl",
                    "-o", a / "metrics.json") == 0
-        staged = capsys.readouterr().out.replace(str(a), "DIR").splitlines()
+        staged = capsys.readouterr()
         assert run("pipeline", scen, "--out-dir", b, "--seed", 5) == 0
-        piped = capsys.readouterr().out.replace(str(b), "DIR").splitlines()
+        piped = capsys.readouterr()
         for name in ("advertisements.jsonl", "truth.jsonl", "reports.jsonl",
                      "matches.jsonl", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         # pipeline runs the same stage functions, so it prints each stage's line
-        assert len(staged) == 5 and piped == staged + ["outputs -> DIR"]
+        staged_lines = staged.out.replace(str(a), "DIR").splitlines()
+        assert len(staged_lines) == 5
+        assert piped.out.replace(str(b), "DIR").splitlines() == staged_lines + ["outputs -> DIR"]
+        assert piped.err == staged.err
+        if scenario[2] == 1:
+            assert all(m.margin == math.inf for m in io.read_matches(b / "matches.jsonl"))
+            assert '"margin_m":null' in (b / "matches.jsonl").read_text()
+
+    def test_pipeline_errors_csv_equals_the_read_back_reports(self, tmp_path):
+        """``errors.csv`` comes from the reports in memory; it must equal the
+        file built from ``reports.jsonl`` read back."""
+        scen = tmp_path / "scen.json"
+        run("scenario", "swap", "-n", 3, "--spacing", 2.0, "--swap-times", 60,
+            "--duration", 120, "-o", scen)
+        out = tmp_path / "run"
+        assert run("pipeline", scen, "--out-dir", out, "--seed", 5) == 0
+        config = dataclasses.replace(io.read_scenario(scen), seed=5)
+        _, truth = generate(config)
+        expected = tmp_path / "expected.csv"
+        _write_errors_csv(expected, io.read_reports(out / "reports.jsonl"), truth)
+        assert (out / "errors.csv").read_bytes() == expected.read_bytes()
+        assert len(expected.read_text().splitlines()) > 1
 
     def test_same_seed_same_bytes_different_seed_different_bytes(self, tmp_path):
         scen = tmp_path / "scen.json"
@@ -323,6 +357,16 @@ class TestMatchFlags:
         assert flags[0] in capsys.readouterr().err
         # Rejected before any stage runs: nothing is written.
         assert not (tmp_path / "run").exists()
+
+
+    def test_non_finite_report_time_exits_2_naming_the_line(self, tmp_path, capsys):
+        reports = tmp_path / "reports.jsonl"
+        good = {"wearable": "W1", "tag": "T1", "start_s": 0.0, "stop_s": 7.0,
+                "distance_m": 1.0, "n_obs": 2}
+        reports.write_text(json.dumps(good) + "\n" + json.dumps({**good, "start_s": math.nan}) + "\n")
+        assert run("match", reports, "-o", tmp_path / "matches.jsonl") == 2
+        assert f"{reports}:2: bad distance report: start_s must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "matches.jsonl").exists()
 
 
 class TestEntryPoints:

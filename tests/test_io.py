@@ -335,6 +335,38 @@ BAD_INPUTS = [
      f'{AD_CSV_HEADER}\n0.0,"W\n1",T1,-45.6,usage\nbad,W1,T1,-45.6,usage\n', (1, 4)),
     (io.read_samples, "samples.csv", 'distance_m,rssi_db\n"1.0\n",-45.6\n2.0,bad\n',
      ":4: bad range sample: could not convert"),
+    # Python's json decodes NaN and Infinity; a time or margin must be finite
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": math.nan, "stop_s": 7,
+                 "distance_m": 1.0, "n_obs": 2}),
+     ":1: bad distance report: start_s must be finite"),
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": math.inf,
+                 "distance_m": 1.0, "n_obs": 2}),
+     ":1: bad distance report: stop_s must be finite"),
+    (io.read_truth, "truth.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": math.inf, "wearable": "W1"}),
+     ":1: bad truth record: stop_s must be finite"),
+    (io.read_truth, "truth.jsonl",
+     json.dumps({"tag": "T1", "start_s": math.nan, "stop_s": 7, "wearable": "W1"}),
+     ":1: bad truth record: start_s must be finite"),
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": "T1", "start_s": -math.inf, "stop_s": 7, "wearable": "W1",
+                 "trust": "sure", "margin_m": 1.0}),
+     ":1: bad match result: start_s must be finite"),
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": math.nan, "wearable": "W1",
+                 "trust": "sure", "margin_m": 1.0}),
+     ":1: bad match result: stop_s must be finite"),
+    # an infinite margin is written as null; a literal one is bad, like NaN
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": "W1",
+                 "trust": "sure", "margin_m": math.inf}),
+     ":1: bad match result: margin_m must be finite"),
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": "W1",
+                 "trust": "sure", "margin_m": math.nan}),
+     ":1: bad match result: margin_m must be finite"),
 ]
 
 
