@@ -4,9 +4,10 @@ Writers emit keys in a fixed order and floats through ``repr`` (the json
 default), so a given record sequence always produces byte-identical files.
 
 Every reader applies one rule to bad input. A line, row or document is bad
-when it does not decode, lacks a field, or holds a value of the wrong type,
-out of range (a time or margin that is ``NaN`` or infinite, which Python's
-``json`` decodes) or too large for a float (any exception in ``_BAD_INPUT``).
+when it does not decode, lacks a field, or holds a value of the wrong type
+(a string or ``true`` for a number, a fraction for a count), out of range (a
+``NaN`` or infinite number, which Python's ``json`` decodes, or a count below
+1) or too large for a float (any exception in ``_BAD_INPUT``).
 ``read_advertisements`` skips its bad lines and returns them with their
 numbers. Every other reader raises ``ValueError`` naming the file, the line
 and the record kind, which the CLI turns into exit status 2.
@@ -30,13 +31,11 @@ __all__ = [
     "read_advertisements",
     "read_ekf_params",
     "read_matches",
-    "read_model",
     "read_reports",
     "read_samples",
     "read_scenario",
     "read_truth",
     "write_advertisements",
-    "write_ekf_params",
     "write_eval",
     "write_matches",
     "write_model",
@@ -173,11 +172,23 @@ def _loads(line: str):
 
 
 def _finite(d: dict, key: str) -> float:
-    """``float(d[key])``, which must be finite: Python's ``json`` decodes
-    ``NaN`` and ``Infinity``, which JSON does not allow."""
-    value = float(d[key])
+    """``d[key]``, a JSON number (``int`` or ``float``, not ``bool``), as a
+    finite float: Python's ``json`` decodes ``NaN`` and ``Infinity``, which
+    JSON does not allow. For JSON readers only; a CSV field is a string."""
+    value = d[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
+def _count(d: dict, key: str) -> int:
+    """``d[key]``, which must be an ``int`` (not ``bool``) of at least 1."""
+    value = d[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -306,8 +317,8 @@ def read_reports(path: str | Path) -> list[DistanceReport]:
             tag=str(d["tag"]),
             start=_finite(d, "start_s"),
             stop=_finite(d, "stop_s"),
-            distance=float(d["distance_m"]),
-            n_obs=int(d["n_obs"]),
+            distance=_finite(d, "distance_m"),
+            n_obs=_count(d, "n_obs"),
         ),
     )
 
@@ -392,14 +403,6 @@ def read_samples(path: str | Path) -> list[RangeSample]:
 
 def write_model(path: str | Path, model: PathLossModel) -> None:
     _write_json(path, model.to_dict())
-
-
-def read_model(path: str | Path) -> PathLossModel:
-    return _read_doc(path, "path-loss model", PathLossModel.from_dict)
-
-
-def write_ekf_params(path: str | Path, params: EkfParams) -> None:
-    _write_json(path, params.to_dict())
 
 
 def _ekf_params_from_dict(doc: dict) -> EkfParams:

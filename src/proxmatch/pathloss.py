@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "DEFAULT_MODEL",
@@ -87,7 +86,8 @@ def fit(samples: Iterable[RangeSample], x0: float = 1.0) -> PathLossModel:
 
     The model is linear in the transformed regressor u = -10 * log10(x / x0),
     rssi = rssi0 + n * u, so ordinary least squares has a closed form:
-    n is cov(u, rssi) / var(u) and rssi0 the intercept through the means.
+    n is cov(u, rssi) / var(u) and rssi0 the intercept through the means,
+    as ``statistics.linear_regression`` computes them (with ``math.fsum``).
 
     Raises DegenerateFitError when fewer than two distinct distances are
     present, and ValueError for nonpositive or non-finite inputs.
@@ -100,12 +100,8 @@ def fit(samples: Iterable[RangeSample], x0: float = 1.0) -> PathLossModel:
         raise DegenerateFitError(
             f"need at least 2 distinct distances to fit, got {len(samples)} sample(s)"
         )
-    d = np.array([s.distance for s in samples], dtype=float)
-    z = np.array([s.rssi for s in samples], dtype=float)
-    u = -10.0 * np.log10(d / x0)
-    du = u - u.mean()
-    n = float(du @ (z - z.mean()) / (du @ du))
-    rssi0 = float(z.mean() - n * u.mean())
+    u = [-10.0 * math.log10(s.distance / x0) for s in samples]
+    n, rssi0 = statistics.linear_regression(u, [s.rssi for s in samples])
     return PathLossModel(n=n, x0=x0, rssi0=rssi0)
 
 
@@ -120,5 +116,4 @@ def residual_variance(model: PathLossModel, samples: Iterable[RangeSample]) -> f
     _validate_samples(samples)
     if not samples:
         raise ValueError("residual variance needs at least one sample")
-    res = np.array([s.rssi - model.forward(s.distance) for s in samples], dtype=float)
-    return float(res @ res / len(res))
+    return statistics.fmean((s.rssi - model.forward(s.distance)) ** 2 for s in samples)

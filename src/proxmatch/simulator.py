@@ -16,8 +16,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
-import numpy as np
-
 from .edge import SESSION_GAP_S, Activity, Advertisement
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
@@ -307,6 +305,9 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     clamped to the plausible radio range [-127, 20] dB. Floored distances
     and too-fast traces are reported in the returned ``GroundTruth``.
     """
+    # Imported here, not at module level: only the seeded stream needs numpy.
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     workers = sorted(config.workers, key=lambda w: w.id)
     tools = sorted(config.tools, key=lambda t: t.id)

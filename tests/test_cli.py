@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ class TestFit:
         )
         out = tmp_path / "model.json"
         assert run("fit", samples_path, "-o", out) == 0
-        m = io.read_model(out)
+        m = io.read_ekf_params(out).model
         assert m.n == pytest.approx(1.011, rel=1e-9)
         assert m.rssi0 == pytest.approx(-45.6, rel=1e-9)
         assert "n=" in capsys.readouterr().out
@@ -49,7 +50,7 @@ class TestFit:
         io.write_samples(samples_path, [RangeSample(a, b) for a, b in zip(d, z)])
         out = tmp_path / "model.json"
         assert run("fit", samples_path, "-o", out) == 0
-        m = io.read_model(out)
+        m = io.read_ekf_params(out).model
         assert abs(m.n - 1.011) < 0.05
         assert abs(m.rssi0 + 45.6) < 0.3
 
@@ -377,6 +378,43 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "pipeline" in proc.stdout
+
+    def test_every_stage_but_simulation_runs_without_numpy(self, tmp_path):
+        """Only the simulator's seeded stream needs numpy. With numpy blocked,
+        ``fit``, ``scenario``, ``estimate``, ``match`` and ``evaluate`` run and
+        write the same bytes as an ordinary ``pipeline`` run."""
+        scen, piped, staged = tmp_path / "scen.json", tmp_path / "piped", tmp_path / "staged"
+        assert run("scenario", "swap", "-n", 3, "--spacing", 2.0, "--swap-times", 60,
+                   "--duration", 120, "-o", scen) == 0
+        assert run("pipeline", scen, "--out-dir", piped, "--seed", 7) == 0
+        samples = tmp_path / "samples.csv"
+        io.write_samples(samples, [RangeSample(d, DEFAULT_MODEL.forward(d)) for d in (0.5, 1, 2, 4)])
+        staged.mkdir()
+        commands = [
+            ["fit", samples, "-o", staged / "model.json"],
+            ["scenario", "static", "-n", 2, "--spacing", 2.0, "-o", staged / "scen.json"],
+            ["estimate", piped / "advertisements.jsonl", "-o", staged / "reports.jsonl"],
+            ["match", piped / "reports.jsonl", "-o", staged / "matches.jsonl"],
+            ["evaluate", piped / "matches.jsonl", piped / "truth.jsonl",
+             "-o", staged / "metrics.json"],
+        ]
+        script = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None  # makes any import of numpy raise\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import proxmatch, proxmatch.cli\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    if proxmatch.cli.main(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n"
+        )
+        src = str(Path(io.__file__).parents[1])
+        argv = json.dumps([[str(a) for a in c] for c in commands])
+        proc = subprocess.run([sys.executable, "-c", script, src, argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("reports.jsonl", "matches.jsonl", "metrics.json"):
+            assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+        assert io.read_ekf_params(staged / "model.json").model.n == pytest.approx(1.011)
 
     def test_bad_scenario_json_exits_2(self, tmp_path, capsys):
         p = tmp_path / "scen.json"

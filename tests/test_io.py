@@ -257,12 +257,12 @@ class TestDocuments:
     def test_model_round_trip(self, tmp_path):
         p = tmp_path / "model.json"
         io.write_model(p, DEFAULT_MODEL)
-        assert io.read_model(p) == DEFAULT_MODEL
+        assert io.read_ekf_params(p).model == DEFAULT_MODEL
 
     def test_params_round_trip(self, tmp_path):
         p = tmp_path / "ekf.json"
         for params in (EkfParams(r=48.92, dt_mode=DT_LINEAR), EkfParams(x_floor=0.2)):
-            io.write_ekf_params(p, params)
+            p.write_text(json.dumps(params.to_dict()))
             assert io.read_ekf_params(p) == params
 
     def test_params_without_a_floor_key_get_the_default_floor(self, tmp_path):
@@ -289,7 +289,7 @@ class TestDocuments:
         p = tmp_path / "model.json"
         p.write_text("{")
         with pytest.raises(ValueError):
-            io.read_model(p)
+            io.read_ekf_params(p)
 
 
 GOOD_AD = {"ts": 0.0, "wearable": "W1", "tag": "T1", "rssi_db": -45.6, "activity": "usage"}
@@ -318,9 +318,9 @@ BAD_INPUTS = [
     (io.read_scenario, "scenario.json",
      json.dumps({**scenario_swap(2, 2.0, [60.0], seed=1).to_dict(), "duration_s": HUGE}),
      "bad scenario"),
-    (io.read_model, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "n": HUGE}),
-     "bad path-loss model"),
-    (io.read_model, "model.json", "3", "expected a JSON object"),
+    (io.read_ekf_params, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "n": HUGE}),
+     "bad filter config"),
+    (io.read_ekf_params, "model.json", "3", "expected a JSON object"),
     (io.read_ekf_params, "ekf.json", "[1, 2]", "expected a JSON object"),
     (io.read_samples, "samples.csv", "distance_m,rssi_db\n1.0,-45.6\n2.0,-48.7,9\n",
      ":3: bad range sample: expected 2 columns"),
@@ -367,6 +367,34 @@ BAD_INPUTS = [
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": "W1",
                  "trust": "sure", "margin_m": math.nan}),
      ":1: bad match result: margin_m must be finite"),
+    # a number must be a JSON number, not a string or a bool; a count an int >= 1
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": 7,
+                 "distance_m": 1.0, "n_obs": 2.9}),
+     ":1: bad distance report: n_obs must be an integer >= 1, got 2.9"),
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": 7,
+                 "distance_m": 1.0, "n_obs": -4}),
+     ":1: bad distance report: n_obs must be an integer >= 1, got -4"),
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": 7,
+                 "distance_m": 1.0, "n_obs": True}),
+     ":1: bad distance report: n_obs must be an integer >= 1, got True"),
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": "0", "stop_s": 7,
+                 "distance_m": 1.0, "n_obs": 2}),
+     ":1: bad distance report: start_s must be a number, got '0'"),
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": 7,
+                 "distance_m": "1.5", "n_obs": 2}),
+     ":1: bad distance report: distance_m must be a number, got '1.5'"),
+    (io.read_truth, "truth.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": True, "wearable": "W1"}),
+     ":1: bad truth record: stop_s must be a number, got True"),
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": "W1",
+                 "trust": "sure", "margin_m": "1.0"}),
+     ":1: bad match result: margin_m must be a number, got '1.0'"),
 ]
 
 

@@ -140,6 +140,24 @@ class TestFit:
         assert abs(m.rssi0 - (-45.6)) < 0.3
         assert residual_variance(m, samples) == pytest.approx(48.92, abs=2.0)
 
+    @pytest.mark.parametrize("k", [2, 3, 15, 200])
+    @pytest.mark.parametrize("x0", [1.0, 0.5])
+    def test_matches_numpy_polyfit(self, k, x0):
+        """An independent oracle: numpy's least-squares line through (u, rssi)."""
+        rng = np.random.default_rng(1000 * k + int(10 * x0))
+        d = rng.uniform(0.1, 10.0, size=k)
+        z = np.array([DEFAULT_MODEL.forward(x) for x in d]) + rng.normal(0.0, 6.99, size=k)
+        samples = [RangeSample(float(a), float(b)) for a, b in zip(d, z)]
+        n, rssi0 = np.polyfit(-10.0 * np.log10(d / x0), z, 1)
+        if n <= 0:
+            # noise flipped the decay sign: outside the model's domain
+            with pytest.raises(ValueError):
+                fit(samples, x0=x0)
+            return
+        m = fit(samples, x0=x0)
+        assert m.n == pytest.approx(n, rel=1e-9)
+        assert m.rssi0 == pytest.approx(rssi0, rel=1e-9)
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateFitError):
             fit([])
