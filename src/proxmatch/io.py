@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -213,48 +214,84 @@ def _activity(value) -> Activity:
         return Activity(value)
 
 
-def _ad_from_dict(d: dict) -> Advertisement:
+def _json_number(d: dict, key: str) -> float:
+    """``d[key]``, a JSON number (``int`` or ``float``, not ``bool``), as a
+    float; ``Advertisement`` itself rejects a non-finite or out-of-range one."""
+    value = d[key]
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise TypeError(f"{key} must be a number, got {value!r}")
+
+
+def _csv_number(d: dict, key: str) -> float:
+    return float(d[key])
+
+
+def _ad_from_dict(d: dict, number: Callable[[dict, str], float] = _json_number) -> Advertisement:
+    """An advertisement whose ``ts`` and ``rssi_db`` are read by ``number``:
+    the type-checking ``_json_number`` for a JSON line, ``float`` of the
+    string for a CSV row."""
     return Advertisement(
-        float(d["ts"]),
+        number(d, "ts"),
         str(d["wearable"]),
         str(d["tag"]),
-        float(d["rssi_db"]),
+        number(d, "rssi_db"),
         _activity(d["activity"]),
     )
 
 
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
-_ACTIVITY_JSON = {a: json.dumps(a.value) for a in Activity}
+#: The end of a line after its RSSI, per activity.
+_ACTIVITY_TAIL = {a: f',"activity":{json.dumps(a.value)}}}\n' for a in Activity}
+#: Lines joined into one write; a whole file at once costs peak memory.
+_CHUNK_LINES = 256
+
+
+def _ids_text(wearable, tag) -> str:
+    """The part of a line between ``ts`` and the RSSI value."""
+    return f',"wearable":{json.dumps(wearable)},"tag":{json.dumps(tag)},"rssi_db":'
 
 
 def _write_ads_jsonl(path: Path, ads: Iterable[Advertisement]) -> None:
     """Byte for byte ``_write_jsonl(path, map(_ad_to_dict, ads))`` (the
-    reference the tests compare against), formatted directly.
+    reference the tests compare against), formatted directly and written
+    ``_CHUNK_LINES`` lines at a time.
 
-    Each distinct id string is JSON-encoded once per file. Floats (numpy
+    Text that repeats is formatted once per file: the timestamp of each
+    distinct nonzero ``float`` value (``0.0`` and ``-0.0`` are equal keys
+    with different text), the ids-and-key fragment of each (wearable, tag)
+    pair of ``str`` ids, and the tail of each activity. Floats (numpy
     scalars included) go through ``float.__repr__``, as in ``json``; any
     other value through ``json.dumps``. Non-finite floats cannot occur:
     ``Advertisement`` rejects them.
     """
-    ids: dict[str, str] = {}
-
-    def text(v) -> str:
-        if type(v) is not str:
-            return json.dumps(v)
-        enc = ids.get(v)
-        if enc is None:
-            enc = ids[v] = json.dumps(v)
-        return enc
-
     num = float.__repr__
+    ts_text: dict[float, str] = {}
+    pair_text: dict[tuple[str, str], str] = {}
+    it = iter(ads)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(
-            f'{{"ts":{num(a.ts) if isinstance(a.ts, float) else json.dumps(a.ts)},'
-            f'"wearable":{text(a.wearable)},"tag":{text(a.tag)},'
-            f'"rssi_db":{num(a.rssi) if isinstance(a.rssi, float) else json.dumps(a.rssi)},'
-            f'"activity":{_ACTIVITY_JSON[a.activity]}}}\n'
-            for a in ads
-        )
+        while True:
+            lines = []
+            for ts, wearable, tag, rssi, activity in islice(it, _CHUNK_LINES):
+                if type(ts) is float and ts:
+                    t = ts_text.get(ts)
+                    if t is None:
+                        t = ts_text[ts] = num(ts)
+                else:
+                    t = num(ts) if isinstance(ts, float) else json.dumps(ts)
+                if type(wearable) is str and type(tag) is str:
+                    ids = pair_text.get((wearable, tag))
+                    if ids is None:
+                        ids = pair_text[wearable, tag] = _ids_text(wearable, tag)
+                else:
+                    ids = _ids_text(wearable, tag)
+                r = num(rssi) if isinstance(rssi, float) else json.dumps(rssi)
+                lines.append(f'{{"ts":{t}{ids}{r}{_ACTIVITY_TAIL[activity]}')
+            if not lines:
+                return
+            f.write("".join(lines))
 
 
 def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None:
@@ -285,7 +322,9 @@ def read_advertisements(
     """
     skipped: list[tuple[int, str]] = []
     if Path(path).suffix.lower() == ".csv":
-        ads = _read_csv(path, _AD_FIELDS, "advertisement", _ad_from_dict, skipped)
+        ads = _read_csv(
+            path, _AD_FIELDS, "advertisement", lambda d: _ad_from_dict(d, _csv_number), skipped
+        )
     else:
         ads = _read_jsonl(path, "advertisement", _ad_from_dict, skipped)
     return ads, skipped

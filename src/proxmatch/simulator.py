@@ -299,11 +299,18 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     start; every worker hears every broadcast through its own independent
     noise draw, optionally dropped with the configured probability. Draws
     happen in a fixed order (tools by id, instants ascending, workers by id;
-    noise before drop), so a seed pins the byte-exact stream. Without drop,
-    a segment's noise is drawn as one batch in that order, which numpy
-    makes equal to the scalar draws value for value. RSSI values are
-    clamped to the plausible radio range [-127, 20] dB. Floored distances
-    and too-fast traces are reported in the returned ``GroundTruth``.
+    noise before drop), so a seed pins the byte-exact stream. RSSI values
+    are clamped to the plausible radio range [-127, 20] dB. Floored
+    distances and too-fast traces are reported in the returned
+    ``GroundTruth``.
+
+    Each segment is handled as one (instants x workers) batch. Distances
+    and model means stay Python floats: hoisted once per tool for a
+    stationary pair, otherwise from a worker position computed once per
+    instant and shared by every tool. Without drop, the segment's noise is
+    one array draw in that order, added to the means and clamped as
+    arrays, which gives the scalar draws, sums and clamps value for value.
+    With drop, each reading keeps its own normal then uniform draw.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -311,8 +318,11 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     rng = np.random.default_rng(config.seed)
     workers = sorted(config.workers, key=lambda w: w.id)
     tools = sorted(config.tools, key=lambda t: t.id)
+    worker_ids = [w.id for w in workers]
     forward = config.model.forward
     std, drop_prob = config.noise_std, config.drop_prob
+    # Each worker's position by instant, shared by every tool.
+    positions: list[dict[float, tuple[float, float]]] = [{} for _ in workers]
 
     ads: list[Advertisement] = []
     truth_sessions: list[TruthRecord] = []
@@ -328,49 +338,73 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
                 fixed.append((d, floor, forward(d)))
             else:
                 fixed.append(None)
+        moving = None in fixed
         for seg in tool.schedule:
             instants = _segment_instants(seg, config.adv_interval)
             if not instants:
                 continue
-            noise = (
-                iter(rng.normal(0.0, std, size=len(instants) * len(workers)).tolist())
-                if drop_prob == 0
-                else None
-            )
-            mean_dist = {w.id: 0.0 for w in workers}
-            for ts in instants:
-                tx, ty = tool.trace.position(ts)
-                for w, pair in zip(workers, fixed):
-                    if pair is None:
-                        d, floor = _floored_distance(tx, ty, *w.trace.position(ts))
-                        mean = forward(d)
-                    else:
-                        d, floor, mean = pair
-                    if floor:
-                        floored += 1
-                    mean_dist[w.id] += d
-                    if noise is not None:
-                        rssi = mean + next(noise)
-                    else:
-                        rssi = mean + rng.normal(0.0, std)
+            # (distance, floored, model mean) per instant and worker
+            if moving:
+                rows = []
+                for ts in instants:
+                    tx, ty = tool.trace.position(ts)
+                    row = []
+                    for w, memo, pair in zip(workers, positions, fixed):
+                        if pair is None:
+                            pos = memo.get(ts)
+                            if pos is None:
+                                pos = memo[ts] = w.trace.position(ts)
+                            d, floor = _floored_distance(tx, ty, *pos)
+                            pair = (d, floor, forward(d))
+                        floored += pair[1]
+                        row.append(pair)
+                    rows.append(row)
+                means = [[mean for _, _, mean in row] for row in rows]
+            else:
+                rows = [fixed] * len(instants)
+                floored += len(instants) * sum(floor for _, floor, _ in fixed)
+                means = [mean for _, _, mean in fixed]  # broadcast over the instants
+            activity = seg.activity
+            if drop_prob == 0:
+                rssi = np.clip(
+                    np.array(means) + rng.normal(0.0, std, size=(len(instants), len(workers))),
+                    _RSSI_MIN,
+                    _RSSI_MAX,
+                ).tolist()
+                ads += [
+                    Advertisement(ts, wid, tool.id, r, activity)
+                    for ts, values in zip(instants, rssi)
+                    for wid, r in zip(worker_ids, values)
+                ]
+            else:
+                for ts, row in zip(instants, rows):
+                    for wid, (_, _, mean) in zip(worker_ids, row):
+                        r = mean + rng.normal(0.0, std)
                         if rng.uniform() < drop_prob:
                             continue
-                    if rssi < _RSSI_MIN:
-                        rssi = _RSSI_MIN
-                    elif rssi > _RSSI_MAX:
-                        rssi = _RSSI_MAX
-                    ads.append(Advertisement(ts, w.id, tool.id, rssi, seg.activity))
-            if seg.activity is Activity.USAGE:
+                        if r < _RSSI_MIN:
+                            r = _RSSI_MIN
+                        elif r > _RSSI_MAX:
+                            r = _RSSI_MAX
+                        ads.append(Advertisement(ts, wid, tool.id, r, activity))
+            if activity is Activity.USAGE:
                 operator = seg.operator
                 if operator is None:
                     if not workers:
                         raise ValueError("cannot infer an operator without workers")
+                    mean_dist = {wid: 0.0 for wid in worker_ids}
+                    for row in rows:
+                        for wid, (d, _, _) in zip(worker_ids, row):
+                            mean_dist[wid] += d
                     operator = min(mean_dist, key=lambda wid: (mean_dist[wid], wid))
                 truth_sessions.append(
                     TruthRecord(tag=tool.id, start=instants[0], stop=instants[-1], wearable=operator)
                 )
 
-    ads.sort(key=itemgetter(0, 2, 1))  # ts, tag, wearable
+    # Tools come in id order, workers in id order and each tool's instants
+    # strictly increase, so a stable sort on ts alone orders by (ts, tag,
+    # wearable).
+    ads.sort(key=itemgetter(0))
     truth_sessions.sort(key=lambda t: (t.start, t.stop, t.tag))
     return ads, GroundTruth(
         sessions=tuple(truth_sessions),

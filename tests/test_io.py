@@ -88,7 +88,15 @@ def reference_ads_bytes(ads) -> bytes:
 
 def reference_read_ads(path):
     """Per-line ``json.loads`` and the ``Activity(...)`` enum call: what the
-    fast path in ``read_advertisements`` must reproduce, reasons included."""
+    fast path in ``read_advertisements`` must reproduce, reasons included.
+    ``ts`` and ``rssi_db`` must be JSON numbers: ``int`` or ``float``, not
+    ``bool`` or a string."""
+
+    def number(d, key):
+        if type(d[key]) not in (int, float):
+            raise TypeError(f"{key} must be a number, got {d[key]!r}")
+        return float(d[key])
+
     ads, skipped = [], []
     for i, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
@@ -97,10 +105,10 @@ def reference_read_ads(path):
             d = json.loads(line)
             ads.append(
                 Advertisement(
-                    ts=float(d["ts"]),
+                    ts=number(d, "ts"),
                     wearable=str(d["wearable"]),
                     tag=str(d["tag"]),
-                    rssi=float(d["rssi_db"]),
+                    rssi=number(d, "rssi_db"),
                     activity=Activity(d["activity"]),
                 )
             )
@@ -147,6 +155,52 @@ class TestAdvertisementCodec:
         io.write_advertisements(p, ads)
         assert p.read_bytes() == reference_ads_bytes(ads)
         assert io.read_advertisements(p) == reference_read_ads(p)
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, io._CHUNK_LINES, io._CHUNK_LINES + 1, 3 * io._CHUNK_LINES + 7]
+    )
+    def test_writer_chunks(self, tmp_path, n):
+        ads = [
+            Advertisement(ts=float(i // 3), wearable=f"W{i % 3}", tag="T1",
+                          rssi=-45.6 - (i % 70) / 7, activity=ACTIVITIES[i % len(ACTIVITIES)])
+            for i in range(n)
+        ]
+        p = tmp_path / "ads.jsonl"
+        io.write_advertisements(p, iter(ads))
+        assert p.read_bytes() == reference_ads_bytes(ads)
+        assert len(p.read_bytes().splitlines()) == n
+
+    def test_writer_cached_text_keeps_equal_values_apart(self, tmp_path):
+        """Equal keys with different text: ``0.0`` and ``-0.0``; ``1``,
+        ``1.0`` and ``np.float64(1.0)``; and the same ids as ``str`` and as
+        other types."""
+        u = Activity.USAGE
+        ads = [
+            Advertisement(ts=0.0, wearable="W1", tag="T1", rssi=-45.6, activity=u),
+            Advertisement(ts=-0.0, wearable="W1", tag="T1", rssi=-0.0, activity=u),
+            Advertisement(ts=0.0, wearable="W1", tag="T1", rssi=0.0, activity=u),
+            Advertisement(ts=1, wearable="W1", tag="T1", rssi=1, activity=u),
+            Advertisement(ts=1.0, wearable="W1", tag="T1", rssi=1.0, activity=u),
+            Advertisement(ts=np.float64(1.0), wearable="W1", tag="T1", rssi=np.float64(1.0),
+                          activity=u),
+            Advertisement(ts=1, wearable="W1", tag="T1", rssi=1, activity=Activity.TRANSPORT),
+            Advertisement(ts=2.0, wearable=1, tag="T1", rssi=-50.0, activity=u),
+            Advertisement(ts=2.0, wearable="1", tag="T1", rssi=-50.0, activity=u),
+            Advertisement(ts=2.0, wearable=True, tag="T1", rssi=-50.0, activity=u),
+            Advertisement(ts=2.0, wearable=1.0, tag="T1", rssi=-50.0, activity=u),
+            Advertisement(ts=2.0, wearable="W1", tag=None, rssi=-50.0, activity=u),
+            Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
+            Advertisement(ts=2.0, wearable="W1", tag="T2", rssi=-50.0, activity=u),
+            Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
+        ]
+        p = tmp_path / "ads.jsonl"
+        io.write_advertisements(p, ads)
+        assert p.read_bytes() == reference_ads_bytes(ads)
+        assert p.read_text().splitlines()[:3] == [
+            '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}',
+            '{"ts":-0.0,"wearable":"W1","tag":"T1","rssi_db":-0.0,"activity":"usage"}',
+            '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":0.0,"activity":"usage"}',
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(ads=st.lists(advertisements(), max_size=12))
@@ -395,6 +449,13 @@ BAD_INPUTS = [
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": "W1",
                  "trust": "sure", "margin_m": "1.0"}),
      ":1: bad match result: margin_m must be a number, got '1.0'"),
+    # an advertisement's ts and rssi_db must be JSON numbers, not bools or strings
+    *(
+        (io.read_advertisements, "ads.jsonl",
+         f"{GOOD_AD_LINE}\n{json.dumps({**GOOD_AD, **bad})}\n", (1, 2))
+        for bad in ({"ts": True}, {"rssi_db": False}, {"ts": "0.5"}, {"rssi_db": "-45.6"},
+                    {"ts": None}, {"rssi_db": [-45.6]})
+    ),
 ]
 
 

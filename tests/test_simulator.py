@@ -322,7 +322,35 @@ def assert_same_stream(cfg):
     )
 
 
+def unordered_ids():
+    """Tools and workers listed out of id order, with ids whose string order
+    differs from their numeric order (``T10`` sorts before ``T2``, ``B1``
+    before ``W1``). T10 moves and B1 walks, so positions are shared across
+    tools at common instants; T2 and T1 share T10's broadcast instants."""
+    walk = Trace(((0.0, 4.0, 0.0), (100.0, 2.0, 1.0), (200.0, 0.0, 0.5)))
+    workers = (
+        WorkerSpec(id="W2", trace=Trace.stationary(2.0, 0.0)),
+        WorkerSpec(id="W1", trace=Trace.stationary(0.0, 0.0)),
+        WorkerSpec(id="B1", trace=walk),
+    )
+    tools = (
+        ToolSpec(id="T2", trace=Trace.stationary(2.0, 0.3), schedule=(
+            ScheduleSegment(0.0, 98.0, operator="W2"),
+            ScheduleSegment(140.0, 200.0, activity=Activity.TRANSPORT),
+        )),
+        ToolSpec(id="T10", trace=Trace(((0.0, 0.0, 0.3), (120.0, 3.0, 0.3))), schedule=(
+            ScheduleSegment(0.0, 140.0),
+            ScheduleSegment(154.0, 200.0, operator="W1"),
+        )),
+        ToolSpec(id="T1", trace=Trace.stationary(0.0, 0.3), schedule=(
+            ScheduleSegment(14.0, 200.0),
+        )),
+    )
+    return ScenarioConfig(seed=9, duration=200.0, workers=workers, tools=tools)
+
+
 ORACLE_SCENARIOS = {
+    "unordered-ids": unordered_ids(),
     "static": scenario_static(3, 3.0, 600.0, seed=1),
     "swap": scenario_swap(3, 2.0, [120.0, 240.0], seed=2),
     "static-drop": scenario_static(3, 2.0, 400.0, bystanders=1, seed=3, drop_prob=0.3),
@@ -383,6 +411,10 @@ class TestStreamOracle:
         _, floored = generate(ORACLE_SCENARIOS["floored"])
         assert floored.floored > 0
         assert {a.wearable for a in generate(ORACLE_SCENARIOS["bystanders"])[0]} >= {"B1", "B2"}
+        ads, _ = generate(ORACLE_SCENARIOS["unordered-ids"])
+        assert [a.tag for a in ads[:9]] == ["T10"] * 3 + ["T2"] * 3 + ["T10"] * 3
+        assert [a.wearable for a in ads[:3]] == ["B1", "W1", "W2"]
+        assert any(a.ts == b.ts and a.tag == "T1" and b.tag == "T10" for a, b in zip(ads, ads[3:]))
 
     @settings(max_examples=150, deadline=None)
     @given(small_configs())
