@@ -100,20 +100,6 @@ class EkfParams:
             "x_floor_m": self.x_floor,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> EkfParams:
-        """Inverse of ``to_dict``; a config without ``x_floor_m`` gets the default floor."""
-        return cls(
-            model=PathLossModel.from_dict(d),
-            q=float(d["q"]),
-            r=float(d["r"]),
-            d_min=float(d["d_min_m"]),
-            d_max=float(d["d_max_m"]),
-            p0=float(d["p0"]),
-            dt_mode=str(d["dt_mode"]),
-            x_floor=float(d.get("x_floor_m", cls.x_floor)),
-        )
-
 
 @dataclass(frozen=True)
 class EkfState:

@@ -5,9 +5,19 @@ default), so a given record sequence always produces byte-identical files.
 
 Every reader applies one rule to bad input. A line, row or document is bad
 when it does not decode, lacks a field, or holds a value of the wrong type
-(a string or ``true`` for a number, a fraction for a count), out of range (a
-``NaN`` or infinite number, which Python's ``json`` decodes, or a count below
-1) or too large for a float (any exception in ``_BAD_INPUT``).
+or out of range (any exception in ``_BAD_INPUT``). Record lines and the
+filter-config and scenario documents share one set of field rules:
+
+- a number is a JSON number (``int`` or ``float``, not ``true`` or a
+  string), finite (Python's ``json`` decodes ``NaN`` and ``Infinity``) and
+  small enough for a float;
+- a count is an ``int`` of at least 1, and a scenario seed an ``int`` of at
+  least 0;
+- an id (wearable, tag, worker, tool, operator) is a JSON string;
+- an activity, a trust label or a ``dt_mode`` is one of its names;
+- a trace is a list of ``[t, x, y]`` knots of numbers.
+
+A CSV field is a string, read by ``float()`` where a number is due.
 ``read_advertisements`` skips its bad lines and returns them with their
 numbers. Every other reader raises ``ValueError`` naming the file, the line
 and the record kind, which the CLI turns into exit status 2.
@@ -26,7 +36,7 @@ from .edge import Activity, Advertisement, DistanceReport
 from .ekf import EkfParams
 from .matcher import EvalReport, MatchResult, Trust, TruthRecord
 from .pathloss import PathLossModel, RangeSample
-from .simulator import ScenarioConfig
+from .simulator import ScenarioConfig, ScheduleSegment, ToolSpec, Trace, WorkerSpec
 
 __all__ = [
     "read_advertisements",
@@ -53,10 +63,6 @@ _R = TypeVar("_R")
 #: ``RecursionError`` from decoding deeply nested brackets and ``csv.Error``
 #: from a CSV field over the csv module's size limit.
 _BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error)
-
-#: ``json.loads``' own decoder; its ``raw_decode`` skips the whitespace and
-#: trailing-data checks that ``json.loads`` adds.
-_raw_decode = json.JSONDecoder().raw_decode
 
 #: What ``json.dumps(row, separators=(",", ":"))`` calls, built once instead
 #: of once per row.
@@ -107,7 +113,7 @@ def _read_jsonl(
     also split on."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [(i, line) for i, line in enumerate(f.read().split("\n"), start=1) if line.strip()]
-    return _records(path, lines, lambda line: from_dict(_loads(line)), what, skipped)
+    return _records(path, lines, lambda line: from_dict(json.loads(line)), what, skipped)
 
 
 def _read_csv(
@@ -157,29 +163,18 @@ def _read_doc(path: str | Path, what: str, from_dict: Callable[[dict], _R]) -> _
         raise ValueError(f"{path}: bad {what}: {e}") from e
 
 
-def _loads(line: str):
-    """``json.loads(line)``, faster on a line that is exactly one JSON value.
-
-    Anything else (surrounding whitespace, trailing data, a syntax error)
-    goes through ``json.loads`` itself, so results and error messages match.
-    """
-    try:
-        value, end = _raw_decode(line)
-        if end == len(line):
-            return value
-    except ValueError:
-        pass
-    return json.loads(line)
+def _number(value, key: str) -> float:
+    """``value``, a JSON number (``int`` or ``float``, not ``bool``), as a
+    float. For JSON input only; a CSV field is a string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _finite(d: dict, key: str) -> float:
-    """``d[key]``, a JSON number (``int`` or ``float``, not ``bool``), as a
-    finite float: Python's ``json`` decodes ``NaN`` and ``Infinity``, which
-    JSON does not allow. For JSON readers only; a CSV field is a string."""
-    value = d[key]
-    if type(value) not in (int, float):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    value = float(value)
+    """``d[key]``, a JSON number, as a finite float: Python's ``json`` decodes
+    ``NaN`` and ``Infinity``, which JSON does not allow."""
+    value = _number(d[key], key)
     if not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return value
@@ -193,6 +188,14 @@ def _count(d: dict, key: str) -> int:
     return value
 
 
+def _text(d: dict, key: str) -> str:
+    """``d[key]``, which must be a JSON string."""
+    value = d[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _ad_to_dict(a: Advertisement) -> dict:
     return {
         "ts": a.ts,
@@ -203,42 +206,21 @@ def _ad_to_dict(a: Advertisement) -> dict:
     }
 
 
-_ACTIVITIES = {a.value: a for a in Activity}
+def _csv_number(value: str, key: str) -> float:
+    return float(value)
 
 
-def _activity(value) -> Activity:
-    """``Activity(value)``; a table lookup first, the enum (and its error) on a miss."""
-    try:
-        return _ACTIVITIES[value]
-    except (KeyError, TypeError):
-        return Activity(value)
-
-
-def _json_number(d: dict, key: str) -> float:
-    """``d[key]``, a JSON number (``int`` or ``float``, not ``bool``), as a
-    float; ``Advertisement`` itself rejects a non-finite or out-of-range one."""
-    value = d[key]
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        return float(value)
-    raise TypeError(f"{key} must be a number, got {value!r}")
-
-
-def _csv_number(d: dict, key: str) -> float:
-    return float(d[key])
-
-
-def _ad_from_dict(d: dict, number: Callable[[dict, str], float] = _json_number) -> Advertisement:
+def _ad_from_dict(d: dict, number: Callable[[object, str], float] = _number) -> Advertisement:
     """An advertisement whose ``ts`` and ``rssi_db`` are read by ``number``:
-    the type-checking ``_json_number`` for a JSON line, ``float`` of the
-    string for a CSV row."""
+    the type-checking ``_number`` for a JSON line, ``float`` of the string
+    for a CSV row. ``Advertisement`` itself rejects a non-finite or
+    out-of-range value."""
     return Advertisement(
-        number(d, "ts"),
-        str(d["wearable"]),
-        str(d["tag"]),
-        number(d, "rssi_db"),
-        _activity(d["activity"]),
+        number(d["ts"], "ts"),
+        _text(d, "wearable"),
+        _text(d, "tag"),
+        number(d["rssi_db"], "rssi_db"),
+        Activity(d["activity"]),
     )
 
 
@@ -352,8 +334,8 @@ def read_reports(path: str | Path) -> list[DistanceReport]:
         path,
         "distance report",
         lambda d: DistanceReport(
-            wearable=str(d["wearable"]),
-            tag=str(d["tag"]),
+            wearable=_text(d, "wearable"),
+            tag=_text(d, "tag"),
             start=_finite(d, "start_s"),
             stop=_finite(d, "stop_s"),
             distance=_finite(d, "distance_m"),
@@ -377,10 +359,10 @@ def read_truth(path: str | Path) -> list[TruthRecord]:
         path,
         "truth record",
         lambda d: TruthRecord(
-            tag=str(d["tag"]),
+            tag=_text(d, "tag"),
             start=_finite(d, "start_s"),
             stop=_finite(d, "stop_s"),
-            wearable=str(d["wearable"]),
+            wearable=_text(d, "wearable"),
         ),
     )
 
@@ -408,10 +390,10 @@ def read_matches(path: str | Path) -> list[MatchResult]:
         path,
         "match result",
         lambda d: MatchResult(
-            tag=str(d["tag"]),
+            tag=_text(d, "tag"),
             start=_finite(d, "start_s"),
             stop=_finite(d, "stop_s"),
-            wearable=None if d["wearable"] is None else str(d["wearable"]),
+            wearable=None if d["wearable"] is None else _text(d, "wearable"),
             trust=Trust(d["trust"]),
             margin=math.inf if d["margin_m"] is None else _finite(d, "margin_m"),
         ),
@@ -444,10 +426,26 @@ def write_model(path: str | Path, model: PathLossModel) -> None:
     _write_json(path, model.to_dict())
 
 
-def _ekf_params_from_dict(doc: dict) -> EkfParams:
-    if {"q", "r"} <= doc.keys():
-        return EkfParams.from_dict(doc)
-    return EkfParams(model=PathLossModel.from_dict(doc))
+def _model_from_dict(d: dict) -> PathLossModel:
+    return PathLossModel(n=_finite(d, "n"), x0=_finite(d, "x0_m"), rssi0=_finite(d, "rssi0_db"))
+
+
+def _ekf_params_from_dict(d: dict) -> EkfParams:
+    """A config without ``x_floor_m`` gets the default floor; one without
+    ``q`` and ``r`` (a bare path-loss model) the default filter settings."""
+    model = _model_from_dict(d)
+    if not {"q", "r"} <= d.keys():
+        return EkfParams(model=model)
+    return EkfParams(
+        model=model,
+        q=_finite(d, "q"),
+        r=_finite(d, "r"),
+        d_min=_finite(d, "d_min_m"),
+        d_max=_finite(d, "d_max_m"),
+        p0=_finite(d, "p0"),
+        dt_mode=d["dt_mode"],
+        x_floor=_finite(d, "x_floor_m") if "x_floor_m" in d else EkfParams.x_floor,
+    )
 
 
 def read_ekf_params(path: str | Path) -> EkfParams:
@@ -460,5 +458,41 @@ def write_scenario(path: str | Path, config: ScenarioConfig) -> None:
     _write_json(path, config.to_dict())
 
 
+def _trace(knots: list) -> Trace:
+    """``[[t, x, y], ...]``; ``Trace`` itself rejects a non-finite knot."""
+    k = "trace knot"
+    return Trace(tuple((_number(t, k), _number(x, k), _number(y, k)) for t, x, y in knots))
+
+
+def _segment(d: dict) -> ScheduleSegment:
+    return ScheduleSegment(
+        start=_finite(d, "start_s"),
+        stop=_finite(d, "stop_s"),
+        activity=Activity(d["activity"]),
+        operator=None if d.get("operator") is None else _text(d, "operator"),
+    )
+
+
+def _scenario_from_dict(d: dict) -> ScenarioConfig:
+    """``ScenarioConfig`` itself checks the seed (an ``int`` of at least 0)."""
+    return ScenarioConfig(
+        seed=d["seed"],
+        duration=_finite(d, "duration_s"),
+        adv_interval=_finite(d, "adv_interval_s"),
+        noise_std=_finite(d, "noise_std_db"),
+        drop_prob=_finite(d, "drop_prob"),
+        model=_model_from_dict(d["model"]),
+        workers=tuple(WorkerSpec(id=_text(w, "id"), trace=_trace(w["trace"])) for w in d["workers"]),
+        tools=tuple(
+            ToolSpec(
+                id=_text(t, "id"),
+                trace=_trace(t["trace"]),
+                schedule=tuple(map(_segment, t["schedule"])),
+            )
+            for t in d["tools"]
+        ),
+    )
+
+
 def read_scenario(path: str | Path) -> ScenarioConfig:
-    return _read_doc(path, "scenario", ScenarioConfig.from_dict)
+    return _read_doc(path, "scenario", _scenario_from_dict)

@@ -64,10 +64,6 @@ class PathLossModel:
     def to_dict(self) -> dict:
         return {"n": self.n, "x0_m": self.x0, "rssi0_db": self.rssi0}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> PathLossModel:
-        return cls(n=float(d["n"]), x0=float(d["x0_m"]), rssi0=float(d["rssi0_db"]))
-
 
 #: Default calibration for badge-to-tag ranging in a cluttered indoor space.
 DEFAULT_MODEL = PathLossModel(n=1.011, x0=1.0, rssi0=-45.6)

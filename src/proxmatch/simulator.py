@@ -161,7 +161,7 @@ class ScenarioConfig:
     model: PathLossModel = field(default_factory=lambda: DEFAULT_MODEL)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"duration must be finite and nonnegative, got {self.duration}")
@@ -173,6 +173,9 @@ class ScenarioConfig:
             raise ValueError(f"drop probability must lie in [0, 1), got {self.drop_prob}")
         worker_ids = [w.id for w in self.workers]
         tool_ids = [t.id for t in self.tools]
+        for i in worker_ids + tool_ids:
+            if type(i) is not str:
+                raise ValueError(f"worker and tool ids must be strings, got {i!r}")
         if len(set(worker_ids)) != len(worker_ids) or len(set(tool_ids)) != len(tool_ids):
             raise ValueError("worker and tool ids must be unique")
         if set(worker_ids) & set(tool_ids):
@@ -217,39 +220,6 @@ class ScenarioConfig:
                 for t in self.tools
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> ScenarioConfig:
-        def trace(knots: list) -> Trace:
-            return Trace(tuple((float(t), float(x), float(y)) for t, x, y in knots))
-
-        return cls(
-            seed=int(d["seed"]),
-            duration=float(d["duration_s"]),
-            adv_interval=float(d["adv_interval_s"]),
-            noise_std=float(d["noise_std_db"]),
-            drop_prob=float(d["drop_prob"]),
-            model=PathLossModel.from_dict(d["model"]),
-            workers=tuple(
-                WorkerSpec(id=str(w["id"]), trace=trace(w["trace"])) for w in d["workers"]
-            ),
-            tools=tuple(
-                ToolSpec(
-                    id=str(t["id"]),
-                    trace=trace(t["trace"]),
-                    schedule=tuple(
-                        ScheduleSegment(
-                            start=float(s["start_s"]),
-                            stop=float(s["stop_s"]),
-                            activity=Activity(s["activity"]),
-                            operator=None if s.get("operator") is None else str(s["operator"]),
-                        )
-                        for s in t["schedule"]
-                    ),
-                )
-                for t in d["tools"]
-            ),
-        )
 
 
 @dataclass(frozen=True)

@@ -426,7 +426,8 @@ class TestEntryPoints:
     def test_every_stage_but_simulation_runs_without_numpy(self, tmp_path):
         """Only the simulator's seeded stream needs numpy. With numpy blocked,
         ``fit``, ``scenario``, ``estimate``, ``match`` and ``evaluate`` run and
-        write the same bytes as an ordinary ``pipeline`` run."""
+        write the same bytes as an ordinary ``pipeline`` run, and ``estimate``
+        reads the model that ``fit`` wrote."""
         scen, piped, staged = tmp_path / "scen.json", tmp_path / "piped", tmp_path / "staged"
         assert run("scenario", "swap", "-n", 3, "--spacing", 2.0, "--swap-times", 60,
                    "--duration", 120, "-o", scen) == 0
@@ -438,6 +439,8 @@ class TestEntryPoints:
             ["fit", samples, "-o", staged / "model.json"],
             ["scenario", "static", "-n", 2, "--spacing", 2.0, "-o", staged / "scen.json"],
             ["estimate", piped / "advertisements.jsonl", "-o", staged / "reports.jsonl"],
+            ["estimate", piped / "advertisements.jsonl", "-o", staged / "reports-fit.jsonl",
+             "--config", staged / "model.json"],
             ["match", piped / "reports.jsonl", "-o", staged / "matches.jsonl"],
             ["evaluate", piped / "matches.jsonl", piped / "truth.jsonl",
              "-o", staged / "metrics.json"],

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxmatch import ekf
+from proxmatch import ekf, io
 from proxmatch.ekf import (
     DT_LINEAR,
     DT_SQUARED,
@@ -65,13 +66,15 @@ class TestParams:
             with pytest.raises(ValueError):
                 dataclasses.replace(PARAMS, **bad)
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
         p = EkfParams(r=48.92, dt_mode=DT_LINEAR)
         d = p.to_dict()
         assert set(d) == {
             "n", "x0_m", "rssi0_db", "q", "r", "d_min_m", "d_max_m", "p0", "dt_mode", "x_floor_m",
         }
-        assert EkfParams.from_dict(d) == p
+        path = tmp_path / "ekf.json"
+        path.write_text(json.dumps(d))
+        assert io.read_ekf_params(path) == p
 
 
 class TestInit:

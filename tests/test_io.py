@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxmatch import io
+from proxmatch.cli import main
 from proxmatch.edge import Activity, Advertisement, DistanceReport
 from proxmatch.ekf import DT_LINEAR, EkfParams
 from proxmatch.matcher import EvalReport, MatchResult, Trust, TruthRecord
@@ -87,15 +88,20 @@ def reference_ads_bytes(ads) -> bytes:
 
 
 def reference_read_ads(path):
-    """Per-line ``json.loads`` and the ``Activity(...)`` enum call: what the
-    fast path in ``read_advertisements`` must reproduce, reasons included.
-    ``ts`` and ``rssi_db`` must be JSON numbers: ``int`` or ``float``, not
-    ``bool`` or a string."""
+    """Per-line ``json.loads`` and the ``Activity(...)`` enum call, written
+    out: what ``read_advertisements`` must reproduce, reasons included.
+    ``ts`` and ``rssi_db`` must be JSON numbers (``int`` or ``float``, not
+    ``bool`` or a string), ``wearable`` and ``tag`` JSON strings."""
 
     def number(d, key):
         if type(d[key]) not in (int, float):
             raise TypeError(f"{key} must be a number, got {d[key]!r}")
         return float(d[key])
+
+    def text(d, key):
+        if type(d[key]) is not str:
+            raise TypeError(f"{key} must be a string, got {d[key]!r}")
+        return d[key]
 
     ads, skipped = [], []
     for i, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
@@ -106,8 +112,8 @@ def reference_read_ads(path):
             ads.append(
                 Advertisement(
                     ts=number(d, "ts"),
-                    wearable=str(d["wearable"]),
-                    tag=str(d["tag"]),
+                    wearable=text(d, "wearable"),
+                    tag=text(d, "tag"),
                     rssi=number(d, "rssi_db"),
                     activity=Activity(d["activity"]),
                 )
@@ -229,7 +235,7 @@ class TestAdvertisementCodec:
             good.replace("usage", "flying"),  # unknown activity
             good.replace('"usage"', "[1]"),  # unhashable activity
             good.replace('"usage"', "1"),
-            good.replace('"W1"', "null"),  # read as the id "None"
+            good.replace('"W1"', "null"),  # an id must be a string
             "\ufeff" + good,  # byte order mark
             "{",
             "",
@@ -240,8 +246,8 @@ class TestAdvertisementCodec:
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         got = io.read_advertisements(p)
         assert got == reference_read_ads(p)
-        assert len(got[0]) == 4
-        assert [i for i, _ in got[1]] == [2, 3, 4, *range(6, 16), 17, 18]
+        assert len(got[0]) == 3
+        assert [i for i, _ in got[1]] == [2, 3, 4, *range(6, 19)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -353,6 +359,40 @@ HUGE = 10**400
 LONG_FIELD = "T" * 200_000
 GOOD_AD_LINE = json.dumps(GOOD_AD)
 AD_CSV_HEADER = "ts,wearable,tag,rssi_db,activity"
+SCENARIO = scenario_swap(2, 2.0, [60.0], seed=1).to_dict()
+
+
+def scenario_with(worker=None, segment=None, **fields):
+    """``SCENARIO`` as JSON text, with ``fields`` replaced and ``worker`` and
+    ``segment`` merged into the first worker and the first tool's first segment."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc.update(fields)
+    doc["workers"][0].update(worker or {})
+    doc["tools"][0]["schedule"][0].update(segment or {})
+    return json.dumps(doc)
+
+
+#: Documents whose fields hold a wrong type: (reader, file name, text, error).
+BAD_DOCUMENTS = [
+    (io.read_scenario, "scenario.json", scenario_with(seed=1.9),
+     "bad scenario: seed must be a nonnegative integer, got 1.9"),
+    (io.read_scenario, "scenario.json", scenario_with(seed=True),
+     "bad scenario: seed must be a nonnegative integer, got True"),
+    (io.read_scenario, "scenario.json", scenario_with(duration_s="60"),
+     "bad scenario: duration_s must be a number, got '60'"),
+    (io.read_scenario, "scenario.json", scenario_with(worker={"id": None}),
+     "bad scenario: id must be a string, got None"),
+    (io.read_scenario, "scenario.json", scenario_with(segment={"operator": 7}),
+     "bad scenario: operator must be a string, got 7"),
+    (io.read_scenario, "scenario.json", scenario_with(worker={"trace": [[0.0, "1.5", 0.0]]}),
+     "bad scenario: trace knot must be a number, got '1.5'"),
+    (io.read_scenario, "scenario.json", scenario_with(model={**SCENARIO["model"], "n": True}),
+     "bad scenario: n must be a number, got True"),
+    (io.read_ekf_params, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "n": True}),
+     "bad filter config: n must be a number, got True"),
+    (io.read_ekf_params, "ekf.json", json.dumps({**EkfParams().to_dict(), "dt_mode": 1}),
+     "bad filter config: dt_mode must be 'dt_squared' or 'dt_linear', got 1"),
+]
 
 BAD_INPUTS = [
     # (reader, file name, text, outcome); the outcome is an error pattern, or
@@ -456,6 +496,17 @@ BAD_INPUTS = [
         for bad in ({"ts": True}, {"rssi_db": False}, {"ts": "0.5"}, {"rssi_db": "-45.6"},
                     {"ts": None}, {"rssi_db": [-45.6]})
     ),
+    *BAD_DOCUMENTS,
+    # an id must be a JSON string
+    (io.read_advertisements, "ads.jsonl", f"{GOOD_AD_LINE}\n{json.dumps({**GOOD_AD, 'tag': 7})}\n",
+     (1, 2)),
+    (io.read_truth, "truth.jsonl",
+     json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": None}),
+     ":1: bad truth record: wearable must be a string, got None"),
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": 1, "start_s": 0, "stop_s": 7, "wearable": None,
+                 "trust": "unsure", "margin_m": 0.0}),
+     ":1: bad match result: tag must be a string, got 1"),
 ]
 
 
@@ -474,3 +525,22 @@ def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, o
     else:
         with pytest.raises(ValueError, match=outcome):
             reader(p)
+
+
+@pytest.mark.parametrize(
+    "reader, name, text, error", BAD_DOCUMENTS,
+    ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(BAD_DOCUMENTS)],
+)
+def test_bad_documents_exit_2_naming_the_file(tmp_path, capsys, reader, name, text, error):
+    p = tmp_path / name
+    p.write_text(text)
+    if reader is io.read_scenario:
+        argv = ["simulate", p, "--out-dir", tmp_path / "out"]
+    else:
+        ads = tmp_path / "ads.jsonl"
+        ads.write_text(GOOD_AD_LINE + "\n")
+        argv = ["estimate", ads, "-o", tmp_path / "reports.jsonl", "--config", p]
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}: {error}" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "reports.jsonl").exists()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from proxmatch import io
 from proxmatch.pathloss import (
     DEFAULT_MODEL,
     DegenerateFitError,
@@ -60,10 +62,13 @@ class TestModelEvaluation:
         with pytest.raises(ValueError):
             PathLossModel(n=1.0, x0=1.0, rssi0=math.nan)
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
         d = DEFAULT_MODEL.to_dict()
         assert d == {"n": 1.011, "x0_m": 1.0, "rssi0_db": -45.6}
-        assert PathLossModel.from_dict(d) == DEFAULT_MODEL
+        path = tmp_path / "model.json"
+        io.write_model(path, DEFAULT_MODEL)
+        assert json.loads(path.read_text()) == d
+        assert io.read_ekf_params(path).model == DEFAULT_MODEL
 
 
 class TestFit:

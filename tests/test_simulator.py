@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxmatch import io
 from proxmatch.edge import Activity, Advertisement, run_edge
 from proxmatch.matcher import TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel
@@ -122,10 +123,23 @@ class TestSpecs:
         )
         with pytest.raises(ValueError):
             ScenarioConfig(**{**ok, "tools": (bad_op,)})
+        # read_scenario takes only an int seed and string ids, so that is all
+        # a config may hold: whatever write_scenario writes reads back
+        for bad in (
+            {"seed": True},
+            {"seed": 1.0},
+            {"workers": (WorkerSpec(id=7, trace=w.trace),)},
+            {"workers": (WorkerSpec(id=None, trace=w.trace),)},
+            {"tools": (ToolSpec(id=7, trace=t.trace),)},
+        ):
+            with pytest.raises(ValueError, match="seed must be|ids must be strings"):
+                ScenarioConfig(**{**ok, **bad})
 
-    def test_config_json_round_trip(self):
+    def test_config_json_round_trip(self, tmp_path):
         cfg = scenario_swap(3, 2.0, [120.0, 240.0], seed=5, drop_prob=0.1)
-        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        path = tmp_path / "scenario.json"
+        io.write_scenario(path, cfg)
+        assert io.read_scenario(path) == cfg
 
 
 class TestGenerate:
