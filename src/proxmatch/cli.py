@@ -22,7 +22,7 @@ from . import io, simulator
 from .edge import SESSION_GAP_S, Activity, Advertisement, DistanceReport, run_edge
 from .ekf import DT_LINEAR, DT_SQUARED, EkfParams
 from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, MatchResult, TruthRecord, evaluate, solve
-from .pathloss import DEFAULT_MODEL, fit, residual_variance
+from .pathloss import fit, residual_variance
 from .simulator import GroundTruth, ScenarioConfig, generate, scenario_static, scenario_swap
 
 __all__ = ["main"]

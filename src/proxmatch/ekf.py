@@ -88,18 +88,6 @@ class EkfParams:
         if not (math.isfinite(self.x_floor) and 0 < self.x_floor <= self.d_min):
             raise ValueError(f"x_floor must lie in (0, d_min], got {self.x_floor}")
 
-    def to_dict(self) -> dict:
-        return {
-            **self.model.to_dict(),
-            "q": self.q,
-            "r": self.r,
-            "d_min_m": self.d_min,
-            "d_max_m": self.d_max,
-            "p0": self.p0,
-            "dt_mode": self.dt_mode,
-            "x_floor_m": self.x_floor,
-        }
-
 
 @dataclass(frozen=True)
 class EkfState:

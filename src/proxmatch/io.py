@@ -15,12 +15,15 @@ filter-config and scenario documents share one set of field rules:
   least 0;
 - an id (wearable, tag, worker, tool, operator) is a JSON string;
 - an activity, a trust label or a ``dt_mode`` is one of its names;
-- a trace is a list of ``[t, x, y]`` knots of numbers.
+- a trace is a list of ``[t, x, y]`` knots of numbers;
+- a document, and each object in it, holds no key that no field reads; a
+  filter config needs the model keys, and a filter key left out keeps its default.
 
-A CSV field is a string, read by ``float()`` where a number is due.
-``read_advertisements`` skips its bad lines and returns them with their
-numbers. Every other reader raises ``ValueError`` naming the file, the line
-and the record kind, which the CLI turns into exit status 2.
+Files are UTF-8, each JSON Lines line decoded on its own. A CSV field is a
+string, read by ``float()`` where a number is due. ``read_advertisements``
+skips its bad lines and returns them with their numbers. Every other reader
+raises ``ValueError`` naming the file, the line and the record kind, which
+the CLI turns into exit status 2.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ __all__ = [
     "write_matches",
     "write_model",
     "write_reports",
-    "write_samples",
     "write_scenario",
     "write_truth",
 ]
@@ -88,32 +90,41 @@ def _write_json(path: str | Path, doc: dict) -> None:
 
 
 def _records(
-    path: str | Path, lines: Iterable[tuple], parse: Callable[..., _R], what: str, skipped=None
+    path: str | Path, lines: Iterable[tuple], parse: Callable[..., _R | None], what: str, skipped=None
 ) -> list[_R]:
-    """``parse`` every numbered line. A bad line goes into ``skipped`` as
-    (line number, reason) when a list is given; otherwise the first one
-    raises ``ValueError`` naming the file, the line and the record kind."""
+    """``parse`` every numbered line; a blank line parses to None and is
+    passed over. A bad line goes into ``skipped`` as (line number, reason)
+    when a list is given; otherwise the first one raises ``ValueError``
+    naming the file, the line and the record kind."""
     out = []
     for i, line in lines:
         try:
-            out.append(parse(line))
+            record = parse(line)
         except _BAD_INPUT as e:
             if skipped is None:
                 raise ValueError(f"{path}:{i}: bad {what}: {e}") from e
             skipped.append((i, str(e)))
+        else:
+            if record is not None:
+                out.append(record)
     return out
 
 
 def _read_jsonl(
     path: str | Path, what: str, from_dict: Callable[[dict], _R], skipped=None
 ) -> list[_R]:
-    """One record per nonblank line of a JSON Lines file. Only ``\\n`` ends a
-    line (text mode already turns ``\\r\\n`` and ``\\r`` into it): JSON strings
-    may hold raw U+2028 and other characters that ``str.splitlines`` would
-    also split on."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [(i, line) for i, line in enumerate(f.read().split("\n"), start=1) if line.strip()]
-    return _records(path, lines, lambda line: from_dict(json.loads(line)), what, skipped)
+    """One record per nonblank line of a JSON Lines file. ``bytes.splitlines``
+    ends a line at ``\\n``, ``\\r\\n`` or ``\\r`` only, as text mode does, not at
+    the U+2028 and the like that JSON strings may hold. Each line is decoded
+    on its own, to ``str``: ``json.loads`` of bytes would pass a byte order mark."""
+
+    def parse(line: bytes) -> _R | None:
+        text = line.decode("utf-8")
+        return from_dict(json.loads(text)) if text.strip() else None
+
+    with open(path, "rb") as f:
+        lines = enumerate(f.read().splitlines(), start=1)
+    return _records(path, lines, parse, what, skipped)
 
 
 def _read_csv(
@@ -136,6 +147,8 @@ def _read_csv(
                 break
             except csv.Error as e:
                 rows.append((line, e))
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: bad {what}: {e}") from e
     if not rows or rows[0][1] != list(fields):
         raise ValueError(f"{path}: expected CSV header {','.join(fields)}")
 
@@ -150,17 +163,23 @@ def _read_csv(
     return _records(path, lines, parse, what, skipped)
 
 
-def _read_doc(path: str | Path, what: str, from_dict: Callable[[dict], _R]) -> _R:
-    """A JSON document that must be one object, built by ``from_dict``."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+def _read_doc(path: str | Path, what: str, from_dict: Callable[[object], _R]) -> _R:
+    """A JSON document, built by ``from_dict``."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        return from_dict(doc)
+        return from_dict(json.loads(data.decode("utf-8")))
     except _BAD_INPUT as e:
         raise ValueError(f"{path}: bad {what}: {e}") from e
+
+
+def _object(value, keys: Iterable[str]) -> dict:
+    """``value``, which must be a JSON object holding no key outside ``keys``."""
+    if type(value) is not dict:
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    if value.keys() - keys:
+        raise ValueError(f"unknown key {min(value.keys() - keys)!r}")
+    return value
 
 
 def _number(value, key: str) -> float:
@@ -206,20 +225,14 @@ def _ad_to_dict(a: Advertisement) -> dict:
     }
 
 
-def _csv_number(value: str, key: str) -> float:
-    return float(value)
-
-
-def _ad_from_dict(d: dict, number: Callable[[object, str], float] = _number) -> Advertisement:
-    """An advertisement whose ``ts`` and ``rssi_db`` are read by ``number``:
-    the type-checking ``_number`` for a JSON line, ``float`` of the string
-    for a CSV row. ``Advertisement`` itself rejects a non-finite or
-    out-of-range value."""
+def _ad_from_dict(d: dict) -> Advertisement:
+    """An advertisement from a JSON line; ``Advertisement`` itself rejects a
+    non-finite or out-of-range value."""
     return Advertisement(
-        number(d["ts"], "ts"),
+        _number(d["ts"], "ts"),
         _text(d, "wearable"),
         _text(d, "tag"),
-        number(d["rssi_db"], "rssi_db"),
+        _number(d["rssi_db"], "rssi_db"),
         Activity(d["activity"]),
     )
 
@@ -236,8 +249,8 @@ def _ids_text(wearable, tag) -> str:
     return f',"wearable":{json.dumps(wearable)},"tag":{json.dumps(tag)},"rssi_db":'
 
 
-def _write_ads_jsonl(path: Path, ads: Iterable[Advertisement]) -> None:
-    """Byte for byte ``_write_jsonl(path, map(_ad_to_dict, ads))`` (the
+def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None:
+    """JSON Lines, byte for byte ``_write_jsonl(path, map(_ad_to_dict, ads))`` (the
     reference the tests compare against), formatted directly and written
     ``_CHUNK_LINES`` lines at a time.
 
@@ -276,37 +289,21 @@ def _write_ads_jsonl(path: Path, ads: Iterable[Advertisement]) -> None:
             f.write("".join(lines))
 
 
-def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None:
-    """JSON Lines by default; a ``.csv`` suffix selects CSV with a header row."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        # float() first: repr of a numpy scalar is not a number.
-        _write_csv(
-            path,
-            _AD_FIELDS,
-            (
-                [repr(float(a.ts)), a.wearable, a.tag, repr(float(a.rssi)), a.activity.value]
-                for a in ads
-            ),
-        )
-        return
-    _write_ads_jsonl(path, ads)
-
-
 def read_advertisements(
     path: str | Path,
 ) -> tuple[list[Advertisement], list[tuple[int, str]]]:
     """Parse an advertisement file, collecting malformed lines instead of failing.
 
+    A ``.csv`` name is read as CSV with header ``ts,wearable,tag,rssi_db,activity``.
     Returns (records, skipped) where skipped holds (line_number, reason) for
     every line that did not parse or validate; radio logs routinely contain
     truncated lines and the rest of the stream is still useful.
     """
     skipped: list[tuple[int, str]] = []
     if Path(path).suffix.lower() == ".csv":
-        ads = _read_csv(
-            path, _AD_FIELDS, "advertisement", lambda d: _ad_from_dict(d, _csv_number), skipped
-        )
+        ads = _read_csv(path, _AD_FIELDS, "advertisement", lambda d: Advertisement(
+            float(d["ts"]), d["wearable"], d["tag"], float(d["rssi_db"]), Activity(d["activity"])
+        ), skipped)
     else:
         ads = _read_jsonl(path, "advertisement", _ad_from_dict, skipped)
     return ads, skipped
@@ -407,12 +404,6 @@ def write_eval(path: str | Path, report: EvalReport) -> None:
 _SAMPLE_FIELDS = ("distance_m", "rssi_db")
 
 
-def write_samples(path: str | Path, samples: Iterable[RangeSample]) -> None:
-    _write_csv(
-        path, _SAMPLE_FIELDS, ([repr(float(s.distance)), repr(float(s.rssi))] for s in samples)
-    )
-
-
 def read_samples(path: str | Path) -> list[RangeSample]:
     return _read_csv(
         path,
@@ -426,31 +417,27 @@ def write_model(path: str | Path, model: PathLossModel) -> None:
     _write_json(path, model.to_dict())
 
 
-def _model_from_dict(d: dict) -> PathLossModel:
+#: Each optional filter-config key and the ``EkfParams`` field it sets.
+_FILTER_FIELDS = {"q": "q", "r": "r", "d_min_m": "d_min", "d_max_m": "d_max", "p0": "p0",
+                  "dt_mode": "dt_mode", "x_floor_m": "x_floor"}
+
+
+def _model_from_dict(d, other_keys: Iterable[str] = ()) -> PathLossModel:
+    """A model object, which may hold ``other_keys`` too."""
+    _object(d, {"n", "x0_m", "rssi0_db", *other_keys})
     return PathLossModel(n=_finite(d, "n"), x0=_finite(d, "x0_m"), rssi0=_finite(d, "rssi0_db"))
 
 
-def _ekf_params_from_dict(d: dict) -> EkfParams:
-    """A config without ``x_floor_m`` gets the default floor; one without
-    ``q`` and ``r`` (a bare path-loss model) the default filter settings."""
-    model = _model_from_dict(d)
-    if not {"q", "r"} <= d.keys():
-        return EkfParams(model=model)
-    return EkfParams(
-        model=model,
-        q=_finite(d, "q"),
-        r=_finite(d, "r"),
-        d_min=_finite(d, "d_min_m"),
-        d_max=_finite(d, "d_max_m"),
-        p0=_finite(d, "p0"),
-        dt_mode=d["dt_mode"],
-        x_floor=_finite(d, "x_floor_m") if "x_floor_m" in d else EkfParams.x_floor,
-    )
+def _ekf_params_from_dict(d) -> EkfParams:
+    model = _model_from_dict(d, _FILTER_FIELDS)
+    settings = {f: d[k] if k == "dt_mode" else _finite(d, k) for k, f in _FILTER_FIELDS.items() if k in d}
+    return EkfParams(model=model, **settings)
 
 
 def read_ekf_params(path: str | Path) -> EkfParams:
-    """A filter config; a bare path-loss model (no ``q`` and ``r``) gets the
-    default filter settings around it."""
+    """A filter config: the path-loss model keys, which ``fit -o`` writes,
+    and any of the filter keys; each one left out takes its ``EkfParams``
+    default."""
     return _read_doc(path, "filter config", _ekf_params_from_dict)
 
 
@@ -464,7 +451,8 @@ def _trace(knots: list) -> Trace:
     return Trace(tuple((_number(t, k), _number(x, k), _number(y, k)) for t, x, y in knots))
 
 
-def _segment(d: dict) -> ScheduleSegment:
+def _segment(d) -> ScheduleSegment:
+    _object(d, {"start_s", "stop_s", "activity", "operator"})
     return ScheduleSegment(
         start=_finite(d, "start_s"),
         stop=_finite(d, "stop_s"),
@@ -473,8 +461,20 @@ def _segment(d: dict) -> ScheduleSegment:
     )
 
 
-def _scenario_from_dict(d: dict) -> ScenarioConfig:
+def _worker(d) -> WorkerSpec:
+    _object(d, {"id", "trace"})
+    return WorkerSpec(id=_text(d, "id"), trace=_trace(d["trace"]))
+
+
+def _tool(d) -> ToolSpec:
+    _object(d, {"id", "trace", "schedule"})
+    return ToolSpec(id=_text(d, "id"), trace=_trace(d["trace"]), schedule=tuple(map(_segment, d["schedule"])))
+
+
+def _scenario_from_dict(d) -> ScenarioConfig:
     """``ScenarioConfig`` itself checks the seed (an ``int`` of at least 0)."""
+    _object(d, {"seed", "duration_s", "adv_interval_s", "noise_std_db", "drop_prob", "model",
+                "workers", "tools"})
     return ScenarioConfig(
         seed=d["seed"],
         duration=_finite(d, "duration_s"),
@@ -482,15 +482,8 @@ def _scenario_from_dict(d: dict) -> ScenarioConfig:
         noise_std=_finite(d, "noise_std_db"),
         drop_prob=_finite(d, "drop_prob"),
         model=_model_from_dict(d["model"]),
-        workers=tuple(WorkerSpec(id=_text(w, "id"), trace=_trace(w["trace"])) for w in d["workers"]),
-        tools=tuple(
-            ToolSpec(
-                id=_text(t, "id"),
-                trace=_trace(t["trace"]),
-                schedule=tuple(map(_segment, t["schedule"])),
-            )
-            for t in d["tools"]
-        ),
+        workers=tuple(map(_worker, d["workers"])),
+        tools=tuple(map(_tool, d["tools"])),
     )
 
 

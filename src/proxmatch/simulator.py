@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
-from .edge import SESSION_GAP_S, Activity, Advertisement
+from .edge import Activity, Advertisement
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -25,6 +25,7 @@ __all__ = [
     "GroundTruth",
     "NOISE_STD_DB",
     "OPERATING_DISTANCE_M",
+    "SWAP_PAUSE_S",
     "ScenarioConfig",
     "ScheduleSegment",
     "ToolSpec",
@@ -47,6 +48,8 @@ OPERATING_DISTANCE_M = 0.3
 MIN_TRUE_DISTANCE_M = 0.05
 #: Walking-speed bound used for trace sanity checks.
 V_MAX_M_S = 0.7
+#: Tool pause at each swap; it must exceed ``edge.SESSION_GAP_S`` to split sessions.
+SWAP_PAUSE_S = 22.0
 
 _RSSI_MIN, _RSSI_MAX = -127.0, 20.0
 
@@ -394,10 +397,8 @@ def scenario_static(
     bystanders: int = 0,
     *,
     seed: int = 0,
-    adv_interval: float = ADV_INTERVAL_S,
     noise_std: float = NOISE_STD_DB,
     drop_prob: float = 0.0,
-    model: PathLossModel = DEFAULT_MODEL,
     operating_distance: float = OPERATING_DISTANCE_M,
 ) -> ScenarioConfig:
     """A row of stationary workers, each operating their own tool throughout.
@@ -434,10 +435,8 @@ def scenario_static(
         duration=duration,
         workers=tuple(workers),
         tools=tuple(tools),
-        adv_interval=adv_interval,
         noise_std=noise_std,
         drop_prob=drop_prob,
-        model=model,
     )
 
 
@@ -447,42 +446,35 @@ def scenario_swap(
     swap_times: Sequence[float],
     *,
     duration: float = 360.0,
-    gap: float = 22.0,
     seed: int = 0,
-    adv_interval: float = ADV_INTERVAL_S,
     noise_std: float = NOISE_STD_DB,
     drop_prob: float = 0.0,
-    model: PathLossModel = DEFAULT_MODEL,
-    operating_distance: float = OPERATING_DISTANCE_M,
 ) -> ScenarioConfig:
     """Workers trade tools cyclically at each swap time.
 
-    Tools sit at fixed stations spacing apart. Before every swap the tools
-    pause for ``gap`` seconds while the workers walk one station to the
-    right (wrapping around), so each tool's activity splits into one session
-    per period and reactivates under the next operator: in period k, tool
-    Tj+1 is operated by worker W((j - k) mod n + 1).
-
-    The pause must exceed the session gap or the swap would not split
-    sessions; with no swap times this reduces to the static scenario.
+    Tools sit at fixed stations spacing apart, each ``OPERATING_DISTANCE_M``
+    off the row. Before every swap the tools pause for ``SWAP_PAUSE_S``
+    seconds while the workers walk one station to the right (wrapping
+    around), so each tool's activity splits into one session per period and
+    reactivates under the next operator: in period k, tool Tj+1 is operated
+    by worker W((j - k) mod n + 1). With no swap times this reduces to the
+    static scenario.
     """
     if n_workers < 2:
         raise ValueError(f"swapping needs at least two workers, got {n_workers}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
-    if not (math.isfinite(gap) and gap > SESSION_GAP_S):
-        raise ValueError(f"swap pause must exceed the {SESSION_GAP_S:g} s session gap, got {gap}")
     swaps = [float(t) for t in swap_times]
     if any(b <= a for a, b in zip(swaps, swaps[1:])):
         raise ValueError(f"swap times must be strictly increasing, got {swaps}")
-    if swaps and (swaps[0] <= gap or swaps[-1] >= duration):
+    if swaps and (swaps[0] <= SWAP_PAUSE_S or swaps[-1] >= duration):
         raise ValueError(
             f"swap times must leave a nonempty period before and after, "
-            f"got {swaps} with pause {gap} in duration {duration}"
+            f"got {swaps} with pause {SWAP_PAUSE_S} in duration {duration}"
         )
     for a, b in zip(swaps, swaps[1:]):
-        if b - gap <= a:
-            raise ValueError(f"swaps at {a} and {b} are closer than the {gap} s pause")
+        if b - SWAP_PAUSE_S <= a:
+            raise ValueError(f"swaps at {a} and {b} are closer than the {SWAP_PAUSE_S} s pause")
 
     boundaries = [0.0, *swaps, float(duration)]
     n_periods = len(boundaries) - 1
@@ -496,7 +488,7 @@ def scenario_swap(
         for k in range(1, n_periods):
             prev = station((w + k - 1) % n_workers)
             cur = station((w + k) % n_workers)
-            knots.append((boundaries[k] - gap, *prev))
+            knots.append((boundaries[k] - SWAP_PAUSE_S, *prev))
             knots.append((boundaries[k], *cur))
         workers.append(WorkerSpec(id=f"W{w + 1}", trace=Trace(tuple(knots))))
 
@@ -505,7 +497,7 @@ def scenario_swap(
         segments = []
         for k in range(n_periods):
             start = boundaries[k]
-            stop = boundaries[k + 1] - gap if k < n_periods - 1 else boundaries[k + 1]
+            stop = boundaries[k + 1] - SWAP_PAUSE_S if k < n_periods - 1 else boundaries[k + 1]
             segments.append(
                 ScheduleSegment(
                     start=start,
@@ -516,7 +508,7 @@ def scenario_swap(
         tools.append(
             ToolSpec(
                 id=f"T{j + 1}",
-                trace=Trace.stationary(j * spacing, operating_distance),
+                trace=Trace.stationary(j * spacing, OPERATING_DISTANCE_M),
                 schedule=tuple(segments),
             )
         )
@@ -525,8 +517,6 @@ def scenario_swap(
         duration=float(duration),
         workers=tuple(workers),
         tools=tuple(tools),
-        adv_interval=adv_interval,
         noise_std=noise_std,
         drop_prob=drop_prob,
-        model=model,
     )

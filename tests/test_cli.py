@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -13,12 +14,18 @@ from proxmatch import io
 from proxmatch.cli import _write_errors_csv, main
 from proxmatch.edge import Activity, Advertisement, DistanceReport
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
-from proxmatch.pathloss import DEFAULT_MODEL, RangeSample
+from proxmatch.pathloss import DEFAULT_MODEL
 from proxmatch.simulator import Trace, WorkerSpec, generate, scenario_static
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def write_samples_csv(path, pairs):
+    """A calibration CSV of (distance, rssi) pairs, as ``fit`` reads it."""
+    rows = "".join(f"{float(d)!r},{float(z)!r}\n" for d, z in pairs)
+    path.write_text("distance_m,rssi_db\n" + rows)
 
 
 def exit_code(*argv):
@@ -32,10 +39,7 @@ def exit_code(*argv):
 class TestFit:
     def test_noiseless_samples_recover_the_model(self, tmp_path, capsys):
         samples_path = tmp_path / "samples.csv"
-        io.write_samples(
-            samples_path,
-            [RangeSample(d, DEFAULT_MODEL.forward(d)) for d in (0.5, 1.0, 2.0, 4.0, 8.0)],
-        )
+        write_samples_csv(samples_path, [(d, DEFAULT_MODEL.forward(d)) for d in (0.5, 1.0, 2.0, 4.0, 8.0)])
         out = tmp_path / "model.json"
         assert run("fit", samples_path, "-o", out) == 0
         m = io.read_ekf_params(out).model
@@ -48,7 +52,7 @@ class TestFit:
         d = rng.uniform(0.1, 6.0, size=20000)
         z = [DEFAULT_MODEL.forward(x) + e for x, e in zip(d, rng.normal(0.0, 6.99, size=20000))]
         samples_path = tmp_path / "samples.csv"
-        io.write_samples(samples_path, [RangeSample(a, b) for a, b in zip(d, z)])
+        write_samples_csv(samples_path, zip(d, z))
         out = tmp_path / "model.json"
         assert run("fit", samples_path, "-o", out) == 0
         m = io.read_ekf_params(out).model
@@ -184,32 +188,37 @@ class TestStagedChain:
         assert (out / "errors.csv").read_text().startswith("wearable,tag,")
 
 
-#: SHA-256 of ``advertisements.jsonl`` and ``truth.jsonl`` written by
-#: ``simulate``, recorded once. Criterion 8 compares reruns with each other and
-#: perfbench digests decision fields only; these pin the simulated bytes
-#: themselves, so a change to the seeded draw order, the batching or the
-#: writer shows here.
+#: SHA-256 of the ``scenario`` document, and of ``advertisements.jsonl`` and
+#: ``truth.jsonl`` written by ``simulate``, recorded once. Criterion 8
+#: compares reruns with each other and perfbench digests decision fields
+#: only; these pin the scenario and simulated bytes themselves, so a change
+#: to a scenario builder's defaults, the seeded draw order, the batching or
+#: the writer shows here.
 SIMULATE_GOLDEN = {
     "static-1h": (
         ("static", "-n", 3, "--spacing", 2.0, "--duration", 3600, "--seed", 1),
+        "913f1a5d6e0c89d9b85316b3883323b476be69ecf472d8e580d38471d697b0ba",
         "5c2502c7198657265b79681e4596711031edb9b177835bc9e0a0c24baf87d909",
         "607ce530e8e19ab72db7359fcd5fe777b0bb945c35c24e6a0f9fb97ff7f6e0c7",
     ),
     "swap": (
         ("swap", "-n", 3, "--spacing", 2.0, "--swap-times", "120,240,360,480",
          "--duration", 600, "--seed", 2),
+        "350fd97c070d0f73743f4f687c267a1258876b43a29e287a89c78206790c13c0",
         "cea408d83f6d570c5060a48be09eb2d772c81f5a09acc86ed87e35df62ec3ee0",
         "3a9800fcf373fd6636ff4f2c98406144c3a6427802ac21b5b1d9bee0b25b7bec",
     ),
     "static-drop-bystander": (
         ("static", "-n", 2, "--spacing", 2.0, "--duration", 600, "--drop-prob", 0.3,
          "--bystanders", 1, "--seed", 3),
+        "903c3926a60de2b078aa1253c14fdf14976448ba00f8a607c62cc627215f7f07",
         "2f3562c1229c3c677481580e08be6ddc42e581dd9385e0e69c67f6c4f8a726ae",
         "7e6bfe927a77f872b995c3d679786564a0da34a72f0f0408bbeda3f0cad2c33f",
     ),
     "crowd-swap": (
         ("swap", "-n", 8, "--spacing", 2.0, "--swap-times", "100,200,300",
          "--duration", 400, "--seed", 4),
+        "30de6793d6524fb83a7f55d7a82623b54d7f8a282c91c2b06badfd9583dc0edd",
         "c399bbefa177b5566d224ef5c922b0be822a3624426f6d83ff3d4746118f1b18",
         "d3a6416328f083f6f118689df14026ea82d85f3cfb092a231536caf1c90dc24e",
     ),
@@ -218,13 +227,13 @@ SIMULATE_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
 def test_simulate_bytes_match_the_recorded_digests(tmp_path, name):
-    scenario, ads_sha, truth_sha = SIMULATE_GOLDEN[name]
+    scenario, *golden = SIMULATE_GOLDEN[name]
     scen, out = tmp_path / "scen.json", tmp_path / "run"
     assert run("scenario", *scenario, "-o", scen) == 0
     assert run("simulate", scen, "--out-dir", out) == 0
-    digests = [hashlib.sha256((out / f).read_bytes()).hexdigest()
-               for f in ("advertisements.jsonl", "truth.jsonl")]
-    assert digests == [ads_sha, truth_sha]
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (scen, out / "advertisements.jsonl", out / "truth.jsonl")]
+    assert digests == golden
 
 
 class TestEvaluateCommand:
@@ -362,6 +371,37 @@ class TestEstimateFlags:
         assert run("estimate", ads, "-o", tmp_path / "r.jsonl") == 0
         assert ":2: skipped" in capsys.readouterr().err
 
+    def test_a_line_that_is_not_utf8_is_skipped(self, tmp_path, capsys):
+        ads = tmp_path / "ads.jsonl"
+        good = '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}'
+        ads.write_bytes(f"{good}\n".encode() + good.replace("W1", "W\u00e9").encode("latin-1") + b"\n")
+        assert run("estimate", ads, "-o", tmp_path / "r.jsonl") == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"{ads}:2: skipped: 'utf-8' codec can't decode byte 0xe9")
+        assert [r.n_obs for r in io.read_reports(tmp_path / "r.jsonl")] == [1]
+
+    def test_csv_advertisements_give_the_same_reports(self, tmp_path):
+        """``estimate`` reads an advertisement CSV (header
+        ``ts,wearable,tag,rssi_db,activity``) into the same reports as the
+        JSON Lines file it was copied from."""
+        scen, out = tmp_path / "scen.json", tmp_path / "run"
+        run("scenario", "swap", "-n", 3, "--spacing", 2.0, "--swap-times", 60, "--duration", 120,
+            "--drop-prob", 0.2, "-o", scen)
+        assert run("simulate", scen, "--out-dir", out, "--seed", 5) == 0
+        fields = ["ts", "wearable", "tag", "rssi_db", "activity"]
+        ads_csv = tmp_path / "ads.csv"
+        with open(ads_csv, "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(fields)
+            for line in (out / "advertisements.jsonl").read_text().splitlines():
+                row = json.loads(line)
+                w.writerow([row[k] for k in fields])
+        assert run("estimate", out / "advertisements.jsonl", "-o", tmp_path / "from-jsonl.jsonl") == 0
+        assert run("estimate", ads_csv, "-o", tmp_path / "from-csv.jsonl") == 0
+        reports = (tmp_path / "from-csv.jsonl").read_bytes()
+        assert reports == (tmp_path / "from-jsonl.jsonl").read_bytes()
+        assert len(reports.splitlines()) > 3
+
 
 class TestMatchFlags:
     def test_margin_flag(self, tmp_path):
@@ -433,7 +473,7 @@ class TestEntryPoints:
                    "--duration", 120, "-o", scen) == 0
         assert run("pipeline", scen, "--out-dir", piped, "--seed", 7) == 0
         samples = tmp_path / "samples.csv"
-        io.write_samples(samples, [RangeSample(d, DEFAULT_MODEL.forward(d)) for d in (0.5, 1, 2, 4)])
+        write_samples_csv(samples, [(d, DEFAULT_MODEL.forward(d)) for d in (0.5, 1, 2, 4)])
         staged.mkdir()
         commands = [
             ["fit", samples, "-o", staged / "model.json"],

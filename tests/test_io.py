@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 
@@ -11,7 +13,7 @@ from proxmatch.cli import main
 from proxmatch.edge import Activity, Advertisement, DistanceReport
 from proxmatch.ekf import DT_LINEAR, EkfParams
 from proxmatch.matcher import EvalReport, MatchResult, Trust, TruthRecord
-from proxmatch.pathloss import DEFAULT_MODEL, RangeSample
+from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel, RangeSample
 from proxmatch.simulator import scenario_swap
 
 ADS = [
@@ -19,6 +21,16 @@ ADS = [
     Advertisement(ts=7.0, wearable="W2", tag="T1", rssi=-52.25, activity=Activity.TRANSPORT),
     Advertisement(ts=14.0, wearable="W1", tag="T2", rssi=-40.0, activity=Activity.INACTIVE),
 ]
+
+
+#: A filter config holding every key, each filter key away from its default.
+FULL_CONFIG = {"n": 1.2, "x0_m": 1.0, "rssi0_db": -50.0, "q": 0.5, "r": 48.92, "d_min_m": 0.4,
+               "d_max_m": 15.0, "p0": 2.0, "dt_mode": "dt_linear", "x_floor_m": 0.2}
+FULL_PARAMS = EkfParams(model=PathLossModel(n=1.2, x0=1.0, rssi0=-50.0), q=0.5, r=48.92,
+                        d_min=0.4, d_max=15.0, p0=2.0, dt_mode=DT_LINEAR, x_floor=0.2)
+#: Each optional filter-config key and the ``EkfParams`` field it sets.
+FILTER_FIELDS = {"q": "q", "r": "r", "d_min_m": "d_min", "d_max_m": "d_max", "p0": "p0",
+                 "dt_mode": "dt_mode", "x_floor_m": "x_floor"}
 
 
 class TestAdvertisements:
@@ -32,8 +44,10 @@ class TestAdvertisements:
 
     def test_csv_round_trip(self, tmp_path):
         p = tmp_path / "ads.csv"
-        io.write_advertisements(p, ADS)
-        assert p.read_text().splitlines()[0] == "ts,wearable,tag,rssi_db,activity"
+        with open(p, "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["ts", "wearable", "tag", "rssi_db", "activity"])
+            w.writerows([a.ts, a.wearable, a.tag, a.rssi, a.activity.value] for a in ADS)
         got, skipped = io.read_advertisements(p)
         assert got == ADS and skipped == []
         assert all(type(a) is Advertisement for a in got)
@@ -310,9 +324,8 @@ class TestRecordStreams:
 class TestDocuments:
     def test_samples_round_trip(self, tmp_path):
         p = tmp_path / "samples.csv"
-        samples = [RangeSample(0.5, -41.2), RangeSample(2.0, -49.75)]
-        io.write_samples(p, samples)
-        assert io.read_samples(p) == samples
+        p.write_text("distance_m,rssi_db\n0.5,-41.2\n2.0,-49.75\n")
+        assert io.read_samples(p) == [RangeSample(0.5, -41.2), RangeSample(2.0, -49.75)]
 
     def test_model_round_trip(self, tmp_path):
         p = tmp_path / "model.json"
@@ -321,16 +334,32 @@ class TestDocuments:
 
     def test_params_round_trip(self, tmp_path):
         p = tmp_path / "ekf.json"
-        for params in (EkfParams(r=48.92, dt_mode=DT_LINEAR), EkfParams(x_floor=0.2)):
-            p.write_text(json.dumps(params.to_dict()))
-            assert io.read_ekf_params(p) == params
+        p.write_text(json.dumps(FULL_CONFIG))
+        assert io.read_ekf_params(p) == FULL_PARAMS
 
     def test_params_without_a_floor_key_get_the_default_floor(self, tmp_path):
         p = tmp_path / "ekf.json"
-        doc = EkfParams(r=48.92).to_dict()
+        doc = {**FULL_CONFIG}
         del doc["x_floor_m"]
         p.write_text(json.dumps(doc))
-        assert io.read_ekf_params(p) == EkfParams(r=48.92)
+        assert io.read_ekf_params(p) == dataclasses.replace(FULL_PARAMS, x_floor=EkfParams.x_floor)
+
+    @pytest.mark.parametrize("key", sorted(FILTER_FIELDS.keys() - {"x_floor_m"}))  # floor: above
+    def test_each_filter_key_left_out_takes_its_default(self, tmp_path, key):
+        p = tmp_path / "ekf.json"
+        doc = {**FULL_CONFIG}
+        del doc[key]
+        p.write_text(json.dumps(doc))
+        field = FILTER_FIELDS[key]
+        expected = dataclasses.replace(FULL_PARAMS, **{field: getattr(EkfParams(), field)})
+        assert io.read_ekf_params(p) == expected
+
+    def test_filter_keys_without_q_and_r_are_kept(self, tmp_path):
+        """A config with only some filter keys is not read as a bare model
+        whose other keys are dropped."""
+        p = tmp_path / "ekf.json"
+        p.write_text('{"n":1.011,"x0_m":1.0,"rssi0_db":-45.6,"q":5.0,"d_min_m":0.1}')
+        assert io.read_ekf_params(p) == EkfParams(q=5.0, d_min=0.1)
 
     def test_scenario_round_trip(self, tmp_path):
         p = tmp_path / "scenario.json"
@@ -358,16 +387,20 @@ HUGE = 10**400
 #: A CSV field longer than the csv module's limit of 131,072 characters.
 LONG_FIELD = "T" * 200_000
 GOOD_AD_LINE = json.dumps(GOOD_AD)
+#: ``GOOD_AD_LINE`` with a wearable id in Latin-1, which is not UTF-8.
+LATIN1_AD_LINE = GOOD_AD_LINE.replace("W1", "W\u00e9").encode("latin-1")
 AD_CSV_HEADER = "ts,wearable,tag,rssi_db,activity"
 SCENARIO = scenario_swap(2, 2.0, [60.0], seed=1).to_dict()
 
 
-def scenario_with(worker=None, segment=None, **fields):
-    """``SCENARIO`` as JSON text, with ``fields`` replaced and ``worker`` and
-    ``segment`` merged into the first worker and the first tool's first segment."""
+def scenario_with(worker=None, tool=None, segment=None, **fields):
+    """``SCENARIO`` as JSON text, with ``fields`` replaced and ``worker``,
+    ``tool`` and ``segment`` merged into the first worker, the first tool and
+    that tool's first segment."""
     doc = json.loads(json.dumps(SCENARIO))
     doc.update(fields)
     doc["workers"][0].update(worker or {})
+    doc["tools"][0].update(tool or {})
     doc["tools"][0]["schedule"][0].update(segment or {})
     return json.dumps(doc)
 
@@ -390,8 +423,33 @@ BAD_DOCUMENTS = [
      "bad scenario: n must be a number, got True"),
     (io.read_ekf_params, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "n": True}),
      "bad filter config: n must be a number, got True"),
-    (io.read_ekf_params, "ekf.json", json.dumps({**EkfParams().to_dict(), "dt_mode": 1}),
+    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "dt_mode": 1}),
      "bad filter config: dt_mode must be 'dt_squared' or 'dt_linear', got 1"),
+]
+
+#: More bad documents: a key that no field reads is a typo, not a setting to
+#: ignore, and a document must be UTF-8. Listed apart so that the parameter
+#: ids of the cases above stay as they are.
+MORE_BAD_DOCUMENTS = [
+    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "x_floor": 0.3}),
+     "bad filter config: unknown key 'x_floor'"),
+    (io.read_ekf_params, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "x0": 2.0}),
+     "bad filter config: unknown key 'x0'"),
+    (io.read_scenario, "scenario.json", scenario_with(noise_std=6.99),
+     "bad scenario: unknown key 'noise_std'"),
+    (io.read_scenario, "scenario.json", scenario_with(model={**SCENARIO["model"], "q": 0.5}),
+     "bad scenario: unknown key 'q'"),
+    (io.read_scenario, "scenario.json", scenario_with(worker={"name": "Ann"}),
+     "bad scenario: unknown key 'name'"),
+    (io.read_scenario, "scenario.json", scenario_with(tool={"kind": "drill"}),
+     "bad scenario: unknown key 'kind'"),
+    (io.read_scenario, "scenario.json", scenario_with(segment={"stop": 50.0}),
+     "bad scenario: unknown key 'stop'"),
+    (io.read_scenario, "scenario.json", scenario_with().replace('"W1"', '"W\u00e9"', 1).encode("latin-1"),
+     "bad scenario: 'utf-8' codec can't decode byte 0xe9"),
+    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "dt_mode": "dt_lin\u00e9ar"},
+                                                ensure_ascii=False).encode("latin-1"),
+     "bad filter config: 'utf-8' codec can't decode byte 0xe9"),
 ]
 
 BAD_INPUTS = [
@@ -507,6 +565,25 @@ BAD_INPUTS = [
      json.dumps({"tag": 1, "start_s": 0, "stop_s": 7, "wearable": None,
                  "trust": "unsure", "margin_m": 0.0}),
      ":1: bad match result: tag must be a string, got 1"),
+    # a JSON Lines line that is not UTF-8 is one bad line; a CSV file that
+    # is not stops the reader, naming the file
+    (io.read_advertisements, "ads.jsonl",
+     f"{GOOD_AD_LINE}\n".encode() + LATIN1_AD_LINE + f"\n{GOOD_AD_LINE}\n".encode(), (2, 2)),
+    (io.read_reports, "reports.jsonl",
+     b'{"wearable":"W1","tag":"T1","start_s":0,"stop_s":7,"distance_m":1.0,"n_obs":2}\n'
+     b'{"wearable":"W\xe9","tag":"T1","start_s":0,"stop_s":7,"distance_m":1.0,"n_obs":2}\n',
+     ":2: bad distance report: 'utf-8' codec can't decode byte 0xe9"),
+    (io.read_truth, "truth.jsonl", b'{"tag":"T\xe9","start_s":0,"stop_s":7,"wearable":"W1"}\n',
+     ":1: bad truth record: 'utf-8' codec can't decode byte 0xe9"),
+    (io.read_matches, "matches.jsonl",
+     b'{"tag":"T1","start_s":0,"stop_s":7,"wearable":"W\xe9","trust":"sure","margin_m":1.0}\n',
+     ":1: bad match result: 'utf-8' codec can't decode byte 0xe9"),
+    (io.read_advertisements, "ads.csv",
+     f"{AD_CSV_HEADER}\n0.0,W1,T1,-45.6,usage\n7.0,W\u00e9,T1,-45.6,usage\n".encode("latin-1"),
+     "ads.csv: bad advertisement: 'utf-8' codec can't decode byte 0xe9"),
+    (io.read_samples, "samples.csv", b"distance_m,rssi_db\n1.0,-45.6\n2.0\xe9,-48.7\n",
+     "samples.csv: bad range sample: 'utf-8' codec can't decode byte 0xe9"),
+    *MORE_BAD_DOCUMENTS,
 ]
 
 
@@ -518,7 +595,7 @@ def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, o
     """One rule for every file: an advertisement file skips the bad line,
     every other reader raises ValueError naming the file and the line."""
     p = tmp_path / name
-    p.write_text(text)
+    p.write_bytes(text) if isinstance(text, bytes) else p.write_text(text)
     if isinstance(outcome, tuple):
         ads, skipped = reader(p)
         assert (len(ads), [i for i, _ in skipped]) == (outcome[0], [outcome[1]])
@@ -528,12 +605,12 @@ def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, o
 
 
 @pytest.mark.parametrize(
-    "reader, name, text, error", BAD_DOCUMENTS,
-    ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(BAD_DOCUMENTS)],
+    "reader, name, text, error", BAD_DOCUMENTS + MORE_BAD_DOCUMENTS,
+    ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(BAD_DOCUMENTS + MORE_BAD_DOCUMENTS)],
 )
 def test_bad_documents_exit_2_naming_the_file(tmp_path, capsys, reader, name, text, error):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_bytes(text) if isinstance(text, bytes) else p.write_text(text)
     if reader is io.read_scenario:
         argv = ["simulate", p, "--out-dir", tmp_path / "out"]
     else:

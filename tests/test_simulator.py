@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxmatch import io
-from proxmatch.edge import Activity, Advertisement, run_edge
+from proxmatch.edge import SESSION_GAP_S, Activity, Advertisement, run_edge
 from proxmatch.matcher import TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel
 from proxmatch.simulator import (
     MIN_TRUE_DISTANCE_M,
+    SWAP_PAUSE_S,
     V_MAX_M_S,
     GroundTruth,
     ScenarioConfig,
@@ -537,5 +538,7 @@ class TestSwapScenario:
             scenario_swap(3, 2.0, [120.0, 130.0])  # closer than the pause
         with pytest.raises(ValueError):
             scenario_swap(3, 2.0, [10.0])  # no room for the first period
-        with pytest.raises(ValueError):
-            scenario_swap(3, 2.0, [120.0], gap=21.0)  # pause must exceed the session gap
+
+    def test_pause_exceeds_the_session_gap(self):
+        """A shorter pause would not split a tool's activity into sessions."""
+        assert SWAP_PAUSE_S > SESSION_GAP_S
