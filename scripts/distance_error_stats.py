@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from proxmatch.edge import run_edge
-from proxmatch.simulator import generate, scenario_static
+from proxmatch.simulator import NOISE_STD_DB, generate, scenario_static
 
 
 def band_errors(lo, hi, trials, duration, noise_std, master, seed_base):
@@ -35,7 +35,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=300, help="sessions per band (default 300)")
     ap.add_argument("--duration", type=float, default=182.0, help="session length, s (26 obs)")
-    ap.add_argument("--noise-std", type=float, default=6.99, help="RSSI noise std, dB")
+    ap.add_argument("--noise-std", type=float, default=NOISE_STD_DB, help="RSSI noise std, dB")
     ap.add_argument("--bands", default="0.3:1,1:3",
                     help="comma-separated lo:hi true-distance bands, m")
     ap.add_argument("--seed", type=int, default=20260819)

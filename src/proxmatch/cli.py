@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         k.add_argument("--spacing", type=float, required=True, help="worker spacing, m")
         k.add_argument("--duration", type=float, default=360.0)
         k.add_argument("--seed", type=int, default=0)
-        k.add_argument("--noise-std", type=float, default=6.99, help="noise std, dB")
+        k.add_argument("--noise-std", type=float, default=simulator.NOISE_STD_DB, help="noise std, dB")
         k.add_argument("--drop-prob", type=float, default=0.0)
         k.add_argument("-o", "--out", required=True, help="scenario JSON path")
         if name == "static":

@@ -50,6 +50,18 @@ class Activity(Enum):
 ACTIVE_DEFAULT = frozenset({Activity.USAGE})
 
 
+#: The plausible radio range of a received signal strength, dB.
+RSSI_MIN_DB, RSSI_MAX_DB = -127.0, 20.0
+
+
+def _number(value, name: str) -> float:
+    """``value``, an ``int`` or ``float`` (not ``bool``), as a float: the
+    rule for a number in an advertisement and in every file ``io`` reads."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class _AdvertisementFields(NamedTuple):
     ts: float
     wearable: str
@@ -61,11 +73,14 @@ class _AdvertisementFields(NamedTuple):
 class Advertisement(_AdvertisementFields):
     """One received broadcast: reception time, both ids, RSSI, activity class.
 
-    A named tuple whose constructor validates, positionally or by keyword.
-    Being a tuple, an instance is immutable and hashable, iterates over its
-    fields and compares equal to a plain tuple of the same values (and to
-    any other tuple of them). ``_make`` and ``_replace`` build instances
-    without the checks.
+    A named tuple whose constructor validates, positionally or by keyword,
+    with the rules of ``io.read_advertisements``: ids are ``str``; ``ts``
+    and ``rssi`` are an ``int`` or ``float`` (not ``bool``), stored as
+    ``float``, ``ts`` finite and ``rssi`` in [-127, 20] dB. Being a tuple,
+    an instance is immutable and hashable, iterates over its fields and
+    compares equal to a plain tuple of the same values (and to any other
+    tuple of them). ``_make`` and ``_replace`` build instances without the
+    checks.
     """
 
     __slots__ = ()
@@ -73,10 +88,20 @@ class Advertisement(_AdvertisementFields):
     def __new__(
         cls, ts: float, wearable: str, tag: str, rssi: float, activity: Activity
     ) -> Advertisement:
+        if type(ts) is not float:
+            ts = _number(ts, "ts")
         if not math.isfinite(ts):
             raise ValueError(f"timestamp must be finite, got {ts}")
-        if not -127.0 <= rssi <= 20.0:
-            raise ValueError(f"rssi outside plausible range [-127, 20] dB: {rssi}")
+        if type(wearable) is not str:
+            raise ValueError(f"wearable must be a string, got {wearable!r}")
+        if type(tag) is not str:
+            raise ValueError(f"tag must be a string, got {tag!r}")
+        if type(rssi) is not float:
+            rssi = _number(rssi, "rssi")
+        if not RSSI_MIN_DB <= rssi <= RSSI_MAX_DB:
+            raise ValueError(
+                f"rssi outside plausible range [{RSSI_MIN_DB:g}, {RSSI_MAX_DB:g}] dB: {rssi}"
+            )
         if not isinstance(activity, Activity):
             raise ValueError(f"activity must be an Activity, got {activity!r}")
         return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))

@@ -13,6 +13,8 @@ filter-config and scenario documents share one set of field rules:
   small enough for a float;
 - a count is an ``int`` of at least 1, and a scenario seed an ``int`` of at
   least 0;
+- a session window in a report, truth or match line stops no earlier than
+  it starts, and a reported distance is at least 0;
 - an id (wearable, tag, worker, tool, operator) is a JSON string;
 - an activity, a trust label or a ``dt_mode`` is one of its names;
 - a trace is a list of ``[t, x, y]`` knots of numbers;
@@ -35,7 +37,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .edge import Activity, Advertisement, DistanceReport
+from .edge import Activity, Advertisement, DistanceReport, _number
 from .ekf import EkfParams
 from .matcher import EvalReport, MatchResult, Trust, TruthRecord
 from .pathloss import PathLossModel, RangeSample
@@ -182,20 +184,28 @@ def _object(value, keys: Iterable[str]) -> dict:
     return value
 
 
-def _number(value, key: str) -> float:
-    """``value``, a JSON number (``int`` or ``float``, not ``bool``), as a
-    float. For JSON input only; a CSV field is a string."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _finite(d: dict, key: str) -> float:
     """``d[key]``, a JSON number, as a finite float: Python's ``json`` decodes
     ``NaN`` and ``Infinity``, which JSON does not allow."""
     value = _number(d[key], key)
     if not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
+def _window(d: dict) -> tuple[float, float]:
+    """``start_s`` and ``stop_s``, finite, the stop not before the start."""
+    start, stop = _finite(d, "start_s"), _finite(d, "stop_s")
+    if stop < start:
+        raise ValueError(f"stop_s {stop!r} is before start_s {start!r}")
+    return start, stop
+
+
+def _distance(d: dict) -> float:
+    """``distance_m``, finite and nonnegative."""
+    value = _finite(d, "distance_m")
+    if value < 0:
+        raise ValueError(f"distance_m must be nonnegative, got {value!r}")
     return value
 
 
@@ -244,7 +254,7 @@ _ACTIVITY_TAIL = {a: f',"activity":{json.dumps(a.value)}}}\n' for a in Activity}
 _CHUNK_LINES = 256
 
 
-def _ids_text(wearable, tag) -> str:
+def _ids_text(wearable: str, tag: str) -> str:
     """The part of a line between ``ts`` and the RSSI value."""
     return f',"wearable":{json.dumps(wearable)},"tag":{json.dumps(tag)},"rssi_db":'
 
@@ -255,12 +265,11 @@ def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None
     ``_CHUNK_LINES`` lines at a time.
 
     Text that repeats is formatted once per file: the timestamp of each
-    distinct nonzero ``float`` value (``0.0`` and ``-0.0`` are equal keys
-    with different text), the ids-and-key fragment of each (wearable, tag)
-    pair of ``str`` ids, and the tail of each activity. Floats (numpy
-    scalars included) go through ``float.__repr__``, as in ``json``; any
-    other value through ``json.dumps``. Non-finite floats cannot occur:
-    ``Advertisement`` rejects them.
+    distinct nonzero value (``0.0`` and ``-0.0`` are equal keys with
+    different text), the ids-and-key fragment of each (wearable, tag) pair,
+    and the tail of each activity. ``Advertisement`` stores ``ts`` and
+    ``rssi`` as finite floats, which go through ``float.__repr__`` as in
+    ``json``, and its ids as ``str``.
     """
     num = float.__repr__
     ts_text: dict[float, str] = {}
@@ -270,20 +279,16 @@ def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None
         while True:
             lines = []
             for ts, wearable, tag, rssi, activity in islice(it, _CHUNK_LINES):
-                if type(ts) is float and ts:
+                if ts:
                     t = ts_text.get(ts)
                     if t is None:
                         t = ts_text[ts] = num(ts)
                 else:
-                    t = num(ts) if isinstance(ts, float) else json.dumps(ts)
-                if type(wearable) is str and type(tag) is str:
-                    ids = pair_text.get((wearable, tag))
-                    if ids is None:
-                        ids = pair_text[wearable, tag] = _ids_text(wearable, tag)
-                else:
-                    ids = _ids_text(wearable, tag)
-                r = num(rssi) if isinstance(rssi, float) else json.dumps(rssi)
-                lines.append(f'{{"ts":{t}{ids}{r}{_ACTIVITY_TAIL[activity]}')
+                    t = num(ts)
+                ids = pair_text.get((wearable, tag))
+                if ids is None:
+                    ids = pair_text[wearable, tag] = _ids_text(wearable, tag)
+                lines.append(f'{{"ts":{t}{ids}{num(rssi)}{_ACTIVITY_TAIL[activity]}')
             if not lines:
                 return
             f.write("".join(lines))
@@ -331,12 +336,7 @@ def read_reports(path: str | Path) -> list[DistanceReport]:
         path,
         "distance report",
         lambda d: DistanceReport(
-            wearable=_text(d, "wearable"),
-            tag=_text(d, "tag"),
-            start=_finite(d, "start_s"),
-            stop=_finite(d, "stop_s"),
-            distance=_finite(d, "distance_m"),
-            n_obs=_count(d, "n_obs"),
+            _text(d, "wearable"), _text(d, "tag"), *_window(d), _distance(d), _count(d, "n_obs")
         ),
     )
 
@@ -355,12 +355,7 @@ def read_truth(path: str | Path) -> list[TruthRecord]:
     return _read_jsonl(
         path,
         "truth record",
-        lambda d: TruthRecord(
-            tag=_text(d, "tag"),
-            start=_finite(d, "start_s"),
-            stop=_finite(d, "stop_s"),
-            wearable=_text(d, "wearable"),
-        ),
+        lambda d: TruthRecord(_text(d, "tag"), *_window(d), _text(d, "wearable")),
     )
 
 
@@ -387,9 +382,8 @@ def read_matches(path: str | Path) -> list[MatchResult]:
         path,
         "match result",
         lambda d: MatchResult(
-            tag=_text(d, "tag"),
-            start=_finite(d, "start_s"),
-            stop=_finite(d, "stop_s"),
+            _text(d, "tag"),
+            *_window(d),
             wearable=None if d["wearable"] is None else _text(d, "wearable"),
             trust=Trust(d["trust"]),
             margin=math.inf if d["margin_m"] is None else _finite(d, "margin_m"),

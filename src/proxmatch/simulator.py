@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
-from .edge import Activity, Advertisement
+from .edge import RSSI_MAX_DB, RSSI_MIN_DB, Activity, Advertisement
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -50,8 +50,6 @@ MIN_TRUE_DISTANCE_M = 0.05
 V_MAX_M_S = 0.7
 #: Tool pause at each swap; it must exceed ``edge.SESSION_GAP_S`` to split sessions.
 SWAP_PAUSE_S = 22.0
-
-_RSSI_MIN, _RSSI_MAX = -127.0, 20.0
 
 
 @dataclass(frozen=True)
@@ -341,8 +339,8 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
             if drop_prob == 0:
                 rssi = np.clip(
                     np.array(means) + rng.normal(0.0, std, size=(len(instants), len(workers))),
-                    _RSSI_MIN,
-                    _RSSI_MAX,
+                    RSSI_MIN_DB,
+                    RSSI_MAX_DB,
                 ).tolist()
                 ads += [
                     Advertisement(ts, wid, tool.id, r, activity)
@@ -355,10 +353,10 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
                         r = mean + rng.normal(0.0, std)
                         if rng.uniform() < drop_prob:
                             continue
-                        if r < _RSSI_MIN:
-                            r = _RSSI_MIN
-                        elif r > _RSSI_MAX:
-                            r = _RSSI_MAX
+                        if r < RSSI_MIN_DB:
+                            r = RSSI_MIN_DB
+                        elif r > RSSI_MAX_DB:
+                            r = RSSI_MAX_DB
                         ads.append(Advertisement(ts, wid, tool.id, r, activity))
             if activity is Activity.USAGE:
                 operator = seg.operator
@@ -401,12 +399,9 @@ def scenario_static(
     drop_prob: float = 0.0,
     operating_distance: float = OPERATING_DISTANCE_M,
 ) -> ScenarioConfig:
-    """A row of stationary workers, each operating their own tool throughout.
-
-    Worker i stands at (i * spacing, 0) with tool Ti+1 a hand's reach away at
-    (i * spacing, operating_distance), active for the whole duration.
-    Bystanders extend the row beyond the last worker: they wear badges and
-    hear every broadcast but operate nothing.
+    """A row of stationary workers, each operating their own tool throughout:
+    the layout of ``_row`` with no swaps, the tools ``operating_distance``
+    off the row and ``bystanders`` badges beyond the last worker.
     """
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")
@@ -414,30 +409,8 @@ def scenario_static(
         raise ValueError(f"bystander count must be nonnegative, got {bystanders}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
-    workers = [
-        WorkerSpec(id=f"W{i + 1}", trace=Trace.stationary(i * spacing, 0.0))
-        for i in range(n_workers)
-    ]
-    workers += [
-        WorkerSpec(id=f"B{b + 1}", trace=Trace.stationary((n_workers + b) * spacing, 0.0))
-        for b in range(bystanders)
-    ]
-    tools = [
-        ToolSpec(
-            id=f"T{i + 1}",
-            trace=Trace.stationary(i * spacing, operating_distance),
-            schedule=(ScheduleSegment(start=0.0, stop=duration, operator=f"W{i + 1}"),),
-        )
-        for i in range(n_workers)
-    ]
-    return ScenarioConfig(
-        seed=seed,
-        duration=duration,
-        workers=tuple(workers),
-        tools=tuple(tools),
-        noise_std=noise_std,
-        drop_prob=drop_prob,
-    )
+    return _row(n_workers, spacing, [], duration, bystanders, operating_distance,
+                seed, noise_std, drop_prob)
 
 
 def scenario_swap(
@@ -450,16 +423,8 @@ def scenario_swap(
     noise_std: float = NOISE_STD_DB,
     drop_prob: float = 0.0,
 ) -> ScenarioConfig:
-    """Workers trade tools cyclically at each swap time.
-
-    Tools sit at fixed stations spacing apart, each ``OPERATING_DISTANCE_M``
-    off the row. Before every swap the tools pause for ``SWAP_PAUSE_S``
-    seconds while the workers walk one station to the right (wrapping
-    around), so each tool's activity splits into one session per period and
-    reactivates under the next operator: in period k, tool Tj+1 is operated
-    by worker W((j - k) mod n + 1). With no swap times this reduces to the
-    static scenario.
-    """
+    """Workers trade tools cyclically at each swap time, with no bystanders
+    and the tools ``OPERATING_DISTANCE_M`` off the row; see ``_row``."""
     if n_workers < 2:
         raise ValueError(f"swapping needs at least two workers, got {n_workers}")
     if not (math.isfinite(spacing) and spacing > 0):
@@ -475,46 +440,50 @@ def scenario_swap(
     for a, b in zip(swaps, swaps[1:]):
         if b - SWAP_PAUSE_S <= a:
             raise ValueError(f"swaps at {a} and {b} are closer than the {SWAP_PAUSE_S} s pause")
+    return _row(n_workers, spacing, swaps, duration, 0, OPERATING_DISTANCE_M,
+                seed, noise_std, drop_prob)
 
-    boundaries = [0.0, *swaps, float(duration)]
-    n_periods = len(boundaries) - 1
 
-    def station(x_index: int) -> tuple[float, float]:
-        return x_index * spacing, 0.0
+def _row(n_workers: int, spacing: float, swaps: list[float], duration: float, bystanders: int,
+         operating_distance: float, seed: int, noise_std: float, drop_prob: float) -> ScenarioConfig:
+    """Workers W1..Wn start at (i * spacing, 0), bystanders B1.. stand
+    further along the row and tool Tj+1 is fixed at (j * spacing,
+    ``operating_distance``).
 
+    The swap times cut the duration into periods. Before every swap the
+    tools pause for ``SWAP_PAUSE_S`` seconds while the workers walk one
+    station to the right (wrapping around), so each tool's activity splits
+    into one session per period and reactivates under the next operator: in
+    period k, tool Tj+1 is operated by worker W((j - k) mod n + 1).
+    Bystanders hear every broadcast but operate nothing.
+    """
+    duration = float(duration)
     workers = []
     for w in range(n_workers):
-        knots: list[tuple[float, float, float]] = [(0.0, *station(w))]
-        for k in range(1, n_periods):
-            prev = station((w + k - 1) % n_workers)
-            cur = station((w + k) % n_workers)
-            knots.append((boundaries[k] - SWAP_PAUSE_S, *prev))
-            knots.append((boundaries[k], *cur))
+        knots: list[tuple[float, float, float]] = [(0.0, w * spacing, 0.0)]
+        for k, t in enumerate(swaps, start=1):
+            knots.append((t - SWAP_PAUSE_S, (w + k - 1) % n_workers * spacing, 0.0))
+            knots.append((t, (w + k) % n_workers * spacing, 0.0))
         workers.append(WorkerSpec(id=f"W{w + 1}", trace=Trace(tuple(knots))))
-
-    tools = []
-    for j in range(n_workers):
-        segments = []
-        for k in range(n_periods):
-            start = boundaries[k]
-            stop = boundaries[k + 1] - SWAP_PAUSE_S if k < n_periods - 1 else boundaries[k + 1]
-            segments.append(
-                ScheduleSegment(
-                    start=start,
-                    stop=stop,
-                    operator=f"W{(j - k) % n_workers + 1}",
-                )
-            )
-        tools.append(
-            ToolSpec(
-                id=f"T{j + 1}",
-                trace=Trace.stationary(j * spacing, OPERATING_DISTANCE_M),
-                schedule=tuple(segments),
-            )
+    workers += [
+        WorkerSpec(id=f"B{b + 1}", trace=Trace.stationary((n_workers + b) * spacing, 0.0))
+        for b in range(bystanders)
+    ]
+    periods = list(enumerate(zip([0.0, *swaps], [t - SWAP_PAUSE_S for t in swaps] + [duration])))
+    tools = [
+        ToolSpec(
+            id=f"T{j + 1}",
+            trace=Trace.stationary(j * spacing, operating_distance),
+            schedule=tuple(
+                ScheduleSegment(start, stop, operator=f"W{(j - k) % n_workers + 1}")
+                for k, (start, stop) in periods
+            ),
         )
+        for j in range(n_workers)
+    ]
     return ScenarioConfig(
         seed=seed,
-        duration=float(duration),
+        duration=duration,
         workers=tuple(workers),
         tools=tuple(tools),
         noise_std=noise_std,

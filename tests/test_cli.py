@@ -453,6 +453,16 @@ class TestMatchFlags:
         assert f"{reports}:2: bad distance report: start_s must be finite" in capsys.readouterr().err
         assert not (tmp_path / "matches.jsonl").exists()
 
+    def test_reversed_report_window_exits_2_naming_the_line(self, tmp_path, capsys):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text(json.dumps({"wearable": "W1", "tag": "T1", "start_s": 50.0,
+                                       "stop_s": 10.0, "distance_m": 1.0, "n_obs": 2}) + "\n")
+        assert run("match", reports, "-o", tmp_path / "matches.jsonl") == 2
+        assert f"{reports}:1: bad distance report: stop_s 10.0 is before start_s 50.0" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "matches.jsonl").exists()
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

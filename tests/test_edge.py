@@ -45,6 +45,11 @@ class TestAdvertisement:
             ("ts", math.inf, "timestamp must be finite"),
             ("rssi", math.nan, "rssi outside plausible range"),
             ("activity", "usage", "activity must be an Activity"),
+            ("wearable", 1, "wearable must be a string, got 1"),
+            ("tag", None, "tag must be a string, got None"),
+            ("ts", True, "ts must be a number, got True"),
+            ("ts", "0.5", "ts must be a number, got '0.5'"),
+            ("rssi", True, "rssi must be a number, got True"),
         ],
     )
     def test_positional_and_keyword_construction_both_validate(self, field, value, message):

@@ -191,10 +191,13 @@ class TestAdvertisementCodec:
         assert len(p.read_bytes().splitlines()) == n
 
     def test_writer_cached_text_keeps_equal_values_apart(self, tmp_path):
-        """Equal keys with different text: ``0.0`` and ``-0.0``; ``1``,
-        ``1.0`` and ``np.float64(1.0)``; and the same ids as ``str`` and as
-        other types."""
+        """Equal keys with different text: ``0.0`` and ``-0.0``. ``1``,
+        ``1.0`` and ``np.float64(1.0)`` are all stored, and written, as the
+        float ``1.0``; an id that is not a ``str`` is rejected."""
         u = Activity.USAGE
+        for wearable, tag in ((1, "T1"), (True, "T1"), (1.0, "T1"), ("W1", None)):
+            with pytest.raises(ValueError, match="must be a string"):
+                Advertisement(ts=2.0, wearable=wearable, tag=tag, rssi=-50.0, activity=u)
         ads = [
             Advertisement(ts=0.0, wearable="W1", tag="T1", rssi=-45.6, activity=u),
             Advertisement(ts=-0.0, wearable="W1", tag="T1", rssi=-0.0, activity=u),
@@ -204,11 +207,7 @@ class TestAdvertisementCodec:
             Advertisement(ts=np.float64(1.0), wearable="W1", tag="T1", rssi=np.float64(1.0),
                           activity=u),
             Advertisement(ts=1, wearable="W1", tag="T1", rssi=1, activity=Activity.TRANSPORT),
-            Advertisement(ts=2.0, wearable=1, tag="T1", rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="1", tag="T1", rssi=-50.0, activity=u),
-            Advertisement(ts=2.0, wearable=True, tag="T1", rssi=-50.0, activity=u),
-            Advertisement(ts=2.0, wearable=1.0, tag="T1", rssi=-50.0, activity=u),
-            Advertisement(ts=2.0, wearable="W1", tag=None, rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="W1", tag="T2", rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
@@ -216,10 +215,11 @@ class TestAdvertisementCodec:
         p = tmp_path / "ads.jsonl"
         io.write_advertisements(p, ads)
         assert p.read_bytes() == reference_ads_bytes(ads)
-        assert p.read_text().splitlines()[:3] == [
+        assert p.read_text().splitlines()[:6] == [
             '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}',
             '{"ts":-0.0,"wearable":"W1","tag":"T1","rssi_db":-0.0,"activity":"usage"}',
             '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":0.0,"activity":"usage"}',
+            *['{"ts":1.0,"wearable":"W1","tag":"T1","rssi_db":1.0,"activity":"usage"}'] * 3,
         ]
 
     @settings(max_examples=150, deadline=None)
@@ -584,6 +584,22 @@ BAD_INPUTS = [
     (io.read_samples, "samples.csv", b"distance_m,rssi_db\n1.0,-45.6\n2.0\xe9,-48.7\n",
      "samples.csv: bad range sample: 'utf-8' codec can't decode byte 0xe9"),
     *MORE_BAD_DOCUMENTS,
+    # a session window must not stop before it starts; a distance is at least 0
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 50.0, "stop_s": 10.0,
+                 "distance_m": 1.0, "n_obs": 2}),
+     ":1: bad distance report: stop_s 10.0 is before start_s 50.0"),
+    (io.read_truth, "truth.jsonl",
+     json.dumps({"tag": "T1", "start_s": 50.0, "stop_s": 10.0, "wearable": "W1"}),
+     ":1: bad truth record: stop_s 10.0 is before start_s 50.0"),
+    (io.read_matches, "matches.jsonl",
+     json.dumps({"tag": "T1", "start_s": 50.0, "stop_s": 10.0, "wearable": "W1",
+                 "trust": "sure", "margin_m": 1.0}),
+     ":1: bad match result: stop_s 10.0 is before start_s 50.0"),
+    (io.read_reports, "reports.jsonl",
+     json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0.0, "stop_s": 7.0,
+                 "distance_m": -2.0, "n_obs": 2}),
+     ":1: bad distance report: distance_m must be nonnegative, got -2.0"),
 ]
 
 

@@ -521,6 +521,12 @@ class TestSwapScenario:
         assert explicit.sessions == inferred.sessions
 
     def test_no_swaps_reduces_to_static_layout(self):
+        for n in (2, 3, 8):
+            settings = dict(seed=n, noise_std=3.5, drop_prob=0.25)
+            static = scenario_static(n, 1.5, 300, **settings)
+            swap = scenario_swap(n, 1.5, [], duration=300, **settings)
+            # equal configs, and documents equal to the byte: both store 300.0
+            assert static == swap and repr(static.to_dict()) == repr(swap.to_dict())
         cfg = scenario_swap(2, 2.0, [])
         ads, truth = generate(cfg)
         static_ads, static_truth = generate(scenario_static(2, 2.0, 360.0))
