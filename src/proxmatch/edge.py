@@ -74,8 +74,8 @@ class Advertisement(_AdvertisementFields):
     """One received broadcast: reception time, both ids, RSSI, activity class.
 
     A named tuple whose constructor validates, positionally or by keyword,
-    with the rules of ``io.read_advertisements``: ids are ``str``; ``ts``
-    and ``rssi`` are an ``int`` or ``float`` (not ``bool``), stored as
+    for every caller, ``io.read_advertisements`` too: ids are ``str``;
+    ``ts`` and ``rssi`` are an ``int`` or ``float`` (not ``bool``), stored as
     ``float``, ``ts`` finite and ``rssi`` in [-127, 20] dB. Being a tuple,
     an instance is immutable and hashable, iterates over its fields and
     compares equal to a plain tuple of the same values (and to any other
@@ -107,9 +107,16 @@ class Advertisement(_AdvertisementFields):
         return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))
 
 
+def _check_window(start: float, stop: float) -> None:
+    """The window rule of a report, truth or match record."""
+    if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
+        raise ValueError(f"session window must be finite with start <= stop, got [{start}, {stop}]")
+
+
 @dataclass(frozen=True)
 class DistanceReport:
-    """What a badge ships per session: final distance estimate and observation count."""
+    """What a badge ships per session: final distance estimate and observation
+    count. Construction checks every value."""
 
     wearable: str
     tag: str
@@ -117,6 +124,13 @@ class DistanceReport:
     stop: float
     distance: float
     n_obs: int
+
+    def __post_init__(self) -> None:
+        _check_window(self.start, self.stop)
+        if not (math.isfinite(self.distance) and self.distance >= 0):
+            raise ValueError(f"distance must be finite and nonnegative, got {self.distance}")
+        if type(self.n_obs) is not int or self.n_obs < 1:
+            raise ValueError(f"n_obs must be an integer >= 1, got {self.n_obs!r}")
 
 
 def _sessions(

@@ -5,21 +5,22 @@ default), so a given record sequence always produces byte-identical files.
 
 Every reader applies one rule to bad input. A line, row or document is bad
 when it does not decode, lacks a field, or holds a value of the wrong type
-or out of range (any exception in ``_BAD_INPUT``). Record lines and the
-filter-config and scenario documents share one set of field rules:
+or out of range (any exception in ``_BAD_INPUT``). ``io`` checks only what
+a JSON value can get wrong and a Python caller's value cannot:
 
 - a number is a JSON number (``int`` or ``float``, not ``true`` or a
-  string), finite (Python's ``json`` decodes ``NaN`` and ``Infinity``) and
-  small enough for a float;
-- a count is an ``int`` of at least 1, and a scenario seed an ``int`` of at
-  least 0;
-- a session window in a report, truth or match line stops no earlier than
-  it starts, and a reported distance is at least 0;
+  string) small enough for a float;
 - an id (wearable, tag, worker, tool, operator) is a JSON string;
-- an activity, a trust label or a ``dt_mode`` is one of its names;
+- an activity or a trust label is one of its names;
 - a trace is a list of ``[t, x, y]`` knots of numbers;
+- a margin is finite, since an infinite one is written ``null``;
 - a document, and each object in it, holds no key that no field reads; a
   filter config needs the model keys, and a filter key left out keeps its default.
+
+Each type checks its own values (finite, in range, a window's order, a
+count, a seed, a ``dt_mode``) whenever it is built, so a ``NaN`` or
+``Infinity`` that Python's ``json`` decodes is rejected there.
+``Advertisement`` applies the number and id rules itself too.
 
 Files are UTF-8, each JSON Lines line decoded on its own. A CSV field is a
 string, read by ``float()`` where a number is due. ``read_advertisements``
@@ -185,35 +186,11 @@ def _object(value, keys: Iterable[str]) -> dict:
 
 
 def _finite(d: dict, key: str) -> float:
-    """``d[key]``, a JSON number, as a finite float: Python's ``json`` decodes
-    ``NaN`` and ``Infinity``, which JSON does not allow."""
+    """``d[key]``, a JSON number, as a finite float: the rule for a margin,
+    whose infinite value is written ``null``."""
     value = _number(d[key], key)
     if not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
-    return value
-
-
-def _window(d: dict) -> tuple[float, float]:
-    """``start_s`` and ``stop_s``, finite, the stop not before the start."""
-    start, stop = _finite(d, "start_s"), _finite(d, "stop_s")
-    if stop < start:
-        raise ValueError(f"stop_s {stop!r} is before start_s {start!r}")
-    return start, stop
-
-
-def _distance(d: dict) -> float:
-    """``distance_m``, finite and nonnegative."""
-    value = _finite(d, "distance_m")
-    if value < 0:
-        raise ValueError(f"distance_m must be nonnegative, got {value!r}")
-    return value
-
-
-def _count(d: dict, key: str) -> int:
-    """``d[key]``, which must be an ``int`` (not ``bool``) of at least 1."""
-    value = d[key]
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -236,15 +213,8 @@ def _ad_to_dict(a: Advertisement) -> dict:
 
 
 def _ad_from_dict(d: dict) -> Advertisement:
-    """An advertisement from a JSON line; ``Advertisement`` itself rejects a
-    non-finite or out-of-range value."""
-    return Advertisement(
-        _number(d["ts"], "ts"),
-        _text(d, "wearable"),
-        _text(d, "tag"),
-        _number(d["rssi_db"], "rssi_db"),
-        Activity(d["activity"]),
-    )
+    """An advertisement from a JSON line, which ``Advertisement`` checks."""
+    return Advertisement(d["ts"], d["wearable"], d["tag"], d["rssi_db"], Activity(d["activity"]))
 
 
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
@@ -336,7 +306,8 @@ def read_reports(path: str | Path) -> list[DistanceReport]:
         path,
         "distance report",
         lambda d: DistanceReport(
-            _text(d, "wearable"), _text(d, "tag"), *_window(d), _distance(d), _count(d, "n_obs")
+            _text(d, "wearable"), _text(d, "tag"), _number(d["start_s"], "start_s"),
+            _number(d["stop_s"], "stop_s"), _number(d["distance_m"], "distance_m"), d["n_obs"],
         ),
     )
 
@@ -355,7 +326,8 @@ def read_truth(path: str | Path) -> list[TruthRecord]:
     return _read_jsonl(
         path,
         "truth record",
-        lambda d: TruthRecord(_text(d, "tag"), *_window(d), _text(d, "wearable")),
+        lambda d: TruthRecord(_text(d, "tag"), _number(d["start_s"], "start_s"),
+                              _number(d["stop_s"], "stop_s"), _text(d, "wearable")),
     )
 
 
@@ -383,7 +355,8 @@ def read_matches(path: str | Path) -> list[MatchResult]:
         "match result",
         lambda d: MatchResult(
             _text(d, "tag"),
-            *_window(d),
+            _number(d["start_s"], "start_s"),
+            _number(d["stop_s"], "stop_s"),
             wearable=None if d["wearable"] is None else _text(d, "wearable"),
             trust=Trust(d["trust"]),
             margin=math.inf if d["margin_m"] is None else _finite(d, "margin_m"),
@@ -419,12 +392,12 @@ _FILTER_FIELDS = {"q": "q", "r": "r", "d_min_m": "d_min", "d_max_m": "d_max", "p
 def _model_from_dict(d, other_keys: Iterable[str] = ()) -> PathLossModel:
     """A model object, which may hold ``other_keys`` too."""
     _object(d, {"n", "x0_m", "rssi0_db", *other_keys})
-    return PathLossModel(n=_finite(d, "n"), x0=_finite(d, "x0_m"), rssi0=_finite(d, "rssi0_db"))
+    return PathLossModel(*(_number(d[k], k) for k in ("n", "x0_m", "rssi0_db")))
 
 
 def _ekf_params_from_dict(d) -> EkfParams:
     model = _model_from_dict(d, _FILTER_FIELDS)
-    settings = {f: d[k] if k == "dt_mode" else _finite(d, k) for k, f in _FILTER_FIELDS.items() if k in d}
+    settings = {f: d[k] if k == "dt_mode" else _number(d[k], k) for k, f in _FILTER_FIELDS.items() if k in d}
     return EkfParams(model=model, **settings)
 
 
@@ -448,8 +421,8 @@ def _trace(knots: list) -> Trace:
 def _segment(d) -> ScheduleSegment:
     _object(d, {"start_s", "stop_s", "activity", "operator"})
     return ScheduleSegment(
-        start=_finite(d, "start_s"),
-        stop=_finite(d, "stop_s"),
+        start=_number(d["start_s"], "start_s"),
+        stop=_number(d["stop_s"], "stop_s"),
         activity=Activity(d["activity"]),
         operator=None if d.get("operator") is None else _text(d, "operator"),
     )
@@ -471,10 +444,10 @@ def _scenario_from_dict(d) -> ScenarioConfig:
                 "workers", "tools"})
     return ScenarioConfig(
         seed=d["seed"],
-        duration=_finite(d, "duration_s"),
-        adv_interval=_finite(d, "adv_interval_s"),
-        noise_std=_finite(d, "noise_std_db"),
-        drop_prob=_finite(d, "drop_prob"),
+        duration=_number(d["duration_s"], "duration_s"),
+        adv_interval=_number(d["adv_interval_s"], "adv_interval_s"),
+        noise_std=_number(d["noise_std_db"], "noise_std_db"),
+        drop_prob=_number(d["drop_prob"], "drop_prob"),
         model=_model_from_dict(d["model"]),
         workers=tuple(map(_worker, d["workers"])),
         tools=tuple(map(_tool, d["tools"])),

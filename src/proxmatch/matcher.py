@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .edge import DistanceReport
+from .edge import DistanceReport, _check_window
 
 __all__ = [
     "EVENT_WINDOW_S",
@@ -64,7 +64,9 @@ class TagSession:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Assignment decision for one session; ``wearable`` is None when no badge was free."""
+    """Assignment decision for one session; ``wearable`` is None when no badge
+    was free. Construction checks every value; as from ``trust_classify``, a
+    SURE result has a wearable and a positive margin."""
 
     tag: str
     start: float
@@ -72,6 +74,14 @@ class MatchResult:
     wearable: str | None
     trust: Trust
     margin: float
+
+    def __post_init__(self) -> None:
+        _check_window(self.start, self.stop)
+        if not self.margin >= 0:
+            raise ValueError(f"margin must be nonnegative, got {self.margin}")
+        if self.trust is Trust.SURE and (self.wearable is None or self.margin <= 0):
+            raise ValueError(f"a sure match needs a wearable and a positive margin, got "
+                             f"wearable {self.wearable!r}, margin {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,9 @@ class TruthRecord:
     start: float
     stop: float
     wearable: str
+
+    def __post_init__(self) -> None:
+        _check_window(self.start, self.stop)
 
 
 @dataclass(frozen=True)
@@ -104,8 +117,6 @@ class MatchProblem:
                     f"duplicate report for wearable {r.wearable!r} in session "
                     f"{r.tag!r}@[{r.start}, {r.stop}]"
                 )
-            if not (math.isfinite(r.distance) and r.distance >= 0):
-                raise ValueError(f"report distance must be finite and nonnegative, got {r.distance}")
             dists[r.wearable] = r.distance
         sessions = tuple(
             TagSession(tag=tag, start=start, stop=stop, distances=dists)
@@ -411,8 +422,7 @@ def evaluate(results: Iterable[MatchResult], truth: Iterable[TruthRecord]) -> Ev
     overlap (touching intervals count), ties going to the earliest start and
     then to the first record in input order; a result whose tag has no
     overlapping truth record is an error, since scoring it would silently
-    misalign the two session sets. An unassigned result counts as wrong. A
-    truth record with a NaN time is an error.
+    misalign the two session sets. An unassigned result counts as wrong.
 
     Each tag's truth is sorted stably by start once, so a result scans only
     the records that start by its stop and come at or after the first one
@@ -420,10 +430,6 @@ def evaluate(results: Iterable[MatchResult], truth: Iterable[TruthRecord]) -> Ev
     """
     truth_by_tag: dict[str, list[TruthRecord]] = {}
     for t in truth:
-        if math.isnan(t.start) or math.isnan(t.stop):
-            raise ValueError(
-                f"ground-truth session {t.tag!r}@[{t.start}, {t.stop}] has a NaN time"
-            )
         truth_by_tag.setdefault(t.tag, []).append(t)
     index: dict[str, tuple[list[TruthRecord], list[float], list[float]]] = {}
     for tag, records in truth_by_tag.items():

@@ -272,6 +272,21 @@ class TestEvaluateCommand:
         assert run("evaluate", tmp_path / "matches.jsonl", tmp_path / "truth.jsonl") == 2
         assert "no ground-truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        {"wearable": "W1", "trust": "sure", "margin_m": -3.0},
+        {"wearable": None, "trust": "sure", "margin_m": 1.0},
+    ])
+    def test_contradictory_match_line_exits_2_naming_the_line(self, tmp_path, capsys, fields):
+        """A sure match needs a wearable and a positive margin, and no
+        margin is negative: ``trust_classify`` gives no other."""
+        matches = tmp_path / "matches.jsonl"
+        matches.write_text(json.dumps({"tag": "T1", "start_s": 0.0, "stop_s": 7.0, **fields}) + "\n")
+        io.write_truth(tmp_path / "truth.jsonl", [TruthRecord(tag="T1", start=0.0, stop=7.0, wearable="W1")])
+        out = tmp_path / "metrics.json"
+        assert run("evaluate", matches, tmp_path / "truth.jsonl", "-o", out) == 2
+        assert f"{matches}:1: bad match result" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_two_session_stream(path):
     """One tag, two activity runs separated by a 15 s pause."""
@@ -450,7 +465,8 @@ class TestMatchFlags:
                 "distance_m": 1.0, "n_obs": 2}
         reports.write_text(json.dumps(good) + "\n" + json.dumps({**good, "start_s": math.nan}) + "\n")
         assert run("match", reports, "-o", tmp_path / "matches.jsonl") == 2
-        assert f"{reports}:2: bad distance report: start_s must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{reports}:2: bad distance report: session window must be finite" in err
         assert not (tmp_path / "matches.jsonl").exists()
 
     def test_reversed_report_window_exits_2_naming_the_line(self, tmp_path, capsys):
@@ -458,9 +474,8 @@ class TestMatchFlags:
         reports.write_text(json.dumps({"wearable": "W1", "tag": "T1", "start_s": 50.0,
                                        "stop_s": 10.0, "distance_m": 1.0, "n_obs": 2}) + "\n")
         assert run("match", reports, "-o", tmp_path / "matches.jsonl") == 2
-        assert f"{reports}:1: bad distance report: stop_s 10.0 is before start_s 50.0" in (
-            capsys.readouterr().err
-        )
+        assert (f"{reports}:1: bad distance report: session window must be finite "
+                "with start <= stop, got [50.0, 10.0]") in capsys.readouterr().err
         assert not (tmp_path / "matches.jsonl").exists()
 
 

@@ -103,35 +103,18 @@ def reference_ads_bytes(ads) -> bytes:
 
 def reference_read_ads(path):
     """Per-line ``json.loads`` and the ``Activity(...)`` enum call, written
-    out: what ``read_advertisements`` must reproduce, reasons included.
-    ``ts`` and ``rssi_db`` must be JSON numbers (``int`` or ``float``, not
-    ``bool`` or a string), ``wearable`` and ``tag`` JSON strings."""
-
-    def number(d, key):
-        if type(d[key]) not in (int, float):
-            raise TypeError(f"{key} must be a number, got {d[key]!r}")
-        return float(d[key])
-
-    def text(d, key):
-        if type(d[key]) is not str:
-            raise TypeError(f"{key} must be a string, got {d[key]!r}")
-        return d[key]
-
+    out: what ``read_advertisements`` must reproduce, reasons included. The
+    raw JSON values go to ``Advertisement``, which checks their types (a
+    JSON number, not ``bool`` or a string; a JSON string for an id) and
+    values itself."""
     ads, skipped = [], []
     for i, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
             d = json.loads(line)
-            ads.append(
-                Advertisement(
-                    ts=number(d, "ts"),
-                    wearable=text(d, "wearable"),
-                    tag=text(d, "tag"),
-                    rssi=number(d, "rssi_db"),
-                    activity=Activity(d["activity"]),
-                )
-            )
+            fields = d["ts"], d["wearable"], d["tag"], d["rssi_db"], Activity(d["activity"])
+            ads.append(Advertisement(*fields))
         except (ValueError, KeyError, TypeError) as e:
             skipped.append((i, str(e)))
     return ads, skipped
@@ -321,6 +304,68 @@ class TestRecordStreams:
             io.read_reports(p)
 
 
+
+#: The JSON key of each record field whose name differs from it.
+JSON_KEYS = {"start": "start_s", "stop": "stop_s", "distance": "distance_m", "margin": "margin_m"}
+#: Windows that no record accepts, each with the error its type raises.
+BAD_WINDOWS = [
+    ({"start": 7.5}, "session window"),  # stops before it starts
+    ({"start": math.nan}, "session window"),
+    ({"stop": math.nan}, "session window"),
+    ({"start": -math.inf}, "session window"),
+    ({"stop": math.inf}, "session window"),
+]
+
+
+def rejects(bad):
+    return pytest.mark.parametrize("bad, error", bad, ids=[str(b) for b, _ in bad])
+
+
+class TestRecordsCheckTheirOwnValues:
+    """A record built in memory rejects every value its reader rejects, so
+    a library caller gets the guarantee that a file gets."""
+
+    @staticmethod
+    def rejected(tmp_path, record, reader, kind, fields, error):
+        with pytest.raises(ValueError, match=error):
+            record(**fields)
+        line = {JSON_KEYS.get(k, k): v.value if isinstance(v, Trust) else v for k, v in fields.items()}
+        p = tmp_path / "records.jsonl"
+        p.write_text(json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match=f":1: bad {kind}: "):
+            reader(p)
+
+    @rejects(BAD_WINDOWS + [
+        ({"distance": -2.0}, "distance must be finite and nonnegative"),
+        ({"distance": math.nan}, "distance must be finite and nonnegative"),
+        ({"distance": math.inf}, "distance must be finite and nonnegative"),
+        ({"n_obs": 0}, "n_obs must be an integer >= 1"),
+        ({"n_obs": True}, "n_obs must be an integer >= 1"),
+        ({"n_obs": 2.9}, "n_obs must be an integer >= 1"),
+    ])
+    def test_distance_report(self, tmp_path, bad, error):
+        good = {"wearable": "W1", "tag": "T1", "start": 0.0, "stop": 7.0, "distance": 1.0, "n_obs": 2}
+        self.rejected(tmp_path, DistanceReport, io.read_reports, "distance report", {**good, **bad}, error)
+
+    @rejects(BAD_WINDOWS)
+    def test_truth_record(self, tmp_path, bad, error):
+        good = {"tag": "T1", "start": 0.0, "stop": 7.0, "wearable": "W1"}
+        self.rejected(tmp_path, TruthRecord, io.read_truth, "truth record", {**good, **bad}, error)
+
+    @rejects(BAD_WINDOWS + [
+        ({"margin": -3.0}, "margin must be nonnegative"),
+        ({"margin": math.nan}, "margin must be nonnegative"),
+        ({"trust": Trust.UNSURE, "margin": -3.0}, "margin must be nonnegative"),
+        ({"wearable": None}, "a sure match needs a wearable"),
+        ({"wearable": None, "margin": math.inf}, "a sure match needs a wearable"),
+        ({"margin": 0.0}, "a sure match needs a wearable and a positive margin"),
+    ])
+    def test_match_result(self, tmp_path, bad, error):
+        good = {"tag": "T1", "start": 0.0, "stop": 7.0, "wearable": "W1", "trust": Trust.SURE,
+                "margin": 1.0}
+        self.rejected(tmp_path, MatchResult, io.read_matches, "match result", {**good, **bad}, error)
+
+
 class TestDocuments:
     def test_samples_round_trip(self, tmp_path):
         p = tmp_path / "samples.csv"
@@ -491,25 +536,25 @@ BAD_INPUTS = [
     (io.read_reports, "reports.jsonl",
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": math.nan, "stop_s": 7,
                  "distance_m": 1.0, "n_obs": 2}),
-     ":1: bad distance report: start_s must be finite"),
+     r":1: bad distance report: session window must be finite .*, got \[nan, 7.0\]"),
     (io.read_reports, "reports.jsonl",
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": math.inf,
                  "distance_m": 1.0, "n_obs": 2}),
-     ":1: bad distance report: stop_s must be finite"),
+     r":1: bad distance report: session window must be finite .*, got \[0.0, inf\]"),
     (io.read_truth, "truth.jsonl",
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": math.inf, "wearable": "W1"}),
-     ":1: bad truth record: stop_s must be finite"),
+     r":1: bad truth record: session window must be finite .*, got \[0.0, inf\]"),
     (io.read_truth, "truth.jsonl",
      json.dumps({"tag": "T1", "start_s": math.nan, "stop_s": 7, "wearable": "W1"}),
-     ":1: bad truth record: start_s must be finite"),
+     r":1: bad truth record: session window must be finite .*, got \[nan, 7.0\]"),
     (io.read_matches, "matches.jsonl",
      json.dumps({"tag": "T1", "start_s": -math.inf, "stop_s": 7, "wearable": "W1",
                  "trust": "sure", "margin_m": 1.0}),
-     ":1: bad match result: start_s must be finite"),
+     r":1: bad match result: session window must be finite .*, got \[-inf, 7.0\]"),
     (io.read_matches, "matches.jsonl",
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": math.nan, "wearable": "W1",
                  "trust": "sure", "margin_m": 1.0}),
-     ":1: bad match result: stop_s must be finite"),
+     r":1: bad match result: session window must be finite .*, got \[0.0, nan\]"),
     # an infinite margin is written as null; a literal one is bad, like NaN
     (io.read_matches, "matches.jsonl",
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": "W1",
@@ -588,18 +633,18 @@ BAD_INPUTS = [
     (io.read_reports, "reports.jsonl",
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": 50.0, "stop_s": 10.0,
                  "distance_m": 1.0, "n_obs": 2}),
-     ":1: bad distance report: stop_s 10.0 is before start_s 50.0"),
+     r":1: bad distance report: session window must be finite .*, got \[50.0, 10.0\]"),
     (io.read_truth, "truth.jsonl",
      json.dumps({"tag": "T1", "start_s": 50.0, "stop_s": 10.0, "wearable": "W1"}),
-     ":1: bad truth record: stop_s 10.0 is before start_s 50.0"),
+     r":1: bad truth record: session window must be finite .*, got \[50.0, 10.0\]"),
     (io.read_matches, "matches.jsonl",
      json.dumps({"tag": "T1", "start_s": 50.0, "stop_s": 10.0, "wearable": "W1",
                  "trust": "sure", "margin_m": 1.0}),
-     ":1: bad match result: stop_s 10.0 is before start_s 50.0"),
+     r":1: bad match result: session window must be finite .*, got \[50.0, 10.0\]"),
     (io.read_reports, "reports.jsonl",
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0.0, "stop_s": 7.0,
                  "distance_m": -2.0, "n_obs": 2}),
-     ":1: bad distance report: distance_m must be nonnegative, got -2.0"),
+     ":1: bad distance report: distance must be finite and nonnegative, got -2.0"),
 ]
 
 

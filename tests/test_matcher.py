@@ -367,12 +367,23 @@ def scan_evaluate(results, truth):
 
 
 #: Few distinct times, so that equal starts, touching and nested intervals
-#: and inverted windows are common, plus some arbitrary floats.
+#: are common, plus some arbitrary floats.
 EVAL_TIMES = st.one_of(
     st.integers(min_value=0, max_value=4).map(float),
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-    st.sampled_from([-math.inf, math.inf, -0.0]),
+    st.just(-0.0),
 )
+
+#: (wearable, trust, margin) of a result that ``MatchResult`` accepts: a
+#: sure result has a wearable and a positive margin.
+EVAL_OUTCOMES = st.one_of(
+    st.tuples(st.sampled_from([None, "W0"]), st.just(Trust.UNSURE), st.sampled_from([0.0, 1.0])),
+    st.tuples(st.just("W0"), st.just(Trust.SURE), st.sampled_from([1.0, math.inf])),
+)
+
+
+#: A finite window that does not stop before it starts.
+EVAL_WINDOWS = st.tuples(EVAL_TIMES, EVAL_TIMES).map(sorted)
 
 
 @st.composite
@@ -382,19 +393,12 @@ def evaluation_inputs(draw):
     the three tags."""
     ids = draw(st.integers(min_value=0, max_value=8).flatmap(lambda n: st.permutations(range(n))))
     truth = [
-        TruthRecord(
-            tag=draw(st.sampled_from(["T1", "T2"])),
-            start=draw(EVAL_TIMES), stop=draw(EVAL_TIMES), wearable=f"W{i}",
-        )
+        TruthRecord(draw(st.sampled_from(["T1", "T2"])), *draw(EVAL_WINDOWS), wearable=f"W{i}")
         for i in ids
     ]
     results = [
-        MatchResult(
-            tag=draw(st.sampled_from(["T1", "T2", "T3"])),
-            start=draw(EVAL_TIMES), stop=draw(EVAL_TIMES),
-            wearable=draw(st.sampled_from([None, "W0"])),
-            trust=draw(st.sampled_from(list(Trust))), margin=1.0,
-        )
+        MatchResult(draw(st.sampled_from(["T1", "T2", "T3"])), *draw(EVAL_WINDOWS),
+                    *draw(EVAL_OUTCOMES))
         for _ in range(draw(st.integers(min_value=1, max_value=4)))
     ]
     return results, truth
@@ -432,11 +436,11 @@ class TestEvaluate:
         assert evaluate(res, [second, first]).wrong_sure == 1
 
     def test_nan_truth_time_is_an_error(self):
-        res = [MatchResult(tag="T1", start=0.0, stop=10.0, wearable="W1",
-                           trust=Trust.SURE, margin=2.0)]
-        ok = TruthRecord(tag="T1", start=0.0, stop=10.0, wearable="W1")
-        with pytest.raises(ValueError, match="NaN"):
-            evaluate(res, [ok, TruthRecord(tag="T2", start=math.nan, stop=1.0, wearable="W1")])
+        """A truth record checks its own window when it is built, so
+        ``evaluate`` never sees a NaN time."""
+        for start, stop in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="session window must be finite"):
+                TruthRecord(tag="T2", start=start, stop=stop, wearable="W1")
 
     @staticmethod
     def synthetic(counts):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from proxmatch import io
@@ -114,6 +114,7 @@ class TestFit:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=58766329)  # fits n = 0.0008, below the default step
     def test_least_squares_optimality(self, seed):
         """No small perturbation of the fitted parameters lowers the RSS."""
         rng = np.random.default_rng(seed)
@@ -127,7 +128,8 @@ class TestFit:
             # then outside the model's parameter domain.
             assume(False)
         best = residual_variance(m, samples)
-        for dn in (-1e-3, 0.0, 1e-3):
+        step = min(1e-3, m.n / 2)  # the decay must stay positive
+        for dn in (-step, 0.0, step):
             for dr in (-1e-3, 0.0, 1e-3):
                 if dn == dr == 0.0:
                     continue
