@@ -79,6 +79,8 @@ class MatchResult:
         _check_window(self.start, self.stop)
         if not self.margin >= 0:
             raise ValueError(f"margin must be nonnegative, got {self.margin}")
+        if type(self.trust) is not Trust:
+            raise ValueError(f"trust must be a Trust, got {self.trust!r}")
         if self.trust is Trust.SURE and (self.wearable is None or self.margin <= 0):
             raise ValueError(f"a sure match needs a wearable and a positive margin, got "
                              f"wearable {self.wearable!r}, margin {self.margin}")

@@ -10,7 +10,7 @@ records who operated what and exposes true distances for error analysis.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -263,6 +263,25 @@ def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float
     return d, False
 
 
+def _still_stretches(instants: list[float], traces: Sequence[Trace]) -> list[int]:
+    """Bounds that cut ``instants`` into stretches at which every trace's
+    ``position`` returns the same value: cuts on both sides of each knot
+    time in the window, so a knot instant stands alone, and around each
+    instant inside a knot interval whose end positions differ."""
+    first, last = instants[0], instants[-1]
+    cuts = {0, len(instants)}
+    for trace in traces:
+        times, knots = trace._knot_times, trace.knots
+        lo, hi = bisect_left(times, first), bisect_right(times, last)
+        for j in range(max(lo, 1), min(hi, len(times) - 1) + 1):
+            if knots[j - 1][1:] != knots[j][1:]:
+                cuts.update(range(bisect_right(instants, times[j - 1]), bisect_left(instants, times[j])))
+        for t in times[lo:hi]:
+            cuts.add(bisect_left(instants, t))
+            cuts.add(bisect_right(instants, t))
+    return sorted(cuts)
+
+
 def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     """Synthesize the advertisement stream a seeded scenario run describes.
 
@@ -275,13 +294,12 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     distances and too-fast traces are reported in the returned
     ``GroundTruth``.
 
-    Each segment is handled as one (instants x workers) batch. Distances
-    and model means stay Python floats: hoisted once per tool for a
-    stationary pair, otherwise from a worker position computed once per
-    instant and shared by every tool. Without drop, the segment's noise is
-    one array draw in that order, added to the means and clamped as
-    arrays, which gives the scalar draws, sums and clamps value for value.
-    With drop, each reading keeps its own normal then uniform draw.
+    Each segment's instants are cut into still stretches, at which no trace
+    moves; distances and model means stay Python floats, computed once per
+    stretch and worker. Without drop, a tool's noise is one array draw in
+    that order, added to its stretch means repeated per instant and clamped
+    as arrays, which gives the scalar draws, sums and clamps value for
+    value. With drop, each reading keeps its own normal then uniform draw.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -292,81 +310,70 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     worker_ids = [w.id for w in workers]
     forward = config.model.forward
     std, drop_prob = config.noise_std, config.drop_prob
-    # Each worker's position by instant, shared by every tool.
-    positions: list[dict[float, tuple[float, float]]] = [{} for _ in workers]
 
     ads: list[Advertisement] = []
     truth_sessions: list[TruthRecord] = []
     floored = 0
 
     for tool in tools:
-        # (distance, floored, model mean) of each worker whose distance to
-        # the tool cannot change because both traces are a single knot.
-        fixed: list[tuple[float, bool, float] | None] = []
-        for w in workers:
-            if len(tool.trace.knots) == len(w.trace.knots) == 1:
-                d, floor = _floored_distance(*tool.trace.knots[0][1:], *w.trace.knots[0][1:])
-                fixed.append((d, floor, forward(d)))
-            else:
-                fixed.append(None)
-        moving = None in fixed
+        traces = [tool.trace, *(w.trace for w in workers)]
+        # (segment, instants, stretches) of each segment that broadcasts; a
+        # stretch is (lo, hi, distances, means): instants[lo:hi] and each
+        # worker's floored distance and model mean there
+        runs = []
         for seg in tool.schedule:
             instants = _segment_instants(seg, config.adv_interval)
             if not instants:
                 continue
-            # (distance, floored, model mean) per instant and worker
-            if moving:
-                rows = []
-                for ts in instants:
-                    tx, ty = tool.trace.position(ts)
-                    row = []
-                    for w, memo, pair in zip(workers, positions, fixed):
-                        if pair is None:
-                            pos = memo.get(ts)
-                            if pos is None:
-                                pos = memo[ts] = w.trace.position(ts)
-                            d, floor = _floored_distance(tx, ty, *pos)
-                            pair = (d, floor, forward(d))
-                        floored += pair[1]
-                        row.append(pair)
-                    rows.append(row)
-                means = [[mean for _, _, mean in row] for row in rows]
-            else:
-                rows = [fixed] * len(instants)
-                floored += len(instants) * sum(floor for _, floor, _ in fixed)
-                means = [mean for _, _, mean in fixed]  # broadcast over the instants
+            bounds = _still_stretches(instants, traces)
+            stretches = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                ts = instants[lo]
+                tx, ty = tool.trace.position(ts)
+                dists = []
+                for w in workers:
+                    d, floor = _floored_distance(tx, ty, *w.trace.position(ts))
+                    floored += (hi - lo) * floor
+                    dists.append(d)
+                stretches.append((lo, hi, dists, [forward(d) for d in dists]))
+            runs.append((seg, instants, stretches))
+        if drop_prob == 0:
+            every = [s for _, _, stretches in runs for s in stretches]
+            means = np.repeat([m for *_, m in every], [hi - lo for lo, hi, *_ in every], axis=0)
+            means += rng.normal(0.0, std, size=means.shape)
+            rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).tolist()
+        offset = 0
+        for seg, instants, stretches in runs:
             activity = seg.activity
             if drop_prob == 0:
-                rssi = np.clip(
-                    np.array(means) + rng.normal(0.0, std, size=(len(instants), len(workers))),
-                    RSSI_MIN_DB,
-                    RSSI_MAX_DB,
-                ).tolist()
                 ads += [
                     Advertisement(ts, wid, tool.id, r, activity)
-                    for ts, values in zip(instants, rssi)
+                    for ts, values in zip(instants, rssi[offset:offset + len(instants)])
                     for wid, r in zip(worker_ids, values)
                 ]
+                offset += len(instants)
             else:
-                for ts, row in zip(instants, rows):
-                    for wid, (_, _, mean) in zip(worker_ids, row):
-                        r = mean + rng.normal(0.0, std)
-                        if rng.uniform() < drop_prob:
-                            continue
-                        if r < RSSI_MIN_DB:
-                            r = RSSI_MIN_DB
-                        elif r > RSSI_MAX_DB:
-                            r = RSSI_MAX_DB
-                        ads.append(Advertisement(ts, wid, tool.id, r, activity))
+                for lo, hi, _, means in stretches:
+                    for ts in instants[lo:hi]:
+                        for wid, mean in zip(worker_ids, means):
+                            r = mean + rng.normal(0.0, std)
+                            if rng.uniform() < drop_prob:
+                                continue
+                            if r < RSSI_MIN_DB:
+                                r = RSSI_MIN_DB
+                            elif r > RSSI_MAX_DB:
+                                r = RSSI_MAX_DB
+                            ads.append(Advertisement(ts, wid, tool.id, r, activity))
             if activity is Activity.USAGE:
                 operator = seg.operator
                 if operator is None:
                     if not workers:
                         raise ValueError("cannot infer an operator without workers")
                     mean_dist = {wid: 0.0 for wid in worker_ids}
-                    for row in rows:
-                        for wid, (d, _, _) in zip(worker_ids, row):
-                            mean_dist[wid] += d
+                    for lo, hi, dists, _ in stretches:
+                        for _ in range(lo, hi):
+                            for wid, d in zip(worker_ids, dists):
+                                mean_dist[wid] += d
                     operator = min(mean_dist, key=lambda wid: (mean_dist[wid], wid))
                 truth_sessions.append(
                     TruthRecord(tag=tool.id, start=instants[0], stop=instants[-1], wearable=operator)

@@ -222,6 +222,13 @@ SIMULATE_GOLDEN = {
         "c399bbefa177b5566d224ef5c922b0be822a3624426f6d83ff3d4746118f1b18",
         "d3a6416328f083f6f118689df14026ea82d85f3cfb092a231536caf1c90dc24e",
     ),
+    "swap-drop": (
+        ("swap", "-n", 4, "--spacing", 1.5, "--swap-times", "100,200,300",
+         "--duration", 400, "--drop-prob", 0.2, "--seed", 5),
+        "7525b29db1c0bc317815d45482b570235a641223aa0afb94a84011e090eed53c",
+        "aa3936f613521271dad577b113bf6d5c567276b219fa104cc487a84e9e78a8db",
+        "5acedf2c10328a6c2d7aee9fc114b0d13f51bd464a4de7495a2d2c67acc67bc8",
+    ),
 }
 
 

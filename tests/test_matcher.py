@@ -54,6 +54,13 @@ class TestTrust:
     def test_custom_threshold(self):
         assert trust_classify(1.0, [2.0], threshold=1.5)[0] is Trust.UNSURE
 
+    @pytest.mark.parametrize("label", ["sure", "unsure", None, True])
+    def test_a_match_takes_only_a_trust_label(self, label):
+        """A string label would skip the SURE rule and reach ``evaluate``
+        as a key it cannot score."""
+        with pytest.raises(ValueError, match="trust must be a Trust"):
+            MatchResult("T1", 0.0, 7.0, None, label, 0.0)
+
 
 class TestFromReports:
     def test_grouping(self):

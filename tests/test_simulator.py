@@ -261,8 +261,8 @@ class TestGenerate:
 def scalar_generate(config):
     """The reference stream: one scalar ``rng.normal`` per reading (then one
     ``rng.uniform`` when drop is on) and every distance computed afresh at
-    every instant. ``generate`` batches the noise and hoists stationary
-    distances and must reproduce this exactly.
+    every instant. ``generate`` batches the noise and computes distances once
+    per still stretch and must reproduce this exactly.
 
     Returns (ads, truth sessions, floored, too_fast).
     """
@@ -340,8 +340,8 @@ def assert_same_stream(cfg):
 def unordered_ids():
     """Tools and workers listed out of id order, with ids whose string order
     differs from their numeric order (``T10`` sorts before ``T2``, ``B1``
-    before ``W1``). T10 moves and B1 walks, so positions are shared across
-    tools at common instants; T2 and T1 share T10's broadcast instants."""
+    before ``W1``). T10 moves and B1 walks, so every tool hears a moving
+    badge at every instant; T2 and T1 share T10's broadcast instants."""
     walk = Trace(((0.0, 4.0, 0.0), (100.0, 2.0, 1.0), (200.0, 0.0, 0.5)))
     workers = (
         WorkerSpec(id="W2", trace=Trace.stationary(2.0, 0.0)),
@@ -364,8 +364,36 @@ def unordered_ids():
     return ScenarioConfig(seed=9, duration=200.0, workers=workers, tools=tools)
 
 
+def stretch_edges():
+    """Motion that starts and stops around the broadcasts. W1 stands until
+    29 s, after T1's last broadcast at 28 s but before its segment stops at
+    30 s, then walks to a knot on the broadcast instant 49 s. T2 moves while
+    both workers stand (7 s to 21 s) and rests from 21 s to 35 s, where the
+    position at the knot instant (0.4 + (1.7 - 0.4)) is not the one after
+    it (1.7); from 42 s it rests on an interval whose knots differ only in
+    the sign of zero. All T2's knots are broadcast instants."""
+    workers = (
+        WorkerSpec(id="W1", trace=Trace(((0.0, -0.0, 0.0), (29.0, -0.0, 0.0), (49.0, 3.0, -0.0)))),
+        WorkerSpec(id="W2", trace=Trace.stationary(2.0, -0.0)),
+    )
+    tools = (
+        ToolSpec(id="T1", trace=Trace.stationary(-0.0, 0.3), schedule=(
+            ScheduleSegment(0.0, 30.0),
+            ScheduleSegment(35.0, 70.0),
+        )),
+        ToolSpec(id="T2", trace=Trace(
+            ((7.0, 0.4, 0.3), (21.0, 1.7, 0.3), (35.0, 1.7, 0.3), (42.0, 0.0, 0.3), (56.0, -0.0, 0.3))
+        ), schedule=(
+            ScheduleSegment(0.0, 70.0, operator="W2"),
+        )),
+    )
+    return ScenarioConfig(seed=10, duration=70.0, workers=workers, tools=tools)
+
+
 ORACLE_SCENARIOS = {
     "unordered-ids": unordered_ids(),
+    "stretch-edges": stretch_edges(),
+    "stretch-edges-drop": dataclasses.replace(stretch_edges(), drop_prob=0.3),
     "static": scenario_static(3, 3.0, 600.0, seed=1),
     "swap": scenario_swap(3, 2.0, [120.0, 240.0], seed=2),
     "static-drop": scenario_static(3, 2.0, 400.0, bystanders=1, seed=3, drop_prob=0.3),
@@ -377,25 +405,56 @@ ORACLE_SCENARIOS = {
 }
 
 
+def instant_kinds(cfg):
+    """For each segment, the kind of each broadcast instant: "knot" when it
+    is a knot time of the tool's or a worker's trace, else "moving" when it
+    lies inside a knot interval whose end positions differ, else "still"."""
+    out = []
+    for tool in cfg.tools:
+        traces = [tool.trace, *(w.trace for w in cfg.workers)]
+        for seg in tool.schedule:
+            kinds = []
+            ts = seg.start
+            while ts < seg.stop:
+                if any(ts == t for tr in traces for t, _, _ in tr.knots):
+                    kinds.append("knot")
+                elif any(t0 < ts < t1 and (x0, y0) != (x1, y1)
+                         for tr in traces
+                         for (t0, x0, y0), (t1, x1, y1) in zip(tr.knots, tr.knots[1:])):
+                    kinds.append("moving")
+                else:
+                    kinds.append("still")
+                ts = seg.start + len(kinds) * cfg.adv_interval
+            out.append(kinds)
+    return out
+
+
 @st.composite
 def small_configs(draw):
-    """One to three workers and tools with one- or two-knot traces (close
-    enough to floor some distances), a few segments each, any noise and drop."""
+    """One to three workers and tools with traces of one to three knots
+    (close enough to floor some distances), a few segments each, any noise
+    and drop. A knot may repeat the previous position, which makes a still
+    interval, and knot times and segment bounds are often multiples of the
+    broadcast interval, so that knots fall on broadcast instants."""
     coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).map(lambda v: round(v, 2))
+    duration = 60.0
+    interval = draw(st.sampled_from([7.0, 2.5, 0.7]))
+    on_grid = st.integers(min_value=0, max_value=int(duration / interval)).map(lambda k: k * interval)
 
     def trace():
-        first = (0.0, draw(coord), draw(coord))
-        if draw(st.booleans()):
-            return Trace((first,))
-        second = (draw(st.floats(min_value=1.0, max_value=60.0)), draw(coord), draw(coord))
-        return Trace((first, second))
+        knots = [(0.0, draw(coord), draw(coord))]
+        later = st.one_of(st.floats(min_value=1.0, max_value=duration), on_grid.filter(bool))
+        for t in sorted(set(draw(st.lists(later, max_size=2)))):
+            position = knots[-1][1:] if draw(st.booleans()) else (draw(coord), draw(coord))
+            knots.append((t, *position))
+        return Trace(tuple(knots))
 
-    duration = 60.0
     n_workers = draw(st.integers(min_value=1, max_value=3))
     workers = tuple(WorkerSpec(id=f"W{i + 1}", trace=trace()) for i in range(n_workers))
     tools = []
     for j in range(draw(st.integers(min_value=1, max_value=3))):
-        cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=duration), max_size=4)))
+        bound = st.one_of(st.floats(min_value=0.0, max_value=duration), on_grid)
+        cuts = sorted(draw(st.lists(bound, max_size=4)))
         segments = tuple(
             ScheduleSegment(
                 start=a,
@@ -411,7 +470,7 @@ def small_configs(draw):
         duration=duration,
         workers=workers,
         tools=tuple(tools),
-        adv_interval=draw(st.sampled_from([7.0, 2.5, 0.7])),
+        adv_interval=interval,
         noise_std=draw(st.sampled_from([0.0, 6.99, 40.0])),
         drop_prob=draw(st.sampled_from([0.0, 0.0, 0.5])),
     )
@@ -430,6 +489,33 @@ class TestStreamOracle:
         assert [a.tag for a in ads[:9]] == ["T10"] * 3 + ["T2"] * 3 + ["T10"] * 3
         assert [a.wearable for a in ads[:3]] == ["B1", "W1", "W2"]
         assert any(a.ts == b.ts and a.tag == "T1" and b.tag == "T10" for a, b in zip(ads, ads[3:]))
+        # a run of instants at which nothing moves, instants at which
+        # something does, and knots on broadcast instants
+        kinds = instant_kinds(ORACLE_SCENARIOS["stretch-edges"])
+        assert any(seg[i:i + 2] == ["still", "still"] for seg in kinds for i in range(len(seg)))
+        assert any("moving" in seg for seg in kinds)
+        assert any("knot" in seg for seg in kinds)
+
+    def test_geometry_does_not_grow_with_the_instants(self, monkeypatch):
+        """Positions are computed once per still stretch: the same swaps at
+        twice the broadcast rate cost no more ``Trace.position`` calls."""
+        calls = 0
+        position = Trace.position
+
+        def counted(self, ts):
+            nonlocal calls
+            calls += 1
+            return position(self, ts)
+
+        monkeypatch.setattr(Trace, "position", counted)
+        cfg = scenario_swap(3, 2.0, [120.0, 240.0], seed=2)
+        counts = []
+        for interval in (7.0, 3.5):
+            calls = 0
+            ads, _ = generate(dataclasses.replace(cfg, adv_interval=interval))
+            counts.append((calls, len(ads)))
+        assert counts[1][1] > 1.9 * counts[0][1]
+        assert counts[0][0] == counts[1][0]
 
     @settings(max_examples=150, deadline=None)
     @given(small_configs())
