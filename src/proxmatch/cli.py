@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -274,7 +275,10 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, and building it costs a few milliseconds."""
     parser = argparse.ArgumentParser(
         prog="proxmatch",
         description="BLE proximity pipeline: ranging calibration, distance estimation, "

@@ -12,10 +12,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from . import ekf
-from .ekf import EkfParams, EkfState
+from .ekf import EkfParams
 
 __all__ = [
     "ACTIVE_DEFAULT",
@@ -106,6 +108,49 @@ class Advertisement(_AdvertisementFields):
             raise ValueError(f"activity must be an Activity, got {activity!r}")
         return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))
 
+    @classmethod
+    def grid(
+        cls,
+        instants: Sequence[float],
+        wearables: Sequence[str],
+        tag: str,
+        rssi: Sequence[float],
+        activity: Activity,
+    ) -> list[Advertisement]:
+        """One tag's broadcasts at ``instants``, each heard by every badge in
+        ``wearables``: instant-major, ``rssi`` holding one value per (instant,
+        badge) in that order. The same records as calling ``cls`` on each.
+
+        A value shared by the records of the grid is the same object in each
+        of them, so each instant, id and the activity is checked once, and
+        each RSSI value once, under ``__new__``'s rules, in C-level passes.
+        When any check fails, the grid is built record by record through
+        ``__new__``, which raises its own error for the first bad record or
+        normalises an ``int`` to a ``float`` as it does for one record.
+        """
+        n = len(wearables)
+        if len(rssi) != len(instants) * n:
+            raise ValueError(f"expected {len(instants)} x {n} rssi values, got {len(rssi)}")
+        every_ts = [t for t in instants for _ in range(n)]
+        every_wearable = list(wearables) * len(instants)
+        if (
+            rssi
+            and type(tag) is str
+            and isinstance(activity, Activity)
+            and set(map(type, wearables)) == {str}
+            and set(map(type, instants)) == {float}
+            and all(map(math.isfinite, instants))
+            and set(map(type, rssi)) == {float}
+            # min and max pass over a NaN that is not first; the sum does not
+            and RSSI_MIN_DB <= min(rssi)
+            and max(rssi) <= RSSI_MAX_DB
+            and not math.isnan(sum(rssi))
+        ):
+            return list(map(tuple.__new__, repeat(cls), zip(
+                every_ts, every_wearable, repeat(tag), rssi, repeat(activity)
+            )))
+        return list(map(cls, every_ts, every_wearable, repeat(tag), rssi, repeat(activity)))
+
 
 def _check_window(start: float, stop: float) -> None:
     """The window rule of a report, truth or match record."""
@@ -133,41 +178,6 @@ class DistanceReport:
             raise ValueError(f"n_obs must be an integer >= 1, got {self.n_obs!r}")
 
 
-def _sessions(
-    tag_ads: Sequence[Advertisement], gap: float, params: EkfParams
-) -> Iterator[tuple[float, float, dict[str, tuple[EkfState, int]]]]:
-    """Sweep one tag's time-sorted active broadcasts once, filtering per session.
-
-    Yields ``(start, stop, filters)`` per session, where ``filters`` maps each
-    badge that heard the session to its final filter state and observation
-    count. A pause longer than ``gap`` closes the session; a pause of exactly
-    ``gap`` does not, and several badges hearing one instant stay together.
-    Each badge's readings are collected during the sweep and folded in by one
-    ``ekf.run_filter`` call when its session closes.
-    """
-
-    def filtered(
-        heard: dict[str, tuple[list[float], list[float]]]
-    ) -> dict[str, tuple[EkfState, int]]:
-        return {w: (ekf.run_filter(rssi, ts, params), len(ts)) for w, (rssi, ts) in heard.items()}
-
-    start = stop = tag_ads[0].ts
-    heard: dict[str, tuple[list[float], list[float]]] = {}
-    for a in tag_ads:
-        if a.ts - stop > gap:
-            yield start, stop, filtered(heard)
-            start, heard = a.ts, {}
-        stop = a.ts
-        obs = heard.get(a.wearable)
-        if obs is None:
-            obs = heard[a.wearable] = ([], [])
-        elif obs[1][-1] == a.ts:
-            continue  # the same broadcast logged again: the first reception wins
-        obs[0].append(a.rssi)
-        obs[1].append(a.ts)
-    yield start, stop, filtered(heard)
-
-
 def run_edge(
     ads: Iterable[Advertisement],
     params: EkfParams | None = None,
@@ -191,13 +201,32 @@ def run_edge(
     if params is None:
         params = EkfParams()
     by_tag: dict[str, list[Advertisement]] = defaultdict(list)
-    for a in sorted((a for a in ads if a.activity in active), key=lambda a: a.ts):
-        by_tag[a.tag].append(a)
-    reports = [
-        DistanceReport(wearable=w, tag=tag, start=start, stop=stop, distance=state.x, n_obs=n)
-        for tag, tag_ads in by_tag.items()
-        for start, stop, filters in _sessions(tag_ads, gap, params)
-        for w, (state, n) in filters.items()
-    ]
+    for a in sorted([a for a in ads if a[4] in active], key=itemgetter(0)):
+        by_tag[a[2]].append(a)
+    reports = []
+
+    def close(tag: str, start: float, stop: float, heard: dict) -> None:
+        for w, (rssi, ts) in heard.items():
+            x = ekf.run_filter(rssi, ts, params).x
+            reports.append(DistanceReport(w, tag, start, stop, x, len(ts)))
+
+    for tag, tag_ads in by_tag.items():
+        # One sweep over the tag's time-sorted broadcasts: each badge's
+        # readings are collected and folded by one run_filter call, and the
+        # reports emitted, when a pause longer than ``gap`` closes the session.
+        start = stop = tag_ads[0][0]
+        heard: dict[str, tuple[list[float], list[float]]] = {}
+        for ts, w, _, rssi, _ in tag_ads:
+            if ts - stop > gap:
+                close(tag, start, stop, heard)
+                start, heard = ts, {}
+            stop = ts
+            obs = heard.get(w)
+            if obs is None:
+                heard[w] = ([rssi], [ts])
+            elif obs[1][-1] != ts:  # a repeat of one broadcast: the first reception wins
+                obs[0].append(rssi)
+                obs[1].append(ts)
+        close(tag, start, stop, heard)
     reports.sort(key=lambda r: (r.start, r.stop, r.tag, r.wearable))
     return reports

@@ -218,15 +218,16 @@ def _ad_from_dict(d: dict) -> Advertisement:
 
 
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
-#: The end of a line after its RSSI, per activity.
-_ACTIVITY_TAIL = {a: f',"activity":{json.dumps(a.value)}}}\n' for a in Activity}
 #: Lines joined into one write; a whole file at once costs peak memory.
 _CHUNK_LINES = 256
 
 
-def _ids_text(wearable: str, tag: str) -> str:
-    """The part of a line between ``ts`` and the RSSI value."""
-    return f',"wearable":{json.dumps(wearable)},"tag":{json.dumps(tag)},"rssi_db":'
+def _line_parts(wearable: str, tag: str, activity: Activity) -> tuple[str, str]:
+    """The text of a line between ``ts`` and the RSSI value, and after it."""
+    return (
+        f',"wearable":{json.dumps(wearable)},"tag":{json.dumps(tag)},"rssi_db":',
+        f',"activity":{json.dumps(activity.value)}}}\n',
+    )
 
 
 def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None:
@@ -234,31 +235,37 @@ def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None
     reference the tests compare against), formatted directly and written
     ``_CHUNK_LINES`` lines at a time.
 
-    Text that repeats is formatted once per file: the timestamp of each
-    distinct nonzero value (``0.0`` and ``-0.0`` are equal keys with
-    different text), the ids-and-key fragment of each (wearable, tag) pair,
-    and the tail of each activity. ``Advertisement`` stores ``ts`` and
-    ``rssi`` as finite floats, which go through ``float.__repr__`` as in
-    ``json``, and its ids as ``str``.
+    Text that repeats is formatted once: a line whose timestamp is the same
+    object as the line before's reuses its text (``Advertisement.grid``
+    shares one per instant), any other distinct nonzero timestamp is
+    formatted once per file (``0.0`` and ``-0.0`` are equal keys with
+    different text), and the text around the RSSI once per (wearable, tag,
+    activity). ``Advertisement`` stores ``ts`` and ``rssi`` as finite
+    floats, which go through ``float.__repr__`` as in ``json``, and its ids
+    as ``str``.
     """
     num = float.__repr__
     ts_text: dict[float, str] = {}
-    pair_text: dict[tuple[str, str], str] = {}
+    parts: dict[tuple[str, str, Activity], tuple[str, str]] = {}
+    last_ts = t = None
     it = iter(ads)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         while True:
             lines = []
             for ts, wearable, tag, rssi, activity in islice(it, _CHUNK_LINES):
-                if ts:
-                    t = ts_text.get(ts)
-                    if t is None:
-                        t = ts_text[ts] = num(ts)
-                else:
-                    t = num(ts)
-                ids = pair_text.get((wearable, tag))
-                if ids is None:
-                    ids = pair_text[wearable, tag] = _ids_text(wearable, tag)
-                lines.append(f'{{"ts":{t}{ids}{num(rssi)}{_ACTIVITY_TAIL[activity]}')
+                if ts is not last_ts:
+                    last_ts = ts
+                    if ts:
+                        t = ts_text.get(ts)
+                        if t is None:
+                            t = ts_text[ts] = num(ts)
+                    else:
+                        t = num(ts)
+                key = wearable, tag, activity
+                part = parts.get(key)
+                if part is None:
+                    part = parts[key] = _line_parts(wearable, tag, activity)
+                lines.append(f'{{"ts":{t}{part[0]}{num(rssi)}{part[1]}')
             if not lines:
                 return
             f.write("".join(lines))

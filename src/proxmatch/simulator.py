@@ -299,7 +299,9 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     stretch and worker. Without drop, a tool's noise is one array draw in
     that order, added to its stretch means repeated per instant and clamped
     as arrays, which gives the scalar draws, sums and clamps value for
-    value. With drop, each reading keeps its own normal then uniform draw.
+    value; each segment's records are then built as one
+    ``Advertisement.grid``. With drop, each reading keeps its own normal
+    then uniform draw and is built on its own.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -341,17 +343,14 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
             every = [s for _, _, stretches in runs for s in stretches]
             means = np.repeat([m for *_, m in every], [hi - lo for lo, hi, *_ in every], axis=0)
             means += rng.normal(0.0, std, size=means.shape)
-            rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).tolist()
+            rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).ravel().tolist()
         offset = 0
         for seg, instants, stretches in runs:
             activity = seg.activity
             if drop_prob == 0:
-                ads += [
-                    Advertisement(ts, wid, tool.id, r, activity)
-                    for ts, values in zip(instants, rssi[offset:offset + len(instants)])
-                    for wid, r in zip(worker_ids, values)
-                ]
-                offset += len(instants)
+                end = offset + len(instants) * len(workers)
+                ads += Advertisement.grid(instants, worker_ids, tool.id, rssi[offset:end], activity)
+                offset = end
             else:
                 for lo, hi, _, means in stretches:
                     for ts in instants[lo:hi]:

@@ -20,6 +20,22 @@ from proxmatch.pathloss import DEFAULT_MODEL
 PARAMS = EkfParams()
 
 
+#: (field, bad value, error message) of an advertisement.
+BAD_FIELDS = [
+    ("ts", math.inf, "timestamp must be finite"),
+    ("ts", math.nan, "timestamp must be finite"),
+    ("rssi", math.nan, "rssi outside plausible range"),
+    ("rssi", 20.5, "rssi outside plausible range"),
+    ("rssi", -127.5, "rssi outside plausible range"),
+    ("activity", "usage", "activity must be an Activity"),
+    ("wearable", 1, "wearable must be a string, got 1"),
+    ("tag", None, "tag must be a string, got None"),
+    ("ts", True, "ts must be a number, got True"),
+    ("ts", "0.5", "ts must be a number, got '0.5'"),
+    ("rssi", True, "rssi must be a number, got True"),
+]
+
+
 def ad(ts, rssi=-45.6, wearable="W1", tag="T1", activity=Activity.USAGE):
     return Advertisement(ts=ts, wearable=wearable, tag=tag, rssi=rssi, activity=activity)
 
@@ -39,19 +55,7 @@ class TestAdvertisement:
         assert ad(0.0, rssi=-127.0).rssi == -127.0
         assert ad(0.0, rssi=20.0).rssi == 20.0
 
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("ts", math.inf, "timestamp must be finite"),
-            ("rssi", math.nan, "rssi outside plausible range"),
-            ("activity", "usage", "activity must be an Activity"),
-            ("wearable", 1, "wearable must be a string, got 1"),
-            ("tag", None, "tag must be a string, got None"),
-            ("ts", True, "ts must be a number, got True"),
-            ("ts", "0.5", "ts must be a number, got '0.5'"),
-            ("rssi", True, "rssi must be a number, got True"),
-        ],
-    )
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
     def test_positional_and_keyword_construction_both_validate(self, field, value, message):
         fields = {"ts": 0.0, "wearable": "W1", "tag": "T1", "rssi": -45.6,
                   "activity": Activity.USAGE, field: value}
@@ -73,6 +77,83 @@ class TestAdvertisement:
         with pytest.raises(AttributeError):
             a.extra = 1
         assert {Activity.USAGE: 1}[Activity("usage")] == 1
+
+
+def per_record(instants, wearables, tag, rssi, activity):
+    """What ``Advertisement.grid`` must equal: one ``Advertisement`` per
+    (instant, badge), instant-major."""
+    values = iter(rssi)
+    return [Advertisement(t, w, tag, next(values), activity) for t in instants for w in wearables]
+
+
+@st.composite
+def grids(draw):
+    """(instants, wearables, tag, rssi, activity) of a valid grid."""
+    instants = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+    wearables = draw(st.lists(st.sampled_from(["W1", "W2", "W3", "B1"]), min_size=1, max_size=4))
+    rssi = draw(st.lists(st.floats(-127.0, 20.0), min_size=len(instants) * len(wearables),
+                         max_size=len(instants) * len(wearables)))
+    tag, activity = draw(st.sampled_from(["T1", "T2"])), draw(st.sampled_from(list(Activity)))
+    return instants, wearables, tag, rssi, activity
+
+
+class TestGrid:
+    @settings(max_examples=60)
+    @given(grids())
+    def test_equals_per_record_construction(self, grid):
+        built = Advertisement.grid(*grid)
+        assert built == per_record(*grid)
+        assert all(type(a) is Advertisement and type(a.ts) is float and type(a.rssi) is float
+                   for a in built)
+
+    @settings(max_examples=60)
+    @given(
+        grid=grids(),
+        case=st.sampled_from(BAD_FIELDS),
+        where=st.tuples(st.integers(0, 5), st.integers(0, 3)),
+    )
+    def test_a_bad_value_anywhere_raises_the_per_record_error(self, grid, case, where):
+        """Each bad value of ``test_positional_and_keyword_construction_both_validate``,
+        at any (instant, badge) of a grid: the error of building that record."""
+        instants, wearables, tag, rssi, activity = grid
+        instants, wearables, rssi = list(instants), list(wearables), list(rssi)
+        field, value, message = case
+        i, j = where[0] % len(instants), where[1] % len(wearables)
+        if field == "ts":
+            instants[i] = value
+        elif field == "wearable":
+            wearables[j] = value
+        elif field == "rssi":
+            rssi[i * len(wearables) + j] = value
+        elif field == "tag":
+            tag = value
+        else:
+            activity = value
+        with pytest.raises(ValueError, match=message) as raised:
+            Advertisement.grid(instants, wearables, tag, rssi, activity)
+        with pytest.raises(ValueError) as expected:
+            per_record(instants, wearables, tag, rssi, activity)
+        assert str(raised.value) == str(expected.value)
+
+    def test_nan_behind_the_first_rssi_is_caught(self):
+        # min and max keep whichever of a NaN and a number comes first
+        for rssi in ([-50.0, math.nan, -60.0], [-50.0, -60.0, math.nan]):
+            with pytest.raises(ValueError, match="rssi outside plausible range"):
+                Advertisement.grid([0.0, 7.0, 14.0], ["W1"], "T1", rssi, Activity.USAGE)
+
+    def test_ints_come_out_as_floats(self):
+        grid = [0, 7.0], ["W1", "W2"], "T1", [-50, -51.0, -52.0, -53], Activity.USAGE
+        built = Advertisement.grid(*grid)
+        assert built == per_record(*grid)
+        assert [(type(a.ts), type(a.rssi)) for a in built] == [(float, float)] * 4
+        assert repr(built) == repr(per_record([0.0, 7.0], ["W1", "W2"], "T1",
+                                              [-50.0, -51.0, -52.0, -53.0], Activity.USAGE))
+
+    def test_shape_and_empty_grids(self):
+        with pytest.raises(ValueError, match="expected 2 x 2 rssi values, got 3"):
+            Advertisement.grid([0.0, 7.0], ["W1", "W2"], "T1", [-50.0] * 3, Activity.USAGE)
+        assert Advertisement.grid([], ["W1"], "T1", [], Activity.USAGE) == []
+        assert Advertisement.grid([0.0], [], "T1", [], Activity.USAGE) == []
 
 
 def windows(ads, **kwargs):
@@ -234,3 +315,63 @@ class TestRunEdge:
         shuffled = list(ads)
         rng.shuffle(shuffled)
         assert run_edge(ads, PARAMS) == run_edge(shuffled, PARAMS)
+
+
+def reference_edge(ads, gap, active):
+    """The edge stage restated: a stable sort by ts, grouping by tag, cuts at
+    pauses over ``gap``, and each badge's first reception of each broadcast
+    folded with ``ekf.step``."""
+    by_tag = {}
+    for a in sorted((a for a in ads if a.activity in active), key=lambda a: a.ts):
+        by_tag.setdefault(a.tag, []).append(a)
+    reports = []
+    for tag, tag_ads in by_tag.items():
+        sessions = [[tag_ads[0]]]
+        for prev, a in zip(tag_ads, tag_ads[1:]):
+            if a.ts - prev.ts > gap:
+                sessions.append([])
+            sessions[-1].append(a)
+        for session in sessions:
+            filters = {}  # wearable -> (state, n_obs)
+            for a in session:
+                state, n = filters.get(a.wearable, (None, 0))
+                if state is not None and state.ts == a.ts:
+                    continue
+                filters[a.wearable] = (ekf.step(state, a.rssi, a.ts, PARAMS), n + 1)
+            reports += [
+                DistanceReport(w, tag, session[0].ts, session[-1].ts, state.x, n)
+                for w, (state, n) in filters.items()
+            ]
+    return sorted(reports, key=lambda r: (r.start, r.stop, r.tag, r.wearable))
+
+
+@st.composite
+def mixed_streams(draw):
+    """2-4 tags and 1-4 badges drawing from one set of instants, so tags share
+    timestamps, with inactive and transport broadcasts, repeated receptions of
+    one broadcast, and the whole stream shuffled."""
+    tags = [f"T{i}" for i in range(1, draw(st.integers(2, 4)) + 1)]
+    badges = [f"W{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    instants = draw(st.lists(st.integers(0, 30).map(lambda k: 3.5 * k), min_size=1, max_size=20))
+    activity = st.sampled_from([Activity.USAGE, Activity.USAGE, Activity.TRANSPORT, Activity.INACTIVE])
+    rssi = st.floats(-90.0, -30.0)
+    ads = draw(st.lists(
+        st.builds(Advertisement, st.sampled_from(instants), st.sampled_from(badges),
+                  st.sampled_from(tags), rssi, activity),
+        min_size=1, max_size=60,
+    ))
+    repeats = draw(st.lists(st.tuples(st.integers(0, len(ads) - 1), rssi), max_size=10))
+    ads += [ads[i]._replace(rssi=r) for i, r in repeats]
+    draw(st.randoms(use_true_random=False)).shuffle(ads)
+    return ads
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ads=mixed_streams(),
+        gap=st.sampled_from([3.5, 7.0, 10.5, SESSION_GAP_S]),
+        active=st.sampled_from([ACTIVE_DEFAULT, frozenset({Activity.USAGE, Activity.TRANSPORT})]),
+    )
+    def test_reports_equal_the_reference(self, ads, gap, active):
+        assert run_edge(ads, PARAMS, gap=gap, active=active) == reference_edge(ads, gap, active)

@@ -194,6 +194,8 @@ class TestAdvertisementCodec:
             Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="W1", tag="T2", rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
+            # lines sharing one timestamp object reuse its text; the next differs
+            *Advertisement.grid([-0.0, 0.0, -0.0], ["W1", "W2"], "T1", [-45.6] * 6, u),
         ]
         p = tmp_path / "ads.jsonl"
         io.write_advertisements(p, ads)
