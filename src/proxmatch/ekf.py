@@ -138,24 +138,26 @@ def run_filter(
 ) -> EkfState:
     """Fold a time-ordered observation stream into a filter; the final state.
 
-    Starts from ``state``, or from ``init`` on the first observation when
-    ``state`` is None, then per observation predicts (the estimate kept, the
-    variance grown by ``q * dt**2``, or ``q * dt`` under ``DT_LINEAR``, so a
-    missed broadcast just widens the gap) and updates. This is the only copy
-    of the filter arithmetic: one loop over plain floats performing the float
-    operations of ``jacobian`` and ``PathLossModel.forward`` in the same
-    order, so its result is bit-identical to folding ``step`` over the stream.
+    Starts from ``state``, or from the first observation by ``init``'s
+    expression, in place, when ``state`` is None; then per observation
+    predicts (the estimate kept, the variance grown by ``q * dt**2``, or
+    ``q * dt`` under ``DT_LINEAR``, so a missed broadcast just widens the
+    gap) and updates. This is the only copy of the filter arithmetic: one
+    loop over plain floats performing the float operations of ``jacobian``
+    and ``PathLossModel.forward`` in the same order, so its result is
+    bit-identical to folding ``step`` over the stream.
     """
     if len(rssi) != len(ts):
         raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")
-    skip = 0
+    model = params.model
     if state is None:
         if len(rssi) == 0:
             raise ValueError("a filter needs at least one observation to start")
-        state = init(params, rssi[0], ts[0])
+        x, p, t = min(max(model.inverse(rssi[0]), params.d_min), params.d_max), params.p0, ts[0]
         skip = 1
-    x, p, t = state.x, state.p, state.ts
-    model = params.model
+    else:
+        x, p, t = state.x, state.p, state.ts
+        skip = 0
     h_num = -10.0 * model.n
     ln10 = math.log(10.0)
     slope, x0, rssi0 = 10.0 * model.n, model.x0, model.rssi0

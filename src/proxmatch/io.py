@@ -69,15 +69,32 @@ _R = TypeVar("_R")
 #: from a CSV field over the csv module's size limit.
 _BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error)
 
-#: What ``json.dumps(row, separators=(",", ":"))`` calls, built once instead
-#: of once per row.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+class _JsonText(dict):
+    """``json.dumps`` of each id, label or None looked up, computed once per
+    distinct value. Equal keys share one text, as ``1`` and ``True`` would,
+    so it holds only strings and None."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = json.dumps(value)
+        return text
 
 
-def _write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+def _num(value) -> str:
+    """A number as ``json`` writes it: a float through ``float.__repr__``."""
+    return float.__repr__(value) if type(value) is float else json.dumps(value)
+
+
+#: Lines joined into one write; a whole file at once costs peak memory.
+_CHUNK_LINES = 256
+
+
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Lines formatted by the caller, written ``_CHUNK_LINES`` at a time."""
+    it = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in rows:
-            f.write(_encode(row) + "\n")
+        while chunk := "".join(islice(it, _CHUNK_LINES)):
+            f.write(chunk)
 
 
 def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -202,24 +219,12 @@ def _text(d: dict, key: str) -> str:
     return value
 
 
-def _ad_to_dict(a: Advertisement) -> dict:
-    return {
-        "ts": a.ts,
-        "wearable": a.wearable,
-        "tag": a.tag,
-        "rssi_db": a.rssi,
-        "activity": a.activity.value,
-    }
-
-
 def _ad_from_dict(d: dict) -> Advertisement:
     """An advertisement from a JSON line, which ``Advertisement`` checks."""
     return Advertisement(d["ts"], d["wearable"], d["tag"], d["rssi_db"], Activity(d["activity"]))
 
 
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
-#: Lines joined into one write; a whole file at once costs peak memory.
-_CHUNK_LINES = 256
 
 
 def _line_parts(wearable: str, tag: str, activity: Activity) -> tuple[str, str]:
@@ -231,8 +236,8 @@ def _line_parts(wearable: str, tag: str, activity: Activity) -> tuple[str, str]:
 
 
 def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None:
-    """JSON Lines, byte for byte ``_write_jsonl(path, map(_ad_to_dict, ads))`` (the
-    reference the tests compare against), formatted directly and written
+    """JSON Lines, byte for byte what ``json.dumps`` writes for each record
+    as an object of the ``_AD_FIELDS`` keys, formatted directly and written
     ``_CHUNK_LINES`` lines at a time.
 
     Text that repeats is formatted once: a line whose timestamp is the same
@@ -292,20 +297,12 @@ def read_advertisements(
 
 
 def write_reports(path: str | Path, reports: Iterable[DistanceReport]) -> None:
-    _write_jsonl(
-        path,
-        (
-            {
-                "wearable": r.wearable,
-                "tag": r.tag,
-                "start_s": r.start,
-                "stop_s": r.stop,
-                "distance_m": r.distance,
-                "n_obs": r.n_obs,
-            }
-            for r in reports
-        ),
-    )
+    text = _JsonText()
+    _write_lines(path, (
+        f'{{"wearable":{text[r.wearable]},"tag":{text[r.tag]},"start_s":{_num(r.start)},'
+        f'"stop_s":{_num(r.stop)},"distance_m":{_num(r.distance)},"n_obs":{r.n_obs!r}}}\n'
+        for r in reports
+    ))
 
 
 def read_reports(path: str | Path) -> list[DistanceReport]:
@@ -320,13 +317,12 @@ def read_reports(path: str | Path) -> list[DistanceReport]:
 
 
 def write_truth(path: str | Path, truth: Iterable[TruthRecord]) -> None:
-    _write_jsonl(
-        path,
-        (
-            {"tag": t.tag, "start_s": t.start, "stop_s": t.stop, "wearable": t.wearable}
-            for t in truth
-        ),
-    )
+    text = _JsonText()
+    _write_lines(path, (
+        f'{{"tag":{text[t.tag]},"start_s":{_num(t.start)},"stop_s":{_num(t.stop)},'
+        f'"wearable":{text[t.wearable]}}}\n'
+        for t in truth
+    ))
 
 
 def read_truth(path: str | Path) -> list[TruthRecord]:
@@ -340,20 +336,13 @@ def read_truth(path: str | Path) -> list[TruthRecord]:
 
 def write_matches(path: str | Path, matches: Iterable[MatchResult]) -> None:
     """Margins are meters; an infinite margin (no competitor at all) is null."""
-    _write_jsonl(
-        path,
-        (
-            {
-                "tag": m.tag,
-                "start_s": m.start,
-                "stop_s": m.stop,
-                "wearable": m.wearable,
-                "trust": m.trust.value,
-                "margin_m": m.margin if math.isfinite(m.margin) else None,
-            }
-            for m in matches
-        ),
-    )
+    text = _JsonText()
+    _write_lines(path, (
+        f'{{"tag":{text[m.tag]},"start_s":{_num(m.start)},"stop_s":{_num(m.stop)},'
+        f'"wearable":{text[m.wearable]},"trust":{text[m.trust.value]},'
+        f'"margin_m":{_num(m.margin) if math.isfinite(m.margin) else "null"}}}\n'
+        for m in matches
+    ))
 
 
 def read_matches(path: str | Path) -> list[MatchResult]:

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
 
@@ -263,13 +264,14 @@ def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float
     return d, False
 
 
-def _still_stretches(instants: list[float], traces: Sequence[Trace]) -> list[int]:
-    """Bounds that cut ``instants`` into stretches at which every trace's
-    ``position`` returns the same value: cuts on both sides of each knot
-    time in the window, so a knot instant stands alone, and around each
-    instant inside a knot interval whose end positions differ."""
+def _still_stretches(instants: list[float], traces: Sequence[Trace], starts: list[int]) -> list[int]:
+    """Bounds that cut the strictly increasing ``instants`` into stretches
+    at which every trace's ``position`` returns the same value: cuts at
+    ``starts`` (which hold 0), on both sides of each knot time in the
+    window, so a knot instant stands alone, and around each instant inside
+    a knot interval whose end positions differ."""
     first, last = instants[0], instants[-1]
-    cuts = {0, len(instants)}
+    cuts = {*starts, len(instants)}
     for trace in traces:
         times, knots = trace._knot_times, trace.knots
         lo, hi = bisect_left(times, first), bisect_right(times, last)
@@ -294,14 +296,15 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     distances and too-fast traces are reported in the returned
     ``GroundTruth``.
 
-    Each segment's instants are cut into still stretches, at which no trace
-    moves; distances and model means stay Python floats, computed once per
-    stretch and worker. Without drop, a tool's noise is one array draw in
-    that order, added to its stretch means repeated per instant and clamped
-    as arrays, which gives the scalar draws, sums and clamps value for
-    value; each segment's records are then built as one
-    ``Advertisement.grid``. With drop, each reading keeps its own normal
-    then uniform draw and is built on its own.
+    A tool's instants, segment after segment, strictly increase; they are
+    cut once into still stretches, at which no trace moves and which never
+    span two segments. Distances and model means stay Python floats,
+    computed once per stretch and worker. Without drop, a tool's noise is
+    one array draw in that order, added to its stretch means repeated per
+    instant and clamped as arrays, which gives the scalar draws, sums and
+    clamps value for value; each run of consecutive segments with one
+    activity is then built as one ``Advertisement.grid``. With drop, each
+    reading keeps its own normal then uniform draw and is built on its own.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -310,6 +313,7 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     workers = sorted(config.workers, key=lambda w: w.id)
     tools = sorted(config.tools, key=lambda t: t.id)
     worker_ids = [w.id for w in workers]
+    n = len(workers)
     forward = config.model.forward
     std, drop_prob = config.noise_std, config.drop_prob
 
@@ -318,41 +322,45 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     floored = 0
 
     for tool in tools:
-        traces = [tool.trace, *(w.trace for w in workers)]
-        # (segment, instants, stretches) of each segment that broadcasts; a
-        # stretch is (lo, hi, distances, means): instants[lo:hi] and each
-        # worker's floored distance and model mean there
-        runs = []
+        # the tool's instants, and (segment, first, end) per segment that has instants[first:end]
+        instants: list[float] = []
+        segments = []
         for seg in tool.schedule:
-            instants = _segment_instants(seg, config.adv_interval)
-            if not instants:
-                continue
-            bounds = _still_stretches(instants, traces)
-            stretches = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                ts = instants[lo]
-                tx, ty = tool.trace.position(ts)
-                dists = []
-                for w in workers:
-                    d, floor = _floored_distance(tx, ty, *w.trace.position(ts))
-                    floored += (hi - lo) * floor
-                    dists.append(d)
-                stretches.append((lo, hi, dists, [forward(d) for d in dists]))
-            runs.append((seg, instants, stretches))
+            first = len(instants)
+            instants += _segment_instants(seg, config.adv_interval)
+            if len(instants) > first:
+                segments.append((seg, first, len(instants)))
+        if not instants:
+            continue
+        traces = [tool.trace, *(w.trace for w in workers)]
+        bounds = _still_stretches(instants, traces, [first for _, first, _ in segments])
+        # a stretch is (lo, hi, distances, means): instants[lo:hi] and each
+        # worker's floored distance and model mean there
+        stretches = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            ts = instants[lo]
+            tx, ty = tool.trace.position(ts)
+            dists = []
+            for w in workers:
+                d, floor = _floored_distance(tx, ty, *w.trace.position(ts))
+                floored += (hi - lo) * floor
+                dists.append(d)
+            stretches.append((lo, hi, dists, [forward(d) for d in dists]))
         if drop_prob == 0:
-            every = [s for _, _, stretches in runs for s in stretches]
-            means = np.repeat([m for *_, m in every], [hi - lo for lo, hi, *_ in every], axis=0)
+            means = np.repeat([m for *_, m in stretches], [hi - lo for lo, hi, *_ in stretches], axis=0)
             means += rng.normal(0.0, std, size=means.shape)
             rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).ravel().tolist()
-        offset = 0
-        for seg, instants, stretches in runs:
+            for activity, run in groupby(segments, key=lambda s: s[0].activity):
+                run = list(run)
+                lo, hi = run[0][1], run[-1][2]
+                ads += Advertisement.grid(instants[lo:hi], worker_ids, tool.id,
+                                          rssi[lo * n:hi * n], activity)
+        for seg, first, end in segments:
+            # every segment start is a bound, so its stretches are a slice
+            own = stretches[bisect_left(bounds, first):bisect_left(bounds, end)]
             activity = seg.activity
-            if drop_prob == 0:
-                end = offset + len(instants) * len(workers)
-                ads += Advertisement.grid(instants, worker_ids, tool.id, rssi[offset:end], activity)
-                offset = end
-            else:
-                for lo, hi, _, means in stretches:
+            if drop_prob > 0:
+                for lo, hi, _, means in own:
                     for ts in instants[lo:hi]:
                         for wid, mean in zip(worker_ids, means):
                             r = mean + rng.normal(0.0, std)
@@ -369,13 +377,14 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
                     if not workers:
                         raise ValueError("cannot infer an operator without workers")
                     mean_dist = {wid: 0.0 for wid in worker_ids}
-                    for lo, hi, dists, _ in stretches:
+                    for lo, hi, dists, _ in own:
                         for _ in range(lo, hi):
                             for wid, d in zip(worker_ids, dists):
                                 mean_dist[wid] += d
                     operator = min(mean_dist, key=lambda wid: (mean_dist[wid], wid))
                 truth_sessions.append(
-                    TruthRecord(tag=tool.id, start=instants[0], stop=instants[-1], wearable=operator)
+                    TruthRecord(tag=tool.id, start=instants[first], stop=instants[end - 1],
+                                wearable=operator)
                 )
 
     # Tools come in id order, workers in id order and each tool's instants

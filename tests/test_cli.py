@@ -243,6 +243,52 @@ def test_simulate_bytes_match_the_recorded_digests(tmp_path, name):
     assert digests == golden
 
 
+#: sha256 of the files ``pipeline`` writes after the two above, on each
+#: ``SIMULATE_GOLDEN`` scenario: reports, matches, metrics and errors.
+PIPELINE_GOLDEN = {
+    "crowd-swap": (
+        "26350b35f974196ce9180b1c3c48499e790eec2c7e1fe94ddf141a44c9a7cce4",
+        "716be6d6284350bc8a19710f3f0a38fb12cb6906aed430c8938c3b2973b1b8a5",
+        "5c961f5eeb273393fcc54e138019c12d5dcbe8f9eda0f76660d68754ccf3bffe",
+        "cae7b77ee5c4b1ce80d0d6aa4abd7f68c7264571fdecdce6bfb9b37016c41c9e",
+    ),
+    "static-1h": (
+        "76ef9e168e4e10e6f87df038d8f9078707c7306bb27efbdeb4a6934e846f0cae",
+        "9f8b6fae20fcd47922ff0d695c549794e876a0e099d7c9b5d420e99de1c0041e",
+        "21345542530770af535c977cddee79607bcb09d7fe8c15146360e99ab26463c1",
+        "0ac5d0599761ccbe9ef8b7e0298869a040de74a7153ff6661e5c0b5315a6876a",
+    ),
+    "static-drop-bystander": (
+        "25d5629014e0b56a3dfec0bf6791c0d96d0d98b429eb110d73fbff09e613d809",
+        "6203b015df8e45e9d6f2b3f094ba18068a0c9e819fbea40f7722df9ea3c49702",
+        "cfa0dd0548519cb0356f41b277565aa2926837c83b8c1f3bfa4324626c9a0f9a",
+        "9e2124cbac4eca7d7d958e959ace3c4d027ac1824e82396649fbb50c1e8b0a68",
+    ),
+    "swap": (
+        "dcc543b5d94eccfcadf3e5d52305a4fd65663799ce918ca79f8c015444742886",
+        "85b7d6cc9289f6715d251f2d0cbfcad8ff0ea756e6930dc78952c8aea181a4e5",
+        "a99da9c5c06ac6fede3c7d5e7cdf93997f3022cb5dcc06722f9731aa62370b36",
+        "f340f38a7210652bbc42a4bc30062175dc6c0b0ac30d5793e4bdbc3ad0d80118",
+    ),
+    "swap-drop": (
+        "1264de054f799aa8da8f7527e5ba35f23a2b6f88accbfdab7b60732692a755d9",
+        "ce02bc67962460571349739da1bbd994756e2911531c583133a1eeb9e2d78697",
+        "3331caf424d213c87beb9be7c208f71ac11f16074ef7a0af3fd04ac84d459685",
+        "aa70e8551a3129c7315904bc87b711dbd0bdf1d806138711d6b2b981e1d5f526",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
+def test_pipeline_bytes_match_the_recorded_digests(tmp_path, name):
+    scen, out = tmp_path / "scen.json", tmp_path / "run"
+    assert run("scenario", *SIMULATE_GOLDEN[name][0], "-o", scen) == 0
+    assert run("pipeline", scen, "--out-dir", out) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("reports.jsonl", "matches.jsonl", "metrics.json", "errors.csv"))
+    assert digests == PIPELINE_GOLDEN[name]
+
+
 class TestEvaluateCommand:
     def test_reproduces_the_reference_percentages(self, tmp_path):
         matches, truth = [], []

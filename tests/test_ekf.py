@@ -395,6 +395,24 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="time order"):
             ekf.run_filter([-50.0], [4.0], PARAMS, EkfState(x=1.0, p=1.0, ts=5.0))
 
+    @pytest.mark.parametrize("params", [
+        PARAMS,
+        EkfParams(model=PathLossModel(n=1.2, x0=2.0, rssi0=-50.0), d_min=0.4, d_max=15.0, p0=2.0),
+    ])
+    def test_one_observation_is_init(self, params):
+        """``run_filter`` starts a stream in place, by ``init``'s clamped
+        inversion: across both clamps and one ulp either side of each bound."""
+        edges = []
+        for d in (params.d_min, params.d_max):
+            z = params.model.forward(d)
+            edges += [math.nextafter(z, -math.inf), z, math.nextafter(z, math.inf)]
+        for z in [-127.0, -70.0, -58.76, -58.75, -50.0, -45.6, -42.56, -42.55, -30.0, 20.0, *edges]:
+            for t in (-3.5, 0.0, 7.0):
+                got, want = ekf.run_filter([z], [t], params), ekf.init(params, z, t)
+                assert got == want and _bits(got.x, got.p, got.ts) == _bits(want.x, want.p, want.ts)
+        assert ekf.run_filter([-70.0], [0.0], params).x == params.d_max
+        assert ekf.run_filter([20.0], [0.0], params).x == params.d_min
+
     def test_malformed_input(self):
         with pytest.raises(ValueError):
             ekf.run_filter([], [], PARAMS)

@@ -97,8 +97,13 @@ class TestAdvertisements:
             io.read_advertisements(p)
 
 
+def ad_row(a):
+    return {"ts": a.ts, "wearable": a.wearable, "tag": a.tag, "rssi_db": a.rssi,
+            "activity": a.activity.value}
+
+
 def reference_ads_bytes(ads) -> bytes:
-    return "".join(json.dumps(io._ad_to_dict(a), separators=(",", ":")) + "\n" for a in ads).encode()
+    return "".join(json.dumps(ad_row(a), separators=(",", ":")) + "\n" for a in ads).encode()
 
 
 def reference_read_ads(path):
@@ -304,6 +309,123 @@ class TestRecordStreams:
         p.write_text('{"wearable":"W1","tag":"T1","start_s":0,"stop_s":1,"distance_m":1,"n_obs":1}\n{"oops":1}\n')
         with pytest.raises(ValueError, match=r":2:"):
             io.read_reports(p)
+
+
+def report_row(r):
+    return {"wearable": r.wearable, "tag": r.tag, "start_s": r.start, "stop_s": r.stop,
+            "distance_m": r.distance, "n_obs": r.n_obs}
+
+
+def truth_row(t):
+    return {"tag": t.tag, "start_s": t.start, "stop_s": t.stop, "wearable": t.wearable}
+
+
+def match_row(m):
+    return {"tag": m.tag, "start_s": m.start, "stop_s": m.stop, "wearable": m.wearable,
+            "trust": m.trust.value, "margin_m": m.margin if math.isfinite(m.margin) else None}
+
+
+#: Each record writer and the dict ``json.dumps`` must turn each record into.
+RECORD_WRITERS = {
+    "reports": (io.write_reports, report_row),
+    "truth": (io.write_truth, truth_row),
+    "matches": (io.write_matches, match_row),
+}
+
+#: Floats whose text is easy to get wrong: a signed zero, the smallest
+#: subnormal, and the two ends of ``repr``'s plain notation.
+ODD_FLOATS = [-0.0, 0.0, 5e-324, 1e-07, 1e16]
+
+
+def reference_lines(records, row) -> bytes:
+    return "".join(json.dumps(row(r), separators=(",", ":")) + "\n" for r in records).encode()
+
+
+@st.composite
+def windows(draw):
+    number = st.one_of(
+        st.sampled_from(ODD_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.integers(min_value=-(2**60), max_value=2**60),
+    )
+    return sorted([draw(number), draw(number)])
+
+
+RECORD_IDS = st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=6))
+
+
+@st.composite
+def reports(draw):
+    distance = draw(st.one_of(st.sampled_from(ODD_FLOATS),
+                              st.floats(min_value=0.0, allow_infinity=False)))
+    return DistanceReport(draw(RECORD_IDS), draw(RECORD_IDS), *draw(windows()), distance,
+                          draw(st.integers(min_value=1, max_value=2**80)))
+
+
+@st.composite
+def truth_records(draw):
+    return TruthRecord(draw(RECORD_IDS), *draw(windows()), draw(RECORD_IDS))
+
+
+@st.composite
+def match_results(draw):
+    wearable = draw(st.one_of(st.none(), RECORD_IDS))
+    margin = draw(st.one_of(st.sampled_from([*ODD_FLOATS, math.inf]), st.floats(min_value=0.0),
+                            st.integers(min_value=0, max_value=2**60)))
+    sure = wearable is not None and margin > 0 and draw(st.booleans())
+    return MatchResult(draw(RECORD_IDS), *draw(windows()), wearable,
+                       Trust.SURE if sure else Trust.UNSURE, margin)
+
+
+RECORD_STRATEGIES = {"reports": reports(), "truth": truth_records(), "matches": match_results()}
+
+
+class TestRecordWriters:
+    """The report, truth and match writers format each line directly and
+    must write byte for byte what ``json.dumps`` makes of the record's row."""
+
+    def test_odd_values(self, tmp_path):
+        ids = [*ODD_IDS, "\x1f", "é "]
+        records = {
+            "reports": [DistanceReport(w, t, a, b, d, n) for w, t, (a, b), d, n in zip(
+                ids, reversed(ids), [(-0.0, 0.0), (5e-324, 1e-07), (1e-07, 1e16), (0, 1),
+                                     (np.float64(0.5), 2.5), (-1e16, -5e-324), (7.0, 7.0),
+                                     (1.5, 3.0), (0.0, 0.0)],
+                ODD_FLOATS * 2, [1, 2**70, 3, 12, 1, 10**30, 5, 6, 7])],
+            "truth": [TruthRecord(t, -0.0, 1e16, w) for t, w in zip(ids, reversed(ids))],
+            "matches": [
+                MatchResult(ids[0], 0.0, 1e-07, None, Trust.UNSURE, math.inf),
+                MatchResult(ids[1], 5e-324, 7.0, ids[2], Trust.SURE, 1e16),
+                MatchResult(ids[3], -0.0, 0.0, ids[4], Trust.UNSURE, -0.0),
+                MatchResult(ids[5], 1.0, 2.0, ids[6], Trust.SURE, 5e-324),
+                MatchResult(ids[7], 1.0, 2.0, ids[8], Trust.UNSURE, 1),
+                MatchResult(ids[8], 1.0, 2.0, None, Trust.UNSURE, 1e-07),
+            ],
+        }
+        for kind, (write, row) in RECORD_WRITERS.items():
+            p = tmp_path / f"{kind}.jsonl"
+            write(p, records[kind])
+            assert p.read_bytes() == reference_lines(records[kind], row), kind
+        text = (tmp_path / "matches.jsonl").read_text().splitlines()
+        assert '"wearable":null' in text[0] and text[0].endswith(',"margin_m":null}')
+
+    @pytest.mark.parametrize("n", [0, 1, io._CHUNK_LINES, io._CHUNK_LINES + 1, 2 * io._CHUNK_LINES + 3])
+    def test_chunks(self, tmp_path, n):
+        records = [DistanceReport(f"W{i % 3}", "T1", float(i), i + 0.5, i / 7, i + 1) for i in range(n)]
+        p = tmp_path / "reports.jsonl"
+        io.write_reports(p, iter(records))
+        assert p.read_bytes() == reference_lines(records, report_row)
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_WRITERS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writer_property(self, tmp_path_factory, kind, data):
+        write, row = RECORD_WRITERS[kind]
+        records = data.draw(st.lists(RECORD_STRATEGIES[kind], max_size=8))
+        p = tmp_path_factory.mktemp("records") / f"{kind}.jsonl"
+        write(p, iter(records))
+        assert p.read_bytes() == reference_lines(records, row)
 
 
 

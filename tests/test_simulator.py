@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxmatch import io
+from proxmatch import io, simulator
 from proxmatch.edge import SESSION_GAP_S, Activity, Advertisement, run_edge
 from proxmatch.matcher import TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel
@@ -390,10 +390,43 @@ def stretch_edges():
     return ScenarioConfig(seed=10, duration=70.0, workers=workers, tools=tools)
 
 
+def segment_runs():
+    """Several segments per tool, which ``generate`` handles per tool. T1
+    runs usage, usage, transport, a zero-length usage, then usage, each of
+    the first three stopping where the next starts. T2 runs two touching
+    transports, then a usage and a transport that touch at 56 s, while
+    nothing moves. T1 stops moving at 36 s and W1 at 38.5 s, knots in the
+    gaps between segments. T1's last segment and T2's usage infer their
+    operator."""
+    workers = (
+        WorkerSpec(id="W1", trace=Trace(((0.0, 0.0, 0.0), (20.0, 0.0, 0.0), (38.5, 1.0, 0.0)))),
+        WorkerSpec(id="W2", trace=Trace.stationary(2.0, 0.0)),
+    )
+    u, t = Activity.USAGE, Activity.TRANSPORT
+    tools = (
+        ToolSpec(id="T1", trace=Trace(((0.0, 0.0, 0.3), (36.0, 1.0, 0.3), (60.0, 1.0, 0.3))), schedule=(
+            ScheduleSegment(0.0, 14.0, u, "W1"),
+            ScheduleSegment(14.0, 21.0, u, "W2"),
+            ScheduleSegment(21.0, 35.0, t),
+            ScheduleSegment(38.0, 38.0, u, "W1"),
+            ScheduleSegment(42.0, 63.0, u),
+        )),
+        ToolSpec(id="T2", trace=Trace.stationary(2.0, 0.3), schedule=(
+            ScheduleSegment(3.5, 10.5, t),
+            ScheduleSegment(10.5, 24.5, t),
+            ScheduleSegment(42.0, 56.0, u),
+            ScheduleSegment(56.0, 63.0, t),
+        )),
+    )
+    return ScenarioConfig(seed=11, duration=70.0, workers=workers, tools=tools)
+
+
 ORACLE_SCENARIOS = {
     "unordered-ids": unordered_ids(),
     "stretch-edges": stretch_edges(),
     "stretch-edges-drop": dataclasses.replace(stretch_edges(), drop_prob=0.3),
+    "segment-runs": segment_runs(),
+    "segment-runs-drop": dataclasses.replace(segment_runs(), drop_prob=0.3),
     "static": scenario_static(3, 3.0, 600.0, seed=1),
     "swap": scenario_swap(3, 2.0, [120.0, 240.0], seed=2),
     "static-drop": scenario_static(3, 2.0, 400.0, bystanders=1, seed=3, drop_prob=0.3),
@@ -431,11 +464,14 @@ def instant_kinds(cfg):
 
 @st.composite
 def small_configs(draw):
-    """One to three workers and tools with traces of one to three knots
-    (close enough to floor some distances), a few segments each, any noise
-    and drop. A knot may repeat the previous position, which makes a still
-    interval, and knot times and segment bounds are often multiples of the
-    broadcast interval, so that knots fall on broadcast instants."""
+    """One to three workers and tools with traces of one to four knots
+    (close enough to floor some distances), up to four segments each, any
+    noise and drop. A knot may repeat the previous position, which makes a
+    still interval, and knot times and segment bounds are often multiples
+    of the broadcast interval, so that knots fall on broadcast instants.
+    Segments are spans between sorted bounds, so two spans in a row touch
+    (a stop equal to the next start), a skipped span leaves a gap that
+    knots may fall in, and a repeated bound makes a zero-length segment."""
     coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).map(lambda v: round(v, 2))
     duration = 60.0
     interval = draw(st.sampled_from([7.0, 2.5, 0.7]))
@@ -444,7 +480,7 @@ def small_configs(draw):
     def trace():
         knots = [(0.0, draw(coord), draw(coord))]
         later = st.one_of(st.floats(min_value=1.0, max_value=duration), on_grid.filter(bool))
-        for t in sorted(set(draw(st.lists(later, max_size=2)))):
+        for t in sorted(set(draw(st.lists(later, max_size=3)))):
             position = knots[-1][1:] if draw(st.booleans()) else (draw(coord), draw(coord))
             knots.append((t, *position))
         return Trace(tuple(knots))
@@ -454,7 +490,11 @@ def small_configs(draw):
     tools = []
     for j in range(draw(st.integers(min_value=1, max_value=3))):
         bound = st.one_of(st.floats(min_value=0.0, max_value=duration), on_grid)
-        cuts = sorted(draw(st.lists(bound, max_size=4)))
+        bounds = draw(st.lists(bound, max_size=6))
+        if bounds and draw(st.booleans()):
+            bounds.append(draw(st.sampled_from(bounds)))
+        bounds.sort()
+        spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if draw(st.booleans())][:4]
         segments = tuple(
             ScheduleSegment(
                 start=a,
@@ -462,7 +502,7 @@ def small_configs(draw):
                 activity=draw(st.sampled_from([Activity.USAGE, Activity.TRANSPORT])),
                 operator=draw(st.sampled_from([None, *(w.id for w in workers)])),
             )
-            for a, b in zip(cuts[::2], cuts[1::2])
+            for a, b in spans
         )
         tools.append(ToolSpec(id=f"T{j + 1}", trace=trace(), schedule=segments))
     return ScenarioConfig(
@@ -495,6 +535,13 @@ class TestStreamOracle:
         assert any(seg[i:i + 2] == ["still", "still"] for seg in kinds for i in range(len(seg)))
         assert any("moving" in seg for seg in kinds)
         assert any("knot" in seg for seg in kinds)
+        # touching and zero-length segments, and knots in the gaps between them
+        cfg = ORACLE_SCENARIOS["segment-runs"]
+        pairs = [(a, b) for t in cfg.tools for a, b in zip(t.schedule, t.schedule[1:])]
+        assert any(a.stop == b.start for a, b in pairs)
+        assert any(s.start == s.stop for t in cfg.tools for s in t.schedule)
+        knots = [k for tr in (*cfg.workers, *cfg.tools) for k, _, _ in tr.trace.knots]
+        assert any(a.stop < k < b.start for a, b in pairs for k in knots)
 
     def test_geometry_does_not_grow_with_the_instants(self, monkeypatch):
         """Positions are computed once per still stretch: the same swaps at
@@ -516,6 +563,28 @@ class TestStreamOracle:
             counts.append((calls, len(ads)))
         assert counts[1][1] > 1.9 * counts[0][1]
         assert counts[0][0] == counts[1][0]
+
+    def test_one_grid_and_one_stretch_cut_per_tool(self, monkeypatch):
+        """Segments are batched per tool: with five swaps each tool has six
+        segments, built by one ``Advertisement.grid`` call over one cut."""
+        calls = {"grid": 0, "cut": 0}
+        grid, cut = Advertisement.grid.__func__, simulator._still_stretches
+
+        def counted_grid(cls, *args):
+            calls["grid"] += 1
+            return grid(cls, *args)
+
+        def counted_cut(*args):
+            calls["cut"] += 1
+            return cut(*args)
+
+        monkeypatch.setattr(Advertisement, "grid", classmethod(counted_grid))
+        monkeypatch.setattr(simulator, "_still_stretches", counted_cut)
+        cfg = scenario_swap(3, 2.0, [60.0, 120.0, 180.0, 240.0, 300.0], seed=2)
+        assert all(len(t.schedule) == 6 for t in cfg.tools)
+        _, truth = generate(cfg)
+        assert len(truth.sessions) == 18
+        assert calls == {"grid": 3, "cut": 3}
 
     @settings(max_examples=150, deadline=None)
     @given(small_configs())
