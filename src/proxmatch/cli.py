@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from . import io, simulator
-from .edge import SESSION_GAP_S, Activity, Advertisement, DistanceReport, run_edge
+from .edge import SESSION_GAP_S, Activity, Advertisement, DistanceReport, Grid, run_edge
 from .ekf import DT_LINEAR, DT_SQUARED, EkfParams
 from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, MatchResult, TruthRecord, evaluate, solve
 from .pathloss import fit, residual_variance
@@ -88,9 +88,9 @@ def _load_params(args: argparse.Namespace) -> EkfParams:
     return params
 
 
-def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Advertisement], GroundTruth]:
+def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Grid], GroundTruth]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    ads, truth = generate(config)
+    grids, truth = generate(config)
     if truth.floored:
         print(f"warning: {truth.floored} true distance(s) below "
               f"{simulator.MIN_TRUE_DISTANCE_M} m floored", file=sys.stderr)
@@ -98,17 +98,19 @@ def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Adverti
     for name in truth.too_fast:
         print(f"warning: trace of {name!r} reaches {traces[name].max_speed():.2f} m/s, "
               f"above the walking bound {simulator.V_MAX_M_S} m/s", file=sys.stderr)
-    io.write_advertisements(out_dir / "advertisements.jsonl", ads)
+    io.write_advertisements(out_dir / "advertisements.jsonl", grids)
     io.write_truth(out_dir / "truth.jsonl", truth.sessions)
-    print(f"{len(ads)} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")
-    return ads, truth
+    print(f"{sum(map(len, grids))} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")
+    return grids, truth
 
 
-def _estimate_stage(ads: Sequence[Advertisement], out_path: Path, params: EkfParams, gap: float,
-                    active: frozenset[Activity]) -> list[DistanceReport]:
+def _estimate_stage(ads: Sequence[Advertisement] | Sequence[Grid], n_ads: int, out_path: Path,
+                    params: EkfParams, gap: float, active: frozenset[Activity]) -> list[DistanceReport]:
+    """Reports from records read from a file or from the simulated grids,
+    of ``n_ads`` advertisements in all."""
     reports = run_edge(ads, params, gap=gap, active=active)
     io.write_reports(out_path, reports)
-    print(f"{len(reports)} report(s) from {len(ads)} advertisement(s) -> {out_path}")
+    print(f"{len(reports)} report(s) from {n_ads} advertisement(s) -> {out_path}")
     return reports
 
 
@@ -194,7 +196,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     ads, skipped = io.read_advertisements(ads_path)
     for lineno, reason in skipped:
         print(f"{ads_path}:{lineno}: skipped: {reason}", file=sys.stderr)
-    _estimate_stage(ads, Path(args.out), params, args.gap_s, active)
+    _estimate_stage(ads, len(ads), Path(args.out), params, args.gap_s, active)
     return 0
 
 
@@ -209,16 +211,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_errors_csv(path: Path, reports, truth: GroundTruth) -> None:
-    """Per-report ranging error against the true distance at the session midpoint."""
-
-    def row(r) -> list:
-        true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
-        return [r.wearable, r.tag, repr(r.start), repr(r.stop),
-                repr(r.distance), repr(true), repr(r.distance - true)]
-
-    header = ["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"]
-    io._write_csv(path, header, map(row, reports))
+#: The errors stage; perfbench's traced replica calls it by this name.
+_write_errors_csv = io.write_errors
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -235,14 +229,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except Exception as e:
             raise RuntimeError(f"[{name}] {e}") from e
 
-    ads, truth = stage("simulate", _simulate_stage, config, out)
-    reports = stage("estimate", _estimate_stage, ads, out / "reports.jsonl",
+    grids, truth = stage("simulate", _simulate_stage, config, out)
+    reports = stage("estimate", _estimate_stage, grids, sum(map(len, grids)), out / "reports.jsonl",
                     params, args.gap_s, active)
-    del ads  # not held through match and evaluate
+    del grids  # not held through match and evaluate
     matches = stage("match", _match_stage, reports, out / "matches.jsonl",
                     args.margin_m, args.adv_interval_s)
     stage("evaluate", _evaluate_stage, matches, truth.sessions, out / "metrics.json")
-    stage("errors", _write_errors_csv, out / "errors.csv", reports, truth)
+    stage("errors", io.write_errors, out / "errors.csv", reports, truth)
     print(f"outputs -> {out}")
     return 0
 

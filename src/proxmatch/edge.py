@@ -9,12 +9,13 @@ see raw RSSI.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, cycle, repeat
+from operator import itemgetter, lt
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ekf
 from .ekf import EkfParams
@@ -24,6 +25,7 @@ __all__ = [
     "Activity",
     "Advertisement",
     "DistanceReport",
+    "Grid",
     "SESSION_GAP_S",
     "run_edge",
 ]
@@ -108,34 +110,43 @@ class Advertisement(_AdvertisementFields):
             raise ValueError(f"activity must be an Activity, got {activity!r}")
         return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))
 
-    @classmethod
-    def grid(
-        cls,
-        instants: Sequence[float],
-        wearables: Sequence[str],
-        tag: str,
-        rssi: Sequence[float],
-        activity: Activity,
-    ) -> list[Advertisement]:
-        """One tag's broadcasts at ``instants``, each heard by every badge in
-        ``wearables``: instant-major, ``rssi`` holding one value per (instant,
-        badge) in that order. The same records as calling ``cls`` on each.
 
-        A value shared by the records of the grid is the same object in each
-        of them, so each instant, id and the activity is checked once, and
-        each RSSI value once, under ``__new__``'s rules, in C-level passes.
-        When any check fails, the grid is built record by record through
-        ``__new__``, which raises its own error for the first bad record or
-        normalises an ``int`` to a ``float`` as it does for one record.
-        """
+@dataclass(frozen=True)
+class Grid:
+    """One tag's broadcasts at ``instants``, each heard by every badge in
+    ``wearables``, with ``rssi`` holding one value per (instant, badge),
+    instant-major: the readings a simulated tool sends while its activity
+    stays the same, as one compact value.
+
+    A grid holds the ``Advertisement`` records it iterates over, and
+    ``len`` counts them. Construction checks them under ``Advertisement``'s
+    rules and stores ``instants`` and ``rssi`` as tuples of floats. On top,
+    a grid holds at least one reading, its badges are distinct and its
+    instants strictly increase, so each badge hears each broadcast once.
+
+    Each value is checked in C-level passes, each instant, id and the
+    activity once. When any check fails, the records are built one by one
+    through ``Advertisement``, which raises its own error for the first bad
+    record or normalises an ``int`` to a ``float`` as it does for one record.
+    """
+
+    instants: tuple[float, ...]
+    wearables: tuple[str, ...]
+    tag: str
+    rssi: tuple[float, ...]
+    activity: Activity
+
+    def __post_init__(self) -> None:
+        instants, wearables, tag, rssi, activity = (
+            self.instants, tuple(self.wearables), self.tag, self.rssi, self.activity
+        )
         n = len(wearables)
         if len(rssi) != len(instants) * n:
             raise ValueError(f"expected {len(instants)} x {n} rssi values, got {len(rssi)}")
-        every_ts = [t for t in instants for _ in range(n)]
-        every_wearable = list(wearables) * len(instants)
+        if not rssi:
+            raise ValueError("a grid needs at least one instant and one badge")
         if (
-            rssi
-            and type(tag) is str
+            type(tag) is str
             and isinstance(activity, Activity)
             and set(map(type, wearables)) == {str}
             and set(map(type, instants)) == {float}
@@ -146,10 +157,29 @@ class Advertisement(_AdvertisementFields):
             and max(rssi) <= RSSI_MAX_DB
             and not math.isnan(sum(rssi))
         ):
-            return list(map(tuple.__new__, repeat(cls), zip(
-                every_ts, every_wearable, repeat(tag), rssi, repeat(activity)
-            )))
-        return list(map(cls, every_ts, every_wearable, repeat(tag), rssi, repeat(activity)))
+            instants, rssi = tuple(instants), tuple(rssi)
+        else:
+            records = list(map(Advertisement, chain.from_iterable(map(repeat, instants, repeat(n))),
+                               cycle(wearables), repeat(tag), rssi, repeat(activity)))
+            instants, rssi = tuple(a[0] for a in records[::n]), tuple(a[3] for a in records)
+        if len(set(wearables)) != n:
+            raise ValueError(f"a grid's badges must be distinct, got {list(wearables)}")
+        if not all(map(lt, instants, instants[1:])):
+            t0, t1 = next((t0, t1) for t0, t1 in zip(instants, instants[1:]) if not t0 < t1)
+            raise ValueError(f"grid instants must strictly increase ({t1} after {t0})")
+        object.__setattr__(self, "instants", instants)
+        object.__setattr__(self, "wearables", wearables)
+        object.__setattr__(self, "rssi", rssi)
+
+    def __len__(self) -> int:
+        return len(self.rssi)
+
+    def __iter__(self) -> Iterator[Advertisement]:
+        """The records, instant-major, built without checking them again."""
+        return map(tuple.__new__, repeat(Advertisement), zip(
+            chain.from_iterable(map(repeat, self.instants, repeat(len(self.wearables)))),
+            cycle(self.wearables), repeat(self.tag), self.rssi, repeat(self.activity),
+        ))
 
 
 def _check_window(start: float, stop: float) -> None:
@@ -178,8 +208,76 @@ class DistanceReport:
             raise ValueError(f"n_obs must be an integer >= 1, got {self.n_obs!r}")
 
 
+#: What a feeder yields per tag: (tag, firsts, lasts, heard). ``firsts``
+#: holds the tag's distinct active instants in time order as first
+#: received, ``lasts`` the same instants as last received (the two differ
+#: only where ``-0.0`` and ``0.0`` were both received), and ``heard`` maps
+#: each badge to its (rssi, ts) readings in time order, one per instant.
+_Stream = tuple[str, Sequence[float], Sequence[float], dict[str, tuple[list[float], list[float]]]]
+
+
+def _record_streams(ads: Iterable[Advertisement], active: frozenset[Activity]) -> Iterator[_Stream]:
+    """The streams of the active records, given in any order: each tag's,
+    in the order given, stably sorted on ``ts`` and swept once, keeping each
+    badge's first reception of each broadcast."""
+    by_tag: dict[str, list[Advertisement]] = defaultdict(list)
+    for a in ads:
+        if a[4] in active:
+            by_tag[a[2]].append(a)
+    for tag, tag_ads in by_tag.items():
+        tag_ads.sort(key=itemgetter(0))
+        firsts: list[float] = []
+        last = None
+        heard: dict[str, tuple[list[float], list[float]]] = {}
+        for ts, w, _, rssi, _ in tag_ads:
+            obs = heard.get(w)
+            if ts != last:
+                firsts.append(ts)
+                last = ts
+            elif obs is not None and obs[1][-1] == ts:
+                continue  # a repeat of one broadcast: the first reception wins
+            if obs is None:
+                heard[w] = ([rssi], [ts])
+            else:
+                obs[0].append(rssi)
+                obs[1].append(ts)
+        lasts = firsts
+        zero = bisect_left(firsts, 0.0)
+        if zero < len(firsts) and firsts[zero] == 0.0:  # it may have come as -0.0 and 0.0
+            lasts = firsts.copy()
+            lasts[zero] = tag_ads[bisect_right(tag_ads, 0.0, key=itemgetter(0)) - 1][0]
+        yield tag, firsts, lasts, heard
+
+
+def _grid_streams(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[_Stream]:
+    """The streams of the active grids: each badge's readings are strided
+    slices of its tag's grids in time order. A tag whose grids overlap in
+    time is folded as their records, in the order given."""
+    by_tag: dict[str, list[Grid]] = defaultdict(list)
+    for g in grids:
+        if g.activity in active:
+            by_tag[g.tag].append(g)
+    for tag, tag_grids in by_tag.items():
+        ordered = sorted(tag_grids, key=lambda g: g.instants[0])
+        if any(a.instants[-1] >= b.instants[0] for a, b in zip(ordered, ordered[1:])):
+            yield from _record_streams(chain.from_iterable(tag_grids), active)
+            continue
+        instants: list[float] = []
+        heard: dict[str, tuple[list[float], list[float]]] = {}
+        for g in ordered:
+            instants += g.instants
+            n = len(g.wearables)
+            for j, w in enumerate(g.wearables):
+                obs = heard.get(w)
+                if obs is None:
+                    obs = heard[w] = ([], [])
+                obs[0].extend(g.rssi[j::n])
+                obs[1].extend(g.instants)
+        yield tag, instants, instants, heard
+
+
 def run_edge(
-    ads: Iterable[Advertisement],
+    ads: Iterable[Advertisement] | Iterable[Grid],
     params: EkfParams | None = None,
     *,
     gap: float = SESSION_GAP_S,
@@ -195,38 +293,50 @@ def run_edge(
     session) pair runs a fresh filter over the active broadcasts that badge
     actually heard inside the window and yields exactly one report. A badge
     that logs one broadcast twice (same timestamp) keeps its first reception.
+
+    The stream is either records, as read from a file, in any order, or
+    ``Grid``s, as ``simulator.generate`` returns them; a stream whose first
+    item is a grid must hold only grids. Records are sorted by ``ts`` and
+    swept per tag. Grids skip the sort and the sweep: each badge's readings
+    are strided slices of its tag's grids, which gives the reports of the
+    records the grids hold. Either way, each tag's instants are cut into
+    sessions once and each (badge, session) is folded by one
+    ``ekf.run_filter`` call.
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"session gap must be finite and positive, got {gap}")
     if params is None:
         params = EkfParams()
-    by_tag: dict[str, list[Advertisement]] = defaultdict(list)
-    for a in sorted([a for a in ads if a[4] in active], key=itemgetter(0)):
-        by_tag[a[2]].append(a)
+    ads = list(ads)
+    if ads and type(ads[0]) is Grid:
+        if not all(type(g) is Grid for g in ads):
+            raise ValueError("a stream of grids holds a record; pass records or grids")
+        streams = _grid_streams(ads, active)
+    else:
+        streams = _record_streams(ads, active)
     reports = []
-
-    def close(tag: str, start: float, stop: float, heard: dict) -> None:
+    for tag, firsts, lasts, heard in streams:
+        # a session ends where the next instant is more than ``gap`` later
+        ends = []
+        prev = firsts[0]
+        for k, t in enumerate(firsts):
+            if t - prev > gap:
+                ends.append(k)
+            prev = t
+        bounds = [0, *ends, len(firsts)]
+        windows = [(firsts[lo], lasts[hi - 1]) for lo, hi in zip(bounds, bounds[1:])]
+        stops = [stop for _, stop in windows]
         for w, (rssi, ts) in heard.items():
-            x = ekf.run_filter(rssi, ts, params).x
-            reports.append(DistanceReport(w, tag, start, stop, x, len(ts)))
-
-    for tag, tag_ads in by_tag.items():
-        # One sweep over the tag's time-sorted broadcasts: each badge's
-        # readings are collected and folded by one run_filter call, and the
-        # reports emitted, when a pause longer than ``gap`` closes the session.
-        start = stop = tag_ads[0][0]
-        heard: dict[str, tuple[list[float], list[float]]] = {}
-        for ts, w, _, rssi, _ in tag_ads:
-            if ts - stop > gap:
-                close(tag, start, stop, heard)
-                start, heard = ts, {}
-            stop = ts
-            obs = heard.get(w)
-            if obs is None:
-                heard[w] = ([rssi], [ts])
-            elif obs[1][-1] != ts:  # a repeat of one broadcast: the first reception wins
-                obs[0].append(rssi)
-                obs[1].append(ts)
-        close(tag, start, stop, heard)
+            # each reading is at one of the instants, so the stops cut ts into
+            # sessions; a badge that heard every instant is cut where they are
+            cuts = bounds if len(ts) == len(firsts) else [0, *map(bisect_right, repeat(ts), stops)]
+            for (start, stop), a, b in zip(windows, cuts, cuts[1:]):
+                if b - a == len(ts):  # the badge heard this session only
+                    x = ekf.run_filter(rssi, ts, params).x
+                elif a < b:
+                    x = ekf.run_filter(rssi[a:b], ts[a:b], params).x
+                else:
+                    continue
+                reports.append(DistanceReport(w, tag, start, stop, x, b - a))
     reports.sort(key=lambda r: (r.start, r.stop, r.tag, r.wearable))
     return reports

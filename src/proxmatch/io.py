@@ -34,15 +34,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import islice
+from io import StringIO
+from itertools import chain, cycle, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .edge import Activity, Advertisement, DistanceReport, _number
+from .edge import Activity, Advertisement, DistanceReport, Grid, _number
 from .ekf import EkfParams
 from .matcher import EvalReport, MatchResult, Trust, TruthRecord
 from .pathloss import PathLossModel, RangeSample
-from .simulator import ScenarioConfig, ScheduleSegment, ToolSpec, Trace, WorkerSpec
+from .simulator import GroundTruth, ScenarioConfig, ScheduleSegment, ToolSpec, Trace, WorkerSpec
 
 __all__ = [
     "read_advertisements",
@@ -53,6 +55,7 @@ __all__ = [
     "read_scenario",
     "read_truth",
     "write_advertisements",
+    "write_errors",
     "write_eval",
     "write_matches",
     "write_model",
@@ -95,13 +98,6 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         while chunk := "".join(islice(it, _CHUNK_LINES)):
             f.write(chunk)
-
-
-def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
@@ -227,53 +223,37 @@ def _ad_from_dict(d: dict) -> Advertisement:
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
 
 
-def _line_parts(wearable: str, tag: str, activity: Activity) -> tuple[str, str]:
-    """The text of a line between ``ts`` and the RSSI value, and after it."""
-    return (
-        f',"wearable":{json.dumps(wearable)},"tag":{json.dumps(tag)},"rssi_db":',
-        f',"activity":{json.dumps(activity.value)}}}\n',
-    )
-
-
-def write_advertisements(path: str | Path, ads: Iterable[Advertisement]) -> None:
-    """JSON Lines, byte for byte what ``json.dumps`` writes for each record
-    as an object of the ``_AD_FIELDS`` keys, formatted directly and written
+def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
+    """JSON Lines of the records the grids hold, stably sorted by ``ts``:
+    byte for byte what ``json.dumps`` writes for each record as an object
+    of the ``_AD_FIELDS`` keys, formatted directly and written
     ``_CHUNK_LINES`` lines at a time.
 
-    Text that repeats is formatted once: a line whose timestamp is the same
-    object as the line before's reuses its text (``Advertisement.grid``
-    shares one per instant), any other distinct nonzero timestamp is
-    formatted once per file (``0.0`` and ``-0.0`` are equal keys with
-    different text), and the text around the RSSI once per (wearable, tag,
-    activity). ``Advertisement`` stores ``ts`` and ``rssi`` as finite
-    floats, which go through ``float.__repr__`` as in ``json``, and its ids
-    as ``str``.
+    Each grid's lines come from one lazy iterator: the text of an instant
+    is formatted once per instant, the text around the RSSI once per badge
+    and each RSSI through ``float.__repr__``, as in ``json`` (a grid holds
+    finite floats and ``str`` ids). One stable sort of the (instant, grid)
+    rows gives the file order, in which each row takes its grid's next
+    lines, one per badge.
     """
-    num = float.__repr__
-    ts_text: dict[float, str] = {}
-    parts: dict[tuple[str, str, Activity], tuple[str, str]] = {}
-    last_ts = t = None
-    it = iter(ads)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        while True:
-            lines = []
-            for ts, wearable, tag, rssi, activity in islice(it, _CHUNK_LINES):
-                if ts is not last_ts:
-                    last_ts = ts
-                    if ts:
-                        t = ts_text.get(ts)
-                        if t is None:
-                            t = ts_text[ts] = num(ts)
-                    else:
-                        t = num(ts)
-                key = wearable, tag, activity
-                part = parts.get(key)
-                if part is None:
-                    part = parts[key] = _line_parts(wearable, tag, activity)
-                lines.append(f'{{"ts":{t}{part[0]}{num(rssi)}{part[1]}')
-            if not lines:
-                return
-            f.write("".join(lines))
+    text = _JsonText()
+    lines, widths, rows = [], [], []
+    for k, g in enumerate(grids):
+        tag, n = text[g.tag], len(g.wearables)
+        parts = [f',"wearable":{text[w]},"tag":{tag},"rssi_db":' for w in g.wearables]
+        heads = map('{"ts":'.__add__, map(float.__repr__, g.instants))
+        lines.append(map("".join, zip(
+            chain.from_iterable(map(repeat, heads, repeat(n))), cycle(parts),
+            map(float.__repr__, g.rssi), repeat(f',"activity":{text[g.activity.value]}}}\n'),
+        )))
+        widths.append(n)
+        rows += zip(g.instants, repeat(k))
+    rows.sort(key=itemgetter(0))
+    owners = [k for _, k in rows]
+    del rows
+    _write_lines(path, chain.from_iterable(
+        map(islice, map(lines.__getitem__, owners), map(widths.__getitem__, owners))
+    ))
 
 
 def read_advertisements(
@@ -358,6 +338,35 @@ def read_matches(path: str | Path) -> list[MatchResult]:
             margin=math.inf if d["margin_m"] is None else _finite(d, "margin_m"),
         ),
     )
+
+
+class _CsvText(dict):
+    """The CSV text of each tuple of fields looked up, without the line
+    end, from ``csv.writer`` itself, so a field holding a comma, a quote or
+    a line break is quoted as the csv module quotes it; computed once per
+    distinct tuple."""
+
+    def __missing__(self, fields: tuple) -> str:
+        buf = StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(fields)
+        text = self[fields] = buf.getvalue()[:-1]
+        return text
+
+
+def write_errors(path: str | Path, reports: Iterable[DistanceReport], truth: GroundTruth) -> None:
+    """CSV of each report's ranging error against the true distance at the
+    session midpoint. Each (wearable, tag) pair's text comes from
+    ``csv.writer`` once per file; the numbers are their ``repr``, which
+    never needs quoting."""
+    ids = _CsvText()
+
+    def line(r: DistanceReport) -> str:
+        true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
+        return (f"{ids[r.wearable, r.tag]},{r.start!r},{r.stop!r},{r.distance!r},"
+                f"{true!r},{r.distance - true!r}\n")
+
+    header = "wearable,tag,start_s,stop_s,estimate_m,true_m,error_m\n"
+    _write_lines(path, chain((header,), map(line, reports)))
 
 
 def write_eval(path: str | Path, report: EvalReport) -> None:

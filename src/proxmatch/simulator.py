@@ -13,11 +13,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain, groupby
 from typing import Sequence
 
-from .edge import RSSI_MAX_DB, RSSI_MIN_DB, Activity, Advertisement
+from .edge import RSSI_MAX_DB, RSSI_MIN_DB, Activity, Grid
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -269,22 +268,28 @@ def _still_stretches(instants: list[float], traces: Sequence[Trace], starts: lis
     at which every trace's ``position`` returns the same value: cuts at
     ``starts`` (which hold 0), on both sides of each knot time in the
     window, so a knot instant stands alone, and around each instant inside
-    a knot interval whose end positions differ."""
+    a knot interval whose end positions differ. Traces share knot times and
+    intervals (workers walk together), so each distinct one cuts once."""
     first, last = instants[0], instants[-1]
-    cuts = {*starts, len(instants)}
+    knot_times: set[float] = set()
+    moving: set[tuple[float, float]] = set()
     for trace in traces:
         times, knots = trace._knot_times, trace.knots
         lo, hi = bisect_left(times, first), bisect_right(times, last)
+        knot_times.update(times[lo:hi])
         for j in range(max(lo, 1), min(hi, len(times) - 1) + 1):
             if knots[j - 1][1:] != knots[j][1:]:
-                cuts.update(range(bisect_right(instants, times[j - 1]), bisect_left(instants, times[j])))
-        for t in times[lo:hi]:
-            cuts.add(bisect_left(instants, t))
-            cuts.add(bisect_right(instants, t))
+                moving.add((times[j - 1], times[j]))
+    cuts = {*starts, len(instants)}
+    for t0, t1 in moving:
+        cuts.update(range(bisect_right(instants, t0), bisect_left(instants, t1)))
+    for t in knot_times:
+        cuts.add(bisect_left(instants, t))
+        cuts.add(bisect_right(instants, t))
     return sorted(cuts)
 
 
-def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
+def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     """Synthesize the advertisement stream a seeded scenario run describes.
 
     Every active segment broadcasts at multiples of the interval from its
@@ -296,15 +301,22 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     distances and too-fast traces are reported in the returned
     ``GroundTruth``.
 
+    The stream comes as ``Grid``s in that draw order, tool after tool and
+    each tool's in time order: without drop, one per run of consecutive
+    segments with one activity, heard by every worker; with drop, one per
+    broadcast that any worker heard, holding the workers that did. The
+    records the grids hold, stably sorted by ``ts``, are the file
+    ``io.write_advertisements`` writes, which is thus ordered by (ts, tag,
+    wearable).
+
     A tool's instants, segment after segment, strictly increase; they are
     cut once into still stretches, at which no trace moves and which never
     span two segments. Distances and model means stay Python floats,
-    computed once per stretch and worker. Without drop, a tool's noise is
-    one array draw in that order, added to its stretch means repeated per
-    instant and clamped as arrays, which gives the scalar draws, sums and
-    clamps value for value; each run of consecutive segments with one
-    activity is then built as one ``Advertisement.grid``. With drop, each
-    reading keeps its own normal then uniform draw and is built on its own.
+    computed once per distinct layout (the tool's position and every
+    worker's) in a call. Without drop, a tool's noise is one array draw in
+    draw order, added to its stretch means repeated per instant and clamped
+    as arrays, which gives the scalar draws, sums and clamps value for
+    value. With drop, each reading keeps its own normal then uniform draw.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -317,9 +329,11 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
     forward = config.model.forward
     std, drop_prob = config.noise_std, config.drop_prob
 
-    ads: list[Advertisement] = []
+    grids: list[Grid] = []
     truth_sessions: list[TruthRecord] = []
     floored = 0
+    # (tool x, tool y, worker x, worker y, ...) -> (distances, means, floored distances)
+    layouts: dict[tuple[float, ...], tuple[list[float], list[float], int]] = {}
 
     for tool in tools:
         # the tool's instants, and (segment, first, end) per segment that has instants[first:end]
@@ -339,22 +353,26 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
         stretches = []
         for lo, hi in zip(bounds, bounds[1:]):
             ts = instants[lo]
-            tx, ty = tool.trace.position(ts)
-            dists = []
-            for w in workers:
-                d, floor = _floored_distance(tx, ty, *w.trace.position(ts))
-                floored += (hi - lo) * floor
-                dists.append(d)
-            stretches.append((lo, hi, dists, [forward(d) for d in dists]))
-        if drop_prob == 0:
+            key = (*tool.trace.position(ts), *chain.from_iterable(w.trace.position(ts) for w in workers))
+            layout = layouts.get(key)
+            if layout is None:
+                tx, ty = key[0], key[1]
+                dists, floors = [], 0
+                for wx, wy in zip(key[2::2], key[3::2]):
+                    d, floor = _floored_distance(tx, ty, wx, wy)
+                    floors += floor
+                    dists.append(d)
+                layout = layouts[key] = dists, [forward(d) for d in dists], floors
+            floored += (hi - lo) * layout[2]
+            stretches.append((lo, hi, layout[0], layout[1]))
+        if drop_prob == 0 and n:
             means = np.repeat([m for *_, m in stretches], [hi - lo for lo, hi, *_ in stretches], axis=0)
             means += rng.normal(0.0, std, size=means.shape)
             rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).ravel().tolist()
             for activity, run in groupby(segments, key=lambda s: s[0].activity):
                 run = list(run)
                 lo, hi = run[0][1], run[-1][2]
-                ads += Advertisement.grid(instants[lo:hi], worker_ids, tool.id,
-                                          rssi[lo * n:hi * n], activity)
+                grids.append(Grid(instants[lo:hi], worker_ids, tool.id, rssi[lo * n:hi * n], activity))
         for seg, first, end in segments:
             # every segment start is a bound, so its stretches are a slice
             own = stretches[bisect_left(bounds, first):bisect_left(bounds, end)]
@@ -362,6 +380,7 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
             if drop_prob > 0:
                 for lo, hi, _, means in own:
                     for ts in instants[lo:hi]:
+                        heard, values = [], []
                         for wid, mean in zip(worker_ids, means):
                             r = mean + rng.normal(0.0, std)
                             if rng.uniform() < drop_prob:
@@ -370,7 +389,10 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
                                 r = RSSI_MIN_DB
                             elif r > RSSI_MAX_DB:
                                 r = RSSI_MAX_DB
-                            ads.append(Advertisement(ts, wid, tool.id, r, activity))
+                            heard.append(wid)
+                            values.append(r)
+                        if heard:
+                            grids.append(Grid((ts,), heard, tool.id, values, activity))
             if activity is Activity.USAGE:
                 operator = seg.operator
                 if operator is None:
@@ -387,12 +409,8 @@ def generate(config: ScenarioConfig) -> tuple[list[Advertisement], GroundTruth]:
                                 wearable=operator)
                 )
 
-    # Tools come in id order, workers in id order and each tool's instants
-    # strictly increase, so a stable sort on ts alone orders by (ts, tag,
-    # wearable).
-    ads.sort(key=itemgetter(0))
     truth_sessions.sort(key=lambda t: (t.start, t.stop, t.tag))
-    return ads, GroundTruth(
+    return grids, GroundTruth(
         sessions=tuple(truth_sessions),
         worker_traces={w.id: w.trace for w in workers},
         tool_traces={t.id: t.trace for t in tools},

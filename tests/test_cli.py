@@ -10,12 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxmatch import io
-from proxmatch.cli import _write_errors_csv, main
-from proxmatch.edge import Activity, Advertisement, DistanceReport
+from proxmatch import cli, io
+from proxmatch.cli import main
+from proxmatch.edge import Activity, Advertisement, DistanceReport, Grid
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL
-from proxmatch.simulator import Trace, WorkerSpec, generate, scenario_static
+from proxmatch.simulator import (
+    ScenarioConfig,
+    ScheduleSegment,
+    ToolSpec,
+    Trace,
+    WorkerSpec,
+    generate,
+    scenario_static,
+)
 
 
 def run(*argv):
@@ -138,7 +146,7 @@ class TestStagedChain:
         config = dataclasses.replace(io.read_scenario(scen), seed=5)
         _, truth = generate(config)
         expected = tmp_path / "expected.csv"
-        _write_errors_csv(expected, io.read_reports(out / "reports.jsonl"), truth)
+        io.write_errors(expected, io.read_reports(out / "reports.jsonl"), truth)
         assert (out / "errors.csv").read_bytes() == expected.read_bytes()
         assert len(expected.read_text().splitlines()) > 1
 
@@ -289,6 +297,57 @@ def test_pipeline_bytes_match_the_recorded_digests(tmp_path, name):
     assert digests == PIPELINE_GOLDEN[name]
 
 
+def activity_runs():
+    """T1 runs two touching usage segments, then transport, then usage
+    again: three activity runs. T2 runs one usage segment."""
+    u, t = Activity.USAGE, Activity.TRANSPORT
+    workers = (WorkerSpec("W1", Trace.stationary(0.0, 0.0)), WorkerSpec("W2", Trace.stationary(2.0, 0.0)))
+    tools = (
+        ToolSpec("T1", Trace.stationary(0.0, 0.3), (
+            ScheduleSegment(0.0, 70.0, u, "W1"), ScheduleSegment(70.0, 140.0, u, "W2"),
+            ScheduleSegment(140.0, 210.0, t), ScheduleSegment(280.0, 350.0, u, "W1"),
+        )),
+        ToolSpec("T2", Trace.stationary(2.0, 0.3), (ScheduleSegment(0.0, 350.0, u, "W2"),)),
+    )
+    return ScenarioConfig(seed=3, duration=360.0, workers=workers, tools=tools)
+
+
+def test_simulate_and_pipeline_pass_grids_and_build_no_advertisement(tmp_path, monkeypatch):
+    """Without reception loss, ``generate`` returns one ``Grid`` per (tool,
+    activity run), and ``simulate`` and ``pipeline`` build no
+    ``Advertisement``: the writer and the edge stage read the grids."""
+    returned = []
+
+    def spy(config):
+        grids, truth = generate(config)
+        returned.append(grids)
+        return grids, truth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Advertisement was built")
+
+    scen = tmp_path / "scen.json"
+    io.write_scenario(scen, activity_runs())
+    with monkeypatch.context() as m:
+        m.setattr(cli, "generate", spy)
+        m.setattr(Advertisement, "__new__", refuse)
+        m.setattr(Grid, "__iter__", refuse)
+        assert run("simulate", scen, "--out-dir", tmp_path / "sim") == 0
+        assert run("pipeline", scen, "--out-dir", tmp_path / "run") == 0
+    for grids in returned:
+        assert all(type(g) is Grid for g in grids)
+        assert [(g.tag, g.activity, g.instants[0]) for g in grids] == [
+            ("T1", Activity.USAGE, 0.0), ("T1", Activity.TRANSPORT, 140.0),
+            ("T1", Activity.USAGE, 280.0), ("T2", Activity.USAGE, 0.0),
+        ]
+    assert len(returned) == 2
+    # the files equal those of the records the grids hold
+    ads, skipped = io.read_advertisements(tmp_path / "run" / "advertisements.jsonl")
+    assert skipped == [] and ads == sorted((a for g in returned[0] for a in g), key=lambda a: a.ts)
+    assert run("estimate", tmp_path / "run" / "advertisements.jsonl", "-o", tmp_path / "reports.jsonl") == 0
+    assert (tmp_path / "reports.jsonl").read_bytes() == (tmp_path / "run" / "reports.jsonl").read_bytes()
+
+
 class TestEvaluateCommand:
     def test_reproduces_the_reference_percentages(self, tmp_path):
         matches, truth = [], []
@@ -343,11 +402,8 @@ class TestEvaluateCommand:
 
 def write_two_session_stream(path):
     """One tag, two activity runs separated by a 15 s pause."""
-    ads = [
-        Advertisement(ts=float(t), wearable="W1", tag="T1", rssi=-45.6, activity=Activity.USAGE)
-        for t in (0.0, 7.0, 14.0, 29.0, 36.0)
-    ]
-    io.write_advertisements(path, ads)
+    instants = [0.0, 7.0, 14.0, 29.0, 36.0]
+    io.write_advertisements(path, [Grid(instants, ["W1"], "T1", [-45.6] * 5, Activity.USAGE)])
 
 
 class TestEstimateFlags:
@@ -363,9 +419,7 @@ class TestEstimateFlags:
     def test_active_classes_flag(self, tmp_path):
         ads_path = tmp_path / "ads.jsonl"
         io.write_advertisements(
-            ads_path,
-            [Advertisement(ts=7.0 * k, wearable="W1", tag="T1", rssi=-45.6,
-                           activity=Activity.TRANSPORT) for k in range(5)],
+            ads_path, [Grid([7.0 * k for k in range(5)], ["W1"], "T1", [-45.6] * 5, Activity.TRANSPORT)],
         )
         out = tmp_path / "reports.jsonl"
         assert run("estimate", ads_path, "-o", out) == 0
@@ -409,9 +463,9 @@ class TestEstimateFlags:
         ads_path = tmp_path / "ads.jsonl"
         io.write_advertisements(
             ads_path,
-            [Advertisement(ts=7.0 * k, wearable="W1", tag="T1",
-                           rssi=float(np.clip(-50.0 + rng.normal(0, 6), -127, 20)),
-                           activity=Activity.USAGE) for k in range(20)],
+            [Grid([7.0 * k for k in range(20)], ["W1"], "T1",
+                  [float(np.clip(-50.0 + rng.normal(0, 6), -127, 20)) for _ in range(20)],
+                  Activity.USAGE)],
         )
         outs = {}
         for name, flags in {

@@ -11,6 +11,7 @@ from proxmatch.edge import (
     Activity,
     Advertisement,
     DistanceReport,
+    Grid,
     SESSION_GAP_S,
     run_edge,
 )
@@ -80,8 +81,8 @@ class TestAdvertisement:
 
 
 def per_record(instants, wearables, tag, rssi, activity):
-    """What ``Advertisement.grid`` must equal: one ``Advertisement`` per
-    (instant, badge), instant-major."""
+    """What a ``Grid`` must hold: one ``Advertisement`` per (instant,
+    badge), instant-major."""
     values = iter(rssi)
     return [Advertisement(t, w, tag, next(values), activity) for t in instants for w in wearables]
 
@@ -89,8 +90,9 @@ def per_record(instants, wearables, tag, rssi, activity):
 @st.composite
 def grids(draw):
     """(instants, wearables, tag, rssi, activity) of a valid grid."""
-    instants = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
-    wearables = draw(st.lists(st.sampled_from(["W1", "W2", "W3", "B1"]), min_size=1, max_size=4))
+    instants = sorted(draw(st.sets(st.floats(-1e6, 1e6), min_size=1, max_size=6)))
+    wearables = draw(st.lists(st.sampled_from(["W1", "W2", "W3", "B1"]), min_size=1, max_size=4,
+                              unique=True))
     rssi = draw(st.lists(st.floats(-127.0, 20.0), min_size=len(instants) * len(wearables),
                          max_size=len(instants) * len(wearables)))
     tag, activity = draw(st.sampled_from(["T1", "T2"])), draw(st.sampled_from(list(Activity)))
@@ -101,10 +103,16 @@ class TestGrid:
     @settings(max_examples=60)
     @given(grids())
     def test_equals_per_record_construction(self, grid):
-        built = Advertisement.grid(*grid)
-        assert built == per_record(*grid)
+        built = Grid(*grid)
+        assert list(built) == per_record(*grid) and len(built) == len(grid[3])
         assert all(type(a) is Advertisement and type(a.ts) is float and type(a.rssi) is float
                    for a in built)
+        instants, wearables, tag, rssi, activity = grid
+        assert built == Grid(tuple(instants), tuple(wearables), tag, tuple(rssi), activity)
+        assert (built.instants, built.wearables, built.rssi) == (tuple(instants), tuple(wearables),
+                                                                 tuple(rssi))
+        with pytest.raises(AttributeError):
+            built.tag = "T3"
 
     @settings(max_examples=60)
     @given(
@@ -130,7 +138,7 @@ class TestGrid:
         else:
             activity = value
         with pytest.raises(ValueError, match=message) as raised:
-            Advertisement.grid(instants, wearables, tag, rssi, activity)
+            Grid(instants, wearables, tag, rssi, activity)
         with pytest.raises(ValueError) as expected:
             per_record(instants, wearables, tag, rssi, activity)
         assert str(raised.value) == str(expected.value)
@@ -139,21 +147,33 @@ class TestGrid:
         # min and max keep whichever of a NaN and a number comes first
         for rssi in ([-50.0, math.nan, -60.0], [-50.0, -60.0, math.nan]):
             with pytest.raises(ValueError, match="rssi outside plausible range"):
-                Advertisement.grid([0.0, 7.0, 14.0], ["W1"], "T1", rssi, Activity.USAGE)
+                Grid([0.0, 7.0, 14.0], ["W1"], "T1", rssi, Activity.USAGE)
 
     def test_ints_come_out_as_floats(self):
         grid = [0, 7.0], ["W1", "W2"], "T1", [-50, -51.0, -52.0, -53], Activity.USAGE
-        built = Advertisement.grid(*grid)
-        assert built == per_record(*grid)
+        built = Grid(*grid)
+        assert list(built) == per_record(*grid)
+        assert built == Grid([0.0, 7.0], ["W1", "W2"], "T1", [-50.0, -51.0, -52.0, -53.0],
+                             Activity.USAGE)
         assert [(type(a.ts), type(a.rssi)) for a in built] == [(float, float)] * 4
-        assert repr(built) == repr(per_record([0.0, 7.0], ["W1", "W2"], "T1",
-                                              [-50.0, -51.0, -52.0, -53.0], Activity.USAGE))
+        assert repr(list(built)) == repr(per_record([0.0, 7.0], ["W1", "W2"], "T1",
+                                                    [-50.0, -51.0, -52.0, -53.0], Activity.USAGE))
 
     def test_shape_and_empty_grids(self):
         with pytest.raises(ValueError, match="expected 2 x 2 rssi values, got 3"):
-            Advertisement.grid([0.0, 7.0], ["W1", "W2"], "T1", [-50.0] * 3, Activity.USAGE)
-        assert Advertisement.grid([], ["W1"], "T1", [], Activity.USAGE) == []
-        assert Advertisement.grid([0.0], [], "T1", [], Activity.USAGE) == []
+            Grid([0.0, 7.0], ["W1", "W2"], "T1", [-50.0] * 3, Activity.USAGE)
+        for empty in (([], ["W1"]), ([0.0], []), ([], [])):
+            with pytest.raises(ValueError, match="at least one instant and one badge"):
+                Grid(*empty, "T1", [], Activity.USAGE)
+
+    def test_each_badge_hears_each_instant_once(self):
+        """Badges are distinct and instants strictly increase; ``-0.0`` and
+        ``0.0`` are one instant."""
+        with pytest.raises(ValueError, match="badges must be distinct"):
+            Grid([0.0], ["W1", "W2", "W1"], "T1", [-50.0] * 3, Activity.USAGE)
+        for instants in ([7.0, 7.0], [7.0, 0.0], [-0.0, 0.0], [0, 0.0]):
+            with pytest.raises(ValueError, match="instants must strictly increase"):
+                Grid(instants, ["W1"], "T1", [-50.0] * 2, Activity.USAGE)
 
 
 def windows(ads, **kwargs):
@@ -208,6 +228,17 @@ class TestSegmentation:
         assert dup == run_edge([ad(0.0), ad(7.0)], PARAMS)
         first_low = [ad(0.0, rssi=-60.0), ad(0.0), ad(7.0)]
         assert run_edge(first_low, PARAMS) == run_edge([ad(0.0, rssi=-60.0), ad(7.0)], PARAMS)
+
+    def test_a_window_keeps_the_sign_of_its_first_and_last_reception(self):
+        """``-0.0`` and ``0.0`` are one instant: a session starts at the first
+        record of its first instant and stops at the last of its last."""
+        for stream in ([ad(-0.0), ad(0.0, wearable="W2"), ad(7.0)],
+                       [ad(-7.0), ad(0.0), ad(-0.0, wearable="W2")],
+                       [ad(-7.0, wearable="W2"), ad(-0.0), ad(0.0, wearable="W2"), ad(-0.0, wearable="W3")]):
+            reports = run_edge(stream, PARAMS)
+            assert reports == reference_edge(stream, SESSION_GAP_S, ACTIVE_DEFAULT)
+            assert {(repr(r.start), repr(r.stop)) for r in reports} == {
+                (repr(stream[0].ts), repr(stream[-1].ts))}
 
     def test_all_inactive_gives_no_sessions(self):
         ads = [ad(7.0 * k, activity=Activity.INACTIVE) for k in range(5)]
@@ -375,3 +406,69 @@ class TestAgainstReference:
     )
     def test_reports_equal_the_reference(self, ads, gap, active):
         assert run_edge(ads, PARAMS, gap=gap, active=active) == reference_edge(ads, gap, active)
+
+
+def records(grids):
+    """The records of ``grids`` in the order given, instant-major in each."""
+    return [a for g in grids for a in g]
+
+
+@st.composite
+def grid_streams(draw):
+    """Grids of 1-3 tags on instants 3.5 s apart, each heard by a subset of
+    up to four badges, with every activity. A tag's grids are drawn in time
+    order and then shuffled; some draws let a tag's grids overlap in time."""
+    badges = ["B1", "W1", "W2", "W3"]
+    overlap = draw(st.booleans())
+    out = []
+    for tag in ("T1", "T2", "T3")[:draw(st.integers(1, 3))]:
+        t = 0
+        for _ in range(draw(st.integers(1, 5))):
+            t = draw(st.integers(0 if overlap else t, t + 12))
+            k = draw(st.integers(1, 6))
+            instants = [3.5 * (t + i) for i in range(k)]
+            t += k
+            heard = draw(st.lists(st.sampled_from(badges), min_size=1, max_size=4, unique=True))
+            rssi = draw(st.lists(st.floats(-90.0, -30.0), min_size=k * len(heard),
+                                 max_size=k * len(heard)))
+            activity = draw(st.sampled_from([Activity.USAGE, Activity.TRANSPORT, Activity.INACTIVE]))
+            out.append(Grid(instants, heard, tag, rssi, activity))
+    draw(st.randoms(use_true_random=False)).shuffle(out)
+    return out
+
+
+class TestGridStream:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=grid_streams(),
+        gap=st.sampled_from([3.5, 7.0, 10.5, SESSION_GAP_S]),
+        active=st.sampled_from([ACTIVE_DEFAULT, frozenset({Activity.USAGE, Activity.TRANSPORT})]),
+    )
+    def test_grids_fold_as_their_records(self, stream, gap, active):
+        """The grid feeder and the record feeder give the same reports, and
+        both the reference's, whether a tag's grids overlap or not."""
+        expanded = records(stream)
+        expected = reference_edge(expanded, gap, active)
+        assert run_edge(stream, PARAMS, gap=gap, active=active) == expected
+        assert run_edge(expanded, PARAMS, gap=gap, active=active) == expected
+
+    def test_a_badge_folds_the_slices_it_heard(self):
+        """A strided slice per badge, across a tag's grids in time order,
+        and sessions cut on the union of the instants."""
+        late = Grid([70.0, 77.0], ["W2"], "T1", [-50.0, -51.0], Activity.USAGE)
+        early = Grid([0.0, 7.0, 14.0], ["W1", "W2"], "T1", [-45.0, -60.0, -46.0, -61.0, -47.0, -62.0],
+                     Activity.USAGE)
+        reports = run_edge([late, early], PARAMS)
+        assert [(r.wearable, r.start, r.stop, r.n_obs) for r in reports] == [
+            ("W1", 0.0, 14.0, 3), ("W2", 0.0, 14.0, 3), ("W2", 70.0, 77.0, 2),
+        ]
+        state = None
+        for rssi, ts in ((-60.0, 0.0), (-61.0, 7.0), (-62.0, 14.0)):
+            state = ekf.step(state, rssi, ts, PARAMS)
+        assert reports[1].distance == state.x
+        assert reports == run_edge(records([early, late]), PARAMS)
+
+    def test_a_stream_of_grids_holds_only_grids(self):
+        grid = Grid([0.0, 7.0], ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        with pytest.raises(ValueError, match="a stream of grids holds a record"):
+            run_edge([grid, ad(14.0)], PARAMS)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 from proxmatch import io
 from proxmatch.cli import main
-from proxmatch.edge import Activity, Advertisement, DistanceReport
+from proxmatch.edge import Activity, Advertisement, DistanceReport, Grid
 from proxmatch.ekf import DT_LINEAR, EkfParams
 from proxmatch.matcher import EvalReport, MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel, RangeSample
-from proxmatch.simulator import scenario_swap
+from proxmatch.simulator import GroundTruth, Trace, scenario_swap
 
 ADS = [
     Advertisement(ts=0.0, wearable="W1", tag="T1", rssi=-45.6, activity=Activity.USAGE),
@@ -36,7 +37,7 @@ FILTER_FIELDS = {"q": "q", "r": "r", "d_min_m": "d_min", "d_max_m": "d_max", "p0
 class TestAdvertisements:
     def test_jsonl_round_trip(self, tmp_path):
         p = tmp_path / "ads.jsonl"
-        io.write_advertisements(p, ADS)
+        io.write_advertisements(p, one_reading(ADS))
         got, skipped = io.read_advertisements(p)
         assert got == ADS and skipped == []
         # equality alone would also accept plain tuples
@@ -103,7 +104,15 @@ def ad_row(a):
 
 
 def reference_ads_bytes(ads) -> bytes:
-    return "".join(json.dumps(ad_row(a), separators=(",", ":")) + "\n" for a in ads).encode()
+    """``json.dumps`` of each record, in stable ``ts`` order: the file of
+    the grids that hold them."""
+    return "".join(json.dumps(ad_row(a), separators=(",", ":")) + "\n"
+                   for a in sorted(ads, key=lambda a: a.ts)).encode()
+
+
+def one_reading(ads):
+    """Each record as a grid of one reading."""
+    return [Grid([a.ts], [a.wearable], a.tag, [a.rssi], a.activity) for a in ads]
 
 
 def reference_read_ads(path):
@@ -160,7 +169,7 @@ class TestAdvertisementCodec:
             Advertisement(ts=1e22, wearable="W1", tag="T1", rssi=-1e-7, activity=Activity.USAGE),
         ]
         p = tmp_path / "ads.jsonl"
-        io.write_advertisements(p, ads)
+        io.write_advertisements(p, one_reading(ads))
         assert p.read_bytes() == reference_ads_bytes(ads)
         assert io.read_advertisements(p) == reference_read_ads(p)
 
@@ -174,7 +183,7 @@ class TestAdvertisementCodec:
             for i in range(n)
         ]
         p = tmp_path / "ads.jsonl"
-        io.write_advertisements(p, iter(ads))
+        io.write_advertisements(p, iter(one_reading(ads)))
         assert p.read_bytes() == reference_ads_bytes(ads)
         assert len(p.read_bytes().splitlines()) == n
 
@@ -199,27 +208,53 @@ class TestAdvertisementCodec:
             Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="W1", tag="T2", rssi=-50.0, activity=u),
             Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
-            # lines sharing one timestamp object reuse its text; the next differs
-            *Advertisement.grid([-0.0, 0.0, -0.0], ["W1", "W2"], "T1", [-45.6] * 6, u),
         ]
+        # rows of equal instants, 0.0 and -0.0 among them, keep the order given
+        grids = [
+            *one_reading(ads),
+            Grid([-0.0, 7.0], ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0], u),
+            Grid([0.0, 2.0], ["W3"], "T1", [-45.0, -0.0], Activity.TRANSPORT),
+        ]
+        records = [a for g in grids for a in g]
         p = tmp_path / "ads.jsonl"
-        io.write_advertisements(p, ads)
-        assert p.read_bytes() == reference_ads_bytes(ads)
+        io.write_advertisements(p, grids)
+        assert p.read_bytes() == reference_ads_bytes(records)
         assert p.read_text().splitlines()[:6] == [
             '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}',
             '{"ts":-0.0,"wearable":"W1","tag":"T1","rssi_db":-0.0,"activity":"usage"}',
             '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":0.0,"activity":"usage"}',
-            *['{"ts":1.0,"wearable":"W1","tag":"T1","rssi_db":1.0,"activity":"usage"}'] * 3,
+            '{"ts":-0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}',
+            '{"ts":-0.0,"wearable":"W2","tag":"T1","rssi_db":-46.0,"activity":"usage"}',
+            '{"ts":0.0,"wearable":"W3","tag":"T1","rssi_db":-45.0,"activity":"transport"}',
         ]
 
     @settings(max_examples=150, deadline=None)
     @given(ads=st.lists(advertisements(), max_size=12))
     def test_writer_property(self, tmp_path_factory, ads):
         p = tmp_path_factory.mktemp("codec") / "ads.jsonl"
-        io.write_advertisements(p, ads)
+        io.write_advertisements(p, one_reading(ads))
         assert p.read_bytes() == reference_ads_bytes(ads)
         got, skipped = io.read_advertisements(p)
         assert skipped == [] and got == reference_read_ads(p)[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_grids_interleave_in_stable_instant_order(self, tmp_path_factory, data):
+        """Grids of odd ids on shared instants, signed zeros among them: each
+        row of equal instants keeps the order of the grids given."""
+        instant = st.sampled_from([-0.0, 0.0, 7.0, 1e-07, -3.5, 1e16, 5e-324])
+        ids = st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=6))
+        grids = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            instants = sorted(data.draw(st.lists(instant, min_size=1, max_size=4, unique=True)))
+            wearables = data.draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+            rssi = data.draw(st.lists(st.floats(-127.0, 20.0), min_size=len(instants) * len(wearables),
+                                      max_size=len(instants) * len(wearables)))
+            grids.append(Grid(instants, wearables, data.draw(ids), rssi,
+                              data.draw(st.sampled_from(ACTIVITIES))))
+        p = tmp_path_factory.mktemp("codec") / "ads.jsonl"
+        io.write_advertisements(p, grids)
+        assert p.read_bytes() == reference_ads_bytes([a for g in grids for a in g])
 
     def test_reader_matches_per_line_json_loads(self, tmp_path):
         good = '{"ts":0.0,"wearable":"W1","tag":"T1","rssi_db":-45.6,"activity":"usage"}'
@@ -427,6 +462,68 @@ class TestRecordWriters:
         write(p, iter(records))
         assert p.read_bytes() == reference_lines(records, row)
 
+
+
+def reference_errors_bytes(reports, truth) -> bytes:
+    """``errors.csv`` as ``csv.writer`` writes it: the header, then each
+    report's ids and the ``repr`` of its numbers."""
+    buf = StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"])
+    for r in reports:
+        true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
+        w.writerow([r.wearable, r.tag, repr(r.start), repr(r.stop), repr(r.distance), repr(true),
+                    repr(r.distance - true)])
+    return buf.getvalue().encode()
+
+
+def truth_for(reports) -> GroundTruth:
+    """Stationary traces for every id the reports name."""
+    wearables, tags = sorted({r.wearable for r in reports}), sorted({r.tag for r in reports})
+    return GroundTruth(
+        sessions=(),
+        worker_traces={w: Trace(((0.0, 0.5 * i, 0.0), (10.0, 0.5 * i, 3.0)))
+                       for i, w in enumerate(wearables)},
+        tool_traces={t: Trace.stationary(-1.5 * i, 0.3) for i, t in enumerate(tags)},
+    )
+
+
+#: Ids the csv module must quote: a comma, a quote, line breaks, and the empty id.
+CSV_IDS = ["W,1", 'W"1', "W\n1", "W\r1", "\r\n", "", " W1 ", ",", '"', "T1"]
+
+
+class TestErrorsWriter:
+    def test_odd_ids_are_quoted_as_the_csv_module_quotes_them(self, tmp_path):
+        reports = [DistanceReport(w, t, a, b, d, 3) for w, t, (a, b), d in zip(
+            CSV_IDS, reversed(CSV_IDS), [(-0.0, 0.0), (5e-324, 1e-07), (0, 7), (2.5, 9.5), (1e16, 1e16)] * 2,
+            [0.0, 1e-07, 2.5, 1e16, 5e-324] * 2)]
+        reports.append(reports[0])
+        truth = truth_for(reports)
+        p = tmp_path / "errors.csv"
+        io.write_errors(p, reports, truth)
+        assert p.read_bytes() == reference_errors_bytes(reports, truth)
+        text = p.read_bytes().decode("utf-8")
+        assert text.startswith("wearable,tag,start_s,stop_s,estimate_m,true_m,error_m\n")
+        assert '\n"W,1",T1,' in text and '\n"W""1",' in text and '\n"W\n1",' in text
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writer_property(self, tmp_path_factory, data):
+        """Reports of odd ids and of numbers of every type a report holds,
+        small enough that the error stays finite."""
+        ids = st.one_of(st.sampled_from(CSV_IDS), RECORD_IDS)
+        number = st.one_of(st.sampled_from(ODD_FLOATS), st.floats(-1e9, 1e9),
+                           st.floats(-1e9, 1e9).map(np.float64), st.integers(-2**40, 2**40))
+        records = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            start, stop = sorted([data.draw(number), data.draw(number)])
+            distance = data.draw(st.one_of(st.sampled_from(ODD_FLOATS), st.floats(0.0, 1e9)))
+            records.append(DistanceReport(data.draw(ids), data.draw(ids), start, stop, distance,
+                                          data.draw(st.integers(1, 2**80))))
+        truth = truth_for(records)
+        p = tmp_path_factory.mktemp("errors") / "errors.csv"
+        io.write_errors(p, iter(records), truth)
+        assert p.read_bytes() == reference_errors_bytes(records, truth)
 
 
 #: The JSON key of each record field whose name differs from it.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxmatch import io, simulator
-from proxmatch.edge import SESSION_GAP_S, Activity, Advertisement, run_edge
+from proxmatch.edge import SESSION_GAP_S, Activity, Advertisement, Grid, run_edge
 from proxmatch.matcher import TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel
 from proxmatch.simulator import (
@@ -24,6 +24,12 @@ from proxmatch.simulator import (
     scenario_static,
     scenario_swap,
 )
+
+
+def file_order(grids):
+    """The records the grids hold, in the order ``io.write_advertisements``
+    writes them: a stable sort on ``ts``."""
+    return sorted((a for g in grids for a in g), key=lambda a: a.ts)
 
 
 class TestTrace:
@@ -154,11 +160,12 @@ class TestGenerate:
     def test_different_seed_different_noise(self):
         base = scenario_static(1, 1.0, 60.0, seed=1)
         other = dataclasses.replace(base, seed=2)
-        assert [a.rssi for a in generate(base)[0]] != [a.rssi for a in generate(other)[0]]
+        rssi = [[a.rssi for a in file_order(generate(cfg)[0])] for cfg in (base, other)]
+        assert rssi[0] != rssi[1]
 
     def test_noiseless_stream_is_the_model_mean(self):
         cfg = scenario_static(1, 1.0, 63.0, noise_std=0.0, operating_distance=1.0)
-        ads, _ = generate(cfg)
+        ads = file_order(generate(cfg)[0])
         assert len(ads) == 9  # instants 0, 7, ..., 56
         assert {a.rssi for a in ads} == {-45.6}
         assert all(a.activity is Activity.USAGE for a in ads)
@@ -175,7 +182,8 @@ class TestGenerate:
             ),
         )
         cfg = ScenarioConfig(seed=0, duration=300.0, workers=(w,), tools=(t,))
-        ads, truth = generate(cfg)
+        grids, truth = generate(cfg)
+        ads = file_order(grids)
         assert [a.ts for a in ads] == [3.0, 10.0, 17.0, 200.0, 207.0, 214.0]
         assert [a.activity for a in ads] == [Activity.USAGE] * 3 + [Activity.TRANSPORT] * 3
         # transport segments produce broadcasts but no operating-truth session
@@ -183,16 +191,18 @@ class TestGenerate:
 
     def test_every_worker_hears_every_broadcast(self):
         cfg = scenario_static(3, 2.0, 70.0, bystanders=1, seed=3)
-        ads, _ = generate(cfg)
+        ads = file_order(generate(cfg)[0])
         # 3 tools x 10 instants x 4 badges
         assert len(ads) == 120
         assert {a.wearable for a in ads} == {"W1", "W2", "W3", "B1"}
 
     def test_drop_probability_thins_the_stream(self):
         cfg = scenario_static(1, 1.0, 7.0 * 10000, seed=9, drop_prob=0.3)
-        ads, truth = generate(cfg)
-        kept = len(ads) / 10000
+        grids, truth = generate(cfg)
+        kept = sum(map(len, grids)) / 10000
         assert 0.67 < kept < 0.73
+        # each broadcast that was heard is a grid of its own
+        assert all(len(g.instants) == 1 for g in grids) and len(grids) == sum(map(len, grids))
         # truth boundaries come from the schedule, not from what survived
         assert truth.sessions == generate(dataclasses.replace(cfg, drop_prob=0.0))[1].sessions
 
@@ -200,7 +210,7 @@ class TestGenerate:
         # 10k draws at a fixed distance: sample std within 3% of the setting.
         d = 2.0
         cfg = scenario_static(1, 1.0, 7.0 * 10000, seed=11, operating_distance=d)
-        ads, _ = generate(cfg)
+        ads = file_order(generate(cfg)[0])
         res = np.array([a.rssi for a in ads]) - DEFAULT_MODEL.forward(d)
         assert abs(res.mean()) < 0.25
         assert abs(res.std() / 6.99 - 1.0) < 0.03
@@ -217,7 +227,8 @@ class TestGenerate:
             for i in range(11)
         )
         cfg = ScenarioConfig(seed=13, duration=7.0 * 5010, workers=workers, tools=tools)
-        ads, truth = generate(cfg)
+        grids, truth = generate(cfg)
+        ads = file_order(grids)
         assert len(ads) >= 55097
         sq = [
             (a.rssi - DEFAULT_MODEL.forward(truth.true_distance(a.wearable, a.tag, a.ts))) ** 2
@@ -227,7 +238,8 @@ class TestGenerate:
 
     def test_colocated_devices_are_floored_and_counted(self):
         cfg = scenario_static(1, 1.0, 21.0, operating_distance=0.0, noise_std=0.0)
-        ads, truth = generate(cfg)
+        grids, truth = generate(cfg)
+        ads = file_order(grids)
         assert truth.floored == 3
         assert truth.too_fast == ()
         assert truth.true_distance("W1", "T1", 0.0) == 0.05
@@ -327,7 +339,9 @@ def without_operators(cfg):
 
 
 def assert_same_stream(cfg):
-    ads, truth = generate(cfg)
+    grids, truth = generate(cfg)
+    assert all(type(g) is Grid for g in grids)
+    ads = file_order(grids)
     ref_ads, ref_sessions, ref_floored, ref_too_fast = scalar_generate(cfg)
     # repr tells -0.0 from 0.0 and a numpy scalar from a float
     assert list(map(repr, ads)) == list(map(repr, ref_ads))
@@ -524,8 +538,8 @@ class TestStreamOracle:
     def test_the_scenarios_reach_every_branch(self):
         _, floored = generate(ORACLE_SCENARIOS["floored"])
         assert floored.floored > 0
-        assert {a.wearable for a in generate(ORACLE_SCENARIOS["bystanders"])[0]} >= {"B1", "B2"}
-        ads, _ = generate(ORACLE_SCENARIOS["unordered-ids"])
+        assert {a.wearable for a in file_order(generate(ORACLE_SCENARIOS["bystanders"])[0])} >= {"B1", "B2"}
+        ads = file_order(generate(ORACLE_SCENARIOS["unordered-ids"])[0])
         assert [a.tag for a in ads[:9]] == ["T10"] * 3 + ["T2"] * 3 + ["T10"] * 3
         assert [a.wearable for a in ads[:3]] == ["B1", "W1", "W2"]
         assert any(a.ts == b.ts and a.tag == "T1" and b.tag == "T10" for a, b in zip(ads, ads[3:]))
@@ -559,26 +573,26 @@ class TestStreamOracle:
         counts = []
         for interval in (7.0, 3.5):
             calls = 0
-            ads, _ = generate(dataclasses.replace(cfg, adv_interval=interval))
-            counts.append((calls, len(ads)))
+            grids, _ = generate(dataclasses.replace(cfg, adv_interval=interval))
+            counts.append((calls, sum(map(len, grids))))
         assert counts[1][1] > 1.9 * counts[0][1]
         assert counts[0][0] == counts[1][0]
 
     def test_one_grid_and_one_stretch_cut_per_tool(self, monkeypatch):
         """Segments are batched per tool: with five swaps each tool has six
-        segments, built by one ``Advertisement.grid`` call over one cut."""
+        segments, built as one ``Grid`` over one cut."""
         calls = {"grid": 0, "cut": 0}
-        grid, cut = Advertisement.grid.__func__, simulator._still_stretches
+        grid, cut = simulator.Grid, simulator._still_stretches
 
-        def counted_grid(cls, *args):
+        def counted_grid(*args):
             calls["grid"] += 1
-            return grid(cls, *args)
+            return grid(*args)
 
         def counted_cut(*args):
             calls["cut"] += 1
             return cut(*args)
 
-        monkeypatch.setattr(Advertisement, "grid", classmethod(counted_grid))
+        monkeypatch.setattr(simulator, "Grid", counted_grid)
         monkeypatch.setattr(simulator, "_still_stretches", counted_cut)
         cfg = scenario_swap(3, 2.0, [60.0, 120.0, 180.0, 240.0, 300.0], seed=2)
         assert all(len(t.schedule) == 6 for t in cfg.tools)
@@ -604,12 +618,14 @@ class TestStaticScenario:
 
     def test_single_worker_with_bystander(self):
         cfg = scenario_static(1, 0.5, 180.0, bystanders=1, seed=21)
-        ads, truth = generate(cfg)
+        grids, truth = generate(cfg)
+        ads = file_order(grids)
         assert truth.sessions == (TruthRecord(tag="T1", start=0.0, stop=175.0, wearable="W1"),)
         # both badges hear all 26 broadcasts
         assert sum(1 for a in ads if a.wearable == "B1") == 26
         reports = run_edge(ads)
         assert {(r.wearable, r.n_obs) for r in reports} == {("W1", 26), ("B1", 26)}
+        assert run_edge(grids) == reports
 
     def test_zero_duration_produces_nothing(self):
         ads, truth = generate(scenario_static(1, 1.0, 0.0))
