@@ -9,13 +9,13 @@ see raw RSSI.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, cycle, repeat
+from itertools import chain, count, cycle, repeat
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from . import ekf
 from .ekf import EkfParams
@@ -111,7 +111,7 @@ class Advertisement(_AdvertisementFields):
         return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grid:
     """One tag's broadcasts at ``instants``, each heard by every badge in
     ``wearables``, with ``rssi`` holding one value per (instant, badge),
@@ -208,72 +208,85 @@ class DistanceReport:
             raise ValueError(f"n_obs must be an integer >= 1, got {self.n_obs!r}")
 
 
-#: What a feeder yields per tag: (tag, firsts, lasts, heard). ``firsts``
-#: holds the tag's distinct active instants in time order as first
-#: received, ``lasts`` the same instants as last received (the two differ
-#: only where ``-0.0`` and ``0.0`` were both received), and ``heard`` maps
-#: each badge to its (rssi, ts) readings in time order, one per instant.
-_Stream = tuple[str, Sequence[float], Sequence[float], dict[str, tuple[list[float], list[float]]]]
+#: What a feeder yields per session: (tag, start, stop, heard), with
+#: ``heard`` mapping each badge that heard the session to its (rssi, ts)
+#: readings in time order, one per instant.
+_Session = tuple[str, float, float, dict[str, tuple[list[float], list[float]]]]
 
 
-def _record_streams(ads: Iterable[Advertisement], active: frozenset[Activity]) -> Iterator[_Stream]:
-    """The streams of the active records, given in any order: each tag's,
-    in the order given, stably sorted on ``ts`` and swept once, keeping each
-    badge's first reception of each broadcast."""
+def _record_sessions(
+    ads: Iterable[Advertisement], active: frozenset[Activity], gap: float
+) -> Iterator[_Session]:
+    """The sessions of the active records, given in any order: each tag's
+    records, in the order given, stably sorted on ``ts`` and swept once. A
+    session starts at its first record's ``ts`` and stops at its last's, and
+    each badge keeps its first reception of each broadcast."""
     by_tag: dict[str, list[Advertisement]] = defaultdict(list)
     for a in ads:
         if a[4] in active:
             by_tag[a[2]].append(a)
     for tag, tag_ads in by_tag.items():
         tag_ads.sort(key=itemgetter(0))
-        firsts: list[float] = []
-        last = None
+        start = stop = tag_ads[0][0]
         heard: dict[str, tuple[list[float], list[float]]] = {}
         for ts, w, _, rssi, _ in tag_ads:
+            if ts - stop > gap:
+                yield tag, start, stop, heard
+                start, heard = ts, {}
+            stop = ts
             obs = heard.get(w)
-            if ts != last:
-                firsts.append(ts)
-                last = ts
-            elif obs is not None and obs[1][-1] == ts:
-                continue  # a repeat of one broadcast: the first reception wins
             if obs is None:
                 heard[w] = ([rssi], [ts])
-            else:
+            elif obs[1][-1] != ts:  # a repeat of one broadcast: the first reception wins
                 obs[0].append(rssi)
                 obs[1].append(ts)
-        lasts = firsts
-        zero = bisect_left(firsts, 0.0)
-        if zero < len(firsts) and firsts[zero] == 0.0:  # it may have come as -0.0 and 0.0
-            lasts = firsts.copy()
-            lasts[zero] = tag_ads[bisect_right(tag_ads, 0.0, key=itemgetter(0)) - 1][0]
-        yield tag, firsts, lasts, heard
+        yield tag, start, stop, heard
 
 
-def _grid_streams(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[_Stream]:
-    """The streams of the active grids: each badge's readings are strided
-    slices of its tag's grids in time order. A tag whose grids overlap in
-    time is folded as their records, in the order given."""
+def _grid_sessions(grids: Iterable[Grid], active: frozenset[Activity], gap: float) -> Iterator[_Session]:
+    """The sessions of the active grids, given in any order. A tag's
+    sessions are cut on its grids' instants in the order given, stably
+    sorted, as the records' sort would give them; each badge's readings are
+    strided slices of its grids in time order, cut at the session stops.
+    Grids of one tag that share a badge must not overlap in time."""
     by_tag: dict[str, list[Grid]] = defaultdict(list)
     for g in grids:
-        if g.activity in active:
-            by_tag[g.tag].append(g)
+        by_tag[g.tag].append(g)
     for tag, tag_grids in by_tag.items():
-        ordered = sorted(tag_grids, key=lambda g: g.instants[0])
-        if any(a.instants[-1] >= b.instants[0] for a, b in zip(ordered, ordered[1:])):
-            yield from _record_streams(chain.from_iterable(tag_grids), active)
-            continue
-        instants: list[float] = []
-        heard: dict[str, tuple[list[float], list[float]]] = {}
-        for g in ordered:
-            instants += g.instants
-            n = len(g.wearables)
+        # each badge's (grid, column) in time order, whatever the activity
+        by_badge: dict[str, list[tuple[Grid, int]]] = defaultdict(list)
+        for g in sorted(tag_grids, key=lambda g: g.instants[0]):
             for j, w in enumerate(g.wearables):
-                obs = heard.get(w)
-                if obs is None:
-                    obs = heard[w] = ([], [])
-                obs[0].extend(g.rssi[j::n])
-                obs[1].extend(g.instants)
-        yield tag, instants, instants, heard
+                by_badge[w].append((g, j))
+        for w, own in by_badge.items():
+            for (a, _), (b, _) in zip(own, own[1:]):
+                if a.instants[-1] >= b.instants[0]:
+                    raise ValueError(
+                        f"grids of tag {tag!r} heard by {w!r} overlap in time: "
+                        f"[{a.instants[0]}, {a.instants[-1]}] and [{b.instants[0]}, {b.instants[-1]}]"
+                    )
+        instants = sorted(chain.from_iterable(g.instants for g in tag_grids if g.activity in active))
+        if not instants:
+            continue
+        # a session ends before a pause longer than ``gap``
+        ends = [k for k, t0, t1 in zip(count(1), instants, instants[1:]) if t1 - t0 > gap]
+        ends.append(len(instants))
+        stops = [instants[end - 1] for end in ends]
+        heard: list[dict[str, tuple[list[float], list[float]]]] = [{} for _ in ends]
+        for w, own in by_badge.items():
+            rssi: list[float] = []
+            ts: list[float] = []
+            for g, j in own:
+                if g.activity in active:
+                    rssi += g.rssi[j::len(g.wearables)]
+                    ts += g.instants
+            cuts = [0, *map(bisect_right, repeat(ts), stops)]
+            for session, lo, hi in zip(heard, cuts, cuts[1:]):
+                if lo < hi:
+                    # a badge that heard one session only folds its lists whole
+                    session[w] = (rssi, ts) if hi - lo == len(ts) else (rssi[lo:hi], ts[lo:hi])
+        for lo, stop, session in zip([0, *ends], stops, heard):
+            yield tag, instants[lo], stop, session
 
 
 def run_edge(
@@ -296,12 +309,13 @@ def run_edge(
 
     The stream is either records, as read from a file, in any order, or
     ``Grid``s, as ``simulator.generate`` returns them; a stream whose first
-    item is a grid must hold only grids. Records are sorted by ``ts`` and
-    swept per tag. Grids skip the sort and the sweep: each badge's readings
-    are strided slices of its tag's grids, which gives the reports of the
-    records the grids hold. Either way, each tag's instants are cut into
-    sessions once and each (badge, session) is folded by one
-    ``ekf.run_filter`` call.
+    item is a grid must hold only grids, and one tag's grids that share a
+    badge must not overlap in time. Records are sorted by ``ts`` and swept
+    per tag, which cuts the sessions as it goes. Grids skip the sweep: a
+    tag's sessions are cut on its grids' instants, and each badge's
+    readings are strided slices of its grids, which gives the reports of
+    the records the grids hold. Either way, each (badge, session) is folded
+    by one ``ekf.run_filter`` call.
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"session gap must be finite and positive, got {gap}")
@@ -311,32 +325,13 @@ def run_edge(
     if ads and type(ads[0]) is Grid:
         if not all(type(g) is Grid for g in ads):
             raise ValueError("a stream of grids holds a record; pass records or grids")
-        streams = _grid_streams(ads, active)
+        sessions = _grid_sessions(ads, active, gap)
     else:
-        streams = _record_streams(ads, active)
+        sessions = _record_sessions(ads, active, gap)
     reports = []
-    for tag, firsts, lasts, heard in streams:
-        # a session ends where the next instant is more than ``gap`` later
-        ends = []
-        prev = firsts[0]
-        for k, t in enumerate(firsts):
-            if t - prev > gap:
-                ends.append(k)
-            prev = t
-        bounds = [0, *ends, len(firsts)]
-        windows = [(firsts[lo], lasts[hi - 1]) for lo, hi in zip(bounds, bounds[1:])]
-        stops = [stop for _, stop in windows]
+    for tag, start, stop, heard in sessions:
         for w, (rssi, ts) in heard.items():
-            # each reading is at one of the instants, so the stops cut ts into
-            # sessions; a badge that heard every instant is cut where they are
-            cuts = bounds if len(ts) == len(firsts) else [0, *map(bisect_right, repeat(ts), stops)]
-            for (start, stop), a, b in zip(windows, cuts, cuts[1:]):
-                if b - a == len(ts):  # the badge heard this session only
-                    x = ekf.run_filter(rssi, ts, params).x
-                elif a < b:
-                    x = ekf.run_filter(rssi[a:b], ts[a:b], params).x
-                else:
-                    continue
-                reports.append(DistanceReport(w, tag, start, stop, x, b - a))
+            x = ekf.run_filter(rssi, ts, params).x
+            reports.append(DistanceReport(w, tag, start, stop, x, len(ts)))
     reports.sort(key=lambda r: (r.start, r.stop, r.tag, r.wearable))
     return reports

@@ -301,10 +301,10 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     distances and too-fast traces are reported in the returned
     ``GroundTruth``.
 
-    The stream comes as ``Grid``s in that draw order, tool after tool and
-    each tool's in time order: without drop, one per run of consecutive
-    segments with one activity, heard by every worker; with drop, one per
-    broadcast that any worker heard, holding the workers that did. The
+    The stream comes as ``Grid``s, tool after tool and each tool's in time
+    order, one or more per run of consecutive segments with one activity:
+    without drop, one heard by every worker; with drop, one per worker that
+    heard any of the run, holding the instants it heard, workers by id. The
     records the grids hold, stably sorted by ``ts``, are the file
     ``io.write_advertisements`` writes, which is thus ordered by (ts, tag,
     wearable).
@@ -369,36 +369,39 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
             means = np.repeat([m for *_, m in stretches], [hi - lo for lo, hi, *_ in stretches], axis=0)
             means += rng.normal(0.0, std, size=means.shape)
             rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).ravel().tolist()
-            for activity, run in groupby(segments, key=lambda s: s[0].activity):
-                run = list(run)
-                lo, hi = run[0][1], run[-1][2]
-                grids.append(Grid(instants[lo:hi], worker_ids, tool.id, rssi[lo * n:hi * n], activity))
+        for activity, run in groupby(segments, key=lambda s: s[0].activity):
+            run = list(run)
+            lo, hi = run[0][1], run[-1][2]
+            if drop_prob == 0:
+                if n:
+                    grids.append(Grid(instants[lo:hi], worker_ids, tool.id, rssi[lo * n:hi * n], activity))
+                continue
+            # each worker's (instants, values) heard in the run; every segment
+            # start and end is a bound, so the run's stretches are a slice
+            heard = [([], []) for _ in workers]
+            for s_lo, s_hi, _, means in stretches[bisect_left(bounds, lo):bisect_left(bounds, hi)]:
+                for ts in instants[s_lo:s_hi]:
+                    for (own_ts, values), mean in zip(heard, means):
+                        r = mean + rng.normal(0.0, std)
+                        if rng.uniform() < drop_prob:
+                            continue
+                        if r < RSSI_MIN_DB:
+                            r = RSSI_MIN_DB
+                        elif r > RSSI_MAX_DB:
+                            r = RSSI_MAX_DB
+                        own_ts.append(ts)
+                        values.append(r)
+            grids += [Grid(own_ts, (wid,), tool.id, values, activity)
+                      for wid, (own_ts, values) in zip(worker_ids, heard) if own_ts]
         for seg, first, end in segments:
-            # every segment start is a bound, so its stretches are a slice
-            own = stretches[bisect_left(bounds, first):bisect_left(bounds, end)]
-            activity = seg.activity
-            if drop_prob > 0:
-                for lo, hi, _, means in own:
-                    for ts in instants[lo:hi]:
-                        heard, values = [], []
-                        for wid, mean in zip(worker_ids, means):
-                            r = mean + rng.normal(0.0, std)
-                            if rng.uniform() < drop_prob:
-                                continue
-                            if r < RSSI_MIN_DB:
-                                r = RSSI_MIN_DB
-                            elif r > RSSI_MAX_DB:
-                                r = RSSI_MAX_DB
-                            heard.append(wid)
-                            values.append(r)
-                        if heard:
-                            grids.append(Grid((ts,), heard, tool.id, values, activity))
-            if activity is Activity.USAGE:
+            if seg.activity is Activity.USAGE:
                 operator = seg.operator
                 if operator is None:
                     if not workers:
                         raise ValueError("cannot infer an operator without workers")
                     mean_dist = {wid: 0.0 for wid in worker_ids}
+                    # every segment start is a bound, so its stretches are a slice
+                    own = stretches[bisect_left(bounds, first):bisect_left(bounds, end)]
                     for lo, hi, dists, _ in own:
                         for _ in range(lo, hi):
                             for wid, d in zip(worker_ids, dists):

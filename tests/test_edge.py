@@ -415,24 +415,26 @@ def records(grids):
 
 @st.composite
 def grid_streams(draw):
-    """Grids of 1-3 tags on instants 3.5 s apart, each heard by a subset of
-    up to four badges, with every activity. A tag's grids are drawn in time
-    order and then shuffled; some draws let a tag's grids overlap in time."""
+    """Grids of 1-3 tags on instants 3.5 s apart, with every activity; an
+    instant at zero may be ``-0.0``. Each tag's badges are split into lanes
+    that overlap in time. A lane's grids are drawn in time order, each after
+    the last and heard by some of the lane's badges. Then all are shuffled."""
     badges = ["B1", "W1", "W2", "W3"]
-    overlap = draw(st.booleans())
     out = []
     for tag in ("T1", "T2", "T3")[:draw(st.integers(1, 3))]:
-        t = 0
-        for _ in range(draw(st.integers(1, 5))):
-            t = draw(st.integers(0 if overlap else t, t + 12))
-            k = draw(st.integers(1, 6))
-            instants = [3.5 * (t + i) for i in range(k)]
-            t += k
-            heard = draw(st.lists(st.sampled_from(badges), min_size=1, max_size=4, unique=True))
-            rssi = draw(st.lists(st.floats(-90.0, -30.0), min_size=k * len(heard),
-                                 max_size=k * len(heard)))
-            activity = draw(st.sampled_from([Activity.USAGE, Activity.TRANSPORT, Activity.INACTIVE]))
-            out.append(Grid(instants, heard, tag, rssi, activity))
+        lanes = draw(st.sampled_from([[badges], [badges[:2], badges[2:]], [[b] for b in badges]]))
+        for lane in lanes:
+            t = draw(st.integers(-4, 4))
+            for _ in range(draw(st.integers(1, 5 if len(lanes) == 1 else 3))):
+                t = draw(st.integers(t, t + 12))
+                k = draw(st.integers(1, 6))
+                instants = [3.5 * (t + i) or draw(st.sampled_from([0.0, -0.0])) for i in range(k)]
+                t += k
+                heard = draw(st.lists(st.sampled_from(lane), min_size=1, max_size=len(lane), unique=True))
+                rssi = draw(st.lists(st.floats(-90.0, -30.0), min_size=k * len(heard),
+                                     max_size=k * len(heard)))
+                activity = draw(st.sampled_from([Activity.USAGE, Activity.TRANSPORT, Activity.INACTIVE]))
+                out.append(Grid(instants, heard, tag, rssi, activity))
     draw(st.randoms(use_true_random=False)).shuffle(out)
     return out
 
@@ -446,7 +448,7 @@ class TestGridStream:
     )
     def test_grids_fold_as_their_records(self, stream, gap, active):
         """The grid feeder and the record feeder give the same reports, and
-        both the reference's, whether a tag's grids overlap or not."""
+        both the reference's."""
         expanded = records(stream)
         expected = reference_edge(expanded, gap, active)
         assert run_edge(stream, PARAMS, gap=gap, active=active) == expected
@@ -472,3 +474,26 @@ class TestGridStream:
         grid = Grid([0.0, 7.0], ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
         with pytest.raises(ValueError, match="a stream of grids holds a record"):
             run_edge([grid, ad(14.0)], PARAMS)
+
+    @pytest.mark.parametrize("instants", [[3.5], [-7.0, 0.0], [0.0, 7.0], [-0.0], [1.0, 2.0]])
+    def test_a_badges_grids_of_one_tag_must_not_overlap(self, instants):
+        """Whatever their activity; other badges' and other tags' grids may
+        share instants, and fold as their records."""
+        grid = Grid([-0.0, 3.5], ["W1", "W2"], "T1", [-50.0, -51.0, -50.5, -51.5], Activity.USAGE)
+        values = [-52.0] * len(instants)
+        other = Grid(instants, ["W2"], "T1", values, Activity.INACTIVE)
+        with pytest.raises(ValueError, match="grids of tag 'T1' heard by 'W2' overlap in time"):
+            run_edge([grid, other], PARAMS)
+        for apart in (Grid(instants, ["W3"], "T1", values, Activity.USAGE),
+                      Grid(instants, ["W2"], "T2", values, Activity.USAGE)):
+            assert run_edge([grid, apart], PARAMS) == run_edge(records([grid, apart]), PARAMS)
+
+    def test_a_window_keeps_the_sign_of_its_first_and_last_reception(self):
+        """``-0.0`` and ``0.0`` in two badges' grids are one instant, first
+        and last in the order given, as for their records."""
+        early = Grid([-7.0, -0.0], ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        late = Grid([0.0], ["W2"], "T1", [-52.0], Activity.USAGE)
+        for stream, stop in (([early, late], "0.0"), ([late, early], "-0.0")):
+            reports = run_edge(stream, PARAMS)
+            assert reports == reference_edge(records(stream), SESSION_GAP_S, ACTIVE_DEFAULT)
+            assert {(r.start, repr(r.stop)) for r in reports} == {(-7.0, stop)}

@@ -201,8 +201,8 @@ class TestGenerate:
         grids, truth = generate(cfg)
         kept = sum(map(len, grids)) / 10000
         assert 0.67 < kept < 0.73
-        # each broadcast that was heard is a grid of its own
-        assert all(len(g.instants) == 1 for g in grids) and len(grids) == sum(map(len, grids))
+        # the one badge's readings in the tool's one activity run are one grid
+        assert [g.wearables for g in grids] == [("W1",)]
         # truth boundaries come from the schedule, not from what survived
         assert truth.sessions == generate(dataclasses.replace(cfg, drop_prob=0.0))[1].sessions
 
@@ -599,6 +599,12 @@ class TestStreamOracle:
         _, truth = generate(cfg)
         assert len(truth.sessions) == 18
         assert calls == {"grid": 3, "cut": 3}
+        # with loss, one grid per badge that heard anything in the run
+        calls.update(grid=0, cut=0)
+        grids, _ = generate(dataclasses.replace(cfg, drop_prob=0.1))
+        assert calls == {"grid": 9, "cut": 3}
+        assert [(g.tag, g.wearables) for g in grids] == [
+            (f"T{t}", (f"W{w}",)) for t in (1, 2, 3) for w in (1, 2, 3)]
 
     @settings(max_examples=150, deadline=None)
     @given(small_configs())
