@@ -116,7 +116,8 @@ class Grid:
     """One tag's broadcasts at ``instants``, each heard by every badge in
     ``wearables``, with ``rssi`` holding one value per (instant, badge),
     instant-major: the readings a simulated tool sends while its activity
-    stays the same, as one compact value.
+    stays the same (with reception loss, those one badge heard), as one
+    compact value.
 
     A grid holds the ``Advertisement`` records it iterates over, and
     ``len`` counts them. Construction checks them under ``Advertisement``'s

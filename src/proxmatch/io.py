@@ -36,7 +36,6 @@ import json
 import math
 from io import StringIO
 from itertools import chain, cycle, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -237,7 +236,7 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     lines, one per badge.
     """
     text = _JsonText()
-    lines, widths, rows = [], [], []
+    lines, widths, keys, owner = [], [], [], []
     for k, g in enumerate(grids):
         tag, n = text[g.tag], len(g.wearables)
         parts = [f',"wearable":{text[w]},"tag":{tag},"rssi_db":' for w in g.wearables]
@@ -247,10 +246,13 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
             map(float.__repr__, g.rssi), repeat(f',"activity":{text[g.activity.value]}}}\n'),
         )))
         widths.append(n)
-        rows += zip(g.instants, repeat(k))
-    rows.sort(key=itemgetter(0))
-    owners = [k for _, k in rows]
-    del rows
+        keys += g.instants
+        owner += repeat(k, len(g.instants))
+    # each row's grid in file order, sorted through indices and not as
+    # (instant, grid) pairs, whose thousands of freed tuples would stay in
+    # the interpreter's tuple free list until a full garbage collection
+    owners = list(map(owner.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
+    del keys, owner
     _write_lines(path, chain.from_iterable(
         map(islice, map(lines.__getitem__, owners), map(widths.__getitem__, owners))
     ))
