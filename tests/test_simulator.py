@@ -580,7 +580,8 @@ class TestStreamOracle:
 
     def test_one_grid_and_one_stretch_cut_per_tool(self, monkeypatch):
         """Segments are batched per tool: with five swaps each tool has six
-        segments, built as one ``Grid`` over one cut."""
+        segments, built as one ``Grid`` over one cut, or with reception loss
+        as one ``Grid`` per badge."""
         calls = {"grid": 0, "cut": 0}
         grid, cut = simulator.Grid, simulator._still_stretches
 
