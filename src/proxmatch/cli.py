@@ -20,9 +20,10 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from . import io, simulator
-from .edge import SESSION_GAP_S, Activity, Advertisement, DistanceReport, Grid, run_edge
+from .edge import ACTIVE_DEFAULT, SESSION_GAP_S, Activity, Advertisement, DistanceReport, Grid, run_edge
 from .ekf import DT_LINEAR, DT_SQUARED, EkfParams
-from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, MatchResult, TruthRecord, evaluate, solve
+from .matcher import (EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, MatchResult, Trust, TruthRecord,
+                      evaluate, solve)
 from .pathloss import fit, residual_variance
 from .simulator import GroundTruth, ScenarioConfig, generate, scenario_static, scenario_swap
 
@@ -118,7 +119,7 @@ def _match_stage(reports: Sequence[DistanceReport], out_path: Path, margin: floa
                  window: float) -> list[MatchResult]:
     results = solve(MatchProblem.from_reports(reports), threshold=margin, window=window)
     io.write_matches(out_path, results)
-    sure = sum(1 for r in results if r.wearable is not None and r.trust.value == "sure")
+    sure = sum(1 for r in results if r.trust is Trust.SURE)  # a SURE result has a wearable
     unassigned = sum(1 for r in results if r.wearable is None)
     print(
         f"{len(results)} session(s): {sure} sure, "
@@ -253,7 +254,7 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
         help="pause that splits two sessions (default %(default)s)",
     )
     p.add_argument(
-        "--active-classes", default="usage",
+        "--active-classes", default=",".join(sorted(a.value for a in ACTIVE_DEFAULT)),
         help="comma-separated activity classes that count as active (default %(default)s)",
     )
 

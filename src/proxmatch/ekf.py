@@ -103,13 +103,13 @@ class EkfState:
 
 
 def init(params: EkfParams, rssi: float, ts: float) -> EkfState:
-    """Start a filter from its first observation.
+    """Start a filter from its first observation: ``run_filter`` of that
+    one observation.
 
     The raw inversion of one noisy RSSI is clamped into [d_min, d_max];
     subsequent updates run unclamped (apart from the Jacobian floor).
     """
-    x = min(max(params.model.inverse(rssi), params.d_min), params.d_max)
-    return EkfState(x=x, p=params.p0, ts=ts)
+    return run_filter((rssi,), (ts,), params)
 
 
 def jacobian(model: PathLossModel, x: float) -> float:
@@ -120,13 +120,13 @@ def jacobian(model: PathLossModel, x: float) -> float:
 
 
 def step(state: EkfState | None, rssi: float, ts: float, params: EkfParams) -> EkfState:
-    """Process one observation: initialize on the first, predict then update after.
+    """Process one observation: ``run_filter`` of it from ``state``, so the
+    first one (``state`` None) starts the filter as ``init`` does and each
+    later one predicts then updates.
 
     A step at ``state.ts`` is a pure measurement update: its prediction adds
     exactly 0.0 to ``p``.
     """
-    if state is None:
-        return init(params, rssi, ts)
     return run_filter((rssi,), (ts,), params, state)
 
 
@@ -138,14 +138,15 @@ def run_filter(
 ) -> EkfState:
     """Fold a time-ordered observation stream into a filter; the final state.
 
-    Starts from ``state``, or from the first observation by ``init``'s
-    expression, in place, when ``state`` is None; then per observation
-    predicts (the estimate kept, the variance grown by ``q * dt**2``, or
-    ``q * dt`` under ``DT_LINEAR``, so a missed broadcast just widens the
-    gap) and updates. This is the only copy of the filter arithmetic: one
-    loop over plain floats performing the float operations of ``jacobian``
-    and ``PathLossModel.forward`` in the same order, so its result is
-    bit-identical to folding ``step`` over the stream.
+    Starts from ``state``, or, when ``state`` is None, from the first
+    observation: its clamped inversion, variance ``p0``, at its timestamp.
+    Then per observation it predicts (the estimate kept, the variance grown
+    by ``q * dt**2``, or ``q * dt`` under ``DT_LINEAR``, so a missed
+    broadcast just widens the gap) and updates. This is the only code that
+    starts or updates a filter: ``init`` and ``step`` are calls of it on one
+    observation, and its loop over plain floats performs the float
+    operations of ``jacobian`` and ``PathLossModel.forward`` in the same
+    order, so folding ``step`` over a stream gives the same bits.
     """
     if len(rssi) != len(ts):
         raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")

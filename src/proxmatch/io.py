@@ -2,6 +2,8 @@
 
 Writers emit keys in a fixed order and floats through ``repr`` (the json
 default), so a given record sequence always produces byte-identical files.
+``io`` writes the scenario and model documents it reads, so their keys are
+spelled here only.
 
 Every reader applies one rule to bad input. A line, row or document is bad
 when it does not decode, lacks a field, or holds a value of the wrong type
@@ -346,12 +348,14 @@ class _CsvText(dict):
     """The CSV text of each tuple of fields looked up, without the line
     end, from ``csv.writer`` itself, so a field holding a comma, a quote or
     a line break is quoted as the csv module quotes it; computed once per
-    distinct tuple."""
+    distinct tuple. The writer ends its line with ``\r\n``, since it quotes
+    only the line-end characters of its own terminator, and a lone ``\r``
+    left bare would end the row for ``csv.reader``."""
 
     def __missing__(self, fields: tuple) -> str:
         buf = StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(fields)
-        text = self[fields] = buf.getvalue()[:-1]
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        text = self[fields] = buf.getvalue()[:-2]
         return text
 
 
@@ -387,10 +391,6 @@ def read_samples(path: str | Path) -> list[RangeSample]:
     )
 
 
-def write_model(path: str | Path, model: PathLossModel) -> None:
-    _write_json(path, model.to_dict())
-
-
 #: Each optional filter-config key and the ``EkfParams`` field it sets.
 _FILTER_FIELDS = {"q": "q", "r": "r", "d_min_m": "d_min", "d_max_m": "d_max", "p0": "p0",
                   "dt_mode": "dt_mode", "x_floor_m": "x_floor"}
@@ -400,6 +400,15 @@ def _model_from_dict(d, other_keys: Iterable[str] = ()) -> PathLossModel:
     """A model object, which may hold ``other_keys`` too."""
     _object(d, {"n", "x0_m", "rssi0_db", *other_keys})
     return PathLossModel(*(_number(d[k], k) for k in ("n", "x0_m", "rssi0_db")))
+
+
+def _model_to_dict(model: PathLossModel) -> dict:
+    return {"n": model.n, "x0_m": model.x0, "rssi0_db": model.rssi0}
+
+
+def write_model(path: str | Path, model: PathLossModel) -> None:
+    """The model keys of a filter config, which ``read_ekf_params`` reads."""
+    _write_json(path, _model_to_dict(model))
 
 
 def _ekf_params_from_dict(d) -> EkfParams:
@@ -413,10 +422,6 @@ def read_ekf_params(path: str | Path) -> EkfParams:
     and any of the filter keys; each one left out takes its ``EkfParams``
     default."""
     return _read_doc(path, "filter config", _ekf_params_from_dict)
-
-
-def write_scenario(path: str | Path, config: ScenarioConfig) -> None:
-    _write_json(path, config.to_dict())
 
 
 def _trace(knots: list) -> Trace:
@@ -459,6 +464,31 @@ def _scenario_from_dict(d) -> ScenarioConfig:
         workers=tuple(map(_worker, d["workers"])),
         tools=tuple(map(_tool, d["tools"])),
     )
+
+
+def write_scenario(path: str | Path, config: ScenarioConfig) -> None:
+    """The document ``_scenario_from_dict`` reads."""
+    _write_json(path, {
+        "seed": config.seed,
+        "duration_s": config.duration,
+        "adv_interval_s": config.adv_interval,
+        "noise_std_db": config.noise_std,
+        "drop_prob": config.drop_prob,
+        "model": _model_to_dict(config.model),
+        "workers": [{"id": w.id, "trace": list(map(list, w.trace.knots))} for w in config.workers],
+        "tools": [
+            {
+                "id": t.id,
+                "trace": list(map(list, t.trace.knots)),
+                "schedule": [
+                    {"start_s": s.start, "stop_s": s.stop, "activity": s.activity.value,
+                     "operator": s.operator}
+                    for s in t.schedule
+                ],
+            }
+            for t in config.tools
+        ],
+    })
 
 
 def read_scenario(path: str | Path) -> ScenarioConfig:

@@ -61,9 +61,6 @@ class PathLossModel:
         """Distance in meters whose expected RSSI equals ``rssi``."""
         return self.x0 * 10.0 ** ((self.rssi0 - rssi) / (10.0 * self.n))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "x0_m": self.x0, "rssi0_db": self.rssi0}
-
 
 #: Default calibration for badge-to-tag ranging in a cluttered indoor space.
 DEFAULT_MODEL = PathLossModel(n=1.011, x0=1.0, rssi0=-45.6)

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from typing import Sequence
 
-from .edge import RSSI_MAX_DB, RSSI_MIN_DB, Activity, Grid
+from .edge import RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, Grid
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -48,8 +48,8 @@ OPERATING_DISTANCE_M = 0.3
 MIN_TRUE_DISTANCE_M = 0.05
 #: Walking-speed bound used for trace sanity checks.
 V_MAX_M_S = 0.7
-#: Tool pause at each swap; it must exceed ``edge.SESSION_GAP_S`` to split sessions.
-SWAP_PAUSE_S = 22.0
+#: Tool pause at each swap, longer than the session gap so that it splits sessions.
+SWAP_PAUSE_S = SESSION_GAP_S + 1.0
 
 
 @dataclass(frozen=True)
@@ -192,35 +192,6 @@ class ScenarioConfig:
                     raise ValueError(
                         f"segment operator {seg.operator!r} of tool {t.id!r} is not a worker id"
                     )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "duration_s": self.duration,
-            "adv_interval_s": self.adv_interval,
-            "noise_std_db": self.noise_std,
-            "drop_prob": self.drop_prob,
-            "model": self.model.to_dict(),
-            "workers": [
-                {"id": w.id, "trace": [list(k) for k in w.trace.knots]} for w in self.workers
-            ],
-            "tools": [
-                {
-                    "id": t.id,
-                    "trace": [list(k) for k in t.trace.knots],
-                    "schedule": [
-                        {
-                            "start_s": s.start,
-                            "stop_s": s.stop,
-                            "activity": s.activity.value,
-                            "operator": s.operator,
-                        }
-                        for s in t.schedule
-                    ],
-                }
-                for t in self.tools
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -443,8 +414,6 @@ def scenario_static(
         raise ValueError(f"need at least one worker, got {n_workers}")
     if bystanders < 0:
         raise ValueError(f"bystander count must be nonnegative, got {bystanders}")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be finite and positive, got {spacing}")
     return _row(n_workers, spacing, [], duration, bystanders, operating_distance,
                 seed, noise_std, drop_prob)
 
@@ -463,8 +432,6 @@ def scenario_swap(
     and the tools ``OPERATING_DISTANCE_M`` off the row; see ``_row``."""
     if n_workers < 2:
         raise ValueError(f"swapping needs at least two workers, got {n_workers}")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be finite and positive, got {spacing}")
     swaps = [float(t) for t in swap_times]
     if any(b <= a for a, b in zip(swaps, swaps[1:])):
         raise ValueError(f"swap times must be strictly increasing, got {swaps}")
@@ -493,6 +460,8 @@ def _row(n_workers: int, spacing: float, swaps: list[float], duration: float, by
     period k, tool Tj+1 is operated by worker W((j - k) mod n + 1).
     Bystanders hear every broadcast but operate nothing.
     """
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
     duration = float(duration)
     workers = []
     for w in range(n_workers):

@@ -12,7 +12,7 @@ import pytest
 
 from proxmatch import cli, io
 from proxmatch.cli import main
-from proxmatch.edge import Activity, Advertisement, DistanceReport, Grid
+from proxmatch.edge import ACTIVE_DEFAULT, Activity, Advertisement, DistanceReport, Grid
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL
 from proxmatch.simulator import (
@@ -426,6 +426,11 @@ class TestEstimateFlags:
         assert io.read_reports(out) == []
         assert run("estimate", ads_path, "-o", out, "--active-classes", "usage,transport") == 0
         assert len(io.read_reports(out)) == 1
+
+    @pytest.mark.parametrize("argv", [["estimate", "ads.jsonl"], ["pipeline", "s.json", "--out-dir", "o"]])
+    def test_active_classes_default_is_the_library_default(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        assert cli._parse_active(args.active_classes) == ACTIVE_DEFAULT
 
     def test_bad_active_class_exits_2(self, tmp_path, capsys):
         ads = tmp_path / "ads.jsonl"

@@ -420,3 +420,44 @@ class TestRunFilter:
             ekf.run_filter([-50.0, -51.0], [0.0], PARAMS)
         start = EkfState(x=1.0, p=1.0, ts=5.0)
         assert ekf.run_filter([], [], PARAMS, start) == start
+
+
+def old_init(params, rssi, ts):
+    """``init`` as its own formula, before it became a ``run_filter`` call:
+    the clamped inversion, variance ``p0``, at ``ts``."""
+    return EkfState(x=min(max(params.model.inverse(rssi), params.d_min), params.d_max),
+                    p=params.p0, ts=ts)
+
+
+@st.composite
+def filter_params(draw):
+    model = PathLossModel(n=draw(st.floats(0.5, 4.0)), x0=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                          rssi0=draw(st.floats(-80.0, -20.0)))
+    d_min = draw(st.floats(0.05, 2.0))
+    return EkfParams(model=model, d_min=d_min, d_max=d_min + draw(st.floats(0.1, 50.0)),
+                     p0=draw(st.floats(0.01, 100.0)), dt_mode=draw(st.sampled_from([DT_SQUARED, DT_LINEAR])),
+                     x_floor=draw(st.floats(0.001, d_min)))
+
+
+RSSI = st.floats(min_value=-127.0, max_value=20.0)
+TIMES = st.floats(min_value=-1e6, max_value=1e6)
+
+
+class TestOneObservationCalls:
+    """``init`` and ``step`` are ``run_filter`` calls on one observation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=filter_params(), rssi=RSSI, ts=TIMES)
+    def test_a_start_is_the_old_init_formula(self, params, rssi, ts):
+        want = _bits(*dataclasses.astuple(old_init(params, rssi, ts)))
+        assert _bits(*dataclasses.astuple(ekf.init(params, rssi, ts))) == want
+        assert _bits(*dataclasses.astuple(ekf.step(None, rssi, ts, params))) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=filter_params(), rssi=RSSI, t0=TIMES, gap=st.one_of(st.just(0.0), st.floats(0.0, 600.0)),
+           x=st.floats(0.001, 100.0), p=st.floats(1e-6, 1e4))
+    def test_a_step_from_a_state_is_run_filter(self, params, rssi, t0, gap, x, p):
+        state = EkfState(x=x, p=p, ts=t0)
+        want = ekf.run_filter((rssi,), (t0 + gap,), params, state)
+        got = ekf.step(state, rssi, t0 + gap, params)
+        assert _bits(*dataclasses.astuple(got)) == _bits(*dataclasses.astuple(want))

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import tempfile
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,15 +468,21 @@ class TestRecordWriters:
 
 def reference_errors_bytes(reports, truth) -> bytes:
     """``errors.csv`` as ``csv.writer`` writes it: the header, then each
-    report's ids and the ``repr`` of its numbers."""
-    buf = StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"])
+    report's ids and the ``repr`` of its numbers. Each row comes from a
+    writer that ends it with ``\r\n`` and so quotes a field holding either
+    character; the row then ends with ``\n`` instead."""
+
+    def row(fields) -> str:
+        buf = StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        return buf.getvalue()[:-2] + "\n"
+
+    lines = [row(["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"])]
     for r in reports:
         true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
-        w.writerow([r.wearable, r.tag, repr(r.start), repr(r.stop), repr(r.distance), repr(true),
-                    repr(r.distance - true)])
-    return buf.getvalue().encode()
+        lines.append(row([r.wearable, r.tag, repr(r.start), repr(r.stop), repr(r.distance),
+                          repr(true), repr(r.distance - true)]))
+    return "".join(lines).encode()
 
 
 def truth_for(reports) -> GroundTruth:
@@ -505,6 +513,23 @@ class TestErrorsWriter:
         text = p.read_bytes().decode("utf-8")
         assert text.startswith("wearable,tag,start_s,stop_s,estimate_m,true_m,error_m\n")
         assert '\n"W,1",T1,' in text and '\n"W""1",' in text and '\n"W\n1",' in text
+
+    def test_a_lone_carriage_return_reads_back(self, tmp_path):
+        """An id holding ``\\r`` without ``\\n`` is quoted, so ``csv.reader``
+        reads the file back to the same ids and numbers."""
+        reports = [DistanceReport("W\r1", "T1", 0.0, 7.0, 1.5, 2),
+                   DistanceReport("W2", "T\r", 7.0, 21.0, 2.25, 3)]
+        truth = truth_for(reports)
+        p = tmp_path / "errors.csv"
+        io.write_errors(p, reports, truth)
+        with open(p, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        want = []
+        for r in reports:
+            true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
+            want.append([r.wearable, r.tag, repr(r.start), repr(r.stop), repr(r.distance),
+                         repr(true), repr(r.distance - true)])
+        assert rows == [["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"], *want]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -656,7 +681,18 @@ GOOD_AD_LINE = json.dumps(GOOD_AD)
 #: ``GOOD_AD_LINE`` with a wearable id in Latin-1, which is not UTF-8.
 LATIN1_AD_LINE = GOOD_AD_LINE.replace("W1", "W\u00e9").encode("latin-1")
 AD_CSV_HEADER = "ts,wearable,tag,rssi_db,activity"
-SCENARIO = scenario_swap(2, 2.0, [60.0], seed=1).to_dict()
+
+
+def written(write, value) -> dict:
+    """The JSON document that the ``io`` writer ``write`` writes for ``value``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "doc.json"
+        write(path, value)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+SCENARIO = written(io.write_scenario, scenario_swap(2, 2.0, [60.0], seed=1))
+MODEL = written(io.write_model, DEFAULT_MODEL)
 
 
 def scenario_with(worker=None, tool=None, segment=None, **fields):
@@ -687,7 +723,7 @@ BAD_DOCUMENTS = [
      "bad scenario: trace knot must be a number, got '1.5'"),
     (io.read_scenario, "scenario.json", scenario_with(model={**SCENARIO["model"], "n": True}),
      "bad scenario: n must be a number, got True"),
-    (io.read_ekf_params, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "n": True}),
+    (io.read_ekf_params, "model.json", json.dumps({**MODEL, "n": True}),
      "bad filter config: n must be a number, got True"),
     (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "dt_mode": 1}),
      "bad filter config: dt_mode must be 'dt_squared' or 'dt_linear', got 1"),
@@ -699,7 +735,7 @@ BAD_DOCUMENTS = [
 MORE_BAD_DOCUMENTS = [
     (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "x_floor": 0.3}),
      "bad filter config: unknown key 'x_floor'"),
-    (io.read_ekf_params, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "x0": 2.0}),
+    (io.read_ekf_params, "model.json", json.dumps({**MODEL, "x0": 2.0}),
      "bad filter config: unknown key 'x0'"),
     (io.read_scenario, "scenario.json", scenario_with(noise_std=6.99),
      "bad scenario: unknown key 'noise_std'"),
@@ -734,9 +770,9 @@ BAD_INPUTS = [
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": HUGE, "wearable": "W1",
                  "trust": "sure", "margin_m": 1.0}), ":1: bad match result"),
     (io.read_scenario, "scenario.json",
-     json.dumps({**scenario_swap(2, 2.0, [60.0], seed=1).to_dict(), "duration_s": HUGE}),
+     json.dumps({**SCENARIO, "duration_s": HUGE}),
      "bad scenario"),
-    (io.read_ekf_params, "model.json", json.dumps({**DEFAULT_MODEL.to_dict(), "n": HUGE}),
+    (io.read_ekf_params, "model.json", json.dumps({**MODEL, "n": HUGE}),
      "bad filter config"),
     (io.read_ekf_params, "model.json", "3", "expected a JSON object"),
     (io.read_ekf_params, "ekf.json", "[1, 2]", "expected a JSON object"),

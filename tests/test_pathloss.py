@@ -63,11 +63,9 @@ class TestModelEvaluation:
             PathLossModel(n=1.0, x0=1.0, rssi0=math.nan)
 
     def test_dict_round_trip(self, tmp_path):
-        d = DEFAULT_MODEL.to_dict()
-        assert d == {"n": 1.011, "x0_m": 1.0, "rssi0_db": -45.6}
         path = tmp_path / "model.json"
         io.write_model(path, DEFAULT_MODEL)
-        assert json.loads(path.read_text()) == d
+        assert json.loads(path.read_text()) == {"n": 1.011, "x0_m": 1.0, "rssi0_db": -45.6}
         assert io.read_ekf_params(path).model == DEFAULT_MODEL
 
 

@@ -698,13 +698,16 @@ class TestSwapScenario:
         _, inferred = generate(stripped)
         assert explicit.sessions == inferred.sessions
 
-    def test_no_swaps_reduces_to_static_layout(self):
+    def test_no_swaps_reduces_to_static_layout(self, tmp_path):
         for n in (2, 3, 8):
             settings = dict(seed=n, noise_std=3.5, drop_prob=0.25)
             static = scenario_static(n, 1.5, 300, **settings)
             swap = scenario_swap(n, 1.5, [], duration=300, **settings)
             # equal configs, and documents equal to the byte: both store 300.0
-            assert static == swap and repr(static.to_dict()) == repr(swap.to_dict())
+            io.write_scenario(tmp_path / "static.json", static)
+            io.write_scenario(tmp_path / "swap.json", swap)
+            assert static == swap
+            assert (tmp_path / "static.json").read_bytes() == (tmp_path / "swap.json").read_bytes()
         cfg = scenario_swap(2, 2.0, [])
         ads, truth = generate(cfg)
         static_ads, static_truth = generate(scenario_static(2, 2.0, 360.0))
@@ -722,6 +725,9 @@ class TestSwapScenario:
             scenario_swap(3, 2.0, [120.0, 130.0])  # closer than the pause
         with pytest.raises(ValueError):
             scenario_swap(3, 2.0, [10.0])  # no room for the first period
+        for spacing in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="spacing must be finite and positive"):
+                scenario_swap(3, spacing, [120.0])
 
     def test_pause_exceeds_the_session_gap(self):
         """A shorter pause would not split a tool's activity into sessions."""
