@@ -189,11 +189,7 @@ def _check_window(start: float, stop: float) -> None:
         raise ValueError(f"session window must be finite with start <= stop, got [{start}, {stop}]")
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    """What a badge ships per session: final distance estimate and observation
-    count. Construction checks every value."""
-
+class _DistanceReportFields(NamedTuple):
     wearable: str
     tag: str
     start: float
@@ -201,12 +197,30 @@ class DistanceReport:
     distance: float
     n_obs: int
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.stop)
-        if not (math.isfinite(self.distance) and self.distance >= 0):
-            raise ValueError(f"distance must be finite and nonnegative, got {self.distance}")
-        if type(self.n_obs) is not int or self.n_obs < 1:
-            raise ValueError(f"n_obs must be an integer >= 1, got {self.n_obs!r}")
+
+class DistanceReport(_DistanceReportFields):
+    """What a badge ships per session: final distance estimate and observation
+    count.
+
+    A named tuple whose constructor checks every value, positionally or by
+    keyword: the window is finite with ``start <= stop``, the distance
+    finite and nonnegative, and ``n_obs`` an ``int`` (not ``bool``) of at
+    least 1. As with ``Advertisement``, an instance compares equal to a
+    plain tuple of the same values, and ``_make`` and ``_replace`` build
+    instances without the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, wearable: str, tag: str, start: float, stop: float, distance: float, n_obs: int
+    ) -> DistanceReport:
+        _check_window(start, stop)
+        if not (math.isfinite(distance) and distance >= 0):
+            raise ValueError(f"distance must be finite and nonnegative, got {distance}")
+        if type(n_obs) is not int or n_obs < 1:
+            raise ValueError(f"n_obs must be an integer >= 1, got {n_obs!r}")
+        return tuple.__new__(cls, (wearable, tag, start, stop, distance, n_obs))
 
 
 #: What a feeder yields per session: (tag, start, stop, heard), with
@@ -334,5 +348,5 @@ def run_edge(
         for w, (rssi, ts) in heard.items():
             x = ekf.run_filter(rssi, ts, params).x
             reports.append(DistanceReport(w, tag, start, stop, x, len(ts)))
-    reports.sort(key=lambda r: (r.start, r.stop, r.tag, r.wearable))
+    reports.sort(key=itemgetter(2, 3, 1, 0))  # (start, stop, tag, wearable)
     return reports

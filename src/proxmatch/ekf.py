@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 from statistics import NormalDist
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -89,12 +89,12 @@ class EkfParams:
             raise ValueError(f"x_floor must lie in (0, d_min], got {self.x_floor}")
 
 
-@dataclass(frozen=True)
-class EkfState:
+class EkfState(NamedTuple):
     """Posterior after the last processed observation.
 
     ``x`` is the distance estimate in meters, ``p`` its variance in m^2, and
-    ``ts`` the timestamp of the observation that produced it.
+    ``ts`` the timestamp of the observation that produced it. A named
+    tuple: immutable, and equal to a plain tuple of the same values.
     """
 
     x: float
@@ -146,7 +146,10 @@ def run_filter(
     starts or updates a filter: ``init`` and ``step`` are calls of it on one
     observation, and its loop over plain floats performs the float
     operations of ``jacobian`` and ``PathLossModel.forward`` in the same
-    order, so folding ``step`` over a stream gives the same bits.
+    order, so folding ``step`` over a stream gives the same bits. The
+    update forms ``h * p`` once for both the innovation variance and the
+    gain; float multiplication commutes, so that is the gain ``p * h / s``
+    bit for bit.
     """
     if len(rssi) != len(ts):
         raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")
@@ -157,7 +160,7 @@ def run_filter(
         x, p, t = min(max(model.inverse(rssi[0]), params.d_min), params.d_max), params.p0, ts[0]
         skip = 1
     else:
-        x, p, t = state.x, state.p, state.ts
+        x, p, t = state
         skip = 0
     h_num = -10.0 * model.n
     ln10 = math.log(10.0)
@@ -174,11 +177,12 @@ def run_filter(
             raise ValueError(f"jacobian needs a positive distance, got {x}")
         h = h_num / (ln10 * x)
         y = z - (rssi0 - slope * log10(x / x0))
-        s = h * p * h + r
-        k = p * h / s
+        hp = h * p
+        s = hp * h + r
+        k = hp / s
         x = x + k * y
         if x < floor:
             x = floor
         p = (1.0 - k * h) * p
         t = now
-    return EkfState(x=x, p=p, ts=t)
+    return EkfState(x, p, t)

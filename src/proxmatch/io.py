@@ -37,7 +37,7 @@ import csv
 import json
 import math
 from io import StringIO
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -93,11 +93,12 @@ def _num(value) -> str:
 _CHUNK_LINES = 256
 
 
-def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Lines formatted by the caller, written ``_CHUNK_LINES`` at a time."""
+def _write_lines(path: str | Path, lines: Iterable[str], per_write: int = _CHUNK_LINES) -> None:
+    """Lines formatted by the caller, written ``per_write`` at a time; an
+    item may hold several lines."""
     it = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        while chunk := "".join(islice(it, _CHUNK_LINES)):
+        while chunk := "".join(islice(it, per_write)):
             f.write(chunk)
 
 
@@ -228,36 +229,42 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     """JSON Lines of the records the grids hold, stably sorted by ``ts``:
     byte for byte what ``json.dumps`` writes for each record as an object
     of the ``_AD_FIELDS`` keys, formatted directly and written
-    ``_CHUNK_LINES`` lines at a time.
+    about ``_CHUNK_LINES`` lines at a time.
 
-    Each grid's lines come from one lazy iterator: the text of an instant
-    is formatted once per instant, the text around the RSSI once per badge
-    and each RSSI through ``float.__repr__``, as in ``json`` (a grid holds
-    finite floats and ``str`` ids). One stable sort of the (instant, grid)
-    rows gives the file order, in which each row takes its grid's next
-    lines, one per badge.
+    Each grid has one ``%`` template for the lines of one instant, one line
+    per badge: the id, tag and activity text is JSON-encoded once, with its
+    ``%`` doubled, the instant's text goes in through ``%s`` and each RSSI
+    through ``%r``, which is ``float.__repr__`` as in ``json`` (a grid holds
+    finite floats and ``str`` ids). The template is applied once per
+    instant, lazily, to the instant's text and its badges' RSSI. One stable
+    sort of the (instant, grid) rows gives the file order, in which each
+    row takes its grid's next block. The blocks go out in writes of as
+    many rows as hold ``_CHUNK_LINES`` lines on average.
     """
     text = _JsonText()
-    lines, widths, keys, owner = [], [], [], []
+    blocks, keys, owner, n_lines = [], [], [], 0
     for k, g in enumerate(grids):
-        tag, n = text[g.tag], len(g.wearables)
-        parts = [f',"wearable":{text[w]},"tag":{tag},"rssi_db":' for w in g.wearables]
-        heads = map('{"ts":'.__add__, map(float.__repr__, g.instants))
-        lines.append(map("".join, zip(
-            chain.from_iterable(map(repeat, heads, repeat(n))), cycle(parts),
-            map(float.__repr__, g.rssi), repeat(f',"activity":{text[g.activity.value]}}}\n'),
-        )))
-        widths.append(n)
+        # the JSON texts go into a % template, so each % in them is doubled
+        tag, activity, *wearables = (
+            text[v].replace("%", "%%") for v in (g.tag, g.activity.value, *g.wearables)
+        )
+        tail = f',"tag":{tag},"rssi_db":%r,"activity":{activity}}}\n'
+        template = "".join(f'{{"ts":%s,"wearable":{w}{tail}' for w in wearables)
+        n = len(wearables)
+        heads = list(map(float.__repr__, g.instants))
+        blocks.append(map(template.__mod__, zip(*chain.from_iterable(
+            (heads, g.rssi[j::n]) for j in range(n)
+        ))))
         keys += g.instants
         owner += repeat(k, len(g.instants))
+        n_lines += len(g)
     # each row's grid in file order, sorted through indices and not as
     # (instant, grid) pairs, whose thousands of freed tuples would stay in
     # the interpreter's tuple free list until a full garbage collection
     owners = list(map(owner.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
     del keys, owner
-    _write_lines(path, chain.from_iterable(
-        map(islice, map(lines.__getitem__, owners), map(widths.__getitem__, owners))
-    ))
+    rows_per_write = max(1, _CHUNK_LINES * len(owners) // max(1, n_lines))
+    _write_lines(path, map(next, map(blocks.__getitem__, owners)), rows_per_write)
 
 
 def read_advertisements(

@@ -449,9 +449,9 @@ class TestOneObservationCalls:
     @settings(max_examples=300, deadline=None)
     @given(params=filter_params(), rssi=RSSI, ts=TIMES)
     def test_a_start_is_the_old_init_formula(self, params, rssi, ts):
-        want = _bits(*dataclasses.astuple(old_init(params, rssi, ts)))
-        assert _bits(*dataclasses.astuple(ekf.init(params, rssi, ts))) == want
-        assert _bits(*dataclasses.astuple(ekf.step(None, rssi, ts, params))) == want
+        want = _bits(*tuple(old_init(params, rssi, ts)))
+        assert _bits(*tuple(ekf.init(params, rssi, ts))) == want
+        assert _bits(*tuple(ekf.step(None, rssi, ts, params))) == want
 
     @settings(max_examples=300, deadline=None)
     @given(params=filter_params(), rssi=RSSI, t0=TIMES, gap=st.one_of(st.just(0.0), st.floats(0.0, 600.0)),
@@ -460,4 +460,4 @@ class TestOneObservationCalls:
         state = EkfState(x=x, p=p, ts=t0)
         want = ekf.run_filter((rssi,), (t0 + gap,), params, state)
         got = ekf.step(state, rssi, t0 + gap, params)
-        assert _bits(*dataclasses.astuple(got)) == _bits(*dataclasses.astuple(want))
+        assert _bits(*tuple(got)) == _bits(*tuple(want))

@@ -137,6 +137,8 @@ def reference_read_ads(path):
 
 
 ODD_IDS = ['W"1', "W\\1", "Wé", "W\u2028", "\u00ff\u4e2d", "", "W\x00"]
+#: Ids a ``%`` template would read as conversions if their ``%`` were not doubled.
+PERCENT_IDS = ["W%s", "%%", "%r", "%(x)s", "T%d", "%"]
 ACTIVITIES = list(Activity)
 
 
@@ -169,10 +171,17 @@ class TestAdvertisementCodec:
                           activity=Activity.TRANSPORT),
             Advertisement(ts=14, wearable="W1", tag="T1", rssi=-40, activity=Activity.INACTIVE),
             Advertisement(ts=1e22, wearable="W1", tag="T1", rssi=-1e-7, activity=Activity.USAGE),
+            Advertisement(ts=3.0, wearable="%(x)s", tag="%", rssi=-47.5, activity=Activity.INACTIVE),
         ]
+        grids = [
+            *one_reading(ads),
+            Grid([3.0, 4.5], ["W%s", "%%", "%r", "%(x)s"], "T%d",
+                 [-40.0, -41.25, -1e-7, -50.0, 0.0, -127.0, -45.6, -52.25], Activity.USAGE),
+        ]
+        records = [a for g in grids for a in g]
         p = tmp_path / "ads.jsonl"
-        io.write_advertisements(p, one_reading(ads))
-        assert p.read_bytes() == reference_ads_bytes(ads)
+        io.write_advertisements(p, grids)
+        assert p.read_bytes() == reference_ads_bytes(records)
         assert io.read_advertisements(p) == reference_read_ads(p)
 
     @pytest.mark.parametrize(
@@ -245,7 +254,8 @@ class TestAdvertisementCodec:
         """Grids of odd ids on shared instants, signed zeros among them: each
         row of equal instants keeps the order of the grids given."""
         instant = st.sampled_from([-0.0, 0.0, 7.0, 1e-07, -3.5, 1e16, 5e-324])
-        ids = st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=6))
+        ids = st.one_of(st.sampled_from(ODD_IDS + PERCENT_IDS), st.text(max_size=6),
+                        st.text(st.sampled_from('%sdr(x)W"'), max_size=6))
         grids = []
         for _ in range(data.draw(st.integers(0, 4))):
             instants = sorted(data.draw(st.lists(instant, min_size=1, max_size=4, unique=True)))
@@ -317,7 +327,10 @@ class TestRecordStreams:
             DistanceReport(wearable="W2", tag="T1", start=0.0, stop=175.0, distance=3.5, n_obs=13),
         ]
         io.write_reports(p, reports)
-        assert io.read_reports(p) == reports
+        back = io.read_reports(p)
+        assert back == reports and {type(r) for r in back} == {DistanceReport}
+        # a report is a named tuple, equal to the plain tuple of its values
+        assert back == [("W1", "T1", 0.0, 175.0, 1.25, 26), ("W2", "T1", 0.0, 175.0, 3.5, 13)]
 
     def test_truth_round_trip(self, tmp_path):
         p = tmp_path / "truth.jsonl"
@@ -464,6 +477,16 @@ class TestRecordWriters:
         write(p, iter(records))
         assert p.read_bytes() == reference_lines(records, row)
 
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(reports(), max_size=8))
+    def test_reports_equal_their_read_back(self, tmp_path_factory, records):
+        """The reader gives each number as a float, so an integer window
+        reads back as its float value."""
+        p = tmp_path_factory.mktemp("records") / "reports.jsonl"
+        io.write_reports(p, records)
+        assert io.read_reports(p) == [DistanceReport(w, t, float(a), float(b), float(d), n)
+                                      for w, t, a, b, d, n in records]
+
 
 
 def reference_errors_bytes(reports, truth) -> bytes:
@@ -575,6 +598,8 @@ class TestRecordsCheckTheirOwnValues:
     def rejected(tmp_path, record, reader, kind, fields, error):
         with pytest.raises(ValueError, match=error):
             record(**fields)
+        with pytest.raises(ValueError, match=error):
+            record(*fields.values())  # the same values by position, in field order
         line = {JSON_KEYS.get(k, k): v.value if isinstance(v, Trust) else v for k, v in fields.items()}
         p = tmp_path / "records.jsonl"
         p.write_text(json.dumps(line) + "\n")
