@@ -22,6 +22,7 @@ from .ekf import EkfParams
 
 __all__ = [
     "ACTIVE_DEFAULT",
+    "ADV_INTERVAL_S",
     "Activity",
     "Advertisement",
     "DistanceReport",
@@ -29,6 +30,9 @@ __all__ = [
     "SESSION_GAP_S",
     "run_edge",
 ]
+
+#: Tag broadcast period.
+ADV_INTERVAL_S = 7.0
 
 #: A pause longer than this splits two activity runs into separate sessions.
 #: Short tool-handling pauses (re-gripping, repositioning) stay inside one
@@ -223,47 +227,41 @@ class DistanceReport(_DistanceReportFields):
         return tuple.__new__(cls, (wearable, tag, start, stop, distance, n_obs))
 
 
-#: What a feeder yields per session: (tag, start, stop, heard), with
-#: ``heard`` mapping each badge that heard the session to its (rssi, ts)
-#: readings in time order, one per instant.
-_Session = tuple[str, float, float, dict[str, tuple[list[float], list[float]]]]
+#: What a lane builder yields per tag: (tag, instants, lanes), with
+#: ``instants`` the tag's active instants in time order and ``lanes``
+#: mapping each badge to its (rssi, ts) readings in time order.
+_Lanes = tuple[str, list[float], dict[str, tuple[list[float], list[float]]]]
 
 
-def _record_sessions(
-    ads: Iterable[Advertisement], active: frozenset[Activity], gap: float
-) -> Iterator[_Session]:
-    """The sessions of the active records, given in any order: each tag's
-    records, in the order given, stably sorted on ``ts`` and swept once. A
-    session starts at its first record's ``ts`` and stops at its last's, and
-    each badge keeps its first reception of each broadcast."""
+def _record_lanes(ads: Iterable[Advertisement], active: frozenset[Activity]) -> Iterator[_Lanes]:
+    """The lanes of the active records, given in any order: each tag's
+    records, in the order given, stably sorted on ``ts``. The instants are
+    the ``ts`` of every record, repeats included, so that a window keeps the
+    sign of its first and last record's ``-0.0`` or ``0.0``; each badge keeps
+    its first reception of each broadcast."""
     by_tag: dict[str, list[Advertisement]] = defaultdict(list)
     for a in ads:
         if a[4] in active:
             by_tag[a[2]].append(a)
     for tag, tag_ads in by_tag.items():
         tag_ads.sort(key=itemgetter(0))
-        start = stop = tag_ads[0][0]
-        heard: dict[str, tuple[list[float], list[float]]] = {}
+        lanes: dict[str, tuple[list[float], list[float]]] = {}
         for ts, w, _, rssi, _ in tag_ads:
-            if ts - stop > gap:
-                yield tag, start, stop, heard
-                start, heard = ts, {}
-            stop = ts
-            obs = heard.get(w)
-            if obs is None:
-                heard[w] = ([rssi], [ts])
-            elif obs[1][-1] != ts:  # a repeat of one broadcast: the first reception wins
-                obs[0].append(rssi)
-                obs[1].append(ts)
-        yield tag, start, stop, heard
+            lane = lanes.get(w)
+            if lane is None:
+                lanes[w] = ([rssi], [ts])
+            elif lane[1][-1] != ts:  # a repeat of one broadcast: the first reception wins
+                lane[0].append(rssi)
+                lane[1].append(ts)
+        yield tag, list(map(itemgetter(0), tag_ads)), lanes
 
 
-def _grid_sessions(grids: Iterable[Grid], active: frozenset[Activity], gap: float) -> Iterator[_Session]:
-    """The sessions of the active grids, given in any order. A tag's
-    sessions are cut on its grids' instants in the order given, stably
-    sorted, as the records' sort would give them; each badge's readings are
-    strided slices of its grids in time order, cut at the session stops.
-    Grids of one tag that share a badge must not overlap in time."""
+def _grid_lanes(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[_Lanes]:
+    """The lanes of the active grids, given in any order. A tag's instants
+    are its grids' instants in the order given, stably sorted, as the
+    records' sort would give them; each badge's readings are strided slices
+    of its grids in time order. Grids of one tag that share a badge must not
+    overlap in time."""
     by_tag: dict[str, list[Grid]] = defaultdict(list)
     for g in grids:
         by_tag[g.tag].append(g)
@@ -273,6 +271,7 @@ def _grid_sessions(grids: Iterable[Grid], active: frozenset[Activity], gap: floa
         for g in sorted(tag_grids, key=lambda g: g.instants[0]):
             for j, w in enumerate(g.wearables):
                 by_badge[w].append((g, j))
+        lanes: dict[str, tuple[list[float], list[float]]] = {}
         for w, own in by_badge.items():
             for (a, _), (b, _) in zip(own, own[1:]):
                 if a.instants[-1] >= b.instants[0]:
@@ -280,28 +279,14 @@ def _grid_sessions(grids: Iterable[Grid], active: frozenset[Activity], gap: floa
                         f"grids of tag {tag!r} heard by {w!r} overlap in time: "
                         f"[{a.instants[0]}, {a.instants[-1]}] and [{b.instants[0]}, {b.instants[-1]}]"
                     )
-        instants = sorted(chain.from_iterable(g.instants for g in tag_grids if g.activity in active))
-        if not instants:
-            continue
-        # a session ends before a pause longer than ``gap``
-        ends = [k for k, t0, t1 in zip(count(1), instants, instants[1:]) if t1 - t0 > gap]
-        ends.append(len(instants))
-        stops = [instants[end - 1] for end in ends]
-        heard: list[dict[str, tuple[list[float], list[float]]]] = [{} for _ in ends]
-        for w, own in by_badge.items():
-            rssi: list[float] = []
-            ts: list[float] = []
+            rssi, ts = lanes[w] = [], []
             for g, j in own:
                 if g.activity in active:
                     rssi += g.rssi[j::len(g.wearables)]
                     ts += g.instants
-            cuts = [0, *map(bisect_right, repeat(ts), stops)]
-            for session, lo, hi in zip(heard, cuts, cuts[1:]):
-                if lo < hi:
-                    # a badge that heard one session only folds its lists whole
-                    session[w] = (rssi, ts) if hi - lo == len(ts) else (rssi[lo:hi], ts[lo:hi])
-        for lo, stop, session in zip([0, *ends], stops, heard):
-            yield tag, instants[lo], stop, session
+        instants = sorted(chain.from_iterable(g.instants for g in tag_grids if g.activity in active))
+        if instants:
+            yield tag, instants, lanes
 
 
 def run_edge(
@@ -323,30 +308,42 @@ def run_edge(
     that logs one broadcast twice (same timestamp) keeps its first reception.
 
     The stream is either records, as read from a file, in any order, or
-    ``Grid``s, as ``simulator.generate`` returns them; a stream whose first
-    item is a grid must hold only grids, and one tag's grids that share a
-    badge must not overlap in time. Records are sorted by ``ts`` and swept
-    per tag, which cuts the sessions as it goes. Grids skip the sweep: a
-    tag's sessions are cut on its grids' instants, and each badge's
-    readings are strided slices of its grids, which gives the reports of
-    the records the grids hold. Either way, each (badge, session) is folded
-    by one ``ekf.run_filter`` call.
+    ``Grid``s, as ``simulator.generate`` returns them, never both; one
+    tag's grids that share a badge must not overlap in time. Either kind
+    becomes per-tag lanes: the tag's active instants in time order, and
+    each badge's (rssi, ts) readings in time order. Records are stably
+    sorted by ``ts``; a grid's readings are strided slices, which gives
+    the lanes of the records it holds. One cut serves both: the gap splits
+    a tag's instants into sessions, each badge's readings are cut at the
+    session stops, and each (badge, session) is folded by one
+    ``ekf.run_filter`` call.
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"session gap must be finite and positive, got {gap}")
     if params is None:
         params = EkfParams()
     ads = list(ads)
-    if ads and type(ads[0]) is Grid:
-        if not all(type(g) is Grid for g in ads):
+    kinds = set(map(type, ads))
+    if Grid in kinds:
+        if len(kinds) > 1:
             raise ValueError("a stream of grids holds a record; pass records or grids")
-        sessions = _grid_sessions(ads, active, gap)
+        tags = _grid_lanes(ads, active)
     else:
-        sessions = _record_sessions(ads, active, gap)
+        tags = _record_lanes(ads, active)
     reports = []
-    for tag, start, stop, heard in sessions:
-        for w, (rssi, ts) in heard.items():
-            x = ekf.run_filter(rssi, ts, params).x
-            reports.append(DistanceReport(w, tag, start, stop, x, len(ts)))
+    for tag, instants, lanes in tags:
+        # a session ends before a pause longer than ``gap``
+        ends = [k for k, t0, t1 in zip(count(1), instants, instants[1:]) if t1 - t0 > gap]
+        starts = [instants[k] for k in (0, *ends)]
+        ends.append(len(instants))
+        stops = [instants[k - 1] for k in ends]
+        for w, (rssi, ts) in lanes.items():
+            cuts = [0, *map(bisect_right, repeat(ts), stops)]
+            for start, stop, lo, hi in zip(starts, stops, cuts, cuts[1:]):
+                if lo < hi:
+                    # a badge that heard one session only folds its lists whole
+                    obs = (rssi, ts) if hi - lo == len(ts) else (rssi[lo:hi], ts[lo:hi])
+                    x = ekf.run_filter(*obs, params).x
+                    reports.append(DistanceReport(w, tag, start, stop, x, hi - lo))
     reports.sort(key=itemgetter(2, 3, 1, 0))  # (start, stop, tag, wearable)
     return reports

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .edge import DistanceReport, _check_window
+from .edge import ADV_INTERVAL_S, DistanceReport, _check_window
 
 __all__ = [
     "EVENT_WINDOW_S",
@@ -38,7 +38,7 @@ __all__ = [
 
 #: Session starts within this window of an event's first start are treated as
 #: simultaneous; one broadcast interval absorbs reception jitter.
-EVENT_WINDOW_S = 7.0
+EVENT_WINDOW_S = ADV_INTERVAL_S
 
 #: A distance lead below this is within the estimator's own error, so the
 #: assignment is flagged rather than trusted.

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from typing import Sequence
 
-from .edge import RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, Grid
+from .edge import ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, Grid
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -37,8 +37,6 @@ __all__ = [
     "scenario_swap",
 ]
 
-#: Tag broadcast period.
-ADV_INTERVAL_S = 7.0
 #: Measurement noise matching the calibration residual spread (sqrt(48.92) dB).
 NOISE_STD_DB = 6.99
 #: How far a hand-held tool sits from its operator's badge.

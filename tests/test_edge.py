@@ -234,7 +234,9 @@ class TestSegmentation:
         record of its first instant and stops at the last of its last."""
         for stream in ([ad(-0.0), ad(0.0, wearable="W2"), ad(7.0)],
                        [ad(-7.0), ad(0.0), ad(-0.0, wearable="W2")],
-                       [ad(-7.0, wearable="W2"), ad(-0.0), ad(0.0, wearable="W2"), ad(-0.0, wearable="W3")]):
+                       [ad(-7.0, wearable="W2"), ad(-0.0), ad(0.0, wearable="W2"), ad(-0.0, wearable="W3")],
+                       # one badge repeats a broadcast: the window stops at the repeat
+                       [ad(-7.0), ad(-0.0), ad(0.0, rssi=-60.0)]):
             reports = run_edge(stream, PARAMS)
             assert reports == reference_edge(stream, SESSION_GAP_S, ACTIVE_DEFAULT)
             assert {(repr(r.start), repr(r.stop)) for r in reports} == {
@@ -380,10 +382,12 @@ def reference_edge(ads, gap, active):
 def mixed_streams(draw):
     """2-4 tags and 1-4 badges drawing from one set of instants, so tags share
     timestamps, with inactive and transport broadcasts, repeated receptions of
-    one broadcast, and the whole stream shuffled."""
+    one broadcast, and the whole stream shuffled; an instant at zero may be
+    ``-0.0``."""
     tags = [f"T{i}" for i in range(1, draw(st.integers(2, 4)) + 1)]
     badges = [f"W{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
-    instants = draw(st.lists(st.integers(0, 30).map(lambda k: 3.5 * k), min_size=1, max_size=20))
+    zero = st.sampled_from([0.0, -0.0])
+    instants = draw(st.lists(st.integers(0, 30).map(lambda k: 3.5 * k) | zero, min_size=1, max_size=20))
     activity = st.sampled_from([Activity.USAGE, Activity.USAGE, Activity.TRANSPORT, Activity.INACTIVE])
     rssi = st.floats(-90.0, -30.0)
     ads = draw(st.lists(
@@ -447,7 +451,7 @@ class TestGridStream:
         active=st.sampled_from([ACTIVE_DEFAULT, frozenset({Activity.USAGE, Activity.TRANSPORT})]),
     )
     def test_grids_fold_as_their_records(self, stream, gap, active):
-        """The grid feeder and the record feeder give the same reports, and
+        """The grid and the record lane builders give the same reports, and
         both the reference's."""
         expanded = records(stream)
         expected = reference_edge(expanded, gap, active)
@@ -472,8 +476,9 @@ class TestGridStream:
 
     def test_a_stream_of_grids_holds_only_grids(self):
         grid = Grid([0.0, 7.0], ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
-        with pytest.raises(ValueError, match="a stream of grids holds a record"):
-            run_edge([grid, ad(14.0)], PARAMS)
+        for stream in ([grid, ad(14.0)], [ad(14.0), grid]):
+            with pytest.raises(ValueError, match="a stream of grids holds a record"):
+                run_edge(stream, PARAMS)
 
     @pytest.mark.parametrize("instants", [[3.5], [-7.0, 0.0], [0.0, 7.0], [-0.0], [1.0, 2.0]])
     def test_a_badges_grids_of_one_tag_must_not_overlap(self, instants):
