@@ -65,6 +65,8 @@ RSSI_MIN_DB, RSSI_MAX_DB = -127.0, 20.0
 def _number(value, name: str) -> float:
     """``value``, an ``int`` or ``float`` (not ``bool``), as a float: the
     rule for a number in an advertisement and in every file ``io`` reads."""
+    if type(value) is float:
+        return value
     if type(value) is bool or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
@@ -315,8 +317,8 @@ def run_edge(
     sorted by ``ts``; a grid's readings are strided slices, which gives
     the lanes of the records it holds. One cut serves both: the gap splits
     a tag's instants into sessions, each badge's readings are cut at the
-    session stops, and each (badge, session) is folded by one
-    ``ekf.run_filter`` call.
+    session stops, and one ``ekf.run_windows`` call per badge folds each
+    session that badge heard into a fresh filter.
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"session gap must be finite and positive, got {gap}")
@@ -339,11 +341,9 @@ def run_edge(
         stops = [instants[k - 1] for k in ends]
         for w, (rssi, ts) in lanes.items():
             cuts = [0, *map(bisect_right, repeat(ts), stops)]
-            for start, stop, lo, hi in zip(starts, stops, cuts, cuts[1:]):
-                if lo < hi:
-                    # a badge that heard one session only folds its lists whole
-                    obs = (rssi, ts) if hi - lo == len(ts) else (rssi[lo:hi], ts[lo:hi])
-                    x = ekf.run_filter(*obs, params).x
-                    reports.append(DistanceReport(w, tag, start, stop, x, hi - lo))
+            heard = [k for k in range(len(stops)) if cuts[k] < cuts[k + 1]]
+            states = ekf.run_windows(rssi, ts, [cuts[k + 1] for k in heard], params)
+            for k, (x, _, _) in zip(heard, states):
+                reports.append(DistanceReport(w, tag, starts[k], stops[k], x, cuts[k + 1] - cuts[k]))
     reports.sort(key=itemgetter(2, 3, 1, 0))  # (start, stop, tag, wearable)
     return reports

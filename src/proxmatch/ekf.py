@@ -26,6 +26,7 @@ __all__ = [
     "jacobian",
     "process_noise_from_speed",
     "run_filter",
+    "run_windows",
     "step",
 ]
 
@@ -139,50 +140,85 @@ def run_filter(
     """Fold a time-ordered observation stream into a filter; the final state.
 
     Starts from ``state``, or, when ``state`` is None, from the first
-    observation: its clamped inversion, variance ``p0``, at its timestamp.
-    Then per observation it predicts (the estimate kept, the variance grown
-    by ``q * dt**2``, or ``q * dt`` under ``DT_LINEAR``, so a missed
-    broadcast just widens the gap) and updates. This is the only code that
-    starts or updates a filter: ``init`` and ``step`` are calls of it on one
-    observation, and its loop over plain floats performs the float
-    operations of ``jacobian`` and ``PathLossModel.forward`` in the same
-    order, so folding ``step`` over a stream gives the same bits. The
-    update forms ``h * p`` once for both the innovation variance and the
-    gain; float multiplication commutes, so that is the gain ``p * h / s``
-    bit for bit.
+    observation, then predicts and updates per observation: ``run_windows``
+    of one window. ``init`` and ``step`` are calls of it on one observation.
+    """
+    return run_windows(rssi, ts, (len(rssi),), params, state)[0]
+
+
+def run_windows(
+    rssi: Sequence[float],
+    ts: Sequence[float],
+    ends: Sequence[int],
+    params: EkfParams,
+    state: EkfState | None = None,
+) -> list[EkfState]:
+    """Fold consecutive windows of one time-ordered observation stream, each
+    into its own filter; each window's final state.
+
+    Window ``i`` holds the observations from ``ends[i - 1]`` (0 for the
+    first) up to ``ends[i]``, and the last window ends at the last
+    observation. The first window continues ``state`` when one is given and
+    may then be empty; every other window starts a fresh filter from its
+    first observation: its clamped inversion, variance ``p0``, at its
+    timestamp. Each later observation predicts (the estimate kept, the
+    variance grown by ``q * dt**2``, or ``q * dt`` under ``DT_LINEAR``, so
+    a missed broadcast just widens the gap) and updates.
+
+    This is the only code that starts or updates a filter, and a window's
+    state is the one ``run_filter`` gives on its slice, bit for bit: the
+    parameters are read once per call, and one iterator over the
+    observations is consumed window by window. The loop over plain floats
+    performs the float operations of ``jacobian`` and
+    ``PathLossModel.forward`` in the same order, so folding ``step`` over a
+    stream gives the same bits. The update forms ``h * p`` once for both
+    the innovation variance and the gain; float multiplication commutes, so
+    that is the gain ``p * h / s`` bit for bit.
     """
     if len(rssi) != len(ts):
         raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")
+    if (ends[-1] if ends else 0) != len(rssi):
+        raise ValueError(f"windows must end at the last of {len(rssi)} observations, got ends {list(ends)}")
     model = params.model
-    if state is None:
-        if len(rssi) == 0:
-            raise ValueError("a filter needs at least one observation to start")
-        x, p, t = min(max(model.inverse(rssi[0]), params.d_min), params.d_max), params.p0, ts[0]
-        skip = 1
-    else:
-        x, p, t = state
-        skip = 0
+    inverse, d_min, d_max, p0 = model.inverse, params.d_min, params.d_max, params.p0
     h_num = -10.0 * model.n
     ln10 = math.log(10.0)
     slope, x0, rssi0 = 10.0 * model.n, model.x0, model.rssi0
     q, r, floor = params.q, params.r, params.x_floor
     squared = params.dt_mode == DT_SQUARED
     log10 = math.log10
-    for z, now in islice(zip(rssi, ts), skip, None):
-        dt = now - t
-        if dt < 0:
-            raise ValueError(f"observations must be processed in time order ({now} < {t})")
-        p = p + (q * dt * dt if squared else q * dt)
-        if not (x > 0):
-            raise ValueError(f"jacobian needs a positive distance, got {x}")
-        h = h_num / (ln10 * x)
-        y = z - (rssi0 - slope * log10(x / x0))
-        hp = h * p
-        s = hp * h + r
-        k = hp / s
-        x = x + k * y
-        if x < floor:
-            x = floor
-        p = (1.0 - k * h) * p
-        t = now
-    return EkfState(x, p, t)
+    obs = zip(rssi, ts)
+    states = []
+    lo = 0
+    for hi in ends:
+        if hi < lo:
+            raise ValueError(f"window ends must not decrease, got {list(ends)}")
+        if state is None:
+            if hi == lo:
+                raise ValueError("a filter needs at least one observation to start")
+            z, t = next(obs)
+            x, p = min(max(inverse(z), d_min), d_max), p0
+            lo += 1
+        else:
+            x, p, t = state
+            state = None
+        for z, now in islice(obs, hi - lo):
+            dt = now - t
+            if dt < 0:
+                raise ValueError(f"observations must be processed in time order ({now} < {t})")
+            p = p + (q * dt * dt if squared else q * dt)
+            if not (x > 0):
+                raise ValueError(f"jacobian needs a positive distance, got {x}")
+            h = h_num / (ln10 * x)
+            y = z - (rssi0 - slope * log10(x / x0))
+            hp = h * p
+            s = hp * h + r
+            k = hp / s
+            x = x + k * y
+            if x < floor:
+                x = floor
+            p = (1.0 - k * h) * p
+            t = now
+        states.append(EkfState(x, p, t))
+        lo = hi
+    return states

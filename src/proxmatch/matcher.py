@@ -17,7 +17,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .edge import ADV_INTERVAL_S, DistanceReport, _check_window
 
@@ -52,8 +53,7 @@ class Trust(Enum):
     UNSURE = "unsure"
 
 
-@dataclass(frozen=True)
-class TagSession:
+class TagSession(NamedTuple):
     """One active period of a tag with every badge's reported distance."""
 
     tag: str
@@ -62,12 +62,7 @@ class TagSession:
     distances: dict[str, float]
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Assignment decision for one session; ``wearable`` is None when no badge
-    was free. Construction checks every value; as from ``trust_classify``, a
-    SURE result has a wearable and a positive margin."""
-
+class _MatchResultFields(NamedTuple):
     tag: str
     start: float
     stop: float
@@ -75,28 +70,52 @@ class MatchResult:
     trust: Trust
     margin: float
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.stop)
-        if not self.margin >= 0:
-            raise ValueError(f"margin must be nonnegative, got {self.margin}")
-        if type(self.trust) is not Trust:
-            raise ValueError(f"trust must be a Trust, got {self.trust!r}")
-        if self.trust is Trust.SURE and (self.wearable is None or self.margin <= 0):
+
+class MatchResult(_MatchResultFields):
+    """Assignment decision for one session; ``wearable`` is None when no badge
+    was free. Construction checks every value; as from ``trust_classify``, a
+    SURE result has a wearable and a positive margin.
+
+    A named tuple whose constructor checks, positionally or by keyword, as
+    ``DistanceReport``'s does; ``_make`` and ``_replace`` build instances
+    without the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, tag: str, start: float, stop: float, wearable: str | None, trust: Trust, margin: float
+    ) -> MatchResult:
+        _check_window(start, stop)
+        if not margin >= 0:
+            raise ValueError(f"margin must be nonnegative, got {margin}")
+        if type(trust) is not Trust:
+            raise ValueError(f"trust must be a Trust, got {trust!r}")
+        if trust is Trust.SURE and (wearable is None or margin <= 0):
             raise ValueError(f"a sure match needs a wearable and a positive margin, got "
-                             f"wearable {self.wearable!r}, margin {self.margin}")
+                             f"wearable {wearable!r}, margin {margin}")
+        return tuple.__new__(cls, (tag, start, stop, wearable, trust, margin))
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Ground truth: who actually operated ``tag`` during [start, stop]."""
-
+class _TruthRecordFields(NamedTuple):
     tag: str
     start: float
     stop: float
     wearable: str
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.stop)
+
+class TruthRecord(_TruthRecordFields):
+    """Ground truth: who actually operated ``tag`` during [start, stop].
+
+    A named tuple whose constructor checks the window, positionally or by
+    keyword; ``_make`` and ``_replace`` build instances without the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, start: float, stop: float, wearable: str) -> TruthRecord:
+        _check_window(start, stop)
+        return tuple.__new__(cls, (tag, start, stop, wearable))
 
 
 @dataclass(frozen=True)
@@ -430,30 +449,31 @@ def evaluate(results: Iterable[MatchResult], truth: Iterable[TruthRecord]) -> Ev
     the records that start by its stop and come at or after the first one
     whose stop, or an earlier record's, reaches its start.
     """
-    truth_by_tag: dict[str, list[TruthRecord]] = {}
-    for t in truth:
-        truth_by_tag.setdefault(t.tag, []).append(t)
-    index: dict[str, tuple[list[TruthRecord], list[float], list[float]]] = {}
+    # each tag's (start, stop, wearable), plain tuples that unpack faster
+    # than the records' named fields
+    truth_by_tag: dict[str, list[tuple[float, float, str]]] = {}
+    for tag, start, stop, wearable in truth:
+        truth_by_tag.setdefault(tag, []).append((start, stop, wearable))
+    index: dict[str, tuple[list[tuple[float, float, str]], list[float], list[float]]] = {}
     for tag, records in truth_by_tag.items():
-        records.sort(key=lambda t: t.start)
-        reach = list(itertools.accumulate((t.stop for t in records), max))
-        index[tag] = (records, [t.start for t in records], reach)
+        records.sort(key=itemgetter(0))
+        reach = list(itertools.accumulate((stop for _, stop, _ in records), max))
+        index[tag] = (records, [start for start, _, _ in records], reach)
 
     counts = {(True, Trust.SURE): 0, (True, Trust.UNSURE): 0,
               (False, Trust.SURE): 0, (False, Trust.UNSURE): 0}
-    for r in results:
-        records, starts, reach = index.get(r.tag, ((), (), ()))
+    for tag, start, stop, wearable, trust, _ in results:
+        records, starts, reach = index.get(tag, ((), (), ()))
         best, best_key = None, None
-        for t in records[bisect_left(reach, r.start):bisect_right(starts, r.stop)]:
-            key = (_overlap(r.start, r.stop, t.start, t.stop), -t.start)
-            if key[0] >= 0 and (best is None or key > best_key):
-                best, best_key = t, key
-        if best is None:
+        for t_start, t_stop, t_wearable in records[bisect_left(reach, start):bisect_right(starts, stop)]:
+            key = (_overlap(start, stop, t_start, t_stop), -t_start)
+            if key[0] >= 0 and (best_key is None or key > best_key):
+                best, best_key = t_wearable, key
+        if best_key is None:
             raise ValueError(
-                f"no ground-truth session overlaps result {r.tag!r}@[{r.start}, {r.stop}]"
+                f"no ground-truth session overlaps result {tag!r}@[{start}, {stop}]"
             )
-        correct = r.wearable == best.wearable
-        counts[(correct, r.trust)] += 1
+        counts[(wearable == best, trust)] += 1
     return EvalReport(
         correct_sure=counts[(True, Trust.SURE)],
         correct_unsure=counts[(True, Trust.UNSURE)],

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .edge import ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, Grid
 from .matcher import TruthRecord
@@ -105,24 +105,34 @@ class Trace:
         return best
 
 
-@dataclass(frozen=True)
-class ScheduleSegment:
-    """Active period [start, stop) of a tool, broadcast with ``activity``.
-
-    ``operator`` names the worker actually using the tool during the segment,
-    for ground truth; None infers the nearest worker over the segment.
-    """
-
+class _ScheduleSegmentFields(NamedTuple):
     start: float
     stop: float
     activity: Activity = Activity.USAGE
     operator: str | None = None
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start <= self.stop):
-            raise ValueError(f"segment needs start <= stop, got [{self.start}, {self.stop})")
-        if self.activity is Activity.INACTIVE:
+
+class ScheduleSegment(_ScheduleSegmentFields):
+    """Active period [start, stop) of a tool, broadcast with ``activity``.
+
+    ``operator`` names the worker actually using the tool during the segment,
+    for ground truth; None infers the nearest worker over the segment.
+
+    A named tuple whose constructor checks, positionally or by keyword, that
+    the period is finite with ``start <= stop`` and that ``activity`` is not
+    INACTIVE; ``_make`` and ``_replace`` build instances without the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, start: float, stop: float, activity: Activity = Activity.USAGE, operator: str | None = None
+    ) -> ScheduleSegment:
+        if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
+            raise ValueError(f"segment needs start <= stop, got [{start}, {stop})")
+        if activity is Activity.INACTIVE:
             raise ValueError("segments describe active periods; gaps are the inactivity")
+        return tuple.__new__(cls, (start, stop, activity, operator))
 
 
 @dataclass(frozen=True)
@@ -213,15 +223,18 @@ class GroundTruth:
 
 def _segment_instants(seg: ScheduleSegment, interval: float) -> list[float]:
     """Broadcast instants of one segment: multiples of the interval from its
-    start, half-open so a zero-length segment broadcasts nothing."""
-    out = []
-    k = 0
-    while True:
-        t = seg.start + k * interval
-        if t >= seg.stop:
-            return out
-        out.append(t)
-        k += 1
+    start, half-open so a zero-length segment broadcasts nothing.
+
+    ``start + k * interval`` never decreases in ``k``, so the instants
+    before ``stop`` are the first ``n`` of them: the ceiling of the span
+    over the interval, moved by the rounding of the sums."""
+    start, stop = seg.start, seg.stop
+    n = math.ceil((stop - start) / interval)
+    while n and start + (n - 1) * interval >= stop:
+        n -= 1
+    while start + n * interval < stop:
+        n += 1
+    return [start + k * interval for k in range(n)]
 
 
 def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float, bool]:
@@ -303,6 +316,10 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     floored = 0
     # (tool x, tool y, worker x, worker y, ...) -> (distances, means, floored distances)
     layouts: dict[tuple[float, ...], tuple[list[float], list[float], int]] = {}
+    # stretch-start instant -> [worker x, worker y, ...]; lists, not tuples,
+    # whose thousands freed together at the end of the call would stay in
+    # the interpreter's tuple free list and raise the peak RSS of later calls
+    worker_keys: dict[float, list[float]] = {}
 
     for tool in tools:
         # the tool's instants, and (segment, first, end) per segment that has instants[first:end]
@@ -322,7 +339,14 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
         stretches = []
         for lo, hi in zip(bounds, bounds[1:]):
             ts = instants[lo]
-            key = (*tool.trace.position(ts), *chain.from_iterable(w.trace.position(ts) for w in workers))
+            # the tools of a swap row share their instants, so the workers'
+            # part of the key is computed once per instant in a call; 0.0 and
+            # -0.0 share an entry, at which ``Trace.position`` gives the same
+            worker_key = worker_keys.get(ts)
+            if worker_key is None:
+                worker_key = worker_keys[ts] = list(
+                    chain.from_iterable(w.trace.position(ts) for w in workers))
+            key = (*tool.trace.position(ts), *worker_key)
             layout = layouts.get(key)
             if layout is None:
                 tx, ty = key[0], key[1]
@@ -431,6 +455,9 @@ def scenario_swap(
     if n_workers < 2:
         raise ValueError(f"swapping needs at least two workers, got {n_workers}")
     swaps = [float(t) for t in swap_times]
+    for t in swaps:
+        if not math.isfinite(t):
+            raise ValueError(f"swap times must be finite, got {t} in {swaps}")
     if any(b <= a for a, b in zip(swaps, swaps[1:])):
         raise ValueError(f"swap times must be strictly increasing, got {swaps}")
     if swaps and (swaps[0] <= SWAP_PAUSE_S or swaps[-1] >= duration):

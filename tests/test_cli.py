@@ -168,6 +168,13 @@ class TestStagedChain:
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["total"] == 9
 
+    def test_a_nan_swap_time_exits_2_naming_it(self, tmp_path, capsys):
+        scen = tmp_path / "swap.json"
+        assert run("scenario", "swap", "-n", 3, "--spacing", 2.0,
+                   "--swap-times", "120,nan", "--duration", 360, "-o", scen) == 2
+        assert capsys.readouterr().err == "error: swap times must be finite, got nan in [120.0, nan]\n"
+        assert not scen.exists()
+
     def test_floored_distances_and_fast_traces_are_warned_on_stderr(self, tmp_path, capsys):
         colocated = tmp_path / "colocated.json"
         io.write_scenario(colocated, scenario_static(1, 1.0, 21.0, operating_distance=0.0))

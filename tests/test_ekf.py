@@ -356,7 +356,58 @@ def streams(draw):
     return rssi, ts
 
 
+@st.composite
+def windowed_streams(draw):
+    """A stream cut at random bounds into consecutive windows: (rssi, ts,
+    ends, state). With a ``state`` the first window continues it and may be
+    empty; every other window holds at least one observation, and some draws
+    cut every observation into a window of its own."""
+    rssi, ts = draw(streams())
+    n = len(rssi)
+    inner = list(range(1, n))
+    cuts = draw(st.one_of(st.just(inner), st.lists(st.sampled_from(inner), unique=True) if inner else st.just([])))
+    state = draw(st.one_of(st.none(), st.builds(
+        EkfState, x=st.floats(0.01, 50.0), p=st.floats(1e-6, 1e3),
+        ts=st.just(ts[0]) | st.floats(ts[0] - 600.0, ts[0]),
+    )))
+    first = [0] if state is not None and draw(st.booleans()) else []
+    return rssi, ts, [*first, *sorted(cuts), n], state
+
+
 class TestRunFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=windowed_streams(), dt_mode=st.sampled_from([DT_SQUARED, DT_LINEAR]))
+    def test_each_window_is_a_fresh_filter_on_its_slice(self, stream, dt_mode):
+        """``run_windows`` equals ``run_filter`` on each window's slice, and
+        the test-local reference steps on each fresh window, bit for bit."""
+        params = EkfParams(dt_mode=dt_mode)
+        rssi, ts, ends, state = stream
+        got = ekf.run_windows(rssi, ts, ends, params, state)
+        assert len(got) == len(ends)
+        for i, (lo, hi, window) in enumerate(zip([0, *ends], ends, got)):
+            start = state if i == 0 else None
+            want = ekf.run_filter(rssi[lo:hi], ts[lo:hi], params, start)
+            assert _bits(*window) == _bits(*want)
+            if start is None:
+                assert _bits(*window) == _bits(*reference_filter(rssi[lo:hi], ts[lo:hi], params))
+
+    def test_malformed_windows(self):
+        rssi, ts = [-50.0, -51.0, -52.0], [0.0, 7.0, 14.0]
+        with pytest.raises(ValueError, match="got 3 rssi values for 2 timestamps"):
+            ekf.run_windows(rssi, ts[:2], [1, 2], PARAMS)
+        for ends in ([0, 3], [1, 1, 3]):  # an empty window that would start a filter
+            with pytest.raises(ValueError, match="at least one observation to start"):
+                ekf.run_windows(rssi, ts, ends, PARAMS)
+        for ends in ([], [1, 2], [1, 4]):
+            with pytest.raises(ValueError, match="last of 3 observations"):
+                ekf.run_windows(rssi, ts, ends, PARAMS)
+        for ends in ([2, 1, 3], [5, 3]):
+            with pytest.raises(ValueError, match="must not decrease"):
+                ekf.run_windows(rssi, ts, ends, PARAMS)
+        assert ekf.run_windows([], [], [], PARAMS) == []
+        start = EkfState(x=1.0, p=1.0, ts=-1.0)
+        assert ekf.run_windows(rssi, ts, [0, 3], PARAMS, start) == [start, ekf.run_filter(rssi, ts, PARAMS)]
+
     @settings(max_examples=300, deadline=None)
     @given(
         stream=streams(),

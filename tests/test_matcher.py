@@ -419,7 +419,7 @@ class TestEvaluate:
         every truth wearable, which pins the record it joins to."""
         results, truth = inputs
         probes = [results] + [
-            [dataclasses.replace(r, wearable=t.wearable)] for r in results for t in truth
+            [r._replace(wearable=t.wearable)] for r in results for t in truth
         ]
         for probe in probes:
             try:

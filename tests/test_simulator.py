@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxmatch import io, simulator
@@ -270,6 +270,55 @@ class TestGenerate:
         assert truth.floored == 0
 
 
+def while_loop_instants(start, stop, interval):
+    """The reference for ``_segment_instants``: step ``k`` from 0 and stop at
+    the first ``start + k * interval`` at or after ``stop``."""
+    out = []
+    k = 0
+    while True:
+        t = start + k * interval
+        if t >= stop:
+            return out
+        out.append(t)
+        k += 1
+
+
+@st.composite
+def instant_spans(draw):
+    """(start, stop, interval) of at most about 300 instants: a stop at an
+    exact instant ``start + k * interval``, one ulp either side of it, or
+    at any span; starts include both zeros and values whose ulp exceeds
+    the interval."""
+    start = draw(st.one_of(st.sampled_from([0.0, -0.0, 2.0**53, 1e17]),
+                           st.floats(-1e6, 1e6), st.floats(1e9, 1e17)))
+    interval = draw(st.floats(1e-3, 1e3))
+    exact = start + draw(st.integers(0, 300)) * interval
+    stop = draw(st.sampled_from([
+        exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf),
+        start + draw(st.floats(0.0, 300.0)) * interval,
+    ]))
+    assume(stop >= start)
+    return start, stop, interval
+
+
+class TestSegmentInstants:
+    @settings(max_examples=1000, deadline=None)
+    @given(instant_spans())
+    def test_same_floats_as_the_while_loop(self, span):
+        start, stop, interval = span
+        got = simulator._segment_instants(ScheduleSegment(start, stop), interval)
+        want = while_loop_instants(start, stop, interval)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_the_rounded_quotient_is_corrected_both_ways(self):
+        """0.3 * 6 falls short of 1.8, 0.1 + 0.2 * 3 overshoots 0.7, and at
+        1e17 (ulp 16) pairs of 7 s steps round to one instant."""
+        for start, stop, interval, n in [(0.0, 21.0, 7.0, 3), (-0.0, 0.0, 7.0, 0), (0.0, 5e-324, 7.0, 1),
+                                         (0.0, 1.8, 0.3, 7), (0.1, 0.7, 0.2, 3), (1e17, 1e17 + 64, 7.0, 8)]:
+            got = simulator._segment_instants(ScheduleSegment(start, stop), interval)
+            assert got == while_loop_instants(start, stop, interval) and len(got) == n
+
+
 def scalar_generate(config):
     """The reference stream: one scalar ``rng.normal`` per reading (then one
     ``rng.uniform`` when drop is on) and every distance computed afresh at
@@ -331,7 +380,7 @@ def without_operators(cfg):
         cfg,
         tools=tuple(
             dataclasses.replace(
-                t, schedule=tuple(dataclasses.replace(s, operator=None) for s in t.schedule)
+                t, schedule=tuple(s._replace(operator=None) for s in t.schedule)
             )
             for t in cfg.tools
         ),
@@ -688,7 +737,7 @@ class TestSwapScenario:
                 dataclasses.replace(
                     t,
                     schedule=tuple(
-                        dataclasses.replace(s, operator=None) for s in t.schedule
+                        s._replace(operator=None) for s in t.schedule
                     ),
                 )
                 for t in cfg.tools
@@ -725,6 +774,10 @@ class TestSwapScenario:
             scenario_swap(3, 2.0, [120.0, 130.0])  # closer than the pause
         with pytest.raises(ValueError):
             scenario_swap(3, 2.0, [10.0])  # no room for the first period
+        # every comparison with NaN is false, so only a finiteness check catches it
+        for swaps in ([math.nan], [120.0, math.nan], [math.nan, 240.0]):
+            with pytest.raises(ValueError, match=r"swap times must be finite, got nan in \["):
+                scenario_swap(3, 2.0, swaps)
         for spacing in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="spacing must be finite and positive"):
                 scenario_swap(3, spacing, [120.0])
