@@ -64,12 +64,19 @@ RSSI_MIN_DB, RSSI_MAX_DB = -127.0, 20.0
 
 def _number(value, name: str) -> float:
     """``value``, an ``int`` or ``float`` (not ``bool``), as a float: the
-    rule for a number in an advertisement and in every file ``io`` reads."""
+    rule for a number in every record and in every file ``io`` reads."""
     if type(value) is float:
         return value
     if type(value) is bool or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _id(value, name: str) -> str:
+    """``value``, which must be a ``str``: the rule for an id in every record."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 class _AdvertisementFields(NamedTuple):
@@ -103,9 +110,9 @@ class Advertisement(_AdvertisementFields):
         if not math.isfinite(ts):
             raise ValueError(f"timestamp must be finite, got {ts}")
         if type(wearable) is not str:
-            raise ValueError(f"wearable must be a string, got {wearable!r}")
+            _id(wearable, "wearable")
         if type(tag) is not str:
-            raise ValueError(f"tag must be a string, got {tag!r}")
+            _id(tag, "tag")
         if type(rssi) is not float:
             rssi = _number(rssi, "rssi")
         if not RSSI_MIN_DB <= rssi <= RSSI_MAX_DB:
@@ -189,10 +196,15 @@ class Grid:
         ))
 
 
-def _check_window(start: float, stop: float) -> None:
-    """The window rule of a report, truth or match record."""
+def _window(start: float, stop: float) -> tuple[float, float]:
+    """``start`` and ``stop``, numbers, as floats: finite, with ``start <= stop``."""
+    if type(start) is not float:
+        start = _number(start, "start")
+    if type(stop) is not float:
+        stop = _number(stop, "stop")
     if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
         raise ValueError(f"session window must be finite with start <= stop, got [{start}, {stop}]")
+    return start, stop
 
 
 class _DistanceReportFields(NamedTuple):
@@ -209,11 +221,12 @@ class DistanceReport(_DistanceReportFields):
     count.
 
     A named tuple whose constructor checks every value, positionally or by
-    keyword: the window is finite with ``start <= stop``, the distance
-    finite and nonnegative, and ``n_obs`` an ``int`` (not ``bool``) of at
-    least 1. As with ``Advertisement``, an instance compares equal to a
-    plain tuple of the same values, and ``_make`` and ``_replace`` build
-    instances without the checks.
+    keyword, under ``Advertisement``'s id and number rules: the window is
+    finite with ``start <= stop``, the distance finite and nonnegative, and
+    ``n_obs`` an ``int`` (not ``bool``) of at least 1. As with
+    ``Advertisement``, an instance compares equal to a plain tuple of the
+    same values, and ``_make`` and ``_replace`` build instances without the
+    checks.
     """
 
     __slots__ = ()
@@ -221,7 +234,13 @@ class DistanceReport(_DistanceReportFields):
     def __new__(
         cls, wearable: str, tag: str, start: float, stop: float, distance: float, n_obs: int
     ) -> DistanceReport:
-        _check_window(start, stop)
+        if type(wearable) is not str:
+            _id(wearable, "wearable")
+        if type(tag) is not str:
+            _id(tag, "tag")
+        start, stop = _window(start, stop)
+        if type(distance) is not float:
+            distance = _number(distance, "distance")
         if not (math.isfinite(distance) and distance >= 0):
             raise ValueError(f"distance must be finite and nonnegative, got {distance}")
         if type(n_obs) is not int or n_obs < 1:

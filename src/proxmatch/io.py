@@ -10,19 +10,19 @@ when it does not decode, lacks a field, or holds a value of the wrong type
 or out of range (any exception in ``_BAD_INPUT``). ``io`` checks only what
 a JSON value can get wrong and a Python caller's value cannot:
 
-- a number is a JSON number (``int`` or ``float``, not ``true`` or a
-  string) small enough for a float;
-- an id (wearable, tag, worker, tool, operator) is a JSON string;
+- a number in a document (model, filter config, trace knot, scenario) is a
+  JSON number (not ``true`` or a string) small enough for a float;
 - an activity or a trust label is one of its names;
 - a trace is a list of ``[t, x, y]`` knots of numbers;
 - a margin is finite, since an infinite one is written ``null``;
 - a document, and each object in it, holds no key that no field reads; a
   filter config needs the model keys, and a filter key left out keeps its default.
 
-Each type checks its own values (finite, in range, a window's order, a
-count, a seed, a ``dt_mode``) whenever it is built, so a ``NaN`` or
-``Infinity`` that Python's ``json`` decodes is rejected there.
-``Advertisement`` applies the number and id rules itself too.
+Each type checks its own values whenever it is built (finite, in range, a
+window's order, a count, a seed, a ``dt_mode``), so a ``NaN`` or
+``Infinity`` that Python's ``json`` decodes is rejected there. A record
+also checks its ids (``str``) and numbers (``int`` or ``float``, not
+``bool``), so its reader passes it a line's values as decoded.
 
 Files are UTF-8, each JSON Lines line decoded on its own. A CSV field is a
 string, read by ``float()`` where a number is due. ``read_advertisements``
@@ -82,11 +82,6 @@ class _JsonText(dict):
     def __missing__(self, value) -> str:
         text = self[value] = json.dumps(value)
         return text
-
-
-def _num(value) -> str:
-    """A number as ``json`` writes it: a float through ``float.__repr__``."""
-    return float.__repr__(value) if type(value) is float else json.dumps(value)
 
 
 #: Lines joined into one write; a whole file at once costs peak memory.
@@ -209,19 +204,6 @@ def _finite(d: dict, key: str) -> float:
     return value
 
 
-def _text(d: dict, key: str) -> str:
-    """``d[key]``, which must be a JSON string."""
-    value = d[key]
-    if type(value) is not str:
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _ad_from_dict(d: dict) -> Advertisement:
-    """An advertisement from a JSON line, which ``Advertisement`` checks."""
-    return Advertisement(d["ts"], d["wearable"], d["tag"], d["rssi_db"], Activity(d["activity"]))
-
-
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
 
 
@@ -283,72 +265,56 @@ def read_advertisements(
             float(d["ts"]), d["wearable"], d["tag"], float(d["rssi_db"]), Activity(d["activity"])
         ), skipped)
     else:
-        ads = _read_jsonl(path, "advertisement", _ad_from_dict, skipped)
+        ads = _read_jsonl(path, "advertisement", lambda d: Advertisement(
+            d["ts"], d["wearable"], d["tag"], d["rssi_db"], Activity(d["activity"])
+        ), skipped)
     return ads, skipped
 
 
 def write_reports(path: str | Path, reports: Iterable[DistanceReport]) -> None:
     text = _JsonText()
     _write_lines(path, (
-        f'{{"wearable":{text[r.wearable]},"tag":{text[r.tag]},"start_s":{_num(r.start)},'
-        f'"stop_s":{_num(r.stop)},"distance_m":{_num(r.distance)},"n_obs":{r.n_obs!r}}}\n'
+        f'{{"wearable":{text[r.wearable]},"tag":{text[r.tag]},"start_s":{r.start!r},'
+        f'"stop_s":{r.stop!r},"distance_m":{r.distance!r},"n_obs":{r.n_obs!r}}}\n'
         for r in reports
     ))
 
 
 def read_reports(path: str | Path) -> list[DistanceReport]:
-    return _read_jsonl(
-        path,
-        "distance report",
-        lambda d: DistanceReport(
-            _text(d, "wearable"), _text(d, "tag"), _number(d["start_s"], "start_s"),
-            _number(d["stop_s"], "stop_s"), _number(d["distance_m"], "distance_m"), d["n_obs"],
-        ),
-    )
+    return _read_jsonl(path, "distance report", lambda d: DistanceReport(
+        d["wearable"], d["tag"], d["start_s"], d["stop_s"], d["distance_m"], d["n_obs"]))
 
 
 def write_truth(path: str | Path, truth: Iterable[TruthRecord]) -> None:
     text = _JsonText()
     _write_lines(path, (
-        f'{{"tag":{text[t.tag]},"start_s":{_num(t.start)},"stop_s":{_num(t.stop)},'
+        f'{{"tag":{text[t.tag]},"start_s":{t.start!r},"stop_s":{t.stop!r},'
         f'"wearable":{text[t.wearable]}}}\n'
         for t in truth
     ))
 
 
 def read_truth(path: str | Path) -> list[TruthRecord]:
-    return _read_jsonl(
-        path,
-        "truth record",
-        lambda d: TruthRecord(_text(d, "tag"), _number(d["start_s"], "start_s"),
-                              _number(d["stop_s"], "stop_s"), _text(d, "wearable")),
-    )
+    return _read_jsonl(path, "truth record",
+                       lambda d: TruthRecord(d["tag"], d["start_s"], d["stop_s"], d["wearable"]))
 
 
 def write_matches(path: str | Path, matches: Iterable[MatchResult]) -> None:
     """Margins are meters; an infinite margin (no competitor at all) is null."""
     text = _JsonText()
     _write_lines(path, (
-        f'{{"tag":{text[m.tag]},"start_s":{_num(m.start)},"stop_s":{_num(m.stop)},'
+        f'{{"tag":{text[m.tag]},"start_s":{m.start!r},"stop_s":{m.stop!r},'
         f'"wearable":{text[m.wearable]},"trust":{text[m.trust.value]},'
-        f'"margin_m":{_num(m.margin) if math.isfinite(m.margin) else "null"}}}\n'
+        f'"margin_m":{repr(m.margin) if math.isfinite(m.margin) else "null"}}}\n'
         for m in matches
     ))
 
 
 def read_matches(path: str | Path) -> list[MatchResult]:
-    return _read_jsonl(
-        path,
-        "match result",
-        lambda d: MatchResult(
-            _text(d, "tag"),
-            _number(d["start_s"], "start_s"),
-            _number(d["stop_s"], "stop_s"),
-            wearable=None if d["wearable"] is None else _text(d, "wearable"),
-            trust=Trust(d["trust"]),
-            margin=math.inf if d["margin_m"] is None else _finite(d, "margin_m"),
-        ),
-    )
+    return _read_jsonl(path, "match result", lambda d: MatchResult(
+        d["tag"], d["start_s"], d["stop_s"], d["wearable"], Trust(d["trust"]),
+        math.inf if d["margin_m"] is None else _finite(d, "margin_m"),
+    ))
 
 
 class _CsvText(dict):
@@ -439,22 +405,17 @@ def _trace(knots: list) -> Trace:
 
 def _segment(d) -> ScheduleSegment:
     _object(d, {"start_s", "stop_s", "activity", "operator"})
-    return ScheduleSegment(
-        start=_number(d["start_s"], "start_s"),
-        stop=_number(d["stop_s"], "stop_s"),
-        activity=Activity(d["activity"]),
-        operator=None if d.get("operator") is None else _text(d, "operator"),
-    )
+    return ScheduleSegment(d["start_s"], d["stop_s"], Activity(d["activity"]), d.get("operator"))
 
 
 def _worker(d) -> WorkerSpec:
     _object(d, {"id", "trace"})
-    return WorkerSpec(id=_text(d, "id"), trace=_trace(d["trace"]))
+    return WorkerSpec(id=d["id"], trace=_trace(d["trace"]))
 
 
 def _tool(d) -> ToolSpec:
     _object(d, {"id", "trace", "schedule"})
-    return ToolSpec(id=_text(d, "id"), trace=_trace(d["trace"]), schedule=tuple(map(_segment, d["schedule"])))
+    return ToolSpec(id=d["id"], trace=_trace(d["trace"]), schedule=tuple(map(_segment, d["schedule"])))
 
 
 def _scenario_from_dict(d) -> ScenarioConfig:

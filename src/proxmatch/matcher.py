@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .edge import ADV_INTERVAL_S, DistanceReport, _check_window
+from .edge import ADV_INTERVAL_S, DistanceReport, _id, _number, _window
 
 __all__ = [
     "EVENT_WINDOW_S",
@@ -52,6 +52,9 @@ class Trust(Enum):
     SURE = "sure"
     UNSURE = "unsure"
 
+    # The identity hash, for ``edge.Activity``'s reason; once per result in ``evaluate``.
+    __hash__ = object.__hash__
+
 
 class TagSession(NamedTuple):
     """One active period of a tag with every badge's reported distance."""
@@ -77,8 +80,8 @@ class MatchResult(_MatchResultFields):
     SURE result has a wearable and a positive margin.
 
     A named tuple whose constructor checks, positionally or by keyword, as
-    ``DistanceReport``'s does; ``_make`` and ``_replace`` build instances
-    without the checks.
+    ``DistanceReport``'s does (``wearable`` may be None); ``_make`` and
+    ``_replace`` build instances without the checks.
     """
 
     __slots__ = ()
@@ -86,7 +89,13 @@ class MatchResult(_MatchResultFields):
     def __new__(
         cls, tag: str, start: float, stop: float, wearable: str | None, trust: Trust, margin: float
     ) -> MatchResult:
-        _check_window(start, stop)
+        if type(tag) is not str:
+            _id(tag, "tag")
+        start, stop = _window(start, stop)
+        if wearable is not None and type(wearable) is not str:
+            _id(wearable, "wearable")
+        if type(margin) is not float:
+            margin = _number(margin, "margin")
         if not margin >= 0:
             raise ValueError(f"margin must be nonnegative, got {margin}")
         if type(trust) is not Trust:
@@ -107,14 +116,19 @@ class _TruthRecordFields(NamedTuple):
 class TruthRecord(_TruthRecordFields):
     """Ground truth: who actually operated ``tag`` during [start, stop].
 
-    A named tuple whose constructor checks the window, positionally or by
-    keyword; ``_make`` and ``_replace`` build instances without the check.
+    A named tuple whose constructor checks, positionally or by keyword, as
+    ``DistanceReport``'s does; ``_make`` and ``_replace`` build instances
+    without the checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, tag: str, start: float, stop: float, wearable: str) -> TruthRecord:
-        _check_window(start, stop)
+        if type(tag) is not str:
+            _id(tag, "tag")
+        start, stop = _window(start, stop)
+        if type(wearable) is not str:
+            _id(wearable, "wearable")
         return tuple.__new__(cls, (tag, start, stop, wearable))
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from typing import NamedTuple, Sequence
 
-from .edge import ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, Grid
+from .edge import ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, Grid, _id, _number, _window
 from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -118,9 +118,10 @@ class ScheduleSegment(_ScheduleSegmentFields):
     ``operator`` names the worker actually using the tool during the segment,
     for ground truth; None infers the nearest worker over the segment.
 
-    A named tuple whose constructor checks, positionally or by keyword, that
-    the period is finite with ``start <= stop`` and that ``activity`` is not
-    INACTIVE; ``_make`` and ``_replace`` build instances without the checks.
+    A named tuple whose constructor checks, positionally or by keyword, the
+    window and the ids as ``edge.DistanceReport``'s does (``operator`` may
+    be None) and that ``activity`` is not INACTIVE; ``_make`` and
+    ``_replace`` build instances without the checks.
     """
 
     __slots__ = ()
@@ -128,10 +129,11 @@ class ScheduleSegment(_ScheduleSegmentFields):
     def __new__(
         cls, start: float, stop: float, activity: Activity = Activity.USAGE, operator: str | None = None
     ) -> ScheduleSegment:
-        if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
-            raise ValueError(f"segment needs start <= stop, got [{start}, {stop})")
+        start, stop = _window(start, stop)
         if activity is Activity.INACTIVE:
             raise ValueError("segments describe active periods; gaps are the inactivity")
+        if operator is not None and type(operator) is not str:
+            _id(operator, "operator")
         return tuple.__new__(cls, (start, stop, activity, operator))
 
 
@@ -454,7 +456,8 @@ def scenario_swap(
     and the tools ``OPERATING_DISTANCE_M`` off the row; see ``_row``."""
     if n_workers < 2:
         raise ValueError(f"swapping needs at least two workers, got {n_workers}")
-    swaps = [float(t) for t in swap_times]
+    duration = _number(duration, "duration")
+    swaps = [_number(t, "swap time") for t in swap_times]
     for t in swaps:
         if not math.isfinite(t):
             raise ValueError(f"swap times must be finite, got {t} in {swaps}")
@@ -485,9 +488,10 @@ def _row(n_workers: int, spacing: float, swaps: list[float], duration: float, by
     period k, tool Tj+1 is operated by worker W((j - k) mod n + 1).
     Bystanders hear every broadcast but operate nothing.
     """
+    spacing, duration = _number(spacing, "spacing"), _number(duration, "duration")
+    operating_distance = _number(operating_distance, "operating_distance")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
-    duration = float(duration)
     workers = []
     for w in range(n_workers):
         knots: list[tuple[float, float, float]] = [(0.0, w * spacing, 0.0)]

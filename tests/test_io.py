@@ -408,7 +408,9 @@ RECORD_IDS = st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=6))
 @st.composite
 def reports(draw):
     distance = draw(st.one_of(st.sampled_from(ODD_FLOATS),
-                              st.floats(min_value=0.0, allow_infinity=False)))
+                              st.floats(min_value=0.0, allow_infinity=False),
+                              st.floats(min_value=0.0, allow_infinity=False).map(np.float64),
+                              st.integers(min_value=0, max_value=2**60)))
     return DistanceReport(draw(RECORD_IDS), draw(RECORD_IDS), *draw(windows()), distance,
                           draw(st.integers(min_value=1, max_value=2**80)))
 
@@ -422,6 +424,7 @@ def truth_records(draw):
 def match_results(draw):
     wearable = draw(st.one_of(st.none(), RECORD_IDS))
     margin = draw(st.one_of(st.sampled_from([*ODD_FLOATS, math.inf]), st.floats(min_value=0.0),
+                            st.floats(min_value=0.0).map(np.float64),
                             st.integers(min_value=0, max_value=2**60)))
     sure = wearable is not None and margin > 0 and draw(st.booleans())
     return MatchResult(draw(RECORD_IDS), *draw(windows()), wearable,
@@ -429,6 +432,7 @@ def match_results(draw):
 
 
 RECORD_STRATEGIES = {"reports": reports(), "truth": truth_records(), "matches": match_results()}
+RECORD_READERS = {"reports": io.read_reports, "truth": io.read_truth, "matches": io.read_matches}
 
 
 class TestRecordWriters:
@@ -480,12 +484,30 @@ class TestRecordWriters:
     @settings(max_examples=100, deadline=None)
     @given(records=st.lists(reports(), max_size=8))
     def test_reports_equal_their_read_back(self, tmp_path_factory, records):
-        """The reader gives each number as a float, so an integer window
-        reads back as its float value."""
+        """A report applies its reader's id and number rules, and stores each
+        number as a float, so every report written reads back equal, an
+        integer window included, with the same field types."""
         p = tmp_path_factory.mktemp("records") / "reports.jsonl"
         io.write_reports(p, records)
-        assert io.read_reports(p) == [DistanceReport(w, t, float(a), float(b), float(d), n)
-                                      for w, t, a, b, d, n in records]
+        back = io.read_reports(p)
+        assert back == records
+        assert [tuple(map(type, r)) for r in back] == [tuple(map(type, r)) for r in records]
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_WRITERS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_read_back_writes_the_same_bytes(self, tmp_path_factory, kind, data):
+        """Records built from ``int``, ``float`` and ``np.float64`` numbers
+        hold floats: each reads back equal to the record written, and the
+        records read back write the file again byte for byte."""
+        write, _ = RECORD_WRITERS[kind]
+        records = data.draw(st.lists(RECORD_STRATEGIES[kind], max_size=8))
+        d = tmp_path_factory.mktemp("records")
+        write(d / "first.jsonl", records)
+        back = RECORD_READERS[kind](d / "first.jsonl")
+        assert back == records
+        write(d / "second.jsonl", back)
+        assert (d / "second.jsonl").read_bytes() == (d / "first.jsonl").read_bytes()
 
 
 
@@ -554,6 +576,19 @@ class TestErrorsWriter:
                          repr(true), repr(r.distance - true)])
         assert rows == [["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"], *want]
 
+    def test_numpy_numbers_are_written_as_float_text(self, tmp_path):
+        """A report built from ``np.float64`` values holds floats, so each
+        number is written as the float text ``csv.reader`` reads back."""
+        reports = [DistanceReport("W1", "T1", np.float64(0.0), np.float64(7.0), np.float64(0.25), 2),
+                   DistanceReport("W1", "T2", np.float64(7.5), 21, np.float64(1e16), 3)]
+        truth = truth_for(reports)
+        p = tmp_path / "errors.csv"
+        io.write_errors(p, reports, truth)
+        with open(p, encoding="utf-8", newline="") as f:
+            numbers = [row[2:] for row in list(csv.reader(f))[1:]]
+        assert numbers[0][:3] == ["0.0", "7.0", "0.25"] and numbers[1][:3] == ["7.5", "21.0", "1e+16"]
+        assert all(repr(float(x)) == x for row in numbers for x in row)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_writer_property(self, tmp_path_factory, data):
@@ -591,8 +626,9 @@ def rejects(bad):
 
 
 class TestRecordsCheckTheirOwnValues:
-    """A record built in memory rejects every value its reader rejects, so
-    a library caller gets the guarantee that a file gets."""
+    """A record built in memory rejects every value its reader rejects, ids
+    and numbers included, so a library caller gets the guarantee that a
+    file gets, and every record built writes a line that reads back."""
 
     @staticmethod
     def rejected(tmp_path, record, reader, kind, fields, error):
@@ -606,6 +642,14 @@ class TestRecordsCheckTheirOwnValues:
         with pytest.raises(ValueError, match=f":1: bad {kind}: "):
             reader(p)
 
+    def test_numbers_are_stored_as_floats(self):
+        """``int`` and ``np.float64`` numbers become floats; a count stays an ``int``."""
+        r = DistanceReport("W1", "T1", 0, np.float64(7.0), 1, 2)
+        t = TruthRecord("T1", 0, np.float64(7.0), "W1")
+        m = MatchResult("T1", 0, np.float64(7.0), "W1", Trust.SURE, 2)
+        numbers = (r.start, r.stop, r.distance, t.start, t.stop, m.start, m.stop, m.margin)
+        assert [type(v) for v in numbers] == [float] * 8 and type(r.n_obs) is int
+
     @rejects(BAD_WINDOWS + [
         ({"distance": -2.0}, "distance must be finite and nonnegative"),
         ({"distance": math.nan}, "distance must be finite and nonnegative"),
@@ -613,12 +657,28 @@ class TestRecordsCheckTheirOwnValues:
         ({"n_obs": 0}, "n_obs must be an integer >= 1"),
         ({"n_obs": True}, "n_obs must be an integer >= 1"),
         ({"n_obs": 2.9}, "n_obs must be an integer >= 1"),
+        ({"wearable": 5}, "wearable must be a string, got 5"),
+        ({"wearable": None}, "wearable must be a string, got None"),
+        ({"tag": 1.0}, "tag must be a string, got 1.0"),
+        ({"tag": ["T1"]}, r"tag must be a string, got \['T1'\]"),
+        ({"start": True}, "start must be a number, got True"),
+        ({"stop": False}, "stop must be a number, got False"),
+        ({"start": "0"}, "start must be a number, got '0'"),
+        ({"distance": True}, "distance must be a number, got True"),
+        ({"distance": None}, "distance must be a number, got None"),
     ])
     def test_distance_report(self, tmp_path, bad, error):
         good = {"wearable": "W1", "tag": "T1", "start": 0.0, "stop": 7.0, "distance": 1.0, "n_obs": 2}
         self.rejected(tmp_path, DistanceReport, io.read_reports, "distance report", {**good, **bad}, error)
 
-    @rejects(BAD_WINDOWS)
+    @rejects(BAD_WINDOWS + [
+        ({"tag": 7}, "tag must be a string, got 7"),
+        ({"wearable": None}, "wearable must be a string, got None"),
+        ({"wearable": True}, "wearable must be a string, got True"),
+        ({"start": True}, "start must be a number, got True"),
+        ({"stop": True}, "stop must be a number, got True"),
+        ({"stop": "7"}, "stop must be a number, got '7'"),
+    ])
     def test_truth_record(self, tmp_path, bad, error):
         good = {"tag": "T1", "start": 0.0, "stop": 7.0, "wearable": "W1"}
         self.rejected(tmp_path, TruthRecord, io.read_truth, "truth record", {**good, **bad}, error)
@@ -630,6 +690,14 @@ class TestRecordsCheckTheirOwnValues:
         ({"wearable": None}, "a sure match needs a wearable"),
         ({"wearable": None, "margin": math.inf}, "a sure match needs a wearable"),
         ({"margin": 0.0}, "a sure match needs a wearable and a positive margin"),
+        ({"tag": 1}, "tag must be a string, got 1"),
+        ({"tag": None}, "tag must be a string, got None"),
+        ({"wearable": 5}, "wearable must be a string, got 5"),
+        ({"trust": Trust.UNSURE, "wearable": False}, "wearable must be a string, got False"),
+        ({"start": True}, "start must be a number, got True"),
+        ({"stop": "7"}, "stop must be a number, got '7'"),
+        ({"margin": True}, "margin must be a number, got True"),
+        ({"trust": Trust.UNSURE, "margin": False}, "margin must be a number, got False"),
     ])
     def test_match_result(self, tmp_path, bad, error):
         good = {"tag": "T1", "start": 0.0, "stop": 7.0, "wearable": "W1", "trust": Trust.SURE,
@@ -741,7 +809,7 @@ BAD_DOCUMENTS = [
     (io.read_scenario, "scenario.json", scenario_with(duration_s="60"),
      "bad scenario: duration_s must be a number, got '60'"),
     (io.read_scenario, "scenario.json", scenario_with(worker={"id": None}),
-     "bad scenario: id must be a string, got None"),
+     "bad scenario: worker and tool ids must be strings, got None"),
     (io.read_scenario, "scenario.json", scenario_with(segment={"operator": 7}),
      "bad scenario: operator must be a string, got 7"),
     (io.read_scenario, "scenario.json", scenario_with(worker={"trace": [[0.0, "1.5", 0.0]]}),
@@ -862,14 +930,14 @@ BAD_INPUTS = [
     (io.read_reports, "reports.jsonl",
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": "0", "stop_s": 7,
                  "distance_m": 1.0, "n_obs": 2}),
-     ":1: bad distance report: start_s must be a number, got '0'"),
+     ":1: bad distance report: start must be a number, got '0'"),
     (io.read_reports, "reports.jsonl",
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0, "stop_s": 7,
                  "distance_m": "1.5", "n_obs": 2}),
-     ":1: bad distance report: distance_m must be a number, got '1.5'"),
+     ":1: bad distance report: distance must be a number, got '1.5'"),
     (io.read_truth, "truth.jsonl",
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": True, "wearable": "W1"}),
-     ":1: bad truth record: stop_s must be a number, got True"),
+     ":1: bad truth record: stop must be a number, got True"),
     (io.read_matches, "matches.jsonl",
      json.dumps({"tag": "T1", "start_s": 0, "stop_s": 7, "wearable": "W1",
                  "trust": "sure", "margin_m": "1.0"}),

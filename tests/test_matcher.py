@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxmatch.edge import DistanceReport
+from proxmatch.edge import Activity, DistanceReport
 from proxmatch.matcher import (
     EVENT_WINDOW_S,
     EvalReport,
@@ -53,6 +53,12 @@ class TestTrust:
 
     def test_custom_threshold(self):
         assert trust_classify(1.0, [2.0], threshold=1.5)[0] is Trust.UNSURE
+
+    def test_trust_and_activity_hash_by_identity(self):
+        """Both enums trade Enum's hash, computed in Python, for the
+        identity hash, which agrees with their identity equality."""
+        for member in (*Trust, *Activity):
+            assert hash(member) == object.__hash__(member)
 
     @pytest.mark.parametrize("label", ["sure", "unsure", None, True])
     def test_a_match_takes_only_a_trust_label(self, label):

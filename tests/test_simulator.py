@@ -91,6 +91,23 @@ class TestSpecs:
             ScheduleSegment(start=10.0, stop=5.0)
         with pytest.raises(ValueError):
             ScheduleSegment(start=0.0, stop=5.0, activity=Activity.INACTIVE)
+        # the id and number rules of the records, which io.read_scenario relies on
+        for bad, error in [
+            ({"start": True}, "start must be a number, got True"),
+            ({"stop": False}, "stop must be a number, got False"),
+            ({"start": "0"}, "start must be a number, got '0'"),
+            ({"stop": None}, "stop must be a number, got None"),
+            ({"operator": 7}, "operator must be a string, got 7"),
+            ({"operator": ["W1"]}, r"operator must be a string, got \['W1'\]"),
+        ]:
+            fields = {"start": 0.0, "stop": 5.0, "activity": Activity.USAGE, "operator": None, **bad}
+            with pytest.raises(ValueError, match=error):
+                ScheduleSegment(**fields)
+            with pytest.raises(ValueError, match=error):
+                ScheduleSegment(*fields.values())
+        segment = ScheduleSegment(0, 5, operator="W1")
+        assert segment == (0.0, 5.0, Activity.USAGE, "W1")
+        assert type(segment.start) is float and type(segment.stop) is float
 
     def test_schedule_must_be_sorted_and_disjoint(self):
         with pytest.raises(ValueError):
@@ -694,6 +711,34 @@ class TestStaticScenario:
             scenario_static(2, 0.0, 60.0)
         with pytest.raises(ValueError):
             scenario_static(2, 1.0, 60.0, bystanders=-1)
+
+    def test_int_and_float_arguments_write_the_same_scenario(self, tmp_path):
+        """The row's numbers are stored as floats, so the knots and the
+        duration are written alike whichever type a caller passes."""
+        pairs = [
+            (scenario_static(2, 2, 60), scenario_static(2, 2.0, 60.0)),
+            (scenario_static(3, 1, 90, 1, operating_distance=1),
+             scenario_static(3, 1.0, 90.0, 1, operating_distance=1.0)),
+            (scenario_swap(3, 2, [120, 240], duration=360), scenario_swap(3, 2.0, [120.0, 240.0], duration=360.0)),
+        ]
+        for a, b in pairs:
+            io.write_scenario(tmp_path / "a.json", a)
+            io.write_scenario(tmp_path / "b.json", b)
+            assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: scenario_static(2, True, 60.0), id="static-bool-spacing"),
+        pytest.param(lambda: scenario_static(2, "2.0", 60.0), id="static-str-spacing"),
+        pytest.param(lambda: scenario_static(2, 2.0, "60"), id="static-str-duration"),
+        pytest.param(lambda: scenario_static(2, 2.0, 60.0, operating_distance=True), id="static-bool-distance"),
+        pytest.param(lambda: scenario_swap(3, 2.0, ["120"]), id="swap-str-time"),
+        pytest.param(lambda: scenario_swap(3, 2.0, [120.0, True]), id="swap-bool-time"),
+        pytest.param(lambda: scenario_swap(3, 2.0, [120.0], duration="360"), id="swap-str-duration"),
+        pytest.param(lambda: scenario_swap(3, False, [120.0]), id="swap-bool-spacing"),
+    ])
+    def test_bool_and_str_arguments_are_rejected(self, build):
+        with pytest.raises(ValueError, match="must be a number, got"):
+            build()
 
 
 class TestSwapScenario:
