@@ -13,12 +13,13 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count, cycle, repeat
-from operator import itemgetter, lt
+from itertools import chain, compress, count, cycle, repeat, starmap
+from operator import itemgetter, lt, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from . import ekf
 from .ekf import EkfParams
+from .pathloss import _number
 
 __all__ = [
     "ACTIVE_DEFAULT",
@@ -60,16 +61,6 @@ ACTIVE_DEFAULT = frozenset({Activity.USAGE})
 
 #: The plausible radio range of a received signal strength, dB.
 RSSI_MIN_DB, RSSI_MAX_DB = -127.0, 20.0
-
-
-def _number(value, name: str) -> float:
-    """``value``, an ``int`` or ``float`` (not ``bool``), as a float: the
-    rule for a number in every record and in every file ``io`` reads."""
-    if type(value) is float:
-        return value
-    if type(value) is bool or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _id(value, name: str) -> str:
@@ -254,6 +245,9 @@ class DistanceReport(_DistanceReportFields):
 _Lanes = tuple[str, list[float], dict[str, tuple[list[float], list[float]]]]
 
 
+_MIXED_STREAM = "a stream of grids holds a record; pass records or grids"
+
+
 def _record_lanes(ads: Iterable[Advertisement], active: frozenset[Activity]) -> Iterator[_Lanes]:
     """The lanes of the active records, given in any order: each tag's
     records, in the order given, stably sorted on ``ts``. The instants are
@@ -261,9 +255,14 @@ def _record_lanes(ads: Iterable[Advertisement], active: frozenset[Activity]) -> 
     sign of its first and last record's ``-0.0`` or ``0.0``; each badge keeps
     its first reception of each broadcast."""
     by_tag: dict[str, list[Advertisement]] = defaultdict(list)
-    for a in ads:
-        if a[4] in active:
-            by_tag[a[2]].append(a)
+    try:
+        for a in ads:
+            if a[4] in active:
+                by_tag[a[2]].append(a)
+    except TypeError:  # a grid cannot be indexed
+        if Grid in set(map(type, ads)):
+            raise ValueError(_MIXED_STREAM) from None
+        raise
     for tag, tag_ads in by_tag.items():
         tag_ads.sort(key=itemgetter(0))
         lanes: dict[str, tuple[list[float], list[float]]] = {}
@@ -285,6 +284,8 @@ def _grid_lanes(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[
     overlap in time."""
     by_tag: dict[str, list[Grid]] = defaultdict(list)
     for g in grids:
+        if type(g) is not Grid:
+            raise ValueError(_MIXED_STREAM)
         by_tag[g.tag].append(g)
     for tag, tag_grids in by_tag.items():
         # each badge's (grid, column) in time order, whatever the activity
@@ -334,23 +335,24 @@ def run_edge(
     becomes per-tag lanes: the tag's active instants in time order, and
     each badge's (rssi, ts) readings in time order. Records are stably
     sorted by ``ts``; a grid's readings are strided slices, which gives
-    the lanes of the records it holds. One cut serves both: the gap splits
-    a tag's instants into sessions, each badge's readings are cut at the
-    session stops, and one ``ekf.run_windows`` call per badge folds each
-    session that badge heard into a fresh filter.
+    the lanes of the records it holds. The first item decides which lane
+    builder runs, and each builder rejects an item of the other kind in
+    its own pass. One cut serves both: the gap splits a tag's instants
+    into sessions, each badge's readings are cut at the session stops, and
+    one ``ekf.run_windows`` call per badge folds each session that badge
+    heard into a fresh filter. A badge's reports are built from C-level
+    iterators by ``tuple.__new__``: their ids and windows come checked
+    from the records or grids, and a non-finite estimate, the one value
+    that can break a report's rules, sends the badge's reports through the
+    ``DistanceReport`` constructor, which raises its error.
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"session gap must be finite and positive, got {gap}")
     if params is None:
         params = EkfParams()
     ads = list(ads)
-    kinds = set(map(type, ads))
-    if Grid in kinds:
-        if len(kinds) > 1:
-            raise ValueError("a stream of grids holds a record; pass records or grids")
-        tags = _grid_lanes(ads, active)
-    else:
-        tags = _record_lanes(ads, active)
+    tags = _grid_lanes(ads, active) if ads and type(ads[0]) is Grid else _record_lanes(ads, active)
+    new = tuple.__new__
     reports = []
     for tag, instants, lanes in tags:
         # a session ends before a pause longer than ``gap``
@@ -359,10 +361,15 @@ def run_edge(
         ends.append(len(instants))
         stops = [instants[k - 1] for k in ends]
         for w, (rssi, ts) in lanes.items():
-            cuts = [0, *map(bisect_right, repeat(ts), stops)]
-            heard = [k for k in range(len(stops)) if cuts[k] < cuts[k + 1]]
-            states = ekf.run_windows(rssi, ts, [cuts[k + 1] for k in heard], params)
-            for k, (x, _, _) in zip(heard, states):
-                reports.append(DistanceReport(w, tag, starts[k], stops[k], x, cuts[k + 1] - cuts[k]))
+            # each session's end in the badge's readings; it heard the
+            # sessions whose end passes the one before, each a window of the lane
+            cuts = list(map(bisect_right, repeat(ts), stops))
+            heard = list(map(lt, [0, *cuts], cuts))
+            windows = list(compress(cuts, heard))
+            xs = list(map(itemgetter(0), ekf.run_windows(rssi, ts, windows, params)))
+            rows = zip(repeat(w), repeat(tag), compress(starts, heard), compress(stops, heard), xs,
+                       map(sub, windows, [0, *windows]))
+            reports += map(new, repeat(DistanceReport), rows) if all(map(math.isfinite, xs)) \
+                else starmap(DistanceReport, rows)
     reports.sort(key=itemgetter(2, 3, 1, 0))  # (start, stop, tag, wearable)
     return reports

@@ -169,24 +169,29 @@ def run_windows(
     state is the one ``run_filter`` gives on its slice, bit for bit: the
     parameters are read once per call, and one iterator over the
     observations is consumed window by window. The loop over plain floats
-    performs the float operations of ``jacobian`` and
-    ``PathLossModel.forward`` in the same order, so folding ``step`` over a
-    stream gives the same bits. The update forms ``h * p`` once for both
-    the innovation variance and the gain; float multiplication commutes, so
-    that is the gain ``p * h / s`` bit for bit.
+    performs the float operations of ``PathLossModel.inverse``,
+    ``jacobian`` and ``PathLossModel.forward`` in the same order, so
+    folding ``step`` over a stream gives the same bits. A window starts
+    with no method call: the inversion is written out, clamped by two
+    comparisons as ``min(max(x, d_min), d_max)`` clamps it, and each final
+    state is built by ``tuple.__new__``, not by ``EkfState``'s Python-level
+    constructor. The update forms ``h * p`` once for both the innovation
+    variance and the gain; float multiplication commutes, so that is the
+    gain ``p * h / s`` bit for bit.
     """
     if len(rssi) != len(ts):
         raise ValueError(f"got {len(rssi)} rssi values for {len(ts)} timestamps")
     if (ends[-1] if ends else 0) != len(rssi):
         raise ValueError(f"windows must end at the last of {len(rssi)} observations, got ends {list(ends)}")
     model = params.model
-    inverse, d_min, d_max, p0 = model.inverse, params.d_min, params.d_max, params.p0
+    d_min, d_max, p0 = params.d_min, params.d_max, params.p0
     h_num = -10.0 * model.n
     ln10 = math.log(10.0)
     slope, x0, rssi0 = 10.0 * model.n, model.x0, model.rssi0
     q, r, floor = params.q, params.r, params.x_floor
     squared = params.dt_mode == DT_SQUARED
     log10 = math.log10
+    new = tuple.__new__
     obs = zip(rssi, ts)
     states = []
     lo = 0
@@ -197,7 +202,11 @@ def run_windows(
             if hi == lo:
                 raise ValueError("a filter needs at least one observation to start")
             z, t = next(obs)
-            x, p = min(max(inverse(z), d_min), d_max), p0
+            x, p = x0 * 10.0 ** ((rssi0 - z) / slope), p0
+            if x < d_min:
+                x = d_min
+            elif x > d_max:
+                x = d_max
             lo += 1
         else:
             x, p, t = state
@@ -219,6 +228,6 @@ def run_windows(
                 x = floor
             p = (1.0 - k * h) * p
             t = now
-        states.append(EkfState(x, p, t))
+        states.append(new(EkfState, (x, p, t)))
         lo = hi
     return states

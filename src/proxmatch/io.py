@@ -10,19 +10,20 @@ when it does not decode, lacks a field, or holds a value of the wrong type
 or out of range (any exception in ``_BAD_INPUT``). ``io`` checks only what
 a JSON value can get wrong and a Python caller's value cannot:
 
-- a number in a document (model, filter config, trace knot, scenario) is a
-  JSON number (not ``true`` or a string) small enough for a float;
+- a filter-config number is a JSON number (not ``true`` or a string)
+  small enough for a float;
 - an activity or a trust label is one of its names;
-- a trace is a list of ``[t, x, y]`` knots of numbers;
 - a margin is finite, since an infinite one is written ``null``;
 - a document, and each object in it, holds no key that no field reads; a
   filter config needs the model keys, and a filter key left out keeps its default.
 
 Each type checks its own values whenever it is built (finite, in range, a
 window's order, a count, a seed, a ``dt_mode``), so a ``NaN`` or
-``Infinity`` that Python's ``json`` decodes is rejected there. A record
-also checks its ids (``str``) and numbers (``int`` or ``float``, not
-``bool``), so its reader passes it a line's values as decoded.
+``Infinity`` that Python's ``json`` decodes is rejected there. A record, a
+path-loss model, a scenario and a trace also check their ids (``str``) and
+numbers (``int`` or ``float``, not ``bool``, stored as ``float``), so their
+readers pass them the values as decoded, and an error names the field of
+the type that holds the value.
 
 Files are UTF-8, each JSON Lines line decoded on its own. A CSV field is a
 string, read by ``float()`` where a number is due. ``read_advertisements``
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 _R = TypeVar("_R")
+_E = TypeVar("_E")
 
 #: What a bad line, row or document raises while it is decoded and built:
 #: ``OverflowError`` comes from ``float()`` of a huge JSON integer,
@@ -186,7 +188,7 @@ def _read_doc(path: str | Path, what: str, from_dict: Callable[[object], _R]) ->
         raise ValueError(f"{path}: bad {what}: {e}") from e
 
 
-def _object(value, keys: Iterable[str]) -> dict:
+def _object(value, keys: frozenset[str]) -> dict:
     """``value``, which must be a JSON object holding no key outside ``keys``."""
     if type(value) is not dict:
         raise TypeError(f"expected a JSON object, got {type(value).__name__}")
@@ -202,6 +204,24 @@ def _finite(d: dict, key: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return value
+
+
+def _member_lookup(enum: type[_E]) -> Callable[[object], _E]:
+    """``enum(name)`` for a reader, by one dict lookup: the member whose
+    value is ``name``, or the ``ValueError`` that ``enum(name)`` raises.
+    ``EnumMeta.__call__`` runs in Python and costs about nine times as much."""
+    members = {m.value: m for m in enum}
+
+    def member(name) -> _E:
+        try:
+            return members[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+            raise ValueError(f"{name!r} is not a valid {enum.__qualname__}") from None
+
+    return member
+
+
+_activity, _trust = _member_lookup(Activity), _member_lookup(Trust)
 
 
 _AD_FIELDS = ("ts", "wearable", "tag", "rssi_db", "activity")
@@ -262,21 +282,23 @@ def read_advertisements(
     skipped: list[tuple[int, str]] = []
     if Path(path).suffix.lower() == ".csv":
         ads = _read_csv(path, _AD_FIELDS, "advertisement", lambda d: Advertisement(
-            float(d["ts"]), d["wearable"], d["tag"], float(d["rssi_db"]), Activity(d["activity"])
+            float(d["ts"]), d["wearable"], d["tag"], float(d["rssi_db"]), _activity(d["activity"])
         ), skipped)
     else:
         ads = _read_jsonl(path, "advertisement", lambda d: Advertisement(
-            d["ts"], d["wearable"], d["tag"], d["rssi_db"], Activity(d["activity"])
+            d["ts"], d["wearable"], d["tag"], d["rssi_db"], _activity(d["activity"])
         ), skipped)
     return ads, skipped
 
 
 def write_reports(path: str | Path, reports: Iterable[DistanceReport]) -> None:
+    """One line per report. The record writers unpack each record, since
+    CPython does not specialise reads of a named tuple's fields by name."""
     text = _JsonText()
     _write_lines(path, (
-        f'{{"wearable":{text[r.wearable]},"tag":{text[r.tag]},"start_s":{r.start!r},'
-        f'"stop_s":{r.stop!r},"distance_m":{r.distance!r},"n_obs":{r.n_obs!r}}}\n'
-        for r in reports
+        f'{{"wearable":{text[wearable]},"tag":{text[tag]},"start_s":{start!r},'
+        f'"stop_s":{stop!r},"distance_m":{distance!r},"n_obs":{n_obs!r}}}\n'
+        for wearable, tag, start, stop, distance, n_obs in reports
     ))
 
 
@@ -288,9 +310,8 @@ def read_reports(path: str | Path) -> list[DistanceReport]:
 def write_truth(path: str | Path, truth: Iterable[TruthRecord]) -> None:
     text = _JsonText()
     _write_lines(path, (
-        f'{{"tag":{text[t.tag]},"start_s":{t.start!r},"stop_s":{t.stop!r},'
-        f'"wearable":{text[t.wearable]}}}\n'
-        for t in truth
+        f'{{"tag":{text[tag]},"start_s":{start!r},"stop_s":{stop!r},"wearable":{text[wearable]}}}\n'
+        for tag, start, stop, wearable in truth
     ))
 
 
@@ -299,20 +320,25 @@ def read_truth(path: str | Path) -> list[TruthRecord]:
                        lambda d: TruthRecord(d["tag"], d["start_s"], d["stop_s"], d["wearable"]))
 
 
+#: Each trust label's JSON text, looked up by member: ``Trust.value`` is an
+#: ``Enum`` property, read in Python.
+_TRUST_TEXT = {t: json.dumps(t.value) for t in Trust}
+
+
 def write_matches(path: str | Path, matches: Iterable[MatchResult]) -> None:
     """Margins are meters; an infinite margin (no competitor at all) is null."""
     text = _JsonText()
     _write_lines(path, (
-        f'{{"tag":{text[m.tag]},"start_s":{m.start!r},"stop_s":{m.stop!r},'
-        f'"wearable":{text[m.wearable]},"trust":{text[m.trust.value]},'
-        f'"margin_m":{repr(m.margin) if math.isfinite(m.margin) else "null"}}}\n'
-        for m in matches
+        f'{{"tag":{text[tag]},"start_s":{start!r},"stop_s":{stop!r},'
+        f'"wearable":{text[wearable]},"trust":{_TRUST_TEXT[trust]},'
+        f'"margin_m":{repr(margin) if math.isfinite(margin) else "null"}}}\n'
+        for tag, start, stop, wearable, trust, margin in matches
     ))
 
 
 def read_matches(path: str | Path) -> list[MatchResult]:
     return _read_jsonl(path, "match result", lambda d: MatchResult(
-        d["tag"], d["start_s"], d["stop_s"], d["wearable"], Trust(d["trust"]),
+        d["tag"], d["start_s"], d["stop_s"], d["wearable"], _trust(d["trust"]),
         math.inf if d["margin_m"] is None else _finite(d, "margin_m"),
     ))
 
@@ -340,9 +366,9 @@ def write_errors(path: str | Path, reports: Iterable[DistanceReport], truth: Gro
     ids = _CsvText()
 
     def line(r: DistanceReport) -> str:
-        true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
-        return (f"{ids[r.wearable, r.tag]},{r.start!r},{r.stop!r},{r.distance!r},"
-                f"{true!r},{r.distance - true!r}\n")
+        wearable, tag, start, stop, distance, _ = r
+        true = truth.true_distance(wearable, tag, 0.5 * (start + stop))
+        return f"{ids[wearable, tag]},{start!r},{stop!r},{distance!r},{true!r},{distance - true!r}\n"
 
     header = "wearable,tag,start_s,stop_s,estimate_m,true_m,error_m\n"
     _write_lines(path, chain((header,), map(line, reports)))
@@ -367,12 +393,14 @@ def read_samples(path: str | Path) -> list[RangeSample]:
 #: Each optional filter-config key and the ``EkfParams`` field it sets.
 _FILTER_FIELDS = {"q": "q", "r": "r", "d_min_m": "d_min", "d_max_m": "d_max", "p0": "p0",
                   "dt_mode": "dt_mode", "x_floor_m": "x_floor"}
+_MODEL_KEYS = frozenset({"n", "x0_m", "rssi0_db"})
+_FILTER_KEYS = _MODEL_KEYS | frozenset(_FILTER_FIELDS)
 
 
-def _model_from_dict(d, other_keys: Iterable[str] = ()) -> PathLossModel:
-    """A model object, which may hold ``other_keys`` too."""
-    _object(d, {"n", "x0_m", "rssi0_db", *other_keys})
-    return PathLossModel(*(_number(d[k], k) for k in ("n", "x0_m", "rssi0_db")))
+def _model_from_dict(d, keys: frozenset[str] = _MODEL_KEYS) -> PathLossModel:
+    """A model object, which may hold the other ``keys`` too."""
+    _object(d, keys)
+    return PathLossModel(d["n"], d["x0_m"], d["rssi0_db"])
 
 
 def _model_to_dict(model: PathLossModel) -> dict:
@@ -385,7 +413,7 @@ def write_model(path: str | Path, model: PathLossModel) -> None:
 
 
 def _ekf_params_from_dict(d) -> EkfParams:
-    model = _model_from_dict(d, _FILTER_FIELDS)
+    model = _model_from_dict(d, _FILTER_KEYS)
     settings = {f: d[k] if k == "dt_mode" else _number(d[k], k) for k, f in _FILTER_FIELDS.items() if k in d}
     return EkfParams(model=model, **settings)
 
@@ -397,37 +425,37 @@ def read_ekf_params(path: str | Path) -> EkfParams:
     return _read_doc(path, "filter config", _ekf_params_from_dict)
 
 
-def _trace(knots: list) -> Trace:
-    """``[[t, x, y], ...]``; ``Trace`` itself rejects a non-finite knot."""
-    k = "trace knot"
-    return Trace(tuple((_number(t, k), _number(x, k), _number(y, k)) for t, x, y in knots))
+_SEGMENT_KEYS = frozenset({"start_s", "stop_s", "activity", "operator"})
+_WORKER_KEYS = frozenset({"id", "trace"})
+_TOOL_KEYS = frozenset({"id", "trace", "schedule"})
+_SCENARIO_KEYS = frozenset({"seed", "duration_s", "adv_interval_s", "noise_std_db", "drop_prob", "model",
+                            "workers", "tools"})
 
 
 def _segment(d) -> ScheduleSegment:
-    _object(d, {"start_s", "stop_s", "activity", "operator"})
-    return ScheduleSegment(d["start_s"], d["stop_s"], Activity(d["activity"]), d.get("operator"))
+    _object(d, _SEGMENT_KEYS)
+    return ScheduleSegment(d["start_s"], d["stop_s"], _activity(d["activity"]), d.get("operator"))
 
 
 def _worker(d) -> WorkerSpec:
-    _object(d, {"id", "trace"})
-    return WorkerSpec(id=d["id"], trace=_trace(d["trace"]))
+    _object(d, _WORKER_KEYS)
+    return WorkerSpec(id=d["id"], trace=Trace(d["trace"]))
 
 
 def _tool(d) -> ToolSpec:
-    _object(d, {"id", "trace", "schedule"})
-    return ToolSpec(id=d["id"], trace=_trace(d["trace"]), schedule=tuple(map(_segment, d["schedule"])))
+    _object(d, _TOOL_KEYS)
+    return ToolSpec(id=d["id"], trace=Trace(d["trace"]), schedule=tuple(map(_segment, d["schedule"])))
 
 
 def _scenario_from_dict(d) -> ScenarioConfig:
-    """``ScenarioConfig`` itself checks the seed (an ``int`` of at least 0)."""
-    _object(d, {"seed", "duration_s", "adv_interval_s", "noise_std_db", "drop_prob", "model",
-                "workers", "tools"})
+    """``ScenarioConfig``, ``Trace`` and the segments check the values."""
+    _object(d, _SCENARIO_KEYS)
     return ScenarioConfig(
         seed=d["seed"],
-        duration=_number(d["duration_s"], "duration_s"),
-        adv_interval=_number(d["adv_interval_s"], "adv_interval_s"),
-        noise_std=_number(d["noise_std_db"], "noise_std_db"),
-        drop_prob=_number(d["drop_prob"], "drop_prob"),
+        duration=d["duration_s"],
+        adv_interval=d["adv_interval_s"],
+        noise_std=d["noise_std_db"],
+        drop_prob=d["drop_prob"],
         model=_model_from_dict(d["model"]),
         workers=tuple(map(_worker, d["workers"])),
         tools=tuple(map(_tool, d["tools"])),

@@ -143,21 +143,20 @@ class MatchProblem:
     def from_reports(cls, reports: Iterable[DistanceReport]) -> MatchProblem:
         """Group distance reports by session; a badge absent from a session
         simply has no distance there and is never a candidate for it."""
-        by_session: dict[tuple[str, float, float], dict[str, float]] = {}
-        for r in reports:
-            key = (r.tag, r.start, r.stop)
-            dists = by_session.setdefault(key, {})
-            if r.wearable in dists:
+        by_session: dict[tuple[float, float, str], dict[str, float]] = {}
+        for wearable, tag, start, stop, distance, _ in reports:
+            dists = by_session.get((start, stop, tag))
+            if dists is None:
+                dists = by_session[start, stop, tag] = {}
+            elif wearable in dists:
                 raise ValueError(
-                    f"duplicate report for wearable {r.wearable!r} in session "
-                    f"{r.tag!r}@[{r.start}, {r.stop}]"
+                    f"duplicate report for wearable {wearable!r} in session {tag!r}@[{start}, {stop}]"
                 )
-            dists[r.wearable] = r.distance
-        sessions = tuple(
-            TagSession(tag=tag, start=start, stop=stop, distances=dists)
-            for (tag, start, stop), dists in sorted(by_session.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0]))
-        )
-        wearables = tuple(sorted({w for s in sessions for w in s.distances}))
+            dists[wearable] = distance
+        # keyed (start, stop, tag), so the keys sort in activation order
+        sessions = tuple(TagSession(tag, start, stop, by_session[start, stop, tag])
+                         for start, stop, tag in sorted(by_session))
+        wearables = tuple(sorted(set().union(*by_session.values())))
         return cls(wearables=wearables, sessions=sessions)
 
 
@@ -319,39 +318,42 @@ def _solve_events(
     window: float,
     assigner: Callable[[Sequence[TagSession], Sequence[str]], list[str | None]],
 ) -> list[MatchResult]:
+    """The event loop of ``solve`` and ``brute_force_solve``: ``assigner``
+    picks each event's badges.
+
+    Sessions are sorted once by (start, stop, tag) and their starts read
+    once into a list. An event is the run of sessions whose start is within
+    ``window`` of its first. One dict maps each badge to the stop of the
+    last session it was bound to (``-inf`` before any); an event's free
+    badges are those whose stop is not after its first start, in
+    ``problem.wearables`` order. Each session is unpacked once, and its
+    result is built positionally, with ``trust_classify`` on the assigned
+    badge's distance against every other badge's.
+    """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"sure margin must be finite and nonnegative, got {threshold}")
     if not (math.isfinite(window) and window >= 0):
         raise ValueError(f"event window must be finite and nonnegative, got {window}")
-    sessions = sorted(problem.sessions, key=lambda s: (s.start, s.stop, s.tag))
+    sessions = sorted(problem.sessions, key=itemgetter(1, 2, 0))  # (start, stop, tag)
+    starts = list(map(itemgetter(1), sessions))
+    wearables = problem.wearables
+    bound = dict.fromkeys(wearables, -math.inf)  # each badge's stop: it is free from then on
     results: list[MatchResult] = []
-    busy: list[tuple[str, float]] = []  # (wearable, bound until stop, exclusive)
-
-    i = 0
-    while i < len(sessions):
+    i, n = 0, len(sessions)
+    while i < n:
+        t0 = starts[i]
         j = i + 1
-        while j < len(sessions) and sessions[j].start - sessions[i].start <= window:
+        while j < n and starts[j] - t0 <= window:
             j += 1
         group = sessions[i:j]
-        t0 = group[0].start
-        busy = [(w, stop) for w, stop in busy if stop > t0]
-        occupied = {w for w, _ in busy}
-        free = [w for w in problem.wearables if w not in occupied]
-        assignment = assigner(group, free)
-        for s, w in zip(group, assignment):
+        free = [w for w in wearables if not bound[w] > t0]
+        for (tag, start, stop, dists), w in zip(group, assigner(group, free)):
             if w is None:
-                results.append(
-                    MatchResult(tag=s.tag, start=s.start, stop=s.stop, wearable=None,
-                                trust=Trust.UNSURE, margin=0.0)
-                )
+                results.append(MatchResult(tag, start, stop, None, Trust.UNSURE, 0.0))
                 continue
-            others = [d for k, d in s.distances.items() if k != w]
-            trust, margin = trust_classify(s.distances[w], others, threshold)
-            results.append(
-                MatchResult(tag=s.tag, start=s.start, stop=s.stop, wearable=w,
-                            trust=trust, margin=margin)
-            )
-            busy.append((w, s.stop))
+            trust, margin = trust_classify(dists[w], [d for k, d in dists.items() if k != w], threshold)
+            results.append(MatchResult(tag, start, stop, w, trust, margin))
+            bound[w] = stop
         i = j
     return results
 
@@ -446,10 +448,6 @@ class EvalReport:
         }
 
 
-def _overlap(a_start: float, a_stop: float, b_start: float, b_stop: float) -> float:
-    return min(a_stop, b_stop) - max(a_start, b_start)
-
-
 def evaluate(results: Iterable[MatchResult], truth: Iterable[TruthRecord]) -> EvalReport:
     """Score match results against ground truth sessions.
 
@@ -478,16 +476,18 @@ def evaluate(results: Iterable[MatchResult], truth: Iterable[TruthRecord]) -> Ev
               (False, Trust.SURE): 0, (False, Trust.UNSURE): 0}
     for tag, start, stop, wearable, trust, _ in results:
         records, starts, reach = index.get(tag, ((), (), ()))
-        best, best_key = None, None
+        # a record qualifies from overlap 0 (touching), and any start is before inf
+        best, best_overlap, best_start = None, 0.0, math.inf
         for t_start, t_stop, t_wearable in records[bisect_left(reach, start):bisect_right(starts, stop)]:
-            key = (_overlap(start, stop, t_start, t_stop), -t_start)
-            if key[0] >= 0 and (best_key is None or key > best_key):
-                best, best_key = t_wearable, key
-        if best_key is None:
+            # min(stop, t_stop) - max(start, t_start), inline
+            overlap = (t_stop if t_stop < stop else stop) - (t_start if t_start > start else start)
+            if overlap > best_overlap or (overlap == best_overlap and t_start < best_start):
+                best, best_overlap, best_start = t_wearable, overlap, t_start
+        if best_start == math.inf:
             raise ValueError(
                 f"no ground-truth session overlaps result {tag!r}@[{start}, {stop}]"
             )
-        counts[(wearable == best, trust)] += 1
+        counts[wearable == best, trust] += 1
     return EvalReport(
         correct_sure=counts[(True, Trust.SURE)],
         correct_unsure=counts[(True, Trust.UNSURE)],

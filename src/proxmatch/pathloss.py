@@ -17,6 +17,17 @@ __all__ = [
 ]
 
 
+def _number(value, name: str) -> float:
+    """``value``, an ``int`` or ``float`` (not ``bool``), as a float: the
+    rule for a number in every record, model and scenario, and in every
+    file ``io`` reads."""
+    if type(value) is float:
+        return value
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class DegenerateFitError(ValueError):
     """Sample set cannot pin down both fit parameters."""
 
@@ -36,7 +47,8 @@ class PathLossModel:
     ``n`` is the decay exponent, ``x0`` the reference distance in meters, and
     ``rssi0`` the expected signal strength at ``x0`` in dB. Free space has
     n = 2; values near 1 are typical of cluttered indoor spaces where
-    reflections partially compensate the direct-path loss.
+    reflections partially compensate the direct-path loss. Each value is a
+    number under ``_number``'s rule, stored as a float.
     """
 
     n: float
@@ -44,6 +56,10 @@ class PathLossModel:
     rssi0: float
 
     def __post_init__(self) -> None:
+        for name in ("n", "x0", "rssi0"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _number(value, name))
         if not (math.isfinite(self.n) and self.n > 0):
             raise ValueError(f"decay exponent must be finite and positive, got {self.n}")
         if not (math.isfinite(self.x0) and self.x0 > 0):

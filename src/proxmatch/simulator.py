@@ -56,19 +56,33 @@ class Trace:
 
     Positions clamp to the first/last knot outside the knot range, so a
     single knot is a fixed position.
+
+    Construction checks the knots in one pass, in order: each value is a
+    number under ``edge._number``'s rule and finite, and the timestamps
+    strictly increase. The knots are stored as a tuple of float triples,
+    so any sequence of three-item sequences (JSON lists too) may be given.
     """
 
     knots: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.knots:
-            raise ValueError("a trace needs at least one knot")
-        for (t0, *_), (t1, *_) in zip(self.knots, self.knots[1:]):
-            if not t1 > t0:
-                raise ValueError(f"trace knots must have strictly increasing timestamps ({t1} after {t0})")
+        knots, t0 = [], -math.inf
         for t, x, y in self.knots:
+            if type(t) is not float:
+                t = _number(t, "trace knot")
+            if type(x) is not float:
+                x = _number(x, "trace knot")
+            if type(y) is not float:
+                y = _number(y, "trace knot")
             if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"trace knots must be finite, got {(t, x, y)}")
+            if not t > t0:
+                raise ValueError(f"trace knots must have strictly increasing timestamps ({t} after {t0})")
+            knots.append((t, x, y))
+            t0 = t
+        if not knots:
+            raise ValueError("a trace needs at least one knot")
+        object.__setattr__(self, "knots", tuple(knots))
 
     @classmethod
     def stationary(cls, x: float, y: float) -> Trace:
@@ -120,8 +134,8 @@ class ScheduleSegment(_ScheduleSegmentFields):
 
     A named tuple whose constructor checks, positionally or by keyword, the
     window and the ids as ``edge.DistanceReport``'s does (``operator`` may
-    be None) and that ``activity`` is not INACTIVE; ``_make`` and
-    ``_replace`` build instances without the checks.
+    be None) and that ``activity`` is an ``Activity`` other than INACTIVE;
+    ``_make`` and ``_replace`` build instances without the checks.
     """
 
     __slots__ = ()
@@ -130,6 +144,8 @@ class ScheduleSegment(_ScheduleSegmentFields):
         cls, start: float, stop: float, activity: Activity = Activity.USAGE, operator: str | None = None
     ) -> ScheduleSegment:
         start, stop = _window(start, stop)
+        if type(activity) is not Activity:
+            raise ValueError(f"activity must be an Activity, got {activity!r}")
         if activity is Activity.INACTIVE:
             raise ValueError("segments describe active periods; gaps are the inactivity")
         if operator is not None and type(operator) is not str:
@@ -160,7 +176,8 @@ class ToolSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one synthetic run."""
+    """Complete description of one synthetic run. Its numbers follow
+    ``edge._number``'s rule and are stored as floats."""
 
     seed: int
     duration: float
@@ -174,6 +191,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("duration", "adv_interval", "noise_std", "drop_prob"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _number(value, name))
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"duration must be finite and nonnegative, got {self.duration}")
         if not (math.isfinite(self.adv_interval) and self.adv_interval > 0):
@@ -247,29 +268,39 @@ def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float
     return d, False
 
 
-def _still_stretches(instants: list[float], traces: Sequence[Trace], starts: list[int]) -> list[int]:
-    """Bounds that cut the strictly increasing ``instants`` into stretches
-    at which every trace's ``position`` returns the same value: cuts at
-    ``starts`` (which hold 0), on both sides of each knot time in the
-    window, so a knot instant stands alone, and around each instant inside
-    a knot interval whose end positions differ. Traces share knot times and
-    intervals (workers walk together), so each distinct one cuts once."""
-    first, last = instants[0], instants[-1]
-    knot_times: set[float] = set()
+def _knot_events(traces: Sequence[Trace]) -> tuple[list[float], list[tuple[float, float]]]:
+    """The distinct knot times of ``traces`` and the distinct knot
+    intervals (t0, t1) over which one of them moves, each sorted. Traces
+    share knot times and intervals (workers walk together), so each
+    distinct one is kept once."""
+    times: set[float] = set()
     moving: set[tuple[float, float]] = set()
     for trace in traces:
-        times, knots = trace._knot_times, trace.knots
-        lo, hi = bisect_left(times, first), bisect_right(times, last)
-        knot_times.update(times[lo:hi])
-        for j in range(max(lo, 1), min(hi, len(times) - 1) + 1):
+        knot_times, knots = trace._knot_times, trace.knots
+        times.update(knot_times)
+        for j in range(1, len(knots)):
             if knots[j - 1][1:] != knots[j][1:]:
-                moving.add((times[j - 1], times[j]))
+                moving.add((knot_times[j - 1], knot_times[j]))
+    return sorted(times), sorted(moving)
+
+
+def _still_stretches(instants: list[float], events: Sequence[tuple[list[float], list[tuple[float, float]]]],
+                     starts: list[int]) -> list[int]:
+    """Bounds that cut the strictly increasing ``instants`` into stretches
+    at which every trace's ``position`` returns the same value, given the
+    traces' ``_knot_events``: cuts at ``starts`` (which hold 0), on both
+    sides of each knot time in the window, so a knot instant stands alone,
+    and around each instant inside a knot interval whose end positions
+    differ. A knot or interval outside the window cuts at 0 or at the end,
+    which are cuts already, so only those that reach into it are used."""
+    first, last = instants[0], instants[-1]
     cuts = {*starts, len(instants)}
-    for t0, t1 in moving:
-        cuts.update(range(bisect_right(instants, t0), bisect_left(instants, t1)))
-    for t in knot_times:
-        cuts.add(bisect_left(instants, t))
-        cuts.add(bisect_right(instants, t))
+    for times, moving in events:
+        for t0, t1 in moving[:bisect_right(moving, (last, math.inf))]:
+            cuts.update(range(bisect_right(instants, t0), bisect_left(instants, t1)))
+        for t in times[bisect_left(times, first):bisect_right(times, last)]:
+            cuts.add(bisect_left(instants, t))
+            cuts.add(bisect_right(instants, t))
     return sorted(cuts)
 
 
@@ -322,6 +353,8 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     # whose thousands freed together at the end of the call would stay in
     # the interpreter's tuple free list and raise the peak RSS of later calls
     worker_keys: dict[float, list[float]] = {}
+    # the workers' knots are scanned once per call, not once per tool
+    worker_events = _knot_events([w.trace for w in workers])
 
     for tool in tools:
         # the tool's instants, and (segment, first, end) per segment that has instants[first:end]
@@ -334,8 +367,8 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
                 segments.append((seg, first, len(instants)))
         if not instants:
             continue
-        traces = [tool.trace, *(w.trace for w in workers)]
-        bounds = _still_stretches(instants, traces, [first for _, first, _ in segments])
+        events = (_knot_events((tool.trace,)), worker_events)
+        bounds = _still_stretches(instants, events, [first for _, first, _ in segments])
         # a stretch is (lo, hi, distances, means): instants[lo:hi] and each
         # worker's floored distance and model mean there
         stretches = []

@@ -476,9 +476,35 @@ class TestGridStream:
 
     def test_a_stream_of_grids_holds_only_grids(self):
         grid = Grid([0.0, 7.0], ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
-        for stream in ([grid, ad(14.0)], [ad(14.0), grid]):
+        for stream in ([grid, ad(14.0)], [ad(14.0), grid], [ad(14.0), grid, ad(21.0)],
+                       [grid, ad(14.0), grid]):
             with pytest.raises(ValueError, match="a stream of grids holds a record"):
                 run_edge(stream, PARAMS)
+        # anything else that is not a record still fails as it did
+        with pytest.raises(TypeError, match="not subscriptable"):
+            run_edge([ad(14.0), 5], PARAMS)
+
+    def test_reports_are_checked_records(self):
+        """Reports are built without the constructor's per-value checks, so
+        they must be what it would build: floats, an int count, the type."""
+        grid = Grid([0.0, 7.0, 35.0], ["W1", "W2"], "T1", [-50.0, -51.0, -52.0, -53.0, -54.0, -55.0],
+                    Activity.USAGE)
+        for stream in ([grid], records([grid])):
+            reports = run_edge(stream, PARAMS)
+            assert len(reports) == 4
+            for r in reports:
+                assert type(r) is DistanceReport
+                assert DistanceReport(*r) == r
+                assert [type(v) for v in r] == [str, str, float, float, float, int]
+
+    def test_a_non_finite_estimate_raises_the_report_error(self):
+        """An estimate the filter drives to NaN (a variance grown to
+        infinity over a huge gap) breaks a report's rule, as it did when
+        every report went through the constructor."""
+        grid = Grid([0.0, 1e200], ["W1"], "T1", [-50.0, -50.0], Activity.USAGE)
+        for stream in ([grid], records([grid])):
+            with pytest.raises(ValueError, match="distance must be finite and nonnegative, got nan"):
+                run_edge(stream, PARAMS, gap=1e300)
 
     @pytest.mark.parametrize("instants", [[3.5], [-7.0, 0.0], [0.0, 7.0], [-0.0], [1.0, 2.0]])
     def test_a_badges_grids_of_one_tag_must_not_overlap(self, instants):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -807,7 +808,7 @@ BAD_DOCUMENTS = [
     (io.read_scenario, "scenario.json", scenario_with(seed=True),
      "bad scenario: seed must be a nonnegative integer, got True"),
     (io.read_scenario, "scenario.json", scenario_with(duration_s="60"),
-     "bad scenario: duration_s must be a number, got '60'"),
+     "bad scenario: duration must be a number, got '60'"),
     (io.read_scenario, "scenario.json", scenario_with(worker={"id": None}),
      "bad scenario: worker and tool ids must be strings, got None"),
     (io.read_scenario, "scenario.json", scenario_with(segment={"operator": 7}),
@@ -845,6 +846,30 @@ MORE_BAD_DOCUMENTS = [
     (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "dt_mode": "dt_lin\u00e9ar"},
                                                 ensure_ascii=False).encode("latin-1"),
      "bad filter config: 'utf-8' codec can't decode byte 0xe9"),
+]
+
+#: Bad knots and activity names, which ``Trace`` and the segment reader
+#: check. Listed apart, after the cases above, so that their ids stay.
+KNOT_AND_ACTIVITY_BAD_DOCUMENTS = [
+    (io.read_scenario, "scenario.json", scenario_with(worker={"trace": [[0.0, True, 0.0]]}),
+     "bad scenario: trace knot must be a number, got True"),
+    (io.read_scenario, "scenario.json", scenario_with(tool={"trace": [["0", 0.0, 0.3]]}),
+     "bad scenario: trace knot must be a number, got '0'"),
+    (io.read_scenario, "scenario.json",
+     scenario_with(worker={"trace": [[0.0, 0.0, 0.0], [10.0, 1.0, 0.0], [5.0, 2.0, 0.0]]}),
+     "bad scenario: trace knots must have strictly increasing timestamps (5.0 after 10.0)"),
+    # json decodes 1e999 to infinity
+    (io.read_scenario, "scenario.json",
+     scenario_with(worker={"trace": [[0.0, "INF", 0.0]]}).replace('"INF"', "1e999"),
+     "bad scenario: trace knots must be finite, got (0.0, inf, 0.0)"),
+    (io.read_scenario, "scenario.json", scenario_with(segment={"activity": "walking"}),
+     "bad scenario: 'walking' is not a valid Activity"),
+    (io.read_scenario, "scenario.json", scenario_with(segment={"activity": ["usage"]}),
+     "bad scenario: ['usage'] is not a valid Activity"),
+    # a segment without an activity has no default in the file
+    (io.read_scenario, "scenario.json",
+     scenario_with(segment={"activity": "DROP"}).replace(' "activity": "DROP",', ""),
+     "bad scenario: 'activity'"),
 ]
 
 BAD_INPUTS = [
@@ -995,6 +1020,7 @@ BAD_INPUTS = [
      json.dumps({"wearable": "W1", "tag": "T1", "start_s": 0.0, "stop_s": 7.0,
                  "distance_m": -2.0, "n_obs": 2}),
      ":1: bad distance report: distance must be finite and nonnegative, got -2.0"),
+    *((reader, name, text, re.escape(error)) for reader, name, text, error in KNOT_AND_ACTIVITY_BAD_DOCUMENTS),
 ]
 
 
@@ -1015,9 +1041,12 @@ def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, o
             reader(p)
 
 
+ALL_BAD_DOCUMENTS = BAD_DOCUMENTS + MORE_BAD_DOCUMENTS + KNOT_AND_ACTIVITY_BAD_DOCUMENTS
+
+
 @pytest.mark.parametrize(
-    "reader, name, text, error", BAD_DOCUMENTS + MORE_BAD_DOCUMENTS,
-    ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(BAD_DOCUMENTS + MORE_BAD_DOCUMENTS)],
+    "reader, name, text, error", ALL_BAD_DOCUMENTS,
+    ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(ALL_BAD_DOCUMENTS)],
 )
 def test_bad_documents_exit_2_naming_the_file(tmp_path, capsys, reader, name, text, error):
     p = tmp_path / name
@@ -1032,3 +1061,24 @@ def test_bad_documents_exit_2_naming_the_file(tmp_path, capsys, reader, name, te
     err = capsys.readouterr().err
     assert f"{p}: {error}" in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "reports.jsonl").exists()
+
+
+@pytest.mark.parametrize("reader, name, text, field", [
+    (io.read_scenario, "scenario.json", scenario_with(duration_s=True), "duration"),
+    (io.read_scenario, "scenario.json", scenario_with(adv_interval_s="7"), "adv_interval"),
+    (io.read_scenario, "scenario.json", scenario_with(noise_std_db=None), "noise_std"),
+    (io.read_scenario, "scenario.json", scenario_with(drop_prob=False), "drop_prob"),
+    (io.read_scenario, "scenario.json", scenario_with(model={**SCENARIO["model"], "x0_m": True}), "x0"),
+    (io.read_scenario, "scenario.json", scenario_with(model={**SCENARIO["model"], "rssi0_db": "-45"}), "rssi0"),
+    (io.read_scenario, "scenario.json", scenario_with(segment={"start_s": True}), "start"),
+    (io.read_scenario, "scenario.json", scenario_with(segment={"stop_s": "60"}), "stop"),
+    (io.read_scenario, "scenario.json", scenario_with(tool={"trace": [[0.0, 0.0, True]]}), "trace knot"),
+    (io.read_ekf_params, "model.json", json.dumps({**MODEL, "rssi0_db": True}), "rssi0"),
+    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "d_min_m": "0.4"}), "d_min_m"),
+])
+def test_reader_errors_name_the_field(tmp_path, reader, name, text, field):
+    """A number checked by the type it builds is named by that type's field."""
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: bad .*: {field} must be a number, got "):
+        reader(p)

@@ -79,6 +79,19 @@ class TestFromReports:
         assert [s.tag for s in p.sessions] == ["T1", "T2"]
         assert p.sessions[0].distances == {"W1": 1.0, "W2": 2.0}
 
+    def test_sessions_come_in_activation_order(self):
+        """By start, then stop, then tag, whatever the report order; a
+        session that starts later but stops earlier still comes later."""
+        p = problem(
+            ("W1", "T3", 10.0, 50.0, 1.0),
+            ("W1", "T2", 0.0, 100.0, 1.0),
+            ("W2", "T1", 10.0, 50.0, 1.0),
+            ("W2", "T4", 10.0, 40.0, 1.0),
+        )
+        assert [(s.tag, s.start, s.stop) for s in p.sessions] == [
+            ("T2", 0.0, 100.0), ("T4", 10.0, 40.0), ("T1", 10.0, 50.0), ("T3", 10.0, 50.0)]
+        assert all(type(s) is TagSession for s in p.sessions)
+
     def test_duplicate_report_is_an_error(self):
         with pytest.raises(ValueError):
             problem(("W1", "T1", 0.0, 90.0, 1.0), ("W1", "T1", 0.0, 90.0, 2.0))

@@ -62,6 +62,22 @@ class TestModelEvaluation:
         with pytest.raises(ValueError):
             PathLossModel(n=1.0, x0=1.0, rssi0=math.nan)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", True), ("x0", False), ("rssi0", True), ("n", "1.0"), ("x0", "1"), ("rssi0", None),
+    ])
+    def test_bool_and_str_numbers_are_rejected(self, field, value):
+        fields = {"n": 1.0, "x0": 1.0, "rssi0": -45.6, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+            PathLossModel(**fields)
+
+    def test_int_arguments_write_the_same_bytes_as_floats(self, tmp_path):
+        model = PathLossModel(1, 2, -45)
+        assert model == PathLossModel(1.0, 2.0, -45.0)
+        assert all(type(v) is float for v in (model.n, model.x0, model.rssi0))
+        io.write_model(tmp_path / "int.json", model)
+        io.write_model(tmp_path / "float.json", PathLossModel(1.0, 2.0, -45.0))
+        assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+
     def test_dict_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
         io.write_model(path, DEFAULT_MODEL)

@@ -84,6 +84,29 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(((0.0, math.nan, 0.0),))
 
+    @pytest.mark.parametrize("knots, error", [
+        (((0, True, 1),), "trace knot must be a number, got True"),
+        ((("0", 1.0, 1.0),), "trace knot must be a number, got '0'"),
+        (((0.0, 1.0, None),), "trace knot must be a number, got None"),
+        (((0.0, 1.0, 1.0), (5.0, 1.0, math.inf)), r"trace knots must be finite, got \(5.0, 1.0, inf\)"),
+        (((0.0, 1.0, 1.0), (5.0, 1.0, 1.0), (5.0, 2.0, 1.0)),
+         r"strictly increasing timestamps \(5.0 after 5.0\)"),
+        (((0.0, 1.0, 1.0), (-1.0, 1.0, 1.0)), r"strictly increasing timestamps \(-1.0 after 0.0\)"),
+        (((0.0, 1.0),), "not enough values to unpack"),
+    ])
+    def test_each_knot_follows_the_number_rule(self, knots, error):
+        with pytest.raises(ValueError, match=error):
+            Trace(knots)
+
+    def test_knots_are_stored_as_float_tuples(self):
+        """JSON lists and ``int`` values give the trace a float caller's
+        values give it, and write the same scenario bytes."""
+        trace = Trace([[0, 1, 2], [10, 3, 4.5]])
+        assert trace == Trace(((0.0, 1.0, 2.0), (10.0, 3.0, 4.5)))
+        assert type(trace.knots) is tuple
+        assert all(type(k) is tuple and all(type(v) is float for v in k) for k in trace.knots)
+        assert trace.position(5) == (2.0, 3.25)
+
 
 class TestSpecs:
     def test_segment_validation(self):
@@ -99,6 +122,8 @@ class TestSpecs:
             ({"stop": None}, "stop must be a number, got None"),
             ({"operator": 7}, "operator must be a string, got 7"),
             ({"operator": ["W1"]}, r"operator must be a string, got \['W1'\]"),
+            ({"activity": "usage"}, "activity must be an Activity, got 'usage'"),
+            ({"activity": None}, "activity must be an Activity, got None"),
         ]:
             fields = {"start": 0.0, "stop": 5.0, "activity": Activity.USAGE, "operator": None, **bad}
             with pytest.raises(ValueError, match=error):
@@ -158,6 +183,31 @@ class TestSpecs:
         ):
             with pytest.raises(ValueError, match="seed must be|ids must be strings"):
                 ScenarioConfig(**{**ok, **bad})
+
+    @pytest.mark.parametrize("field", ["duration", "adv_interval", "noise_std", "drop_prob"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_config_numbers_follow_the_number_rule(self, field, value):
+        w = WorkerSpec(id="W1", trace=Trace.stationary(0.0, 0.0))
+        ok = dict(seed=0, duration=100.0, workers=(w,), tools=())
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+            ScenarioConfig(**{**ok, field: value})
+
+    def test_int_config_numbers_write_the_same_bytes_as_floats(self, tmp_path):
+        base = scenario_static(2, 2.0, 60.0)
+        ints = dataclasses.replace(base, duration=60, adv_interval=7, noise_std=7, drop_prob=0)
+        floats = dataclasses.replace(base, duration=60.0, adv_interval=7.0, noise_std=7.0, drop_prob=0.0)
+        assert ints == floats
+        assert all(type(getattr(ints, f)) is float for f in ("duration", "adv_interval", "noise_std", "drop_prob"))
+        io.write_scenario(tmp_path / "int.json", ints)
+        io.write_scenario(tmp_path / "float.json", floats)
+        assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+        assert io.read_scenario(tmp_path / "int.json") == floats
+
+    def test_a_bool_number_is_rejected_before_it_is_written(self):
+        """A config that ``write_scenario`` would write as ``true`` cannot be
+        built, so every scenario written reads back."""
+        with pytest.raises(ValueError, match="noise_std must be a number, got True"):
+            dataclasses.replace(scenario_static(2, 2.0, 60.0), noise_std=True)
 
     def test_config_json_round_trip(self, tmp_path):
         cfg = scenario_swap(3, 2.0, [120.0, 240.0], seed=5, drop_prob=0.1)
@@ -648,8 +698,9 @@ class TestStreamOracle:
         """Segments are batched per tool: with five swaps each tool has six
         segments, built as one ``Grid`` over one cut, or with reception loss
         as one ``Grid`` per badge."""
-        calls = {"grid": 0, "cut": 0}
-        grid, cut = simulator.Grid, simulator._still_stretches
+        calls = {"grid": 0, "cut": 0, "scan": 0}
+        scanned = []
+        grid, cut, scan = simulator.Grid, simulator._still_stretches, simulator._knot_events
 
         def counted_grid(*args):
             calls["grid"] += 1
@@ -659,17 +710,25 @@ class TestStreamOracle:
             calls["cut"] += 1
             return cut(*args)
 
+        def counted_scan(traces):
+            calls["scan"] += 1
+            scanned.append(len(traces))
+            return scan(traces)
+
         monkeypatch.setattr(simulator, "Grid", counted_grid)
         monkeypatch.setattr(simulator, "_still_stretches", counted_cut)
+        monkeypatch.setattr(simulator, "_knot_events", counted_scan)
         cfg = scenario_swap(3, 2.0, [60.0, 120.0, 180.0, 240.0, 300.0], seed=2)
         assert all(len(t.schedule) == 6 for t in cfg.tools)
         _, truth = generate(cfg)
         assert len(truth.sessions) == 18
-        assert calls == {"grid": 3, "cut": 3}
+        # the three workers' knots are scanned once per call, each tool's own once
+        assert calls == {"grid": 3, "cut": 3, "scan": 4}
+        assert sorted(scanned) == [1, 1, 1, 3]
         # with loss, one grid per badge that heard anything in the run
-        calls.update(grid=0, cut=0)
+        calls.update(grid=0, cut=0, scan=0)
         grids, _ = generate(dataclasses.replace(cfg, drop_prob=0.1))
-        assert calls == {"grid": 9, "cut": 3}
+        assert calls == {"grid": 9, "cut": 3, "scan": 4}
         assert [(g.tag, g.wearables) for g in grids] == [
             (f"T{t}", (f"W{w}",)) for t in (1, 2, 3) for w in (1, 2, 3)]
 
