@@ -15,7 +15,7 @@ from itertools import islice
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
-from .pathloss import DEFAULT_MODEL, PathLossModel
+from .pathloss import DEFAULT_MODEL, PathLossModel, _number
 
 __all__ = [
     "DT_LINEAR",
@@ -62,6 +62,7 @@ class EkfParams:
     single noisy RSSI inverted through the log curve can land anywhere, and
     the plausible badge-to-asset range is known a priori. ``x_floor`` keeps
     later updates off the singularity of the measurement Jacobian at zero.
+    Its numbers follow ``pathloss._number``'s rule and are stored as floats.
     """
 
     model: PathLossModel = DEFAULT_MODEL
@@ -74,6 +75,10 @@ class EkfParams:
     x_floor: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("q", "r", "d_min", "d_max", "p0", "x_floor"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _number(value, name))
         if not (math.isfinite(self.q) and self.q > 0):
             raise ValueError(f"process noise must be finite and positive, got {self.q}")
         if not (math.isfinite(self.r) and self.r > 0):

@@ -10,8 +10,6 @@ when it does not decode, lacks a field, or holds a value of the wrong type
 or out of range (any exception in ``_BAD_INPUT``). ``io`` checks only what
 a JSON value can get wrong and a Python caller's value cannot:
 
-- a filter-config number is a JSON number (not ``true`` or a string)
-  small enough for a float;
 - an activity or a trust label is one of its names;
 - a margin is finite, since an infinite one is written ``null``;
 - a document, and each object in it, holds no key that no field reads; a
@@ -20,10 +18,11 @@ a JSON value can get wrong and a Python caller's value cannot:
 Each type checks its own values whenever it is built (finite, in range, a
 window's order, a count, a seed, a ``dt_mode``), so a ``NaN`` or
 ``Infinity`` that Python's ``json`` decodes is rejected there. A record, a
-path-loss model, a scenario and a trace also check their ids (``str``) and
-numbers (``int`` or ``float``, not ``bool``, stored as ``float``), so their
-readers pass them the values as decoded, and an error names the field of
-the type that holds the value.
+path-loss model, the filter parameters, a scenario and a trace also check
+their ids (``str``) and numbers (``int`` or ``float``, not ``bool``,
+stored as ``float``), so their readers pass them the values as decoded,
+and an error names the field of the type that holds the value (``d_min``,
+not the filter-config key ``d_min_m``).
 
 Files are UTF-8, each JSON Lines line decoded on its own. A CSV field is a
 string, read by ``float()`` where a number is due. ``read_advertisements``
@@ -414,7 +413,7 @@ def write_model(path: str | Path, model: PathLossModel) -> None:
 
 def _ekf_params_from_dict(d) -> EkfParams:
     model = _model_from_dict(d, _FILTER_KEYS)
-    settings = {f: d[k] if k == "dt_mode" else _number(d[k], k) for k, f in _FILTER_FIELDS.items() if k in d}
+    settings = {f: d[k] for k, f in _FILTER_FIELDS.items() if k in d}
     return EkfParams(model=model, **settings)
 
 

@@ -396,13 +396,24 @@ class EvalReport:
     Accuracy is the share of sessions assigned to the true operator; recall
     the share of correct assignments that were also sure; precision the share
     of sure assignments that were correct. Ratios are exact fractions, the
-    derived metrics are None when their denominator is zero.
+    derived metrics are None when their denominator is zero. Reports add
+    count by count, so ``sum(reports, EvalReport(0, 0, 0, 0))`` pools a batch.
     """
 
     correct_sure: int
     correct_unsure: int
     wrong_sure: int
     wrong_unsure: int
+
+    def __add__(self, other: EvalReport) -> EvalReport:
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        return EvalReport(
+            self.correct_sure + other.correct_sure,
+            self.correct_unsure + other.correct_unsure,
+            self.wrong_sure + other.wrong_sure,
+            self.wrong_unsure + other.wrong_unsure,
+        )
 
     @property
     def total(self) -> int:

@@ -16,6 +16,11 @@ wrong badge's estimate to the filter's floor; 2 from ``trust_classify``
 taking the absolute gap, so a badge that trails a nearer one by more than
 the margin is labelled sure. With the margin rule off (threshold 0) the
 same runs give 1440/1491 = 0.966 and fail the bound.
+
+Criteria 3, 4, 5a and 5b run the library's Monte Carlo chains,
+``simulator.ranging_band`` and ``simulator.pooled_matching``, on 500 seeds
+each. ``python scripts/run_scenarios.py`` runs the same chains on the same
+seeds and prints the numbers behind these four verdicts, and more.
 """
 
 from fractions import Fraction
@@ -23,17 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from proxmatch.cli import main as cli_main
-from proxmatch.edge import DistanceReport, run_edge
+from proxmatch.edge import DistanceReport
 from proxmatch.ekf import EkfParams, init, jacobian, process_noise_from_speed, step
-from proxmatch.matcher import (
-    EvalReport,
-    MatchProblem,
-    brute_force_solve,
-    evaluate,
-    solve,
-)
+from proxmatch.matcher import EvalReport, MatchProblem, brute_force_solve, solve
 from proxmatch.pathloss import DEFAULT_MODEL
-from proxmatch.simulator import generate, scenario_static, scenario_swap
+from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
 
 
 def verdict(capfd, num, name, ok, detail):
@@ -73,34 +72,23 @@ def test_criterion_2_metric_reproduction(capfd):
     verdict(capfd, 2, "confusion-matrix metrics", ok, f"got {got}, want {want}")
 
 
-def _ranging_error(seed, true_d):
-    """Median-pipeline ranging error for one stationary session of 26 observations."""
-    config = scenario_static(1, 1.0, 182.0, seed=seed, operating_distance=true_d)
-    ads, _ = generate(config)
-    reports = run_edge(ads)
-    assert len(reports) == 1 and reports[0].n_obs == 26
-    return abs(reports[0].distance - true_d)
-
-
-def near_errors():
-    master = np.random.default_rng(20260819)
-    return [_ranging_error(seed, master.uniform(0.3, 1.0)) for seed in range(500)]
-
-
-def far_errors():
-    master = np.random.default_rng(20260820)
-    return [_ranging_error(seed + 1000, master.uniform(1.0, 3.0)) for seed in range(500)]
+def ranging_errors(band, lo, hi):
+    """|error| of ranging band ``band`` over [lo, hi): 500 stationary
+    sessions, each one report of 26 observations."""
+    samples = ranging_band(band, lo, hi, 500)
+    assert all(report.n_obs == 26 for report, _ in samples)
+    return [abs(report.distance - true_d) for report, true_d in samples]
 
 
 def test_criterion_3_desk_scale_ranging(capfd):
-    med = float(np.median(near_errors()))
+    med = float(np.median(ranging_errors(0, 0.3, 1.0)))
     verdict(capfd, 3, "desk-scale median ranging error", med <= 0.6,
             f"median |error| = {med:.4f} m over 500 sessions (bound 0.6 m)")
 
 
 def test_criterion_4_error_grows_with_distance(capfd):
-    near = near_errors()
-    far = far_errors()
+    near = ranging_errors(0, 0.3, 1.0)
+    far = ranging_errors(1, 1.0, 3.0)
     med_n, med_f = float(np.median(near)), float(np.median(far))
     var_n, var_f = float(np.var(near)), float(np.var(far))
     ok = med_n < med_f and med_f / med_n >= 1.5 and var_f > var_n
@@ -109,21 +97,9 @@ def test_criterion_4_error_grows_with_distance(capfd):
             f"variance {var_n:.3f} -> {var_f:.3f}")
 
 
-def pooled_matching(make_config, n_seeds=500):
-    totals = dict(correct_sure=0, correct_unsure=0, wrong_sure=0, wrong_unsure=0)
-    for seed in range(n_seeds):
-        ads, truth = generate(make_config(seed))
-        report = evaluate(solve(MatchProblem.from_reports(run_edge(ads))), truth.sessions)
-        totals["correct_sure"] += report.correct_sure
-        totals["correct_unsure"] += report.correct_unsure
-        totals["wrong_sure"] += report.wrong_sure
-        totals["wrong_unsure"] += report.wrong_unsure
-    return EvalReport(**totals)
-
-
 def test_criterion_5a_matching_accuracy(capfd):
-    static = pooled_matching(lambda s: scenario_static(3, 2.0, 360.0, seed=s))
-    swap = pooled_matching(lambda s: scenario_swap(3, 2.0, [120.0, 240.0], seed=s))
+    static = pooled_matching(lambda s: scenario_static(3, 2.0, 360.0, seed=s), 500)
+    swap = pooled_matching(lambda s: scenario_swap(3, 2.0, [120.0, 240.0], seed=s), 500)
     ok = all(
         r.accuracy >= Fraction(90, 100) and r.precision >= Fraction(95, 100)
         for r in (static, swap)
@@ -135,7 +111,7 @@ def test_criterion_5a_matching_accuracy(capfd):
 
 
 def test_criterion_5b_no_wrong_sure_at_three_meters(capfd):
-    pooled = pooled_matching(lambda s: scenario_static(3, 3.0, 360.0, seed=s))
+    pooled = pooled_matching(lambda s: scenario_static(3, 3.0, 360.0, seed=s), 500)
     bound = PAPER_OUTDOOR.precision
     ok = pooled.precision is not None and pooled.precision >= bound
     verdict(capfd, "5b", "sure-match precision at 3 m spacing", ok,

@@ -66,6 +66,18 @@ class TestParams:
             with pytest.raises(ValueError):
                 dataclasses.replace(PARAMS, **bad)
 
+    @pytest.mark.parametrize("field", ["q", "r", "d_min", "d_max", "p0", "x_floor"])
+    @pytest.mark.parametrize("bad", [True, False, "1", None])
+    def test_each_number_applies_the_number_rule(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {bad!r}$"):
+            EkfParams(**{field: bad})
+
+    def test_ints_are_stored_as_floats(self):
+        p = EkfParams(q=1, r=43, d_min=1, d_max=20, p0=4, x_floor=1)
+        assert p == EkfParams(q=1.0, r=43.0, d_min=1.0, d_max=20.0, p0=4.0, x_floor=1.0)
+        assert all(type(getattr(p, f)) is float for f in ("q", "r", "d_min", "d_max", "p0", "x_floor"))
+        assert type(ekf.run_filter([-50.0], [0.0], EkfParams(p0=4)).p) is float
+
     def test_dict_round_trip(self, tmp_path):
         d = {"n": 1.011, "x0_m": 1.0, "rssi0_db": -45.6, "q": 0.1275, "r": 48.92, "d_min_m": 0.5,
              "d_max_m": 20.0, "p0": 4.0, "dt_mode": "dt_linear", "x_floor_m": 0.01}

@@ -872,6 +872,16 @@ KNOT_AND_ACTIVITY_BAD_DOCUMENTS = [
      "bad scenario: 'activity'"),
 ]
 
+#: Filter-config numbers that are not JSON numbers, which ``EkfParams``
+#: checks and names by its field. Listed apart, after the cases above, so
+#: that their ids stay.
+FILTER_NUMBER_BAD_DOCUMENTS = [
+    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "p0": True}),
+     "bad filter config: p0 must be a number, got True"),
+    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "r": "43"}),
+     "bad filter config: r must be a number, got '43'"),
+]
+
 BAD_INPUTS = [
     # (reader, file name, text, outcome); the outcome is an error pattern, or
     # (records read, the line skipped) for an advertisement file
@@ -1021,6 +1031,7 @@ BAD_INPUTS = [
                  "distance_m": -2.0, "n_obs": 2}),
      ":1: bad distance report: distance must be finite and nonnegative, got -2.0"),
     *((reader, name, text, re.escape(error)) for reader, name, text, error in KNOT_AND_ACTIVITY_BAD_DOCUMENTS),
+    *((reader, name, text, re.escape(error)) for reader, name, text, error in FILTER_NUMBER_BAD_DOCUMENTS),
 ]
 
 
@@ -1041,7 +1052,8 @@ def test_every_reader_skips_or_rejects_bad_input(tmp_path, reader, name, text, o
             reader(p)
 
 
-ALL_BAD_DOCUMENTS = BAD_DOCUMENTS + MORE_BAD_DOCUMENTS + KNOT_AND_ACTIVITY_BAD_DOCUMENTS
+ALL_BAD_DOCUMENTS = (BAD_DOCUMENTS + MORE_BAD_DOCUMENTS + KNOT_AND_ACTIVITY_BAD_DOCUMENTS
+                     + FILTER_NUMBER_BAD_DOCUMENTS)
 
 
 @pytest.mark.parametrize(
@@ -1074,7 +1086,7 @@ def test_bad_documents_exit_2_naming_the_file(tmp_path, capsys, reader, name, te
     (io.read_scenario, "scenario.json", scenario_with(segment={"stop_s": "60"}), "stop"),
     (io.read_scenario, "scenario.json", scenario_with(tool={"trace": [[0.0, 0.0, True]]}), "trace knot"),
     (io.read_ekf_params, "model.json", json.dumps({**MODEL, "rssi0_db": True}), "rssi0"),
-    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "d_min_m": "0.4"}), "d_min_m"),
+    (io.read_ekf_params, "ekf.json", json.dumps({**FULL_CONFIG, "d_min_m": "0.4"}), "d_min"),
 ])
 def test_reader_errors_name_the_field(tmp_path, reader, name, text, field):
     """A number checked by the type it builds is named by that type's field."""

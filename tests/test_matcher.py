@@ -576,3 +576,28 @@ class TestEvaluate:
         if rep.total and rep.correct and rep.sure_total:
             # accuracy * recall * total == precision * sure_total  (= correct_sure)
             assert rep.accuracy * rep.recall * rep.total == rep.precision * rep.sure_total
+
+
+class TestEvalReportAddition:
+    def test_adds_count_by_count(self):
+        assert EvalReport(1, 2, 3, 4) + EvalReport(10, 20, 30, 40) == EvalReport(11, 22, 33, 44)
+
+    @given(counts=st.tuples(*[st.integers(min_value=0, max_value=500)] * 4))
+    def test_zero_report_is_the_identity(self, counts):
+        rep = EvalReport(*counts)
+        assert rep + EvalReport(0, 0, 0, 0) == rep == EvalReport(0, 0, 0, 0) + rep
+        assert sum([rep], EvalReport(0, 0, 0, 0)) == rep
+
+    def test_split_outdoor_counts_sum_back_to_the_paper_ratios(self):
+        """The paper's outdoor experiment (347, 143, 5, 51), split in two
+        batches and pooled by ``sum``."""
+        pooled = sum([EvalReport(200, 100, 3, 20), EvalReport(147, 43, 2, 31)], EvalReport(0, 0, 0, 0))
+        doc = pooled.to_dict()
+        assert [doc[k]["ratio"] for k in ("accuracy", "recall", "precision")] == ["490/546", "347/490", "347/352"]
+
+    @pytest.mark.parametrize("other", [1, 0, (1, 2, 3, 4), None])
+    def test_any_other_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError):
+            EvalReport(1, 2, 3, 4) + other
+        with pytest.raises(TypeError):
+            other + EvalReport(1, 2, 3, 4)

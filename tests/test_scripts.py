@@ -1,0 +1,30 @@
+"""The experiment script prints what the library's Monte Carlo chains give."""
+
+import runpy
+from pathlib import Path
+
+import numpy as np
+
+from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py"
+
+
+def test_run_scenarios_prints_the_chains_numbers(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), "--seeds", "3"])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    bands, families = capsys.readouterr().out.split("\n\n")
+    medians = [line.split()[-5] for line in bands.splitlines()[1:]]
+    counts = [[line.split()[i] for i in (-6, -2, -1)] for line in families.splitlines()[1:]]
+
+    want_medians = [
+        f"{np.median([abs(r.distance - d) for r, d in ranging_band(k, lo, hi, 3)]):.3f}"
+        for k, (lo, hi) in enumerate([(0.3, 1.0), (1.0, 3.0)])
+    ]
+    reports = [
+        pooled_matching(lambda s: scenario_static(3, 2.0, 360.0, seed=s), 3),
+        pooled_matching(lambda s: scenario_static(3, 3.0, 360.0, seed=s), 3),
+        pooled_matching(lambda s: scenario_swap(3, 2.0, [120.0, 240.0], seed=s), 3),
+    ]
+    want_counts = [[str(r.total), str(r.wrong_sure), str(r.sure_total)] for r in reports]
+    assert (medians, counts) == (want_medians, want_counts)
