@@ -30,8 +30,9 @@ def main():
     ap.add_argument("--spacings", default="2,3", help="comma-separated static spacings, m")
     ap.add_argument("--bands", default="0.3:1,1:3", help="comma-separated lo:hi true-distance bands, m")
     args = ap.parse_args()
-    if args.seeds < 1:
-        ap.error(f"--seeds must be at least 1, got {args.seeds}")
+    if not 1 <= args.seeds <= 1000:
+        ap.error(f"--seeds must be from 1 to 1000 (band k's session j runs on seed "
+                 f"1000*k + j), got {args.seeds}")
 
     print(f"{'band':<12} {'n':>5} {'median':>8} {'mean':>8} {'p90':>8} {'max':>8} {'var':>8}")
     for k, part in enumerate(args.bands.split(",")):

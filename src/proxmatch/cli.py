@@ -52,6 +52,8 @@ def _parse_active(csv_names: str) -> frozenset[Activity]:
 
 
 def _finite_float(text: str, positive: bool) -> float:
+    """argparse type for a finite, positive or nonnegative number, so a bad
+    flag stops the command before any stage runs or writes a file."""
     try:
         value = float(text)
     except ValueError:
@@ -60,17 +62,6 @@ def _finite_float(text: str, positive: bool) -> float:
         rule = "positive" if positive else "nonnegative"
         raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text!r}")
     return value
-
-
-def _nonnegative_float(text: str) -> float:
-    """argparse type for a finite, nonnegative number, so a bad match flag
-    stops the command before any stage runs or writes a file."""
-    return _finite_float(text, positive=False)
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for a finite, positive number (the session gap)."""
-    return _finite_float(text, positive=True)
 
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
@@ -250,7 +241,7 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
         help="how predicted variance grows with the observation gap",
     )
     p.add_argument(
-        "--gap-s", type=_positive_float, default=SESSION_GAP_S,
+        "--gap-s", type=functools.partial(_finite_float, positive=True), default=SESSION_GAP_S,
         help="pause that splits two sessions (default %(default)s)",
     )
     p.add_argument(
@@ -260,12 +251,13 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
+    nonnegative = functools.partial(_finite_float, positive=False)
     p.add_argument(
-        "--margin-m", type=_nonnegative_float, default=SURE_MARGIN_M,
+        "--margin-m", type=nonnegative, default=SURE_MARGIN_M,
         help="distance lead required for a sure assignment (default %(default)s)",
     )
     p.add_argument(
-        "--adv-interval-s", type=_nonnegative_float, default=EVENT_WINDOW_S,
+        "--adv-interval-s", type=nonnegative, default=EVENT_WINDOW_S,
         help="window for treating session starts as simultaneous (default %(default)s)",
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -134,30 +134,37 @@ class TruthRecord(_TruthRecordFields):
 
 @dataclass(frozen=True)
 class MatchProblem:
-    """All reported sessions for one matching run."""
+    """A run's sessions in (start, stop, tag) order and the sorted union of
+    their badges; each distance is a finite number (not ``bool``) >= 0."""
 
-    wearables: tuple[str, ...]
     sessions: tuple[TagSession, ...]
+    wearables: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        sessions = tuple(sorted(self.sessions, key=itemgetter(1, 2, 0)))
+        for tag, start, stop, dists in sessions:
+            for w, d in dists.items():
+                if type(d) is bool or not (isinstance(d, (int, float)) and 0 <= d < math.inf):
+                    raise ValueError(f"distance of wearable {w!r} in session {tag!r}@[{start}, {stop}] "
+                                     f"must be a finite number of at least 0, got {d!r}")
+        object.__setattr__(self, "sessions", sessions)
+        object.__setattr__(self, "wearables", tuple(sorted(set().union(*map(itemgetter(3), sessions)))))
 
     @classmethod
     def from_reports(cls, reports: Iterable[DistanceReport]) -> MatchProblem:
         """Group distance reports by session; a badge absent from a session
         simply has no distance there and is never a candidate for it."""
-        by_session: dict[tuple[float, float, str], dict[str, float]] = {}
+        by_session: dict[tuple[str, float, float], dict[str, float]] = {}
         for wearable, tag, start, stop, distance, _ in reports:
-            dists = by_session.get((start, stop, tag))
+            dists = by_session.get((tag, start, stop))
             if dists is None:
-                dists = by_session[start, stop, tag] = {}
+                dists = by_session[tag, start, stop] = {}
             elif wearable in dists:
                 raise ValueError(
                     f"duplicate report for wearable {wearable!r} in session {tag!r}@[{start}, {stop}]"
                 )
             dists[wearable] = distance
-        # keyed (start, stop, tag), so the keys sort in activation order
-        sessions = tuple(TagSession(tag, start, stop, by_session[start, stop, tag])
-                         for start, stop, tag in sorted(by_session))
-        wearables = tuple(sorted(set().union(*by_session.values())))
-        return cls(wearables=wearables, sessions=sessions)
+        return cls(tuple(TagSession(*key, dists) for key, dists in by_session.items()))
 
 
 def trust_classify(
@@ -171,12 +178,9 @@ def trust_classify(
     distance and any other badge's distance for the same session, infinite
     when no other badge reported. Sure requires the margin to exceed the
     threshold strictly: a session decided by exactly the threshold, or by a
-    dead tie, stays unsure.
+    dead tie, stays unsure. Distances must be finite, as a ``MatchProblem``'s are.
     """
-    margin = math.inf
-    for d in other_distances:
-        if math.isfinite(d):
-            margin = min(margin, abs(assigned_distance - d))
+    margin = min((abs(assigned_distance - d) for d in other_distances), default=math.inf)
     trust = Trust.SURE if margin > threshold else Trust.UNSURE
     return trust, margin
 
@@ -321,10 +325,10 @@ def _solve_events(
     """The event loop of ``solve`` and ``brute_force_solve``: ``assigner``
     picks each event's badges.
 
-    Sessions are sorted once by (start, stop, tag) and their starts read
-    once into a list. An event is the run of sessions whose start is within
-    ``window`` of its first. One dict maps each badge to the stop of the
-    last session it was bound to (``-inf`` before any); an event's free
+    Sessions come in the problem's activation order, and their starts are
+    read once into a list. An event is the run of sessions whose start is
+    within ``window`` of its first. One dict maps each badge to the stop of
+    the last session it was bound to (``-inf`` before any); an event's free
     badges are those whose stop is not after its first start, in
     ``problem.wearables`` order. Each session is unpacked once, and its
     result is built positionally, with ``trust_classify`` on the assigned
@@ -334,7 +338,7 @@ def _solve_events(
         raise ValueError(f"sure margin must be finite and nonnegative, got {threshold}")
     if not (math.isfinite(window) and window >= 0):
         raise ValueError(f"event window must be finite and nonnegative, got {window}")
-    sessions = sorted(problem.sessions, key=itemgetter(1, 2, 0))  # (start, stop, tag)
+    sessions = problem.sessions
     starts = list(map(itemgetter(1), sessions))
     wearables = problem.wearables
     bound = dict.fromkeys(wearables, -math.inf)  # each badge's stop: it is free from then on

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "DEFAULT_MODEL",
@@ -34,10 +34,21 @@ class DegenerateFitError(ValueError):
 
 @dataclass(frozen=True)
 class RangeSample:
-    """One calibration observation: a known distance (m) and the RSSI (dB) measured there."""
+    """One calibration observation: a known distance (m), finite and positive,
+    and the finite RSSI (dB) measured there, numbers under ``_number``'s rule."""
 
     distance: float
     rssi: float
+
+    def __post_init__(self) -> None:
+        for name in ("distance", "rssi"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _number(value, name))
+        if not (math.isfinite(self.distance) and self.distance > 0):
+            raise ValueError(f"sample distance must be finite and positive, got {self.distance}")
+        if not math.isfinite(self.rssi):
+            raise ValueError(f"sample rssi must be finite, got {self.rssi}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +93,6 @@ class PathLossModel:
 DEFAULT_MODEL = PathLossModel(n=1.011, x0=1.0, rssi0=-45.6)
 
 
-def _validate_samples(samples: Sequence[RangeSample]) -> None:
-    for s in samples:
-        if not (math.isfinite(s.distance) and s.distance > 0):
-            raise ValueError(f"sample distance must be finite and positive, got {s.distance}")
-        if not math.isfinite(s.rssi):
-            raise ValueError(f"sample rssi must be finite, got {s.rssi}")
-
-
 def fit(samples: Iterable[RangeSample], x0: float = 1.0) -> PathLossModel:
     """Least-squares fit of (n, rssi0) with the reference distance held fixed.
 
@@ -99,12 +102,11 @@ def fit(samples: Iterable[RangeSample], x0: float = 1.0) -> PathLossModel:
     as ``statistics.linear_regression`` computes them (with ``math.fsum``).
 
     Raises DegenerateFitError when fewer than two distinct distances are
-    present, and ValueError for nonpositive or non-finite inputs.
+    present, and ValueError for a nonpositive or non-finite ``x0``.
     """
     if not (math.isfinite(x0) and x0 > 0):
         raise ValueError(f"reference distance must be finite and positive, got {x0}")
     samples = list(samples)
-    _validate_samples(samples)
     if len({s.distance for s in samples}) < 2:
         raise DegenerateFitError(
             f"need at least 2 distinct distances to fit, got {len(samples)} sample(s)"
@@ -122,7 +124,6 @@ def residual_variance(model: PathLossModel, samples: Iterable[RangeSample]) -> f
     measurement-noise variance.
     """
     samples = list(samples)
-    _validate_samples(samples)
     if not samples:
         raise ValueError("residual variance needs at least one sample")
     return statistics.fmean((s.rssi - model.forward(s.distance)) ** 2 for s in samples)

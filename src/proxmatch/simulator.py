@@ -584,9 +584,12 @@ def ranging_band(band: int, lo: float, hi: float, n_sessions: int) -> list[tuple
     Session ``j`` puts the tool at a true distance drawn uniformly from
     [lo, hi) by ``np.random.default_rng(RANGING_SEED + band)``, one draw
     per session in order, and runs on scenario seed ``1000 * band + j``,
-    so each band's batch is the same whatever other bands run. A session
-    that does not give exactly one report raises ``ValueError``.
+    so each band's batch is the same whatever other bands run, and no two
+    bands share a seed. More than 1000 sessions, or a session that does not
+    give exactly one report, raises ``ValueError``.
     """
+    if n_sessions > 1000:
+        raise ValueError(f"at most 1000 sessions per band (seed 1000*band + j), got {n_sessions}")
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
 

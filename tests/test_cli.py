@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,13 @@ class TestFit:
         p.write_text("distance_m,rssi_db\n")
         assert run("fit", p) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_sample_row_exits_2_naming_the_line(self, tmp_path, capsys):
+        p = tmp_path / "samples.csv"
+        p.write_text("distance_m,rssi_db\n1.0,-45.6\n-1.0,-45.6\n2.0,-48.6\n")
+        assert run("fit", p) == 2
+        assert (f"error: {p}:3: bad range sample: sample distance must be finite and positive, "
+                "got -1.0") in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run("fit", tmp_path / "nope.csv") == 2
@@ -577,6 +585,21 @@ class TestMatchFlags:
         # Rejected before any stage runs: nothing is written.
         assert not (tmp_path / "run").exists()
 
+
+    def test_shuffled_reports_give_the_same_matches(self, tmp_path):
+        """Twelve swaps 100 s apart: 13 sessions per tag, one event after
+        another, read back in a seeded random line order."""
+        scen, out = tmp_path / "scen.json", tmp_path / "run"
+        assert run("scenario", "swap", "-n", 3, "--spacing", 2.0, "--swap-times",
+                   ",".join(str(100 * k) for k in range(1, 13)), "--duration", 1300, "-o", scen) == 0
+        assert run("pipeline", scen, "--out-dir", out, "--seed", 7) == 0
+        lines = (out / "reports.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) == 3 * 3 * 13
+        random.Random(7).shuffle(lines)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(lines))
+        assert run("match", shuffled, "-o", tmp_path / "matches.jsonl") == 0
+        assert (tmp_path / "matches.jsonl").read_bytes() == (out / "matches.jsonl").read_bytes()
 
     def test_non_finite_report_time_exits_2_naming_the_line(self, tmp_path, capsys):
         reports = tmp_path / "reports.jsonl"

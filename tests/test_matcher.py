@@ -101,6 +101,46 @@ class TestFromReports:
             problem(("W1", "T1", 0.0, 90.0, math.inf))
 
 
+class TestMatchProblem:
+    def test_badges_are_the_union_of_the_sessions_badges(self):
+        """No badge list to leave one out of: W2, the nearer, wins and is
+        W1's competitor, not the other way round."""
+        p = MatchProblem((TagSession("T1", 0.0, 7.0, {"W1": 5.0, "W2": 0.1}),))
+        assert p.wearables == ("W1", "W2")
+        assert solve(p) == [MatchResult("T1", 0.0, 7.0, "W2", Trust.SURE, 4.9)]
+
+    def test_a_tie_goes_to_the_smallest_badge_id(self):
+        p = MatchProblem((TagSession("T1", 0.0, 7.0, {"W2": 1.0, "W1": 1.0}),))
+        assert p.wearables == ("W1", "W2")
+        assert solve(p) == [MatchResult("T1", 0.0, 7.0, "W1", Trust.UNSURE, 0.0)]
+
+    def test_sessions_are_kept_in_activation_order(self):
+        given = (
+            TagSession("T3", 10.0, 50.0, {"W1": 1.0}),
+            TagSession("T2", 0.0, 100.0, {"W1": 1.0}),
+            TagSession("T1", 10.0, 50.0, {"W2": 1.0}),
+            TagSession("T4", 10.0, 40.0, {"W2": 1.0}),
+        )
+        p = MatchProblem(given)
+        assert [s.tag for s in p.sessions] == ["T2", "T4", "T1", "T3"]
+        assert p == MatchProblem(given[::-1]) == MatchProblem(list(given))
+        assert type(p.sessions) is tuple
+
+    def test_an_int_distance_is_a_number(self):
+        p = MatchProblem((TagSession("T1", 0.0, 7.0, {"W1": 1, "W2": 3}),))
+        assert solve(p) == [MatchResult("T1", 0.0, 7.0, "W1", Trust.SURE, 2.0)]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, True, "1", None])
+    def test_a_bad_distance_is_rejected_naming_badge_and_session(self, bad):
+        """Before, an infinite or NaN distance crashed the solve when its badge
+        was free and was skipped by the margin when it was busy, and -1.0 won."""
+        sessions = (TagSession("T0", 0.0, 100.0, {"W1": 1.0}),
+                    TagSession("T1", 0.0, 7.0, {"W1": 1.0, "W2": bad}))
+        with pytest.raises(ValueError, match=r"^distance of wearable 'W2' in session 'T1'@\[0\.0, 7\.0\] "
+                                             r"must be a finite number of at least 0, got "):
+            MatchProblem(sessions)
+
+
 class TestSolve:
     def test_nearest_free_badge_wins(self):
         res = solve(problem(("W1", "T1", 0.0, 90.0, 1.2), ("W2", "T1", 0.0, 90.0, 3.0)))
@@ -335,12 +375,23 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mode=st.sampled_from(["uniform", "ties", "floor"]),
+    )
+    def test_the_order_sessions_are_given_in_changes_nothing(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, mode)
+        shuffled = MatchProblem(tuple(prob.sessions[i] for i in rng.permutation(len(prob.sessions))))
+        assert shuffled == prob
+        assert solve(shuffled) == solve(prob) == brute_force_solve(shuffled)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
         scale=st.floats(min_value=0.05, max_value=50.0),
     )
     def test_scaling_all_distances_changes_nothing_but_margins(self, seed, scale):
         prob = random_problem(np.random.default_rng(seed))
         scaled = MatchProblem(
-            wearables=prob.wearables,
             sessions=tuple(
                 TagSession(
                     tag=s.tag, start=s.start, stop=s.stop,

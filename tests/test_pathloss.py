@@ -198,6 +198,26 @@ class TestFit:
             fit([RangeSample(1.0, -45.6), RangeSample(2.0, -48.0)], x0=0.0)
 
 
+class TestRangeSample:
+    @pytest.mark.parametrize("distance, rssi, message", [
+        (True, -45.6, "distance must be a number, got True"),
+        ("1", -45.6, "distance must be a number, got '1'"),
+        (1.0, None, "rssi must be a number, got None"),
+        (0.0, -45.6, "sample distance must be finite and positive, got 0.0"),
+        (-1.0, -45.6, "sample distance must be finite and positive, got -1.0"),
+        (math.inf, -45.6, "sample distance must be finite and positive, got inf"),
+        (1.0, math.nan, "sample rssi must be finite, got nan"),
+    ])
+    def test_a_bad_value_is_rejected_when_built(self, distance, rssi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RangeSample(distance, rssi)
+
+    def test_int_values_are_stored_as_floats(self):
+        sample = RangeSample(2, -49)
+        assert sample == RangeSample(2.0, -49.0)
+        assert type(sample.distance) is float and type(sample.rssi) is float
+
+
 class TestResidualVariance:
     def test_hand_case(self):
         samples = [RangeSample(1.0, -44.6), RangeSample(1.0, -46.6)]

@@ -4,6 +4,7 @@ import runpy
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
 
@@ -28,3 +29,13 @@ def test_run_scenarios_prints_the_chains_numbers(monkeypatch, capsys):
     ]
     want_counts = [[str(r.total), str(r.wrong_sure), str(r.sure_total)] for r in reports]
     assert (medians, counts) == (want_medians, want_counts)
+
+
+def test_more_seeds_than_a_band_has_exits_2(monkeypatch, capsys):
+    """Band k's session j runs on scenario seed 1000*k + j, so bands of more
+    than 1000 sessions would share seeds."""
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), "--seeds", "1001"])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert e.value.code == 2
+    assert "--seeds must be from 1 to 1000" in capsys.readouterr().err
