@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 from .pathloss import DEFAULT_MODEL, PathLossModel, _number
@@ -50,6 +49,9 @@ def process_noise_from_speed(v_max: float = 0.7, tail: float = 0.05) -> float:
         raise ValueError(f"speed bound must be finite and positive, got {v_max}")
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail probability must lie in (0, 1), got {tail}")
+    # imported here: statistics, with fractions, costs every command's start-up
+    from statistics import NormalDist
+
     return v_max**2 / NormalDist().inv_cdf(1.0 - tail / 2) ** 2
 
 

@@ -38,8 +38,9 @@ import json
 import math
 from io import StringIO
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .edge import Activity, Advertisement, DistanceReport, Grid, _number
 from .ekf import EkfParams
@@ -236,7 +237,10 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     per badge: the id, tag and activity text is JSON-encoded once, with its
     ``%`` doubled, the instant's text goes in through ``%s`` and each RSSI
     through ``%r``, which is ``float.__repr__`` as in ``json`` (a grid holds
-    finite floats and ``str`` ids). The template is applied once per
+    finite floats and ``str`` ids). The instant texts are formatted once per
+    distinct instants tuple: a grid that holds the same tuple object as the
+    grid before it, as the tools of one schedule do in ``generate``'s
+    stream, takes that grid's texts. The template is applied once per
     instant, lazily, to the instant's text and its badges' RSSI. One stable
     sort of the (instant, grid) rows gives the file order, in which each
     row takes its grid's next block. The blocks go out in writes of as
@@ -244,6 +248,7 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     """
     text = _JsonText()
     blocks, keys, owner, n_lines = [], [], [], 0
+    instants, heads = None, []
     for k, g in enumerate(grids):
         # the JSON texts go into a % template, so each % in them is doubled
         tag, activity, *wearables = (
@@ -252,7 +257,8 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
         tail = f',"tag":{tag},"rssi_db":%r,"activity":{activity}}}\n'
         template = "".join(f'{{"ts":%s,"wearable":{w}{tail}' for w in wearables)
         n = len(wearables)
-        heads = list(map(float.__repr__, g.instants))
+        if g.instants is not instants:
+            instants, heads = g.instants, list(map(float.__repr__, g.instants))
         blocks.append(map(template.__mod__, zip(*chain.from_iterable(
             (heads, g.rssi[j::n]) for j in range(n)
         ))))
@@ -292,13 +298,24 @@ def read_advertisements(
 
 def write_reports(path: str | Path, reports: Iterable[DistanceReport]) -> None:
     """One line per report. The record writers unpack each record, since
-    CPython does not specialise reads of a named tuple's fields by name."""
+    CPython does not specialise reads of a named tuple's fields by name.
+
+    The window text is formatted once per run of consecutive reports whose
+    ``start`` and ``stop`` are the same float objects, as ``run_edge``
+    gives one session's reports, or those of co-starting sessions whose
+    tools shared one instants tuple; equal values held by distinct objects,
+    such as ``0.0`` and ``-0.0``, each get their own text."""
     text = _JsonText()
-    _write_lines(path, (
-        f'{{"wearable":{text[wearable]},"tag":{text[tag]},"start_s":{start!r},'
-        f'"stop_s":{stop!r},"distance_m":{distance!r},"n_obs":{n_obs!r}}}\n'
-        for wearable, tag, start, stop, distance, n_obs in reports
-    ))
+
+    def lines() -> Iterator[str]:
+        start0 = stop0 = window = None
+        for wearable, tag, start, stop, distance, n_obs in reports:
+            if start is not start0 or stop is not stop0:
+                start0, stop0, window = start, stop, f'"start_s":{start!r},"stop_s":{stop!r}'
+            yield (f'{{"wearable":{text[wearable]},"tag":{text[tag]},{window},'
+                   f'"distance_m":{distance!r},"n_obs":{n_obs!r}}}\n')
+
+    _write_lines(path, lines())
 
 
 def read_reports(path: str | Path) -> list[DistanceReport]:
@@ -357,20 +374,44 @@ class _CsvText(dict):
         return text
 
 
+#: A report's (wearable, tag).
+_IDS = itemgetter(0, 1)
+
+
 def write_errors(path: str | Path, reports: Iterable[DistanceReport], truth: GroundTruth) -> None:
     """CSV of each report's ranging error against the true distance at the
     session midpoint. Each (wearable, tag) pair's text comes from
     ``csv.writer`` once per file; the numbers are their ``repr``, which
-    never needs quoting."""
+    never needs quoting.
+
+    Consecutive reports whose ``start`` and ``stop`` are the same float
+    objects, as ``write_reports`` finds them, are written as one block: the
+    window text and the midpoint are computed once, and
+    ``GroundTruth.true_distances`` places the traces there."""
     ids = _CsvText()
 
-    def line(r: DistanceReport) -> str:
-        wearable, tag, start, stop, distance, _ = r
-        true = truth.true_distance(wearable, tag, 0.5 * (start + stop))
-        return f"{ids[wearable, tag]},{start!r},{stop!r},{distance!r},{true!r},{distance - true!r}\n"
+    def block(run: list[DistanceReport]) -> str:
+        start, stop = run[0][2], run[0][3]
+        window = f"{start!r},{stop!r}"
+        trues = truth.true_distances(map(_IDS, run), 0.5 * (start + stop))
+        return "".join([f"{ids[wearable, tag]},{window},{distance!r},{true!r},{distance - true!r}\n"
+                        for (wearable, tag, _, _, distance, _), true in zip(run, trues)])
 
-    header = "wearable,tag,start_s,stop_s,estimate_m,true_m,error_m\n"
-    _write_lines(path, chain((header,), map(line, reports)))
+    def blocks() -> Iterator[str]:
+        yield "wearable,tag,start_s,stop_s,estimate_m,true_m,error_m\n"
+        run: list[DistanceReport] = []
+        start = stop = None
+        for r in reports:
+            if r[2] is not start or r[3] is not stop:
+                if run:
+                    yield block(run)
+                run, start, stop = [r], r[2], r[3]
+            else:
+                run.append(r)
+        if run:
+            yield block(run)
+
+    _write_lines(path, blocks())
 
 
 def write_eval(path: str | Path, report: EvalReport) -> None:

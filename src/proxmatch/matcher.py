@@ -16,11 +16,14 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .edge import ADV_INTERVAL_S, DistanceReport, _id, _number, _window
+
+if TYPE_CHECKING:
+    # imported where used: fractions costs every command's start-up
+    from fractions import Fraction
 
 __all__ = [
     "EVENT_WINDOW_S",
@@ -292,6 +295,8 @@ def _enumerate_assignment(
             f"brute force capped at {_BRUTE_FORCE_LIMIT} sessions/badges per event, "
             f"got {len(group)} sessions x {len(free)} badges"
         )
+    from fractions import Fraction
+
     pool: list[str | None] = list(free) + [None] * len(group)
     best_count = -1
     best_total: Fraction | float = math.inf
@@ -433,14 +438,20 @@ class EvalReport:
 
     @property
     def accuracy(self) -> Fraction | None:
+        from fractions import Fraction
+
         return Fraction(self.correct, self.total) if self.total else None
 
     @property
     def recall(self) -> Fraction | None:
+        from fractions import Fraction
+
         return Fraction(self.correct_sure, self.correct) if self.correct else None
 
     @property
     def precision(self) -> Fraction | None:
+        from fractions import Fraction
+
         return Fraction(self.correct_sure, self.sure_total) if self.sure_total else None
 
     def to_dict(self) -> dict:

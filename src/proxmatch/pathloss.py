@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -111,6 +110,9 @@ def fit(samples: Iterable[RangeSample], x0: float = 1.0) -> PathLossModel:
         raise DegenerateFitError(
             f"need at least 2 distinct distances to fit, got {len(samples)} sample(s)"
         )
+    # imported here: statistics, with fractions, costs every command's start-up
+    import statistics
+
     u = [-10.0 * math.log10(s.distance / x0) for s in samples]
     n, rssi0 = statistics.linear_regression(u, [s.rssi for s in samples])
     return PathLossModel(n=n, x0=x0, rssi0=rssi0)
@@ -126,4 +128,6 @@ def residual_variance(model: PathLossModel, samples: Iterable[RangeSample]) -> f
     samples = list(samples)
     if not samples:
         raise ValueError("residual variance needs at least one sample")
+    import statistics
+
     return statistics.fmean((s.rssi - model.forward(s.distance)) ** 2 for s in samples)

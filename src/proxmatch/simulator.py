@@ -16,7 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
-from typing import Callable, NamedTuple, Sequence
+from operator import eq, itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .edge import (ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, DistanceReport, Grid,
                    _id, _number, _window, run_edge)
@@ -206,6 +207,13 @@ class ScenarioConfig:
             raise ValueError(f"duration must be finite and nonnegative, got {self.duration}")
         if not (math.isfinite(self.adv_interval) and self.adv_interval > 0):
             raise ValueError(f"broadcast interval must be finite and positive, got {self.adv_interval}")
+        # ``_segment_instants`` finds a segment's count of instants through
+        # floats, which hold every integer only below 2**53
+        if not self.duration / self.adv_interval < 2.0**53:
+            raise ValueError(
+                f"adv_interval must leave fewer than 2**53 broadcasts in the duration, "
+                f"got {self.adv_interval} for duration {self.duration}"
+            )
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise std must be finite and nonnegative, got {self.noise_std}")
         if not 0.0 <= self.drop_prob < 1.0:
@@ -236,7 +244,11 @@ class ScenarioConfig:
 class GroundTruth:
     """Constructed truth: session operators plus true-distance lookup, with
     the true distances ``generate`` floored and the ids of traces faster than
-    ``V_MAX_M_S`` (workers by id, then tools by id)."""
+    ``V_MAX_M_S`` (workers by id, then tools by id).
+
+    ``true_distances`` gives several (wearable, tag) pairs' distances at one
+    instant, placing each trace there once for pairs ordered by tag;
+    ``true_distance`` is its one-pair case."""
 
     sessions: tuple[TruthRecord, ...]
     worker_traces: dict[str, Trace]
@@ -246,9 +258,26 @@ class GroundTruth:
 
     def true_distance(self, wearable: str, tag: str, ts: float) -> float:
         """Floored Euclidean distance between a badge and a tag at ``ts``."""
-        wx, wy = self.worker_traces[wearable].position(ts)
-        tx, ty = self.tool_traces[tag].position(ts)
-        return _floored_distance(tx, ty, wx, wy)[0]
+        return self.true_distances(((wearable, tag),), ts)[0]
+
+    def true_distances(self, pairs: Iterable[tuple[str, str]], ts: float) -> list[float]:
+        """``true_distance`` of each (wearable, tag) pair at ``ts``, in order.
+        Each badge's position is computed once, each tag's once per run of
+        consecutive pairs that hold the same tag object, as pairs ordered
+        by tag give them."""
+        worker_traces, tool_traces = self.worker_traces, self.tool_traces
+        badges: dict[str, tuple[float, float]] = {}
+        out, last_tag = [], None
+        for wearable, tag in pairs:
+            if tag is not last_tag:
+                last_tag = tag
+                tx, ty = tool_traces[tag].position(ts)
+            badge = badges.get(wearable)
+            if badge is None:
+                badge = badges[wearable] = worker_traces[wearable].position(ts)
+            wx, wy = badge
+            out.append(_floored_distance(tx, ty, wx, wy)[0])
+        return out
 
 
 def _segment_instants(seg: ScheduleSegment, interval: float) -> list[float]:
@@ -257,7 +286,9 @@ def _segment_instants(seg: ScheduleSegment, interval: float) -> list[float]:
 
     ``start + k * interval`` never decreases in ``k``, so the instants
     before ``stop`` are the first ``n`` of them: the ceiling of the span
-    over the interval, moved by the rounding of the sums."""
+    over the interval, moved by the rounding of the sums. ``ScenarioConfig``
+    keeps that ceiling below 2**53, where every integer is a float of its
+    own, so no step of ``n`` is lost when it converts."""
     start, stop = seg.start, seg.stop
     n = math.ceil((stop - start) / interval)
     while n and start + (n - 1) * interval >= stop:
@@ -265,6 +296,13 @@ def _segment_instants(seg: ScheduleSegment, interval: float) -> list[float]:
     while start + n * interval < stop:
         n += 1
     return [start + k * interval for k in range(n)]
+
+
+def _same_windows(a: Sequence[ScheduleSegment], b: Sequence[ScheduleSegment]) -> bool:
+    """Whether two schedules of one length have equal segment windows, by
+    C-level passes that stop at the first difference."""
+    start, stop = itemgetter(0), itemgetter(1)
+    return all(map(eq, map(start, a), map(start, b))) and all(map(eq, map(stop, a), map(stop, b)))
 
 
 def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float, bool]:
@@ -333,12 +371,17 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
 
     A tool's instants, segment after segment, strictly increase; they are
     cut once into still stretches, at which no trace moves and which never
-    span two segments. Distances and model means stay Python floats,
-    computed once per distinct layout (the tool's position and every
-    worker's) in a call. Without drop, a tool's noise is one array draw in
-    draw order, added to its stretch means repeated per instant and clamped
-    as arrays, which gives the scalar draws, sums and clamps value for
-    value. With drop, each reading keeps its own normal then uniform draw.
+    span two segments. The instants, each segment's span of them and the cut
+    are computed once per distinct schedule in a call: tools with the same
+    segment windows and the same knot times and moving intervals (the tools
+    of a swap row) share one instants tuple and one cut, and a grid of all
+    of a tool's instants holds that tuple itself. Distances and model means
+    stay Python floats, computed once per distinct layout (the tool's
+    position and every worker's) in a call. Without drop, a tool's noise is
+    one array draw in draw order, added to its stretch means repeated per
+    instant and clamped as arrays, which gives the scalar draws, sums and
+    clamps value for value. With drop, each reading keeps its own normal
+    then uniform draw.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -363,19 +406,39 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     # the workers' knots are scanned once per call, not once per tool
     worker_events = _knot_events([w.trace for w in workers])
 
+    # (segment count, the tool's knot times, its moving intervals) -> each
+    # distinct schedule seen with them, as (schedule, instants, segments,
+    # bounds): the tool's instants, (index, segment, first, end) per segment
+    # that has instants[first:end], and the still-stretch cut; a schedule
+    # without instants is not kept, as it broadcasts nothing. The windows
+    # and knots only enter sums and comparisons, in which 0.0 and -0.0
+    # agree, so tools whose windows compare equal share one instants tuple
+    # and one cut, each with its own segments at the same indices. The
+    # windows are compared, not hashed, which costs a tool whose schedule no
+    # other shares next to nothing.
+    schedules: dict[tuple, list[tuple]] = {}
+
     for tool in tools:
-        # the tool's instants, and (segment, first, end) per segment that has instants[first:end]
-        instants: list[float] = []
-        segments = []
-        for seg in tool.schedule:
-            first = len(instants)
-            instants += _segment_instants(seg, config.adv_interval)
-            if len(instants) > first:
-                segments.append((seg, first, len(instants)))
-        if not instants:
-            continue
-        events = (_knot_events((tool.trace,)), worker_events)
-        bounds = _still_stretches(instants, events, [first for _, first, _ in segments])
+        schedule, tool_events = tool.schedule, _knot_events((tool.trace,))
+        seen = schedules.setdefault((len(schedule), *map(tuple, tool_events)), [])
+        for shared in seen:
+            if _same_windows(shared[0], schedule):
+                _, instants, segments, bounds = shared
+                segments = [(i, schedule[i], first, end) for i, _, first, end in segments]
+                break
+        else:
+            instants, segments = [], []
+            for i, seg in enumerate(schedule):
+                first = len(instants)
+                instants += _segment_instants(seg, config.adv_interval)
+                if len(instants) > first:
+                    segments.append((i, seg, first, len(instants)))
+            if not instants:
+                continue
+            bounds = _still_stretches(instants, (tool_events, worker_events),
+                                      [first for _, _, first, _ in segments])
+            instants = tuple(instants)
+            seen.append((schedule, instants, segments, bounds))
         # a stretch is (lo, hi, distances, means): instants[lo:hi] and each
         # worker's floored distance and model mean there
         stretches = []
@@ -404,12 +467,15 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
             means = np.repeat([m for *_, m in stretches], [hi - lo for lo, hi, *_ in stretches], axis=0)
             means += rng.normal(0.0, std, size=means.shape)
             rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).ravel().tolist()
-        for activity, run in groupby(segments, key=lambda s: s[0].activity):
+        for activity, run in groupby(segments, key=lambda s: s[1].activity):
             run = list(run)
-            lo, hi = run[0][1], run[-1][2]
+            lo, hi = run[0][2], run[-1][3]
             if drop_prob == 0:
                 if n:
-                    grids.append(Grid(instants[lo:hi], worker_ids, tool.id, rssi[lo * n:hi * n], activity))
+                    # a grid of the whole tuple holds the tuple itself, so the
+                    # writer sees the tools that share it share their instants
+                    own = instants if hi - lo == len(instants) else instants[lo:hi]
+                    grids.append(Grid(own, worker_ids, tool.id, rssi[lo * n:hi * n], activity))
                 continue
             # each worker's (instants, values) heard in the run; every segment
             # start and end is a bound, so the run's stretches are a slice
@@ -428,7 +494,7 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
                         values.append(r)
             grids += [Grid(own_ts, (wid,), tool.id, values, activity)
                       for wid, (own_ts, values) in zip(worker_ids, heard) if own_ts]
-        for seg, first, end in segments:
+        for _, seg, first, end in segments:
             if seg.activity is Activity.USAGE:
                 operator = seg.operator
                 if operator is None:

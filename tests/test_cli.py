@@ -630,6 +630,24 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "pipeline" in proc.stdout
 
+    def test_importing_the_cli_loads_neither_statistics_nor_fractions(self):
+        """Only ``fit``, the process-noise helper, the exact metrics and the
+        reference assigner need them, and each imports its own, so no
+        command's start-up pays for loading them."""
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "before = set(sys.modules)\n"
+            "import proxmatch.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        src = str(Path(io.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "proxmatch.cli" in loaded
+        assert not loaded & {"statistics", "fractions"}
+
     def test_every_stage_but_simulation_runs_without_numpy(self, tmp_path):
         """Only the simulator's seeded stream needs numpy. With numpy blocked,
         ``fit``, ``scenario``, ``estimate``, ``match`` and ``evaluate`` run and

@@ -18,7 +18,7 @@ from proxmatch.edge import Activity, Advertisement, DistanceReport, Grid
 from proxmatch.ekf import DT_LINEAR, EkfParams
 from proxmatch.matcher import EvalReport, MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel, RangeSample
-from proxmatch.simulator import GroundTruth, Trace, scenario_swap
+from proxmatch.simulator import MIN_TRUE_DISTANCE_M, GroundTruth, Trace, scenario_swap
 
 ADS = [
     Advertisement(ts=0.0, wearable="W1", tag="T1", rssi=-45.6, activity=Activity.USAGE),
@@ -198,6 +198,24 @@ class TestAdvertisementCodec:
         io.write_advertisements(p, iter(one_reading(ads)))
         assert p.read_bytes() == reference_ads_bytes(ads)
         assert len(p.read_bytes().splitlines()) == n
+
+    def test_writer_shares_instant_texts_only_within_one_tuple(self, tmp_path):
+        """Consecutive grids that hold one instants tuple share its texts; a
+        tuple of equal instants, one of them ``0.0`` for ``-0.0``, gets its own."""
+        u, shared = Activity.USAGE, (-0.0, 7.0, 1e22)
+        grids = [
+            Grid(shared, ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0, -1e-7, 0.0], u),
+            Grid(shared, ["W1"], "T2", [-50.0, -51.5, -52.0], u),
+            Grid((0.0, 7.0, 1e22), ["W1"], "T3", [-40.0, -41.0, -42.0], u),
+            Grid(shared, ["W2"], "T4", [-60.0, -61.0, -62.0], Activity.TRANSPORT),
+        ]
+        assert grids[0].instants is grids[1].instants is grids[3].instants
+        records = [a for g in grids for a in g]
+        p = tmp_path / "ads.jsonl"
+        io.write_advertisements(p, grids)
+        assert p.read_bytes() == reference_ads_bytes(records)
+        assert [line[:11] for line in p.read_text().splitlines()[:5]] == [
+            '{"ts":-0.0,', '{"ts":-0.0,', '{"ts":-0.0,', '{"ts":0.0,"', '{"ts":-0.0,']
 
     def test_writer_cached_text_keeps_equal_values_apart(self, tmp_path):
         """Equal keys with different text: ``0.0`` and ``-0.0``. ``1``,
@@ -392,6 +410,22 @@ def reference_lines(records, row) -> bytes:
     return "".join(json.dumps(row(r), separators=(",", ":")) + "\n" for r in records).encode()
 
 
+def window_runs() -> list[DistanceReport]:
+    """Runs of consecutive reports whose windows are one pair of float
+    objects, broken by windows of equal values held by other objects and by
+    windows that differ from the last only in the sign of a zero."""
+    start, stop, zero, negative_zero = 7.0, 21.5, 0.0, -0.0
+    start_copy, stop_copy = float(repr(start)), float(repr(stop))
+    assert start_copy is not start and stop_copy is not stop
+    windows = [(start, stop), (start, stop), (start_copy, stop_copy), (start_copy, stop), (start, stop),
+               (zero, zero), (negative_zero, zero), (negative_zero, zero), (negative_zero, negative_zero),
+               (zero, 1.0), (negative_zero, 1.0), (zero, 1.0)]
+    reports = [DistanceReport(f"W{i % 3 + 1}", f"T{i % 2 + 1}", a, b, 0.25 * i, i + 1)
+               for i, (a, b) in enumerate(windows)]
+    assert all(r.start is a and r.stop is b for r, (a, b) in zip(reports, windows))
+    return reports
+
+
 @st.composite
 def windows(draw):
     number = st.one_of(
@@ -464,6 +498,16 @@ class TestRecordWriters:
             assert p.read_bytes() == reference_lines(records[kind], row), kind
         text = (tmp_path / "matches.jsonl").read_text().splitlines()
         assert '"wearable":null' in text[0] and text[0].endswith(',"margin_m":null}')
+
+    def test_a_window_text_is_shared_only_by_one_pair_of_objects(self, tmp_path):
+        """Consecutive reports of one window share its text; a window of
+        equal values held by other objects, or of the other zero, gets its own."""
+        records = window_runs()
+        p = tmp_path / "reports.jsonl"
+        io.write_reports(p, records)
+        assert p.read_bytes() == reference_lines(records, report_row)
+        assert '"start_s":-0.0,"stop_s":0.0,' in p.read_text()
+        assert '"start_s":0.0,"stop_s":-0.0,' not in p.read_text()
 
     @pytest.mark.parametrize("n", [0, 1, io._CHUNK_LINES, io._CHUNK_LINES + 1, 2 * io._CHUNK_LINES + 3])
     def test_chunks(self, tmp_path, n):
@@ -559,6 +603,37 @@ class TestErrorsWriter:
         text = p.read_bytes().decode("utf-8")
         assert text.startswith("wearable,tag,start_s,stop_s,estimate_m,true_m,error_m\n")
         assert '\n"W,1",T1,' in text and '\n"W""1",' in text and '\n"W\n1",' in text
+
+    def test_a_window_is_shared_only_by_one_pair_of_objects(self, tmp_path):
+        """The window text, midpoint and trace positions of one run of
+        reports serve only that run: equal values held by other objects, or
+        the other zero, are computed again."""
+        reports = window_runs()
+        truth = truth_for(reports)
+        p = tmp_path / "errors.csv"
+        io.write_errors(p, reports, truth)
+        assert p.read_bytes() == reference_errors_bytes(reports, truth)
+        lines = p.read_text().splitlines()
+        assert [line.split(",")[2:4] for line in lines[6:10]] == [
+            ["0.0", "0.0"], ["-0.0", "0.0"], ["-0.0", "0.0"], ["-0.0", "-0.0"]]
+
+    def test_true_distances_place_each_pair_at_one_instant(self):
+        """Each pair's floored distance between its traces' positions, the
+        pairs repeating ids in any order."""
+        reports = window_runs()
+        truth = truth_for(reports)
+        pairs = [(r.wearable, r.tag) for r in reports]
+        # W1 passes T1 at 1 s, where the distance is floored
+        for ts in (0.0, 1.0, 4.0, 20.0):
+            want = []
+            for w, t in pairs:
+                (wx, wy), (tx, ty) = truth.worker_traces[w].position(ts), truth.tool_traces[t].position(ts)
+                want.append(max(MIN_TRUE_DISTANCE_M, math.hypot(tx - wx, ty - wy)))
+            assert truth.true_distances(pairs, ts) == want
+            assert [truth.true_distance(w, t, ts) for w, t in pairs] == want
+        assert truth.true_distances([], 1.0) == []
+        with pytest.raises(KeyError):
+            truth.true_distances([("W1", "T1"), ("W9", "T1")], 1.0)
 
     def test_a_lone_carriage_return_reads_back(self, tmp_path):
         """An id holding ``\\r`` without ``\\n`` is quoted, so ``csv.reader``
@@ -1032,6 +1107,13 @@ BAD_INPUTS = [
      ":1: bad distance report: distance must be finite and nonnegative, got -2.0"),
     *((reader, name, text, re.escape(error)) for reader, name, text, error in KNOT_AND_ACTIVITY_BAD_DOCUMENTS),
     *((reader, name, text, re.escape(error)) for reader, name, text, error in FILTER_NUMBER_BAD_DOCUMENTS),
+    # 2**53 broadcasts or more in the duration, which generate could not count
+    (io.read_scenario, "scenario.json", scenario_with(adv_interval_s=1e-300),
+     re.escape("bad scenario: adv_interval must leave fewer than 2**53 broadcasts in the duration, "
+               "got 1e-300 for duration 360.0")),
+    (io.read_scenario, "scenario.json", scenario_with(duration_s=1e300),
+     re.escape("bad scenario: adv_interval must leave fewer than 2**53 broadcasts in the duration, "
+               "got 7.0 for duration 1e+300")),
 ]
 
 

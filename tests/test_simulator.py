@@ -11,6 +11,7 @@ from proxmatch.edge import SESSION_GAP_S, Activity, Advertisement, Grid, run_edg
 from proxmatch.matcher import TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel
 from proxmatch.simulator import (
+    ADV_INTERVAL_S,
     MIN_TRUE_DISTANCE_M,
     SWAP_PAUSE_S,
     V_MAX_M_S,
@@ -183,6 +184,15 @@ class TestSpecs:
         ):
             with pytest.raises(ValueError, match="seed must be|ids must be strings"):
                 ScenarioConfig(**{**ok, **bad})
+
+    @pytest.mark.parametrize("duration, interval", [(10.0, 1e-300), (1e300, ADV_INTERVAL_S), (2.0**53, 1.0)])
+    def test_a_broadcast_count_of_2_53_or_more_is_rejected(self, duration, interval):
+        """Below 2**53 each count of instants is a float of its own; from
+        there on ``_segment_instants`` could not count a segment's instants.
+        No such config is generated here: it would not end."""
+        with pytest.raises(ValueError, match=r"^adv_interval must leave fewer than 2\*\*53 broadcasts"):
+            ScenarioConfig(seed=0, duration=duration, workers=(), tools=(), adv_interval=interval)
+        ScenarioConfig(seed=0, duration=2.0**53 - 1, workers=(), tools=(), adv_interval=1.0)
 
     @pytest.mark.parametrize("field", ["duration", "adv_interval", "noise_std", "drop_prob"])
     @pytest.mark.parametrize("value", [True, False, "0.5", None])
@@ -551,6 +561,64 @@ def segment_runs():
     return ScenarioConfig(seed=11, duration=70.0, workers=workers, tools=tools)
 
 
+def shared_schedules():
+    """T1 and T3 share their segment windows, a zero-length one among
+    them, and stand still, T3 with other operators and one it infers. T2's
+    first segment stops earlier, and T4's schedule is T1's first segment
+    alone. W1 walks through the first segment."""
+    workers = (
+        WorkerSpec(id="W1", trace=Trace(((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (24.5, 2.0, 0.0)))),
+        WorkerSpec(id="W2", trace=Trace.stationary(2.0, 0.0)),
+    )
+    u = Activity.USAGE
+    tools = (
+        ToolSpec(id="T1", trace=Trace.stationary(0.0, 0.3), schedule=(
+            ScheduleSegment(0.0, 35.0, u, "W1"),
+            ScheduleSegment(38.0, 38.0, u, "W1"),
+            ScheduleSegment(42.0, 70.0, u, "W2"),
+        )),
+        ToolSpec(id="T2", trace=Trace.stationary(1.0, 0.3), schedule=(
+            ScheduleSegment(0.0, 28.0, u, "W2"),
+            ScheduleSegment(38.0, 38.0, u, "W1"),
+            ScheduleSegment(42.0, 70.0, u, "W1"),
+        )),
+        ToolSpec(id="T3", trace=Trace.stationary(2.0, 0.3), schedule=(
+            ScheduleSegment(0.0, 35.0, u, "W2"),
+            ScheduleSegment(38.0, 38.0, u, "W2"),
+            ScheduleSegment(42.0, 70.0, u),
+        )),
+        ToolSpec(id="T4", trace=Trace.stationary(3.0, 0.3), schedule=(ScheduleSegment(0.0, 35.0, u, "W2"),)),
+    )
+    return ScenarioConfig(seed=12, duration=70.0, workers=workers, tools=tools)
+
+
+def signed_zero_start():
+    """T1's schedule starts at -0.0 and T2's, otherwise the same, at 0.0:
+    both broadcast first at 0.0, the sum -0.0 + 0 * interval."""
+    workers = (WorkerSpec(id="W1", trace=Trace.stationary(0.0, 0.0)),
+               WorkerSpec(id="W2", trace=Trace.stationary(2.0, 0.0)))
+    tools = (
+        ToolSpec(id="T1", trace=Trace.stationary(0.0, 0.3), schedule=(ScheduleSegment(-0.0, 35.0),)),
+        ToolSpec(id="T2", trace=Trace.stationary(2.0, 0.3), schedule=(ScheduleSegment(0.0, 35.0),)),
+    )
+    return ScenarioConfig(seed=13, duration=35.0, workers=workers, tools=tools)
+
+
+def moving_tool():
+    """T1 stands, T2 and T3 move over the same knot interval along
+    different paths, and all three share their segment windows: T2 and T3
+    share one cut, T1 has its own."""
+    workers = (WorkerSpec(id="W1", trace=Trace.stationary(0.0, 0.0)),
+               WorkerSpec(id="W2", trace=Trace.stationary(2.0, 0.0)))
+    schedule = (ScheduleSegment(0.0, 70.0),)
+    tools = (
+        ToolSpec(id="T1", trace=Trace.stationary(0.0, 0.3), schedule=schedule),
+        ToolSpec(id="T2", trace=Trace(((14.0, 0.0, 0.3), (42.0, 2.0, 0.3))), schedule=schedule),
+        ToolSpec(id="T3", trace=Trace(((14.0, 2.0, 0.3), (42.0, 0.5, 0.3))), schedule=schedule),
+    )
+    return ScenarioConfig(seed=14, duration=70.0, workers=workers, tools=tools)
+
+
 ORACLE_SCENARIOS = {
     "unordered-ids": unordered_ids(),
     "stretch-edges": stretch_edges(),
@@ -565,6 +633,10 @@ ORACLE_SCENARIOS = {
     "bystanders": scenario_static(2, 3.0, 300.0, bystanders=2, seed=6),
     "inferred": without_operators(scenario_swap(3, 2.0, [120.0, 240.0], seed=7)),
     "inferred-static": without_operators(scenario_static(3, 2.0, 300.0, bystanders=1, seed=8)),
+    "shared-schedules": shared_schedules(),
+    "shared-schedules-drop": dataclasses.replace(shared_schedules(), drop_prob=0.3),
+    "signed-zero-start": signed_zero_start(),
+    "moving-tool": moving_tool(),
 }
 
 
@@ -673,6 +745,23 @@ class TestStreamOracle:
         knots = [k for tr in (*cfg.workers, *cfg.tools) for k, _, _ in tr.trace.knots]
         assert any(a.stop < k < b.start for a, b in pairs for k in knots)
 
+    def test_tools_of_one_schedule_share_their_instants(self):
+        """A grid of all of a tool's instants holds the tuple that every
+        tool with the same segment windows and knot events holds."""
+        def instants(name):
+            grids, _ = generate(ORACLE_SCENARIOS[name])
+            assert len(grids) == len({g.tag for g in grids})
+            return {g.tag: g.instants for g in grids}
+
+        shared = instants("shared-schedules")
+        assert shared["T1"] is shared["T3"]
+        assert len({id(shared["T1"]), id(shared["T2"]), id(shared["T4"])}) == 3
+        zero = instants("signed-zero-start")
+        assert zero["T1"] is zero["T2"] and repr(zero["T1"][0]) == "0.0"
+        moving = instants("moving-tool")
+        assert moving["T2"] is moving["T3"] and moving["T1"] is not moving["T2"]
+        assert moving["T1"] == moving["T2"]
+
     def test_geometry_does_not_grow_with_the_instants(self, monkeypatch):
         """Positions are computed once per still stretch: the same swaps at
         twice the broadcast rate cost no more ``Trace.position`` calls."""
@@ -696,8 +785,9 @@ class TestStreamOracle:
 
     def test_one_grid_and_one_stretch_cut_per_tool(self, monkeypatch):
         """Segments are batched per tool: with five swaps each tool has six
-        segments, built as one ``Grid`` over one cut, or with reception loss
-        as one ``Grid`` per badge."""
+        segments, built as one ``Grid``, or with reception loss as one
+        ``Grid`` per badge. The three tools share one schedule and stand
+        still, so one cut serves them all."""
         calls = {"grid": 0, "cut": 0, "scan": 0}
         scanned = []
         grid, cut, scan = simulator.Grid, simulator._still_stretches, simulator._knot_events
@@ -723,12 +813,12 @@ class TestStreamOracle:
         _, truth = generate(cfg)
         assert len(truth.sessions) == 18
         # the three workers' knots are scanned once per call, each tool's own once
-        assert calls == {"grid": 3, "cut": 3, "scan": 4}
+        assert calls == {"grid": 3, "cut": 1, "scan": 4}
         assert sorted(scanned) == [1, 1, 1, 3]
         # with loss, one grid per badge that heard anything in the run
         calls.update(grid=0, cut=0, scan=0)
         grids, _ = generate(dataclasses.replace(cfg, drop_prob=0.1))
-        assert calls == {"grid": 9, "cut": 3, "scan": 4}
+        assert calls == {"grid": 9, "cut": 1, "scan": 4}
         assert [(g.tag, g.wearables) for g in grids] == [
             (f"T{t}", (f"W{w}",)) for t in (1, 2, 3) for w in (1, 2, 3)]
 
