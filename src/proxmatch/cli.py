@@ -88,7 +88,7 @@ def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Grid], 
               f"{simulator.MIN_TRUE_DISTANCE_M} m floored", file=sys.stderr)
     traces = {**truth.worker_traces, **truth.tool_traces}
     for name in truth.too_fast:
-        print(f"warning: trace of {name!r} reaches {traces[name].max_speed():.2f} m/s, "
+        print(f"warning: trace of {name!r} reaches {traces[name].max_speed:.2f} m/s, "
               f"above the walking bound {simulator.V_MAX_M_S} m/s", file=sys.stderr)
     io.write_advertisements(out_dir / "advertisements.jsonl", grids)
     io.write_truth(out_dir / "truth.jsonl", truth.sessions)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, groupby
-from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .edge import (ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, DistanceReport, Grid,
@@ -69,12 +67,20 @@ class Trace:
     number under ``edge._number``'s rule and finite, and the timestamps
     strictly increase. The knots are stored as a tuple of float triples,
     so any sequence of three-item sequences (JSON lists too) may be given.
+    The same pass records ``times``, the knot times; ``moving``, the knot
+    intervals (t0, t1) whose end positions differ, in order; and
+    ``max_speed``, the largest segment speed in m/s (0 for a single knot).
+    Equality and hash depend on ``knots`` alone.
     """
 
     knots: tuple[tuple[float, float, float], ...]
+    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    moving: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    max_speed: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        knots, t0 = [], -math.inf
+        knots, moving, best = [], [], 0.0
+        t0 = x0 = y0 = -math.inf
         for t, x, y in self.knots:
             if type(t) is not float:
                 t = _number(t, "trace knot")
@@ -86,19 +92,22 @@ class Trace:
                 raise ValueError(f"trace knots must be finite, got {(t, x, y)}")
             if not t > t0:
                 raise ValueError(f"trace knots must have strictly increasing timestamps ({t} after {t0})")
+            # a still interval has speed 0, which never raises the maximum
+            if knots and (x != x0 or y != y0):
+                moving.append((t0, t))
+                best = max(best, math.hypot(x - x0, y - y0) / (t - t0))
             knots.append((t, x, y))
-            t0 = t
+            t0, x0, y0 = t, x, y
         if not knots:
             raise ValueError("a trace needs at least one knot")
         object.__setattr__(self, "knots", tuple(knots))
+        object.__setattr__(self, "times", tuple(t for t, _, _ in knots))
+        object.__setattr__(self, "moving", tuple(moving))
+        object.__setattr__(self, "max_speed", best)
 
     @classmethod
     def stationary(cls, x: float, y: float) -> Trace:
         return cls(((0.0, x, y),))
-
-    @cached_property
-    def _knot_times(self) -> tuple[float, ...]:
-        return tuple(t for t, _, _ in self.knots)
 
     def position(self, ts: float) -> tuple[float, float]:
         """Interpolated position at ``ts``.
@@ -114,17 +123,10 @@ class Trace:
             return knots[-1][1], knots[-1][2]
         if ts != ts:
             raise ValueError("trace position needs a timestamp, got NaN")
-        j = bisect_left(self._knot_times, ts)
+        j = bisect_left(self.times, ts)
         (t0, x0, y0), (t1, x1, y1) = knots[j - 1], knots[j]
         a = (ts - t0) / (t1 - t0)
         return x0 + a * (x1 - x0), y0 + a * (y1 - y0)
-
-    def max_speed(self) -> float:
-        """Largest segment speed in m/s; 0 for a single-knot trace."""
-        best = 0.0
-        for (t0, x0, y0), (t1, x1, y1) in zip(self.knots, self.knots[1:]):
-            best = max(best, math.hypot(x1 - x0, y1 - y0) / (t1 - t0))
-        return best
 
 
 class _ScheduleSegmentFields(NamedTuple):
@@ -298,13 +300,6 @@ def _segment_instants(seg: ScheduleSegment, interval: float) -> list[float]:
     return [start + k * interval for k in range(n)]
 
 
-def _same_windows(a: Sequence[ScheduleSegment], b: Sequence[ScheduleSegment]) -> bool:
-    """Whether two schedules of one length have equal segment windows, by
-    C-level passes that stop at the first difference."""
-    start, stop = itemgetter(0), itemgetter(1)
-    return all(map(eq, map(start, a), map(start, b))) and all(map(eq, map(stop, a), map(stop, b)))
-
-
 def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float, bool]:
     """True distance, raised to ``MIN_TRUE_DISTANCE_M``, and whether it was."""
     d = math.hypot(tx - wx, ty - wy)
@@ -313,27 +308,13 @@ def _floored_distance(tx: float, ty: float, wx: float, wy: float) -> tuple[float
     return d, False
 
 
-def _knot_events(traces: Sequence[Trace]) -> tuple[list[float], list[tuple[float, float]]]:
-    """The distinct knot times of ``traces`` and the distinct knot
-    intervals (t0, t1) over which one of them moves, each sorted. Traces
-    share knot times and intervals (workers walk together), so each
-    distinct one is kept once."""
-    times: set[float] = set()
-    moving: set[tuple[float, float]] = set()
-    for trace in traces:
-        knot_times, knots = trace._knot_times, trace.knots
-        times.update(knot_times)
-        for j in range(1, len(knots)):
-            if knots[j - 1][1:] != knots[j][1:]:
-                moving.add((knot_times[j - 1], knot_times[j]))
-    return sorted(times), sorted(moving)
-
-
-def _still_stretches(instants: list[float], events: Sequence[tuple[list[float], list[tuple[float, float]]]],
+def _still_stretches(instants: list[float],
+                     events: Sequence[tuple[Sequence[float], Sequence[tuple[float, float]]]],
                      starts: list[int]) -> list[int]:
     """Bounds that cut the strictly increasing ``instants`` into stretches
-    at which every trace's ``position`` returns the same value, given the
-    traces' ``_knot_events``: cuts at ``starts`` (which hold 0), on both
+    at which every trace's ``position`` returns the same value, given
+    (knot times, moving intervals) of the traces, each sorted, as a
+    ``Trace`` records them: cuts at ``starts`` (which hold 0), on both
     sides of each knot time in the window, so a knot instant stands alone,
     and around each instant inside a knot interval whose end positions
     differ. A knot or interval outside the window cuts at 0 or at the end,
@@ -371,17 +352,17 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
 
     A tool's instants, segment after segment, strictly increase; they are
     cut once into still stretches, at which no trace moves and which never
-    span two segments. The instants, each segment's span of them and the cut
-    are computed once per distinct schedule in a call: tools with the same
-    segment windows and the same knot times and moving intervals (the tools
-    of a swap row) share one instants tuple and one cut, and a grid of all
-    of a tool's instants holds that tuple itself. Distances and model means
-    stay Python floats, computed once per distinct layout (the tool's
-    position and every worker's) in a call. Without drop, a tool's noise is
-    one array draw in draw order, added to its stretch means repeated per
-    instant and clamped as arrays, which gives the scalar draws, sums and
-    clamps value for value. With drop, each reading keeps its own normal
-    then uniform draw.
+    span two segments. The instants, each segment's span of them, the cut
+    and the workers' positions at each stretch start are computed once per
+    distinct schedule in a call: tools with the same segment windows and the
+    same knot times and moving intervals (the tools of a swap row) share
+    them, and a grid of all of a tool's instants holds the shared instants
+    tuple itself. Distances and model means stay Python floats, computed
+    once per distinct layout (the tool's position and every worker's) in a
+    call. Without drop, a tool's noise is one array draw in draw order,
+    added to its stretch means repeated per instant and clamped as arrays,
+    which gives the scalar draws, sums and clamps value for value. With
+    drop, each reading keeps its own normal then uniform draw.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -399,59 +380,48 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     floored = 0
     # (tool x, tool y, worker x, worker y, ...) -> (distances, means, floored distances)
     layouts: dict[tuple[float, ...], tuple[list[float], list[float], int]] = {}
-    # stretch-start instant -> [worker x, worker y, ...]; lists, not tuples,
-    # whose thousands freed together at the end of the call would stay in
-    # the interpreter's tuple free list and raise the peak RSS of later calls
-    worker_keys: dict[float, list[float]] = {}
-    # the workers' knots are scanned once per call, not once per tool
-    worker_events = _knot_events([w.trace for w in workers])
-
-    # (segment count, the tool's knot times, its moving intervals) -> each
-    # distinct schedule seen with them, as (schedule, instants, segments,
-    # bounds): the tool's instants, (index, segment, first, end) per segment
-    # that has instants[first:end], and the still-stretch cut; a schedule
-    # without instants is not kept, as it broadcasts nothing. The windows
-    # and knots only enter sums and comparisons, in which 0.0 and -0.0
-    # agree, so tools whose windows compare equal share one instants tuple
-    # and one cut, each with its own segments at the same indices. The
-    # windows are compared, not hashed, which costs a tool whose schedule no
-    # other shares next to nothing.
-    schedules: dict[tuple, list[tuple]] = {}
+    worker_events = (sorted({t for w in workers for t in w.trace.times}),
+                     sorted({ab for w in workers for ab in w.trace.moving}))
+    # (each segment's (start, stop), the tool's knot times, its moving
+    # intervals) -> (instants, spans, bounds, worker positions): the tool's
+    # instants, (index, first, end) per segment that has instants[first:end],
+    # the still-stretch cut, and [worker x, worker y, ...] at each stretch
+    # start; () for a schedule without instants. Windows and knots only
+    # enter sums and comparisons, in which 0.0 and -0.0 agree, as they do
+    # in the key, whose floats compare and hash by value. The positions are
+    # lists, not tuples, which freed together at the end of the call would
+    # stay in the interpreter's tuple free list and raise the peak RSS of
+    # later calls.
+    schedules: dict[tuple, tuple] = {}
 
     for tool in tools:
-        schedule, tool_events = tool.schedule, _knot_events((tool.trace,))
-        seen = schedules.setdefault((len(schedule), *map(tuple, tool_events)), [])
-        for shared in seen:
-            if _same_windows(shared[0], schedule):
-                _, instants, segments, bounds = shared
-                segments = [(i, schedule[i], first, end) for i, _, first, end in segments]
-                break
-        else:
-            instants, segments = [], []
+        trace, schedule = tool.trace, tool.schedule
+        schedule_key = (tuple(seg[:2] for seg in schedule), trace.times, trace.moving)
+        entry = schedules.get(schedule_key)
+        if entry is None:
+            instants, spans = [], []
             for i, seg in enumerate(schedule):
                 first = len(instants)
                 instants += _segment_instants(seg, config.adv_interval)
                 if len(instants) > first:
-                    segments.append((i, seg, first, len(instants)))
-            if not instants:
-                continue
-            bounds = _still_stretches(instants, (tool_events, worker_events),
-                                      [first for _, _, first, _ in segments])
-            instants = tuple(instants)
-            seen.append((schedule, instants, segments, bounds))
+                    spans.append((i, first, len(instants)))
+            entry = ()
+            if instants:
+                bounds = _still_stretches(instants, ((trace.times, trace.moving), worker_events),
+                                          [first for _, first, _ in spans])
+                entry = (tuple(instants), spans, bounds, [
+                    list(chain.from_iterable(w.trace.position(instants[lo]) for w in workers))
+                    for lo in bounds[:-1]])
+            schedules[schedule_key] = entry
+        if not entry:
+            continue
+        instants, spans, bounds, worker_positions = entry
+        segments = [(schedule[i], first, end) for i, first, end in spans]
         # a stretch is (lo, hi, distances, means): instants[lo:hi] and each
         # worker's floored distance and model mean there
         stretches = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            ts = instants[lo]
-            # the tools of a swap row share their instants, so the workers'
-            # part of the key is computed once per instant in a call; 0.0 and
-            # -0.0 share an entry, at which ``Trace.position`` gives the same
-            worker_key = worker_keys.get(ts)
-            if worker_key is None:
-                worker_key = worker_keys[ts] = list(
-                    chain.from_iterable(w.trace.position(ts) for w in workers))
-            key = (*tool.trace.position(ts), *worker_key)
+        for lo, hi, workers_at in zip(bounds, bounds[1:], worker_positions):
+            key = (*trace.position(instants[lo]), *workers_at)
             layout = layouts.get(key)
             if layout is None:
                 tx, ty = key[0], key[1]
@@ -467,9 +437,9 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
             means = np.repeat([m for *_, m in stretches], [hi - lo for lo, hi, *_ in stretches], axis=0)
             means += rng.normal(0.0, std, size=means.shape)
             rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).ravel().tolist()
-        for activity, run in groupby(segments, key=lambda s: s[1].activity):
+        for activity, run in groupby(segments, key=lambda s: s[0].activity):
             run = list(run)
-            lo, hi = run[0][2], run[-1][3]
+            lo, hi = run[0][1], run[-1][2]
             if drop_prob == 0:
                 if n:
                     # a grid of the whole tuple holds the tuple itself, so the
@@ -494,7 +464,7 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
                         values.append(r)
             grids += [Grid(own_ts, (wid,), tool.id, values, activity)
                       for wid, (own_ts, values) in zip(worker_ids, heard) if own_ts]
-        for _, seg, first, end in segments:
+        for seg, first, end in segments:
             if seg.activity is Activity.USAGE:
                 operator = seg.operator
                 if operator is None:
@@ -520,7 +490,7 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
         tool_traces={t.id: t.trace for t in tools},
         floored=floored,
         too_fast=tuple(
-            s.id for s in (*workers, *tools) if s.trace.max_speed() > V_MAX_M_S + 1e-9
+            s.id for s in (*workers, *tools) if s.trace.max_speed > V_MAX_M_S + 1e-9
         ),
     )
 

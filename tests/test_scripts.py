@@ -39,3 +39,27 @@ def test_more_seeds_than_a_band_has_exits_2(monkeypatch, capsys):
         runpy.run_path(str(SCRIPT), run_name="__main__")
     assert e.value.code == 2
     assert "--seeds must be from 1 to 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--bands", "x"),
+    ("--bands", "1"),
+    ("--bands", ""),
+    ("--bands", "0.3:1,3:1"),
+    ("--bands", "1:0.3"),
+    ("--bands", "0.3:inf"),
+    ("--bands", "-1:2"),
+    ("--spacings", "abc"),
+    ("--spacings", "0"),
+    ("--spacings", "nan"),
+    ("--spacings", "2,-3"),
+])
+def test_a_malformed_band_or_spacing_exits_2_before_any_chain_runs(monkeypatch, capsys, flag, value):
+    """A band is lo:hi, both finite, with 0 <= lo < hi; a spacing is finite
+    and positive. Either is rejected before the first table row prints."""
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), "--seeds", "1", f"{flag}={value}"])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert f"argument {flag}:" in err

@@ -45,11 +45,11 @@ class TestTrace:
     def test_single_knot_is_stationary(self):
         tr = Trace.stationary(3.0, -1.0)
         assert tr.position(0.0) == tr.position(1e6) == (3.0, -1.0)
-        assert tr.max_speed() == 0.0
+        assert tr.max_speed == 0.0
 
     def test_max_speed(self):
         tr = Trace(((0.0, 0.0, 0.0), (10.0, 3.0, 4.0)))  # 5 m in 10 s
-        assert tr.max_speed() == pytest.approx(0.5)
+        assert tr.max_speed == pytest.approx(0.5)
 
     def test_bisection_matches_a_linear_scan(self):
         def scan(knots, ts):
@@ -107,6 +107,55 @@ class TestTrace:
         assert type(trace.knots) is tuple
         assert all(type(k) is tuple and all(type(v) is float for v in k) for k in trace.knots)
         assert trace.position(5) == (2.0, 3.25)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_recorded_knot_facts_match_the_per_pair_loops(self, data):
+        """``times``, ``moving`` and ``max_speed`` equal, bit for bit, the
+        loops over knot pairs that computed them before ``Trace`` recorded
+        them; equality, hash and repr still see the knots alone."""
+        def knot_events(knots):
+            """Reference: the knot times and moving intervals of one trace,
+            as sorted sets."""
+            times: set[float] = set()
+            moving: set[tuple[float, float]] = set()
+            knot_times = tuple(t for t, _, _ in knots)
+            times.update(knot_times)
+            for j in range(1, len(knots)):
+                if knots[j - 1][1:] != knots[j][1:]:
+                    moving.add((knot_times[j - 1], knot_times[j]))
+            return sorted(times), sorted(moving)
+
+        def max_speed(knots):
+            """Reference: the largest segment speed, 0 for a single knot."""
+            best = 0.0
+            for (t0, x0, y0), (t1, x1, y1) in zip(knots, knots[1:]):
+                best = max(best, math.hypot(x1 - x0, y1 - y0) / (t1 - t0))
+            return best
+
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), finite)
+        times = sorted(data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 7.0]), finite),
+                                          min_size=1, max_size=6, unique=True)))
+        knots = []
+        for t in times:
+            if knots and data.draw(st.booleans()):
+                # the previous position, its zeros maybe of the other sign
+                x, y = (-v if v == 0 and data.draw(st.booleans()) else v for v in knots[-1][1:])
+            else:
+                x, y = data.draw(coord), data.draw(coord)
+            knots.append((t, x, y))
+        trace = Trace(knots)
+        want_times, want_moving = knot_events(trace.knots)
+        assert repr(trace.times) == repr(tuple(want_times))
+        assert repr(trace.moving) == repr(tuple(want_moving))
+        assert repr(trace.max_speed) == repr(max_speed(trace.knots))
+
+        other = Trace(knots)
+        object.__setattr__(other, "max_speed", trace.max_speed + 1.0)
+        object.__setattr__(other, "moving", ())
+        assert other == trace and hash(other) == hash(trace) == hash((trace.knots,))
+        assert repr(other) == f"Trace(knots={trace.knots!r})"
 
 
 class TestSpecs:
@@ -447,7 +496,7 @@ def scalar_generate(config):
     ads.sort(key=lambda a: (a.ts, a.tag, a.wearable))
     sessions.sort(key=lambda t: (t.start, t.stop, t.tag))
     too_fast = tuple(
-        s.id for s in (*workers, *tools) if s.trace.max_speed() > V_MAX_M_S + 1e-9
+        s.id for s in (*workers, *tools) if s.trace.max_speed > V_MAX_M_S + 1e-9
     )
     return ads, tuple(sessions), floored, too_fast
 
@@ -619,6 +668,20 @@ def moving_tool():
     return ScenarioConfig(seed=14, duration=70.0, workers=workers, tools=tools)
 
 
+def zero_length_schedules():
+    """T1 and T3 share a schedule of zero-length segments, which broadcasts
+    nothing, and T2, between them in id order, broadcasts while W2 walks."""
+    workers = (WorkerSpec(id="W1", trace=Trace.stationary(0.0, 0.0)),
+               WorkerSpec(id="W2", trace=Trace(((0.0, 2.0, 0.0), (28.0, 3.0, 0.0)))))
+    nothing = (ScheduleSegment(7.0, 7.0, operator="W1"), ScheduleSegment(21.0, 21.0, Activity.TRANSPORT))
+    tools = (
+        ToolSpec(id="T1", trace=Trace.stationary(0.0, 0.3), schedule=nothing),
+        ToolSpec(id="T2", trace=Trace.stationary(2.0, 0.3), schedule=(ScheduleSegment(0.0, 35.0),)),
+        ToolSpec(id="T3", trace=Trace.stationary(4.0, 0.3), schedule=nothing),
+    )
+    return ScenarioConfig(seed=15, duration=35.0, workers=workers, tools=tools)
+
+
 ORACLE_SCENARIOS = {
     "unordered-ids": unordered_ids(),
     "stretch-edges": stretch_edges(),
@@ -637,6 +700,8 @@ ORACLE_SCENARIOS = {
     "shared-schedules-drop": dataclasses.replace(shared_schedules(), drop_prob=0.3),
     "signed-zero-start": signed_zero_start(),
     "moving-tool": moving_tool(),
+    "zero-length-schedules": zero_length_schedules(),
+    "zero-length-schedules-drop": dataclasses.replace(zero_length_schedules(), drop_prob=0.3),
 }
 
 
@@ -744,6 +809,10 @@ class TestStreamOracle:
         assert any(s.start == s.stop for t in cfg.tools for s in t.schedule)
         knots = [k for tr in (*cfg.workers, *cfg.tools) for k, _, _ in tr.trace.knots]
         assert any(a.stop < k < b.start for a, b in pairs for k in knots)
+        # tools whose schedule broadcasts nothing, around one that does
+        for name in ("zero-length-schedules", "zero-length-schedules-drop"):
+            grids, truth = generate(ORACLE_SCENARIOS[name])
+            assert {g.tag for g in grids} == {t.tag for t in truth.sessions} == {"T2"}
 
     def test_tools_of_one_schedule_share_their_instants(self):
         """A grid of all of a tool's instants holds the tuple that every
@@ -788,9 +857,8 @@ class TestStreamOracle:
         segments, built as one ``Grid``, or with reception loss as one
         ``Grid`` per badge. The three tools share one schedule and stand
         still, so one cut serves them all."""
-        calls = {"grid": 0, "cut": 0, "scan": 0}
-        scanned = []
-        grid, cut, scan = simulator.Grid, simulator._still_stretches, simulator._knot_events
+        calls = {"grid": 0, "cut": 0}
+        grid, cut = simulator.Grid, simulator._still_stretches
 
         def counted_grid(*args):
             calls["grid"] += 1
@@ -800,25 +868,17 @@ class TestStreamOracle:
             calls["cut"] += 1
             return cut(*args)
 
-        def counted_scan(traces):
-            calls["scan"] += 1
-            scanned.append(len(traces))
-            return scan(traces)
-
         monkeypatch.setattr(simulator, "Grid", counted_grid)
         monkeypatch.setattr(simulator, "_still_stretches", counted_cut)
-        monkeypatch.setattr(simulator, "_knot_events", counted_scan)
         cfg = scenario_swap(3, 2.0, [60.0, 120.0, 180.0, 240.0, 300.0], seed=2)
         assert all(len(t.schedule) == 6 for t in cfg.tools)
         _, truth = generate(cfg)
         assert len(truth.sessions) == 18
-        # the three workers' knots are scanned once per call, each tool's own once
-        assert calls == {"grid": 3, "cut": 1, "scan": 4}
-        assert sorted(scanned) == [1, 1, 1, 3]
+        assert calls == {"grid": 3, "cut": 1}
         # with loss, one grid per badge that heard anything in the run
-        calls.update(grid=0, cut=0, scan=0)
+        calls.update(grid=0, cut=0)
         grids, _ = generate(dataclasses.replace(cfg, drop_prob=0.1))
-        assert calls == {"grid": 9, "cut": 1, "scan": 4}
+        assert calls == {"grid": 9, "cut": 1}
         assert [(g.tag, g.wearables) for g in grids] == [
             (f"T{t}", (f"W{w}",)) for t in (1, 2, 3) for w in (1, 2, 3)]
 
@@ -920,7 +980,7 @@ class TestSwapScenario:
         assert w1.trace.position(120.0) == (2.0, 0.0)  # arrived at station 1
         assert w1.trace.position(109.0) == (1.0, 0.0)  # mid-walk
         # the walk stays within a plausible pace
-        assert w1.trace.max_speed() <= 0.7
+        assert w1.trace.max_speed <= 0.7
 
     def test_truth_operator_is_the_nearest_badge(self):
         # cross-check the rotation against geometric inference
