@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, count, cycle, repeat, starmap
 from operator import itemgetter, lt, sub
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ekf
 from .ekf import EkfParams
@@ -115,6 +115,10 @@ class Advertisement(_AdvertisementFields):
         return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))
 
 
+#: The instants tuple of the last grid built, which passed every check.
+_checked_instants: tuple[float, ...] | None = None
+
+
 @dataclass(frozen=True, slots=True)
 class Grid:
     """One tag's broadcasts at ``instants``, each heard by every badge in
@@ -133,6 +137,12 @@ class Grid:
     activity once. When any check fails, the records are built one by one
     through ``Advertisement``, which raises its own error for the first bad
     record or normalises an ``int`` to a ``float`` as it does for one record.
+    The last instants tuple that passed is remembered, and kept alive, in
+    ``_checked_instants``: a grid on that same object, as each of the
+    consecutive grids of one schedule that ``simulator.generate`` gives,
+    skips the instant passes, since a tuple of floats cannot change. Every
+    other value of such a grid is still checked, and a list is checked on
+    every construction.
     """
 
     instants: tuple[float, ...]
@@ -142,9 +152,11 @@ class Grid:
     activity: Activity
 
     def __post_init__(self) -> None:
+        global _checked_instants
         instants, wearables, tag, rssi, activity = (
             self.instants, tuple(self.wearables), self.tag, self.rssi, self.activity
         )
+        checked = instants is _checked_instants
         n = len(wearables)
         if len(rssi) != len(instants) * n:
             raise ValueError(f"expected {len(instants)} x {n} rssi values, got {len(rssi)}")
@@ -154,8 +166,7 @@ class Grid:
             type(tag) is str
             and isinstance(activity, Activity)
             and set(map(type, wearables)) == {str}
-            and set(map(type, instants)) == {float}
-            and all(map(math.isfinite, instants))
+            and (checked or set(map(type, instants)) == {float} and all(map(math.isfinite, instants)))
             and set(map(type, rssi)) == {float}
             # min and max pass over a NaN that is not first; the sum does not
             and RSSI_MIN_DB <= min(rssi)
@@ -169,9 +180,10 @@ class Grid:
             instants, rssi = tuple(a[0] for a in records[::n]), tuple(a[3] for a in records)
         if len(set(wearables)) != n:
             raise ValueError(f"a grid's badges must be distinct, got {list(wearables)}")
-        if not all(map(lt, instants, instants[1:])):
+        if not (checked or all(map(lt, instants, instants[1:]))):
             t0, t1 = next((t0, t1) for t0, t1 in zip(instants, instants[1:]) if not t0 < t1)
             raise ValueError(f"grid instants must strictly increase ({t1} after {t0})")
+        _checked_instants = instants
         object.__setattr__(self, "instants", instants)
         object.__setattr__(self, "wearables", wearables)
         object.__setattr__(self, "rssi", rssi)
@@ -242,7 +254,7 @@ class DistanceReport(_DistanceReportFields):
 #: What a lane builder yields per tag: (tag, instants, lanes), with
 #: ``instants`` the tag's active instants in time order and ``lanes``
 #: mapping each badge to its (rssi, ts) readings in time order.
-_Lanes = tuple[str, list[float], dict[str, tuple[list[float], list[float]]]]
+_Lanes = tuple[str, Sequence[float], dict[str, tuple[list[float], list[float]]]]
 
 
 _MIXED_STREAM = "a stream of grids holds a record; pass records or grids"
@@ -279,9 +291,10 @@ def _record_lanes(ads: Iterable[Advertisement], active: frozenset[Activity]) -> 
 def _grid_lanes(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[_Lanes]:
     """The lanes of the active grids, given in any order. A tag's instants
     are its grids' instants in the order given, stably sorted, as the
-    records' sort would give them; each badge's readings are strided slices
-    of its grids in time order. Grids of one tag that share a badge must not
-    overlap in time."""
+    records' sort would give them: the instants tuple itself when the tag
+    has one active grid, so that tags on one tuple share it. Each badge's
+    readings are strided slices of its grids in time order. Grids of one
+    tag that share a badge must not overlap in time."""
     by_tag: dict[str, list[Grid]] = defaultdict(list)
     for g in grids:
         if type(g) is not Grid:
@@ -306,9 +319,11 @@ def _grid_lanes(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[
                 if g.activity in active:
                     rssi += g.rssi[j::len(g.wearables)]
                     ts += g.instants
-        instants = sorted(chain.from_iterable(g.instants for g in tag_grids if g.activity in active))
-        if instants:
-            yield tag, instants, lanes
+        own = [g.instants for g in tag_grids if g.activity in active]
+        if len(own) == 1:
+            yield tag, own[0], lanes
+        elif own:
+            yield tag, sorted(chain.from_iterable(own)), lanes
 
 
 def run_edge(
@@ -340,8 +355,12 @@ def run_edge(
     its own pass. One cut serves both: the gap splits a tag's instants
     into sessions, each badge's readings are cut at the session stops, and
     one ``ekf.run_windows`` call per badge folds each session that badge
-    heard into a fresh filter. A badge's reports are built from C-level
-    iterators by ``tuple.__new__``: their ids and windows come checked
+    heard into a fresh filter. A tag whose one active grid holds the same
+    instants tuple as the tag before it, as the consecutive tools of one
+    schedule do, takes that tag's session starts and stops instead of
+    cutting the tuple again; either way a window is a pair of the tuple's
+    float objects. A badge's reports are built from C-level iterators by
+    ``tuple.__new__``: their ids and windows come checked
     from the records or grids, and a non-finite estimate, the one value
     that can break a report's rules, sends the badge's reports through the
     ``DistanceReport`` constructor, which raises its error.
@@ -354,12 +373,15 @@ def run_edge(
     tags = _grid_lanes(ads, active) if ads and type(ads[0]) is Grid else _record_lanes(ads, active)
     new = tuple.__new__
     reports = []
+    cut = None  # the instants last cut into ``starts`` and ``stops``
     for tag, instants, lanes in tags:
-        # a session ends before a pause longer than ``gap``
-        ends = [k for k, t0, t1 in zip(count(1), instants, instants[1:]) if t1 - t0 > gap]
-        starts = [instants[k] for k in (0, *ends)]
-        ends.append(len(instants))
-        stops = [instants[k - 1] for k in ends]
+        if instants is not cut:
+            # a session ends before a pause longer than ``gap``
+            cut = instants
+            ends = [k for k, t0, t1 in zip(count(1), instants, instants[1:]) if t1 - t0 > gap]
+            starts = [instants[k] for k in (0, *ends)]
+            ends.append(len(instants))
+            stops = [instants[k - 1] for k in ends]
         for w, (rssi, ts) in lanes.items():
             # each session's end in the badge's readings; it heard the
             # sessions whose end passes the one before, each a window of the lane

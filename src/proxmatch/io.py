@@ -233,40 +233,50 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     of the ``_AD_FIELDS`` keys, formatted directly and written
     about ``_CHUNK_LINES`` lines at a time.
 
-    Each grid has one ``%`` template for the lines of one instant, one line
-    per badge: the id, tag and activity text is JSON-encoded once, with its
-    ``%`` doubled, the instant's text goes in through ``%s`` and each RSSI
-    through ``%r``, which is ``float.__repr__`` as in ``json`` (a grid holds
-    finite floats and ``str`` ids). The instant texts are formatted once per
-    distinct instants tuple: a grid that holds the same tuple object as the
-    grid before it, as the tools of one schedule do in ``generate``'s
-    stream, takes that grid's texts. The template is applied once per
-    instant, lazily, to the instant's text and its badges' RSSI. One stable
-    sort of the (instant, grid) rows gives the file order, in which each
-    row takes its grid's next block. The blocks go out in writes of as
-    many rows as hold ``_CHUNK_LINES`` lines on average.
+    The unit is a run: consecutive grids that hold one instants tuple
+    object, as the tools of one schedule do in ``generate``'s stream; a
+    grid whose tuple is another object, even an equal one, starts a new
+    run. Each run has one ``%`` template for the lines of one instant, one
+    line per (grid, badge) in grid order: the id, tag and activity text is
+    JSON-encoded once, with its ``%`` doubled, the instant's text goes in
+    through ``%s`` and each RSSI through ``%r``, which is
+    ``float.__repr__`` as in ``json`` (a grid holds finite floats and
+    ``str`` ids). The instant texts are formatted once per run, and the
+    template is applied once per instant, lazily, to the instant's text and
+    the run's RSSI. One stable sort of the (instant, run) rows gives the
+    file order, in which each row takes its run's next block: a run is a
+    contiguous range of grids, so that is the records' (instant, grid)
+    order. The blocks go out in writes of as many rows as hold
+    ``_CHUNK_LINES`` lines on average.
     """
+    runs: list[list[Grid]] = []
+    for g in grids:
+        if runs and g.instants is runs[-1][0].instants:
+            runs[-1].append(g)
+        else:
+            runs.append([g])
     text = _JsonText()
     blocks, keys, owner, n_lines = [], [], [], 0
-    instants, heads = None, []
-    for k, g in enumerate(grids):
-        # the JSON texts go into a % template, so each % in them is doubled
-        tag, activity, *wearables = (
-            text[v].replace("%", "%%") for v in (g.tag, g.activity.value, *g.wearables)
-        )
-        tail = f',"tag":{tag},"rssi_db":%r,"activity":{activity}}}\n'
-        template = "".join(f'{{"ts":%s,"wearable":{w}{tail}' for w in wearables)
-        n = len(wearables)
-        if g.instants is not instants:
-            instants, heads = g.instants, list(map(float.__repr__, g.instants))
-        blocks.append(map(template.__mod__, zip(*chain.from_iterable(
-            (heads, g.rssi[j::n]) for j in range(n)
-        ))))
-        keys += g.instants
-        owner += repeat(k, len(g.instants))
-        n_lines += len(g)
-    # each row's grid in file order, sorted through indices and not as
-    # (instant, grid) pairs, whose thousands of freed tuples would stay in
+    for k, run in enumerate(runs):
+        template, columns = [], []
+        for g in run:
+            # the JSON texts go into a % template, so each % in them is doubled
+            tag, activity, *wearables = (
+                text[v].replace("%", "%%") for v in (g.tag, g.activity.value, *g.wearables)
+            )
+            tail = f',"tag":{tag},"rssi_db":%r,"activity":{activity}}}\n'
+            template += (f'{{"ts":%s,"wearable":{w}{tail}' for w in wearables)
+            n = len(wearables)
+            columns += (g.rssi[j::n] for j in range(n))
+            n_lines += len(g)
+        instants = run[0].instants
+        heads = list(map(float.__repr__, instants))
+        blocks.append(map("".join(template).__mod__,
+                          zip(*chain.from_iterable(zip(repeat(heads), columns)))))
+        keys += instants
+        owner += repeat(k, len(instants))
+    # each row's run in file order, sorted through indices and not as
+    # (instant, run) pairs, whose thousands of freed tuples would stay in
     # the interpreter's tuple free list until a full garbage collection
     owners = list(map(owner.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
     del keys, owner

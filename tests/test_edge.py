@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxmatch import ekf
+from proxmatch import edge, ekf
 from proxmatch.edge import (
     ACTIVE_DEFAULT,
     Activity,
@@ -174,6 +174,48 @@ class TestGrid:
         for instants in ([7.0, 7.0], [7.0, 0.0], [-0.0, 0.0], [0, 0.0]):
             with pytest.raises(ValueError, match="instants must strictly increase"):
                 Grid(instants, ["W1"], "T1", [-50.0] * 2, Activity.USAGE)
+
+    def test_a_checked_tuple_skips_only_the_instant_checks(self):
+        """A grid on the last tuple that passed still checks its other values."""
+        instants = Grid((0.0, 7.0), ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants
+        assert edge._checked_instants is instants
+        for rssi in ([-50.0, 20.5], [-127.5, -50.0], [-50.0, math.nan], [math.nan, -50.0]):
+            with pytest.raises(ValueError, match="rssi outside plausible range"):
+                Grid(instants, ["W2"], "T2", rssi, Activity.USAGE)
+        for wearables, message in ((["W1", "W1"], "badges must be distinct"),
+                                   (["W1", 1], "wearable must be a string")):
+            with pytest.raises(ValueError, match=message):
+                Grid(instants, wearables, "T2", [-50.0] * 4, Activity.USAGE)
+        with pytest.raises(ValueError, match="activity must be an Activity"):
+            Grid(instants, ["W1"], "T2", [-50.0] * 2, "usage")
+        assert edge._checked_instants is instants
+        assert Grid(instants, ["W2"], "T2", [-52.0, -53.0], Activity.TRANSPORT).instants is instants
+
+    @pytest.mark.parametrize("instants, message", [
+        ((7.0, 0.0), "instants must strictly increase"),
+        ((0.0, 0.0), "instants must strictly increase"),
+        ((0.0, math.inf), "timestamp must be finite"),
+        ((math.nan, 7.0), "timestamp must be finite"),
+        ((0.0, "7.0"), "ts must be a number"),
+    ])
+    def test_a_tuple_that_fails_is_never_remembered(self, instants, message):
+        Grid((0.0, 7.0), ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+            assert edge._checked_instants is not instants
+
+    def test_an_instants_list_is_checked_on_every_construction(self):
+        """The same list object, mutated between two grids, is checked again."""
+        instants = [0.0, 7.0]
+        Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        for value, message in ((-7.0, "instants must strictly increase"),
+                               (math.nan, "timestamp must be finite"), (0.0, "strictly increase")):
+            instants[1] = value
+            with pytest.raises(ValueError, match=message):
+                Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        instants[1] = 14.0
+        assert Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants == (0.0, 14.0)
 
 
 def windows(ads, **kwargs):
@@ -422,7 +464,9 @@ def grid_streams(draw):
     """Grids of 1-3 tags on instants 3.5 s apart, with every activity; an
     instant at zero may be ``-0.0``. Each tag's badges are split into lanes
     that overlap in time. A lane's grids are drawn in time order, each after
-    the last and heard by some of the lane's badges. Then all are shuffled."""
+    the last and heard by some of the lane's badges. Tag T4 may copy T1's
+    grids on the same instants tuples with other values. Then all are
+    shuffled."""
     badges = ["B1", "W1", "W2", "W3"]
     out = []
     for tag in ("T1", "T2", "T3")[:draw(st.integers(1, 3))]:
@@ -439,6 +483,9 @@ def grid_streams(draw):
                                      max_size=k * len(heard)))
                 activity = draw(st.sampled_from([Activity.USAGE, Activity.TRANSPORT, Activity.INACTIVE]))
                 out.append(Grid(instants, heard, tag, rssi, activity))
+    if draw(st.booleans()):
+        out += [Grid(g.instants, g.wearables, "T4", g.rssi[::-1], g.activity)
+                for g in out if g.tag == "T1"]
     draw(st.randoms(use_true_random=False)).shuffle(out)
     return out
 
@@ -457,6 +504,38 @@ class TestGridStream:
         expected = reference_edge(expanded, gap, active)
         assert run_edge(stream, PARAMS, gap=gap, active=active) == expected
         assert run_edge(expanded, PARAMS, gap=gap, active=active) == expected
+
+    @pytest.mark.parametrize("gap", [10.0, SESSION_GAP_S])
+    @pytest.mark.parametrize("active", [ACTIVE_DEFAULT, frozenset({Activity.USAGE, Activity.TRANSPORT})])
+    def test_tags_on_one_tuple_share_its_sessions(self, gap, active):
+        """Tags whose one active grid holds one instants tuple fold as their
+        records, and their reports hold that tuple's floats as windows, so
+        equal windows are one pair of objects for ``io.write_reports``."""
+        shared = (-0.0, 7.0, 14.0, 50.0, 57.0, 64.0)
+        badges = ["W1", "W2"]
+        values = [-50.0 - i / 4 for i in range(12)]
+        stream = [
+            Grid(shared, badges, "T1", values, Activity.USAGE),
+            Grid(shared, badges, "T2", values[::-1], Activity.USAGE),
+            Grid(shared, ["W3"], "T3", values[:6], Activity.USAGE),
+            # two activity runs of one tag, then a tag whose grid is inactive
+            Grid((0.0, 7.0), badges, "T4", values[:4], Activity.USAGE),
+            Grid((14.0, 21.0, 28.0), badges, "T4", values[4:10], Activity.TRANSPORT),
+            Grid(shared, badges, "T5", values, Activity.INACTIVE),
+            Grid(shared, ["W1"], "T6", values[6:], Activity.USAGE),
+            # equal to the shared tuple, but another object, with 0.0 for -0.0
+            Grid((0.0, *shared[1:]), ["W1"], "T7", values[:6], Activity.USAGE),
+        ]
+        assert all(g.instants is shared for g in stream if g.tag not in ("T4", "T7"))
+        expected = reference_edge(records(stream), gap, active)
+        reports = run_edge(stream, PARAMS, gap=gap, active=active)
+        assert reports == expected == run_edge(records(stream), PARAMS, gap=gap, active=active)
+        on_shared = [r for r in reports if r.tag in ("T1", "T2", "T3", "T6")]
+        assert {r.tag for r in reports} == {"T1", "T2", "T3", "T4", "T6", "T7"} and len(on_shared) == 12
+        ids = set(map(id, shared))
+        assert all(id(r.start) in ids and id(r.stop) in ids for r in on_shared)
+        assert {repr(r.start) for r in reports if r.start == 0} == {"-0.0", "0.0"}
+        assert {repr(r.start) for r in reports if r.tag == "T7"} == {"0.0", "50.0"}
 
     def test_a_badge_folds_the_slices_it_heard(self):
         """A strided slice per badge, across a tag's grids in time order,

@@ -18,7 +18,7 @@ from proxmatch.edge import Activity, Advertisement, DistanceReport, Grid
 from proxmatch.ekf import DT_LINEAR, EkfParams
 from proxmatch.matcher import EvalReport, MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel, RangeSample
-from proxmatch.simulator import MIN_TRUE_DISTANCE_M, GroundTruth, Trace, scenario_swap
+from proxmatch.simulator import MIN_TRUE_DISTANCE_M, GroundTruth, Trace, generate, scenario_swap
 
 ADS = [
     Advertisement(ts=0.0, wearable="W1", tag="T1", rssi=-45.6, activity=Activity.USAGE),
@@ -217,6 +217,54 @@ class TestAdvertisementCodec:
         assert [line[:11] for line in p.read_text().splitlines()[:5]] == [
             '{"ts":-0.0,', '{"ts":-0.0,', '{"ts":-0.0,', '{"ts":0.0,"', '{"ts":-0.0,']
 
+    @staticmethod
+    def grids_on_tuples(case):
+        """The grids of a writer case named ``case``."""
+        u, t = Activity.USAGE, Activity.TRANSPORT
+        x, y = (0.0, 7.0, 14.0), (7.0, 10.5, 14.0)
+        if case == "two grids on one tuple":
+            return [Grid(x, ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0, -1e-7, 0.0], u),
+                    Grid(x, ["W3"], "T2", [-50.0, -51.5, -52.0], t)]
+        if case == "a run broken by another tuple":
+            return [Grid(x, ["W1"], "A", [-40.0, -41.0, -42.0], u),
+                    Grid(y, ["W1", "W2"], "B", [-50.0, -51.0, -52.0, -53.0, -54.0, -55.0], u),
+                    Grid(x, ["W2"], "C", [-60.0, -61.0, -62.0], t)]
+        if case == "equal tuples, distinct objects":
+            return [Grid((-0.0, 7.0), ["W1"], "T1", [-40.0, -41.0], u),
+                    Grid((0.0, 7.0), ["W1"], "T2", [-50.0, -51.0], u),
+                    Grid((0.0, 7.0), ["W2"], "T3", [-60.0, -61.0], u)]
+        if case == "lossy one-badge grids":
+            config = dataclasses.replace(scenario_swap(3, 2.0, [60.0], duration=120.0, seed=5),
+                                         drop_prob=0.3)
+            grids = generate(config)[0]
+            assert {len(g.wearables) for g in grids} == {1} and len(grids) > 3
+            return grids
+        assert case == "ids that hold %"
+        return [Grid(x, PERCENT_IDS[:3], "T%d", [-40.0 - i for i in range(9)], u),
+                Grid(x, PERCENT_IDS[3:], "%(x)s", [-50.0 - i for i in range(9)], t)]
+
+    @pytest.mark.parametrize("case", [
+        "two grids on one tuple", "a run broken by another tuple", "equal tuples, distinct objects",
+        "lossy one-badge grids", "ids that hold %",
+    ])
+    def test_runs_of_grids_on_one_tuple(self, tmp_path, case):
+        """Consecutive grids on one instants tuple are written as one run;
+        the file is still each record's ``json.dumps`` in stable ``ts`` order."""
+        grids = self.grids_on_tuples(case)
+        p = tmp_path / "ads.jsonl"
+        io.write_advertisements(p, grids)
+        assert p.read_bytes() == reference_ads_bytes([a for g in grids for a in g])
+
+    def test_a_run_ends_where_another_tuple_starts(self, tmp_path):
+        """Grid C holds A's tuple after B's, so it does not join A's run: at
+        an instant of both tuples, A's lines come first, then B's, then C's."""
+        a, b, c = grids = self.grids_on_tuples("a run broken by another tuple")
+        assert a.instants is c.instants and a.instants is not b.instants
+        p = tmp_path / "ads.jsonl"
+        io.write_advertisements(p, grids)
+        tags = [json.loads(line)["tag"] for line in p.read_text().splitlines()]
+        assert tags == ["A", "C", "A", "B", "B", "C", "B", "B", "A", "B", "B", "C"]
+
     def test_writer_cached_text_keeps_equal_values_apart(self, tmp_path):
         """Equal keys with different text: ``0.0`` and ``-0.0``. ``1``,
         ``1.0`` and ``np.float64(1.0)`` are all stored, and written, as the
@@ -271,13 +319,17 @@ class TestAdvertisementCodec:
     @given(data=st.data())
     def test_grids_interleave_in_stable_instant_order(self, tmp_path_factory, data):
         """Grids of odd ids on shared instants, signed zeros among them: each
-        row of equal instants keeps the order of the grids given."""
+        row of equal instants keeps the order of the grids given. The grids
+        draw from a few instants tuples, some equal in value, so that runs
+        of grids on one tuple form and break anywhere."""
         instant = st.sampled_from([-0.0, 0.0, 7.0, 1e-07, -3.5, 1e16, 5e-324])
         ids = st.one_of(st.sampled_from(ODD_IDS + PERCENT_IDS), st.text(max_size=6),
                         st.text(st.sampled_from('%sdr(x)W"'), max_size=6))
+        tuples = [tuple(sorted(data.draw(st.lists(instant, min_size=1, max_size=4, unique=True))))
+                  for _ in range(data.draw(st.integers(1, 4)))]
         grids = []
-        for _ in range(data.draw(st.integers(0, 4))):
-            instants = sorted(data.draw(st.lists(instant, min_size=1, max_size=4, unique=True)))
+        for _ in range(data.draw(st.integers(0, 5))):
+            instants = data.draw(st.sampled_from(tuples))
             wearables = data.draw(st.lists(ids, min_size=1, max_size=3, unique=True))
             rssi = data.draw(st.lists(st.floats(-127.0, 20.0), min_size=len(instants) * len(wearables),
                                       max_size=len(instants) * len(wearables)))
