@@ -37,7 +37,7 @@ import csv
 import json
 import math
 from io import StringIO
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -236,18 +236,18 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     The unit is a run: consecutive grids that hold one instants tuple
     object, as the tools of one schedule do in ``generate``'s stream; a
     grid whose tuple is another object, even an equal one, starts a new
-    run. Each run has one ``%`` template for the lines of one instant, one
-    line per (grid, badge) in grid order: the id, tag and activity text is
-    JSON-encoded once, with its ``%`` doubled, the instant's text goes in
-    through ``%s`` and each RSSI through ``%r``, which is
-    ``float.__repr__`` as in ``json`` (a grid holds finite floats and
-    ``str`` ids). The instant texts are formatted once per run, and the
-    template is applied once per instant, lazily, to the instant's text and
-    the run's RSSI. One stable sort of the (instant, run) rows gives the
-    file order, in which each row takes its run's next block: a run is a
-    contiguous range of grids, so that is the records' (instant, grid)
-    order. The blocks go out in writes of as many rows as hold
-    ``_CHUNK_LINES`` lines on average.
+    run. A run's row for one instant holds one line per (grid, badge) in
+    grid order, and is one ``"".join`` of four pieces per line: the
+    instant's ``{"ts":…`` text, formatted once per run; the constant
+    ``,"wearable":…,"tag":…,"rssi_db":`` text of the (grid, badge); its
+    RSSI through ``float.__repr__``, as in ``json`` (a grid holds finite
+    floats and ``str`` ids); and the grid's constant ``,"activity":…}``
+    tail. Each id, tag and activity is JSON-encoded once and copied
+    verbatim. The rows are joined lazily, one per instant. One stable sort
+    of the (instant, run) rows gives the file order, in which each row
+    takes its run's next block: a run is a contiguous range of grids, so
+    that is the records' (instant, grid) order. The blocks go out in writes
+    of as many rows as hold ``_CHUNK_LINES`` lines on average.
     """
     runs: list[list[Grid]] = []
     for g in grids:
@@ -258,21 +258,18 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     text = _JsonText()
     blocks, keys, owner, n_lines = [], [], [], 0
     for k, run in enumerate(runs):
-        template, columns = [], []
-        for g in run:
-            # the JSON texts go into a % template, so each % in them is doubled
-            tag, activity, *wearables = (
-                text[v].replace("%", "%%") for v in (g.tag, g.activity.value, *g.wearables)
-            )
-            tail = f',"tag":{tag},"rssi_db":%r,"activity":{activity}}}\n'
-            template += (f'{{"ts":%s,"wearable":{w}{tail}' for w in wearables)
-            n = len(wearables)
-            columns += (g.rssi[j::n] for j in range(n))
-            n_lines += len(g)
         instants = run[0].instants
-        heads = list(map(float.__repr__, instants))
-        blocks.append(map("".join(template).__mod__,
-                          zip(*chain.from_iterable(zip(repeat(heads), columns)))))
+        heads = list(map('{"ts":'.__add__, map(float.__repr__, instants)))
+        pieces = []
+        for g in run:
+            mid = f',"tag":{text[g.tag]},"rssi_db":'
+            tail = repeat(f',"activity":{text[g.activity.value]}}}\n')
+            n = len(g.wearables)
+            for j, w in enumerate(g.wearables):
+                pieces += (heads, repeat(f',"wearable":{text[w]}{mid}'),
+                           map(float.__repr__, g.rssi[j::n]), tail)
+            n_lines += len(g)
+        blocks.append(map("".join, zip(*pieces)))
         keys += instants
         owner += repeat(k, len(instants))
     # each row's run in file order, sorted through indices and not as

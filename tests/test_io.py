@@ -138,8 +138,11 @@ def reference_read_ads(path):
 
 
 ODD_IDS = ['W"1', "W\\1", "Wé", "W\u2028", "\u00ff\u4e2d", "", "W\x00"]
-#: Ids a ``%`` template would read as conversions if their ``%`` were not doubled.
+#: Ids that a ``%`` template would read as conversions; the writer copies
+#: each id's JSON text verbatim.
 PERCENT_IDS = ["W%s", "%%", "%r", "%(x)s", "T%d", "%"]
+#: Ids that a ``str.format`` or f-string template would read as fields.
+FORMAT_IDS = ["{", "}", "{0}", "{x!r}", "%(x)s{}"]
 ACTIVITIES = list(Activity)
 
 
@@ -239,13 +242,24 @@ class TestAdvertisementCodec:
             grids = generate(config)[0]
             assert {len(g.wearables) for g in grids} == {1} and len(grids) > 3
             return grids
+        if case == "a long lossy stream":
+            # each one-badge grid on its own tuple is a run of one line per
+            # row, so the rows of 36 runs interleave across several writes
+            config = dataclasses.replace(
+                scenario_swap(6, 2.0, [100.0 * k for k in range(1, 6)], duration=600.0, seed=7),
+                drop_prob=0.3)
+            grids = generate(config)[0]
+            assert {len(g.wearables) for g in grids} == {1}
+            assert len({id(g.instants) for g in grids}) == len(grids) == 36
+            assert sum(map(len, grids)) > 3 * io._CHUNK_LINES
+            return grids
         assert case == "ids that hold %"
         return [Grid(x, PERCENT_IDS[:3], "T%d", [-40.0 - i for i in range(9)], u),
                 Grid(x, PERCENT_IDS[3:], "%(x)s", [-50.0 - i for i in range(9)], t)]
 
     @pytest.mark.parametrize("case", [
         "two grids on one tuple", "a run broken by another tuple", "equal tuples, distinct objects",
-        "lossy one-badge grids", "ids that hold %",
+        "lossy one-badge grids", "a long lossy stream", "ids that hold %",
     ])
     def test_runs_of_grids_on_one_tuple(self, tmp_path, case):
         """Consecutive grids on one instants tuple are written as one run;
@@ -323,8 +337,8 @@ class TestAdvertisementCodec:
         draw from a few instants tuples, some equal in value, so that runs
         of grids on one tuple form and break anywhere."""
         instant = st.sampled_from([-0.0, 0.0, 7.0, 1e-07, -3.5, 1e16, 5e-324])
-        ids = st.one_of(st.sampled_from(ODD_IDS + PERCENT_IDS), st.text(max_size=6),
-                        st.text(st.sampled_from('%sdr(x)W"'), max_size=6))
+        ids = st.one_of(st.sampled_from(ODD_IDS + PERCENT_IDS + FORMAT_IDS), st.text(max_size=6),
+                        st.text(st.sampled_from('%sdr(x)W"{}!0'), max_size=6))
         tuples = [tuple(sorted(data.draw(st.lists(instant, min_size=1, max_size=4, unique=True))))
                   for _ in range(data.draw(st.integers(1, 4)))]
         grids = []

@@ -1,5 +1,7 @@
-"""The experiment script prints what the library's Monte Carlo chains give."""
+"""The experiment script prints what the library's Monte Carlo chains give;
+the digest script prints the sha256 of every file the commands write."""
 
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py"
+DIGESTS = SCRIPT.with_name("digests.py")
 
 
 def test_run_scenarios_prints_the_chains_numbers(monkeypatch, capsys):
@@ -63,3 +66,49 @@ def test_a_malformed_band_or_spacing_exits_2_before_any_chain_runs(monkeypatch, 
     out, err = capsys.readouterr()
     assert (e.value.code, out) == (2, "")
     assert f"argument {flag}:" in err
+
+
+def test_digests_hash_every_output_file_the_same_way_twice(monkeypatch, capsys, tmp_path):
+    """One line per file of ``simulate``, ``pipeline`` and ``estimate``,
+    lossless and lossy; the stage commands write the bytes ``pipeline`` writes."""
+    monkeypatch.setattr("sys.argv", [str(DIGESTS), "--workloads", "crowd_events", "--seeds", "1"])
+    printed = []
+    for _ in range(2):
+        runpy.run_path(str(DIGESTS), run_name="__main__")
+        printed.append(capsys.readouterr().out.splitlines())
+    assert printed[0] == printed[1]
+
+    lines = list(runpy.run_path(str(DIGESTS))["digest_lines"](["crowd_events"], [1], tmp_path))
+    assert lines == printed[0]
+    want, scenarios = set(), []
+    for f in filter(Path.is_file, tmp_path.rglob("*")):
+        p = f.relative_to(tmp_path).parts
+        if len(p) == 5:  # workload/drop/seed/command/file
+            digest = hashlib.sha256(f.read_bytes()).hexdigest()
+            want.add(f"{' '.join(p[:3])} {p[3]}/{p[4]} {digest}")
+        else:
+            scenarios.append(p)
+    assert sorted(lines) == sorted(want) and len(lines) == 2 * (2 + 6 + 1)
+    assert sorted(scenarios) == [("crowd_events", d, "scenario.json") for d in ("0.0", "0.2")]
+
+    by_file = {tuple(line.split()[1:4]): line.split()[4] for line in lines}
+    for drop in ("0.0", "0.2"):
+        assert by_file[drop, "1", "estimate/reports.jsonl"] == by_file[drop, "1", "pipeline/reports.jsonl"]
+        for name in ("advertisements.jsonl", "truth.jsonl"):
+            assert by_file[drop, "1", f"simulate/{name}"] == by_file[drop, "1", f"pipeline/{name}"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--workloads", "nope"),
+    ("--workloads", "crowd_events,crowd_events"),
+    ("--seeds", "x"),
+    ("--seeds", "-1"),
+    ("--seeds", "1,1"),
+])
+def test_digests_reject_a_bad_flag_before_any_command_runs(monkeypatch, capsys, flag, value):
+    monkeypatch.setattr("sys.argv", [str(DIGESTS), f"{flag}={value}"])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_path(str(DIGESTS), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert f"{flag} must be" in err
