@@ -28,6 +28,7 @@ __all__ = [
     "Advertisement",
     "DistanceReport",
     "Grid",
+    "Instants",
     "SESSION_GAP_S",
     "run_edge",
 ]
@@ -70,6 +71,13 @@ def _id(value, name: str) -> str:
     return value
 
 
+def _ts(value) -> float:
+    """``value``, a number, as a finite float: the rule for a broadcast time."""
+    if math.isfinite(ts := _number(value, "ts")):
+        return ts
+    raise ValueError(f"timestamp must be finite, got {ts}")
+
+
 class _AdvertisementFields(NamedTuple):
     ts: float
     wearable: str
@@ -96,10 +104,8 @@ class Advertisement(_AdvertisementFields):
     def __new__(
         cls, ts: float, wearable: str, tag: str, rssi: float, activity: Activity
     ) -> Advertisement:
-        if type(ts) is not float:
-            ts = _number(ts, "ts")
-        if not math.isfinite(ts):
-            raise ValueError(f"timestamp must be finite, got {ts}")
+        if type(ts) is not float or not math.isfinite(ts):
+            ts = _ts(ts)
         if type(wearable) is not str:
             _id(wearable, "wearable")
         if type(tag) is not str:
@@ -115,8 +121,20 @@ class Advertisement(_AdvertisementFields):
         return tuple.__new__(cls, (ts, wearable, tag, rssi, activity))
 
 
-#: The instants tuple of the last grid built, which passed every check.
-_checked_instants: tuple[float, ...] | None = None
+class Instants(tuple):
+    """A tag's broadcast times, checked once: each as ``Advertisement``'s
+    ``ts``, a finite float, strictly increasing. A slice is a plain tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable[float]) -> Instants:
+        instants = tuple.__new__(cls, values)
+        if not (set(map(type, instants)) <= {float} and all(map(math.isfinite, instants))):
+            instants = tuple.__new__(cls, map(_ts, instants))
+        if not all(map(lt, instants, instants[1:])):
+            t0, t1 = next((t0, t1) for t0, t1 in zip(instants, instants[1:]) if not t0 < t1)
+            raise ValueError(f"grid instants must strictly increase ({t1} after {t0})")
+        return instants
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,64 +147,45 @@ class Grid:
 
     A grid holds the ``Advertisement`` records it iterates over, and
     ``len`` counts them. Construction checks them under ``Advertisement``'s
-    rules and stores ``instants`` and ``rssi`` as tuples of floats. On top,
-    a grid holds at least one reading, its badges are distinct and its
-    instants strictly increase, so each badge hears each broadcast once.
+    rules. An ``Instants`` is held as it is, as the grids of one schedule
+    from ``simulator.generate`` share one; another sequence is built into
+    one. The other values are checked in C-level passes, each id and the
+    activity once, and ``rssi`` is stored as a tuple of floats. Bad instants
+    raise first; on a later failed check the records are built through
+    ``Advertisement``, which raises its error for the first bad RSSI, id or
+    activity, or turns ints into floats. A grid has readings, on distinct badges."""
 
-    Each value is checked in C-level passes, each instant, id and the
-    activity once. When any check fails, the records are built one by one
-    through ``Advertisement``, which raises its own error for the first bad
-    record or normalises an ``int`` to a ``float`` as it does for one record.
-    The last instants tuple that passed is remembered, and kept alive, in
-    ``_checked_instants``: a grid on that same object, as each of the
-    consecutive grids of one schedule that ``simulator.generate`` gives,
-    skips the instant passes, since a tuple of floats cannot change. Every
-    other value of such a grid is still checked, and a list is checked on
-    every construction.
-    """
-
-    instants: tuple[float, ...]
+    instants: Instants
     wearables: tuple[str, ...]
     tag: str
     rssi: tuple[float, ...]
     activity: Activity
 
     def __post_init__(self) -> None:
-        global _checked_instants
-        instants, wearables, tag, rssi, activity = (
-            self.instants, tuple(self.wearables), self.tag, self.rssi, self.activity
-        )
-        checked = instants is _checked_instants
+        instants = self.instants if type(self.instants) is Instants else Instants(self.instants)
+        wearables, tag, rssi, activity = tuple(self.wearables), self.tag, self.rssi, self.activity
         n = len(wearables)
         if len(rssi) != len(instants) * n:
             raise ValueError(f"expected {len(instants)} x {n} rssi values, got {len(rssi)}")
         if not rssi:
             raise ValueError("a grid needs at least one instant and one badge")
-        if (
+        if not (
             type(tag) is str
             and isinstance(activity, Activity)
             and set(map(type, wearables)) == {str}
-            and (checked or set(map(type, instants)) == {float} and all(map(math.isfinite, instants)))
             and set(map(type, rssi)) == {float}
             # min and max pass over a NaN that is not first; the sum does not
             and RSSI_MIN_DB <= min(rssi)
             and max(rssi) <= RSSI_MAX_DB
             and not math.isnan(sum(rssi))
         ):
-            instants, rssi = tuple(instants), tuple(rssi)
-        else:
-            records = list(map(Advertisement, chain.from_iterable(map(repeat, instants, repeat(n))),
-                               cycle(wearables), repeat(tag), rssi, repeat(activity)))
-            instants, rssi = tuple(a[0] for a in records[::n]), tuple(a[3] for a in records)
+            rssi = [a[3] for a in map(Advertisement, chain.from_iterable(map(repeat, instants, repeat(n))),
+                                      cycle(wearables), repeat(tag), rssi, repeat(activity))]
         if len(set(wearables)) != n:
             raise ValueError(f"a grid's badges must be distinct, got {list(wearables)}")
-        if not (checked or all(map(lt, instants, instants[1:]))):
-            t0, t1 = next((t0, t1) for t0, t1 in zip(instants, instants[1:]) if not t0 < t1)
-            raise ValueError(f"grid instants must strictly increase ({t1} after {t0})")
-        _checked_instants = instants
         object.__setattr__(self, "instants", instants)
         object.__setattr__(self, "wearables", wearables)
-        object.__setattr__(self, "rssi", rssi)
+        object.__setattr__(self, "rssi", tuple(rssi))
 
     def __len__(self) -> int:
         return len(self.rssi)
@@ -291,10 +290,10 @@ def _record_lanes(ads: Iterable[Advertisement], active: frozenset[Activity]) -> 
 def _grid_lanes(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[_Lanes]:
     """The lanes of the active grids, given in any order. A tag's instants
     are its grids' instants in the order given, stably sorted, as the
-    records' sort would give them: the instants tuple itself when the tag
-    has one active grid, so that tags on one tuple share it. Each badge's
-    readings are strided slices of its grids in time order. Grids of one
-    tag that share a badge must not overlap in time."""
+    records' sort would give them: the grid's ``Instants`` object itself
+    when the tag has one active grid, so that tags on one object share it.
+    Each badge's readings are strided slices of its grids in time order.
+    Grids of one tag that share a badge must not overlap in time."""
     by_tag: dict[str, list[Grid]] = defaultdict(list)
     for g in grids:
         if type(g) is not Grid:
@@ -356,13 +355,13 @@ def run_edge(
     into sessions, each badge's readings are cut at the session stops, and
     one ``ekf.run_windows`` call per badge folds each session that badge
     heard into a fresh filter. A tag whose one active grid holds the same
-    instants tuple as the tag before it, as the consecutive tools of one
-    schedule do, takes that tag's session starts and stops instead of
-    cutting the tuple again; either way a window is a pair of the tuple's
+    ``Instants`` object as the tag before it, as the consecutive tools of
+    one schedule do, takes that tag's session starts and stops instead of
+    cutting them again; either way a window is a pair of the instants'
     float objects. A badge's reports are built from C-level iterators by
-    ``tuple.__new__``: their ids and windows come checked
-    from the records or grids, and a non-finite estimate, the one value
-    that can break a report's rules, sends the badge's reports through the
+    ``tuple.__new__``: their ids and windows come checked from the records
+    or grids, and a non-finite estimate, the one value that can break a
+    report's rules, sends the badge's reports through the
     ``DistanceReport`` constructor, which raises its error.
     """
     if not (math.isfinite(gap) and gap > 0):

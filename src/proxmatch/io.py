@@ -233,10 +233,10 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     of the ``_AD_FIELDS`` keys, formatted directly and written
     about ``_CHUNK_LINES`` lines at a time.
 
-    The unit is a run: consecutive grids that hold one instants tuple
+    The unit is a run: consecutive grids that hold one ``Instants``
     object, as the tools of one schedule do in ``generate``'s stream; a
-    grid whose tuple is another object, even an equal one, starts a new
-    run. A run's row for one instant holds one line per (grid, badge) in
+    grid whose instants are another object, even an equal one, starts a
+    new run. A run's row for one instant holds one line per (grid, badge) in
     grid order, and is one ``"".join`` of four pieces per line: the
     instant's ``{"ts":…`` text, formatted once per run; the constant
     ``,"wearable":…,"tag":…,"rssi_db":`` text of the (grid, badge); its
@@ -310,8 +310,8 @@ def write_reports(path: str | Path, reports: Iterable[DistanceReport]) -> None:
     The window text is formatted once per run of consecutive reports whose
     ``start`` and ``stop`` are the same float objects, as ``run_edge``
     gives one session's reports, or those of co-starting sessions whose
-    tools shared one instants tuple; equal values held by distinct objects,
-    such as ``0.0`` and ``-0.0``, each get their own text."""
+    tools shared one ``Instants`` object; equal values held by distinct
+    objects, such as ``0.0`` and ``-0.0``, each get their own text."""
     text = _JsonText()
 
     def lines() -> Iterator[str]:

@@ -18,7 +18,7 @@ from itertools import chain, groupby
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .edge import (ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, DistanceReport, Grid,
-                   _id, _number, _window, run_edge)
+                   Instants, _id, _number, _window, run_edge)
 from .matcher import EvalReport, MatchProblem, TruthRecord, evaluate, solve
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
@@ -356,13 +356,14 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     and the workers' positions at each stretch start are computed once per
     distinct schedule in a call: tools with the same segment windows and the
     same knot times and moving intervals (the tools of a swap row) share
-    them, and a grid of all of a tool's instants holds the shared instants
-    tuple itself. Distances and model means stay Python floats, computed
-    once per distinct layout (the tool's position and every worker's) in a
-    call. Without drop, a tool's noise is one array draw in draw order,
-    added to its stretch means repeated per instant and clamped as arrays,
-    which gives the scalar draws, sums and clamps value for value. With
-    drop, each reading keeps its own normal then uniform draw.
+    them, and a grid of all of a tool's instants holds the shared
+    ``Instants`` object itself. Distances and model means stay Python
+    floats, computed once per distinct layout (the tool's position and
+    every worker's) in a call. Without drop, a tool's noise is one array
+    draw in draw order, added to its stretch means repeated per instant and
+    clamped as arrays, which gives the scalar draws, sums and clamps value
+    for value. With drop, each reading keeps its own normal then uniform
+    draw.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -409,7 +410,7 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
             if instants:
                 bounds = _still_stretches(instants, ((trace.times, trace.moving), worker_events),
                                           [first for _, first, _ in spans])
-                entry = (tuple(instants), spans, bounds, [
+                entry = (Instants(instants), spans, bounds, [
                     list(chain.from_iterable(w.trace.position(instants[lo]) for w in workers))
                     for lo in bounds[:-1]])
             schedules[schedule_key] = entry
@@ -442,8 +443,8 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
             lo, hi = run[0][1], run[-1][2]
             if drop_prob == 0:
                 if n:
-                    # a grid of the whole tuple holds the tuple itself, so the
-                    # writer sees the tools that share it share their instants
+                    # a grid of all the instants holds the shared ``Instants``,
+                    # so the writer sees the tools that share it share them
                     own = instants if hi - lo == len(instants) else instants[lo:hi]
                     grids.append(Grid(own, worker_ids, tool.id, rssi[lo * n:hi * n], activity))
                 continue

@@ -327,6 +327,42 @@ def activity_runs():
     return ScenarioConfig(seed=3, duration=360.0, workers=workers, tools=tools)
 
 
+#: sha256 of the six files ``pipeline`` writes on ``activity_runs()``,
+#: lossless and with drop_prob 0.2, in the order of ``RUN_FILES``. Without
+#: loss, T1's grids hold slices of its instants, the one path of the
+#: simulated stream on which a grid's instants are a plain tuple.
+ACTIVITY_RUNS_GOLDEN = {
+    0.0: (
+        "7be33f040384d52dcc65962bc4a1a2dd0e0482fbb42c040703bc8a7822194d80",
+        "6a65c717bbdae280666710a81a6799b731ae0e16180eef5fc7326af242d3643d",
+        "3297dfa6ecadaa620e576606e2d8c40aec91d68a37f1b55db7bc3deaa60d4acf",
+        "11ef61ead54b15047425d36b5a7ceb9e28acf67b0067921c7634aa53a1477951",
+        "25835188a7a92c8cb88486873ee1e884ee48f766b46b70f20386edd28ea9c3f5",
+        "5ed45600784881242eef2dc82cfbe8a52122037ac77a0912fffd8342966d0d08",
+    ),
+    0.2: (
+        "0de3796f0dd82110cbfcb5092b126c6ccfaf7dfa66f78aa7a5258f7d5bf429e7",
+        "6a65c717bbdae280666710a81a6799b731ae0e16180eef5fc7326af242d3643d",
+        "4e58fd623905ae8aedfc7246a53676f12c8729ca4fee6e201bacc642491cd931",
+        "989a979fe0a6813e179e9ced56ee01905bc615a4ace205a453fa07610b7e6cc8",
+        "25835188a7a92c8cb88486873ee1e884ee48f766b46b70f20386edd28ea9c3f5",
+        "6c44a4b90cfb51181bda2cfc6254aff4a551ad823c8a30385ce676cb172ed410",
+    ),
+}
+
+RUN_FILES = ("advertisements.jsonl", "truth.jsonl", "reports.jsonl", "matches.jsonl",
+             "metrics.json", "errors.csv")
+
+
+@pytest.mark.parametrize("drop_prob", sorted(ACTIVITY_RUNS_GOLDEN))
+def test_activity_runs_pipeline_bytes_match_the_recorded_digests(tmp_path, drop_prob):
+    scen, out = tmp_path / "scen.json", tmp_path / "run"
+    io.write_scenario(scen, dataclasses.replace(activity_runs(), drop_prob=drop_prob))
+    assert run("pipeline", scen, "--out-dir", out) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in RUN_FILES)
+    assert digests == ACTIVITY_RUNS_GOLDEN[drop_prob]
+
+
 def test_simulate_and_pipeline_pass_grids_and_build_no_advertisement(tmp_path, monkeypatch):
     """Without reception loss, ``generate`` returns one ``Grid`` per (tool,
     activity run), and ``simulate`` and ``pipeline`` build no

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from proxmatch.edge import (
     Advertisement,
     DistanceReport,
     Grid,
+    Instants,
     SESSION_GAP_S,
     run_edge,
 )
 from proxmatch.ekf import EkfParams
 from proxmatch.pathloss import DEFAULT_MODEL
+from proxmatch.simulator import generate, scenario_swap
 
 PARAMS = EkfParams()
 
@@ -175,10 +178,19 @@ class TestGrid:
             with pytest.raises(ValueError, match="instants must strictly increase"):
                 Grid(instants, ["W1"], "T1", [-50.0] * 2, Activity.USAGE)
 
+    def test_instants_hold_each_time_as_a_float(self):
+        """``Instants`` stores each value under ``Advertisement``'s ``ts``
+        rule; a slice of it is a plain tuple."""
+        built = Instants([0, 7.0, np.float64(14.0)])
+        assert type(built) is Instants and built == (0.0, 7.0, 14.0)
+        assert [type(t) for t in built] == [float] * 3
+        assert type(built[1:]) is tuple
+
     def test_a_checked_tuple_skips_only_the_instant_checks(self):
-        """A grid on the last tuple that passed still checks its other values."""
-        instants = Grid((0.0, 7.0), ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants
-        assert edge._checked_instants is instants
+        """A grid given an ``Instants`` holds that object and still checks
+        its other values."""
+        instants = Instants((0.0, 7.0))
+        assert Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants is instants
         for rssi in ([-50.0, 20.5], [-127.5, -50.0], [-50.0, math.nan], [math.nan, -50.0]):
             with pytest.raises(ValueError, match="rssi outside plausible range"):
                 Grid(instants, ["W2"], "T2", rssi, Activity.USAGE)
@@ -188,25 +200,32 @@ class TestGrid:
                 Grid(instants, wearables, "T2", [-50.0] * 4, Activity.USAGE)
         with pytest.raises(ValueError, match="activity must be an Activity"):
             Grid(instants, ["W1"], "T2", [-50.0] * 2, "usage")
-        assert edge._checked_instants is instants
+        with pytest.raises(ValueError, match="tag must be a string"):
+            Grid(instants, ["W1"], None, [-50.0] * 2, Activity.USAGE)
         assert Grid(instants, ["W2"], "T2", [-52.0, -53.0], Activity.TRANSPORT).instants is instants
 
+    # Each id names the broken rule, without the values.
     @pytest.mark.parametrize("instants, message", [
-        ((7.0, 0.0), "instants must strictly increase"),
-        ((0.0, 0.0), "instants must strictly increase"),
-        ((0.0, math.inf), "timestamp must be finite"),
-        ((math.nan, 7.0), "timestamp must be finite"),
-        ((0.0, "7.0"), "ts must be a number"),
-    ])
+        ((7.0, 0.0), "grid instants must strictly increase (0.0 after 7.0)"),
+        ((0.0, 0.0), "grid instants must strictly increase (0.0 after 0.0)"),
+        ((0.0, math.inf), "timestamp must be finite, got inf"),
+        ((math.nan, 7.0), "timestamp must be finite, got nan"),
+        ((0.0, "7.0"), "ts must be a number, got '7.0'"),
+        ((-0.0, 0.0), "grid instants must strictly increase (0.0 after -0.0)"),
+        ((0.0, True), "ts must be a number, got True"),
+    ], ids=lambda v: v.split(" (")[0].split(",")[0].removeprefix("grid ") if type(v) is str else None)
     def test_a_tuple_that_fails_is_never_remembered(self, instants, message):
-        Grid((0.0, 7.0), ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        """Bad instants raise their exact message on every construction, as
+        ``Instants`` and in a grid."""
         for _ in range(2):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                Instants(instants)
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
-            assert edge._checked_instants is not instants
 
     def test_an_instants_list_is_checked_on_every_construction(self):
-        """The same list object, mutated between two grids, is checked again."""
+        """The same list object, mutated between two grids, is checked again;
+        a plain tuple becomes a new ``Instants`` in each grid."""
         instants = [0.0, 7.0]
         Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
         for value, message in ((-7.0, "instants must strictly increase"),
@@ -215,7 +234,25 @@ class TestGrid:
             with pytest.raises(ValueError, match=message):
                 Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
         instants[1] = 14.0
-        assert Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants == (0.0, 14.0)
+        built = Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants
+        assert type(built) is Instants and built == (0.0, 14.0)
+        plain = (0.0, 7.0)
+        a, b = (Grid(plain, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants for _ in "ab")
+        assert type(a) is Instants and a == plain and a is not b and a is not plain
+
+
+def test_building_grids_leaves_the_module_as_it_was():
+    """No constructor writes module state: after grids are built, by
+    ``generate`` on tools that share a schedule and directly, each name in
+    ``edge`` is bound to the object it was bound to before."""
+    before = dict(vars(edge))
+    grids = generate(scenario_swap(3, 2.0, [60.0], duration=120.0, seed=5))[0]
+    assert len({id(g.instants) for g in grids}) < len(grids)
+    Grid((0.0, 7.0), ["W1", "W2"], "T1", [-50.0] * 4, Activity.USAGE)
+    Grid([14.0, 21.0], ["W1"], "T2", [-50.0] * 2, Activity.TRANSPORT)
+    after = vars(edge)
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
 
 
 def windows(ads, **kwargs):
@@ -508,10 +545,10 @@ class TestGridStream:
     @pytest.mark.parametrize("gap", [10.0, SESSION_GAP_S])
     @pytest.mark.parametrize("active", [ACTIVE_DEFAULT, frozenset({Activity.USAGE, Activity.TRANSPORT})])
     def test_tags_on_one_tuple_share_its_sessions(self, gap, active):
-        """Tags whose one active grid holds one instants tuple fold as their
-        records, and their reports hold that tuple's floats as windows, so
+        """Tags whose one active grid holds one ``Instants`` object fold as
+        their records, and their reports hold its floats as windows, so
         equal windows are one pair of objects for ``io.write_reports``."""
-        shared = (-0.0, 7.0, 14.0, 50.0, 57.0, 64.0)
+        shared = Instants((-0.0, 7.0, 14.0, 50.0, 57.0, 64.0))
         badges = ["W1", "W2"]
         values = [-50.0 - i / 4 for i in range(12)]
         stream = [

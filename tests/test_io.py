@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from proxmatch import io
 from proxmatch.cli import main
-from proxmatch.edge import Activity, Advertisement, DistanceReport, Grid
+from proxmatch.edge import Activity, Advertisement, DistanceReport, Grid, Instants
 from proxmatch.ekf import DT_LINEAR, EkfParams
 from proxmatch.matcher import EvalReport, MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel, RangeSample
@@ -203,9 +203,9 @@ class TestAdvertisementCodec:
         assert len(p.read_bytes().splitlines()) == n
 
     def test_writer_shares_instant_texts_only_within_one_tuple(self, tmp_path):
-        """Consecutive grids that hold one instants tuple share its texts; a
-        tuple of equal instants, one of them ``0.0`` for ``-0.0``, gets its own."""
-        u, shared = Activity.USAGE, (-0.0, 7.0, 1e22)
+        """Consecutive grids that hold one ``Instants`` object share its texts;
+        a tuple of equal instants, one of them ``0.0`` for ``-0.0``, gets its own."""
+        u, shared = Activity.USAGE, Instants((-0.0, 7.0, 1e22))
         grids = [
             Grid(shared, ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0, -1e-7, 0.0], u),
             Grid(shared, ["W1"], "T2", [-50.0, -51.5, -52.0], u),
@@ -224,7 +224,7 @@ class TestAdvertisementCodec:
     def grids_on_tuples(case):
         """The grids of a writer case named ``case``."""
         u, t = Activity.USAGE, Activity.TRANSPORT
-        x, y = (0.0, 7.0, 14.0), (7.0, 10.5, 14.0)
+        x, y = Instants((0.0, 7.0, 14.0)), Instants((7.0, 10.5, 14.0))
         if case == "two grids on one tuple":
             return [Grid(x, ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0, -1e-7, 0.0], u),
                     Grid(x, ["W3"], "T2", [-50.0, -51.5, -52.0], t)]
@@ -262,7 +262,7 @@ class TestAdvertisementCodec:
         "lossy one-badge grids", "a long lossy stream", "ids that hold %",
     ])
     def test_runs_of_grids_on_one_tuple(self, tmp_path, case):
-        """Consecutive grids on one instants tuple are written as one run;
+        """Consecutive grids on one ``Instants`` object are written as one run;
         the file is still each record's ``json.dumps`` in stable ``ts`` order."""
         grids = self.grids_on_tuples(case)
         p = tmp_path / "ads.jsonl"
@@ -339,7 +339,7 @@ class TestAdvertisementCodec:
         instant = st.sampled_from([-0.0, 0.0, 7.0, 1e-07, -3.5, 1e16, 5e-324])
         ids = st.one_of(st.sampled_from(ODD_IDS + PERCENT_IDS + FORMAT_IDS), st.text(max_size=6),
                         st.text(st.sampled_from('%sdr(x)W"{}!0'), max_size=6))
-        tuples = [tuple(sorted(data.draw(st.lists(instant, min_size=1, max_size=4, unique=True))))
+        tuples = [Instants(sorted(data.draw(st.lists(instant, min_size=1, max_size=4, unique=True))))
                   for _ in range(data.draw(st.integers(1, 4)))]
         grids = []
         for _ in range(data.draw(st.integers(0, 5))):
