@@ -80,7 +80,8 @@ def _load_params(args: argparse.Namespace) -> EkfParams:
     return params
 
 
-def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Grid], GroundTruth]:
+def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Grid], GroundTruth, int]:
+    """The simulated grids, the truth and the count of advertisements."""
     out_dir.mkdir(parents=True, exist_ok=True)
     grids, truth = generate(config)
     if truth.floored:
@@ -92,8 +93,9 @@ def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Grid], 
               f"above the walking bound {simulator.V_MAX_M_S} m/s", file=sys.stderr)
     io.write_advertisements(out_dir / "advertisements.jsonl", grids)
     io.write_truth(out_dir / "truth.jsonl", truth.sessions)
-    print(f"{sum(map(len, grids))} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")
-    return grids, truth
+    n_ads = sum(map(len, grids))
+    print(f"{n_ads} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")
+    return grids, truth, n_ads
 
 
 def _estimate_stage(ads: Sequence[Advertisement] | Sequence[Grid], n_ads: int, out_path: Path,
@@ -221,8 +223,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except Exception as e:
             raise RuntimeError(f"[{name}] {e}") from e
 
-    grids, truth = stage("simulate", _simulate_stage, config, out)
-    reports = stage("estimate", _estimate_stage, grids, sum(map(len, grids)), out / "reports.jsonl",
+    grids, truth, n_ads = stage("simulate", _simulate_stage, config, out)
+    reports = stage("estimate", _estimate_stage, grids, n_ads, out / "reports.jsonl",
                     params, args.gap_s, active)
     del grids  # not held through match and evaluate
     matches = stage("match", _match_stage, reports, out / "matches.jsonl",

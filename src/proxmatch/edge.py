@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, count, cycle, repeat, starmap
+from itertools import chain, compress, count, repeat, starmap
 from operator import itemgetter, lt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -139,62 +139,56 @@ class Instants(tuple):
 
 @dataclass(frozen=True, slots=True)
 class Grid:
-    """One tag's broadcasts at ``instants``, each heard by every badge in
-    ``wearables``, with ``rssi`` holding one value per (instant, badge),
-    instant-major: the readings a simulated tool sends while its activity
-    stays the same (with reception loss, those one badge heard), as one
-    compact value.
+    """One tag's broadcasts at ``instants`` as one badge, ``wearable``,
+    heard them, with ``rssi`` holding one value per instant: the readings
+    one badge takes of a simulated tool while its activity stays the same,
+    as one compact value.
 
     A grid holds the ``Advertisement`` records it iterates over, and
     ``len`` counts them. Construction checks them under ``Advertisement``'s
     rules. An ``Instants`` is held as it is, as the grids of one schedule
     from ``simulator.generate`` share one; another sequence is built into
-    one. The other values are checked in C-level passes, each id and the
+    one. The other values are checked in C-level passes, the ids and the
     activity once, and ``rssi`` is stored as a tuple of floats. Bad instants
     raise first; on a later failed check the records are built through
     ``Advertisement``, which raises its error for the first bad RSSI, id or
-    activity, or turns ints into floats. A grid has readings, on distinct badges."""
+    activity, or turns ints into floats. A grid has readings."""
 
     instants: Instants
-    wearables: tuple[str, ...]
+    wearable: str
     tag: str
     rssi: tuple[float, ...]
     activity: Activity
 
     def __post_init__(self) -> None:
         instants = self.instants if type(self.instants) is Instants else Instants(self.instants)
-        wearables, tag, rssi, activity = tuple(self.wearables), self.tag, self.rssi, self.activity
-        n = len(wearables)
-        if len(rssi) != len(instants) * n:
-            raise ValueError(f"expected {len(instants)} x {n} rssi values, got {len(rssi)}")
+        wearable, tag, rssi, activity = self.wearable, self.tag, self.rssi, self.activity
+        if len(rssi) != len(instants):
+            raise ValueError(f"expected {len(instants)} rssi values, got {len(rssi)}")
         if not rssi:
-            raise ValueError("a grid needs at least one instant and one badge")
+            raise ValueError("a grid needs at least one instant")
         if not (
-            type(tag) is str
+            type(wearable) is str
+            and type(tag) is str
             and isinstance(activity, Activity)
-            and set(map(type, wearables)) == {str}
             and set(map(type, rssi)) == {float}
             # min and max pass over a NaN that is not first; the sum does not
             and RSSI_MIN_DB <= min(rssi)
             and max(rssi) <= RSSI_MAX_DB
             and not math.isnan(sum(rssi))
         ):
-            rssi = [a[3] for a in map(Advertisement, chain.from_iterable(map(repeat, instants, repeat(n))),
-                                      cycle(wearables), repeat(tag), rssi, repeat(activity))]
-        if len(set(wearables)) != n:
-            raise ValueError(f"a grid's badges must be distinct, got {list(wearables)}")
+            rssi = [a[3] for a in map(Advertisement, instants, repeat(wearable), repeat(tag), rssi,
+                                      repeat(activity))]
         object.__setattr__(self, "instants", instants)
-        object.__setattr__(self, "wearables", wearables)
         object.__setattr__(self, "rssi", tuple(rssi))
 
     def __len__(self) -> int:
         return len(self.rssi)
 
     def __iter__(self) -> Iterator[Advertisement]:
-        """The records, instant-major, built without checking them again."""
+        """The records in time order, built without checking them again."""
         return map(tuple.__new__, repeat(Advertisement), zip(
-            chain.from_iterable(map(repeat, self.instants, repeat(len(self.wearables)))),
-            cycle(self.wearables), repeat(self.tag), self.rssi, repeat(self.activity),
+            self.instants, repeat(self.wearable), repeat(self.tag), self.rssi, repeat(self.activity),
         ))
 
 
@@ -290,36 +284,35 @@ def _record_lanes(ads: Iterable[Advertisement], active: frozenset[Activity]) -> 
 def _grid_lanes(grids: Iterable[Grid], active: frozenset[Activity]) -> Iterator[_Lanes]:
     """The lanes of the active grids, given in any order. A tag's instants
     are its grids' instants in the order given, stably sorted, as the
-    records' sort would give them: the grid's ``Instants`` object itself
-    when the tag has one active grid, so that tags on one object share it.
-    Each badge's readings are strided slices of its grids in time order.
-    Grids of one tag that share a badge must not overlap in time."""
+    records' sort would give them: the grids' ``Instants`` object itself
+    when the tag's active grids all hold one, so that tags on one object
+    share it. Each badge's lane is its grids in time order. Grids of one
+    tag and badge must not overlap in time."""
     by_tag: dict[str, list[Grid]] = defaultdict(list)
     for g in grids:
         if type(g) is not Grid:
             raise ValueError(_MIXED_STREAM)
         by_tag[g.tag].append(g)
     for tag, tag_grids in by_tag.items():
-        # each badge's (grid, column) in time order, whatever the activity
-        by_badge: dict[str, list[tuple[Grid, int]]] = defaultdict(list)
+        # each badge's grids in time order, whatever the activity
+        by_badge: dict[str, list[Grid]] = defaultdict(list)
         for g in sorted(tag_grids, key=lambda g: g.instants[0]):
-            for j, w in enumerate(g.wearables):
-                by_badge[w].append((g, j))
+            by_badge[g.wearable].append(g)
         lanes: dict[str, tuple[list[float], list[float]]] = {}
         for w, own in by_badge.items():
-            for (a, _), (b, _) in zip(own, own[1:]):
+            for a, b in zip(own, own[1:]):
                 if a.instants[-1] >= b.instants[0]:
                     raise ValueError(
                         f"grids of tag {tag!r} heard by {w!r} overlap in time: "
                         f"[{a.instants[0]}, {a.instants[-1]}] and [{b.instants[0]}, {b.instants[-1]}]"
                     )
             rssi, ts = lanes[w] = [], []
-            for g, j in own:
+            for g in own:
                 if g.activity in active:
-                    rssi += g.rssi[j::len(g.wearables)]
+                    rssi += g.rssi
                     ts += g.instants
         own = [g.instants for g in tag_grids if g.activity in active]
-        if len(own) == 1:
+        if len(set(map(id, own))) == 1:
             yield tag, own[0], lanes
         elif own:
             yield tag, sorted(chain.from_iterable(own)), lanes
@@ -345,16 +338,16 @@ def run_edge(
 
     The stream is either records, as read from a file, in any order, or
     ``Grid``s, as ``simulator.generate`` returns them, never both; one
-    tag's grids that share a badge must not overlap in time. Either kind
+    tag's grids of one badge must not overlap in time. Either kind
     becomes per-tag lanes: the tag's active instants in time order, and
     each badge's (rssi, ts) readings in time order. Records are stably
-    sorted by ``ts``; a grid's readings are strided slices, which gives
-    the lanes of the records it holds. The first item decides which lane
+    sorted by ``ts``; a badge's grids are joined in time order, which
+    gives the lanes of the records they hold. The first item decides which lane
     builder runs, and each builder rejects an item of the other kind in
     its own pass. One cut serves both: the gap splits a tag's instants
     into sessions, each badge's readings are cut at the session stops, and
     one ``ekf.run_windows`` call per badge folds each session that badge
-    heard into a fresh filter. A tag whose one active grid holds the same
+    heard into a fresh filter. A tag whose active grids all hold the same
     ``Instants`` object as the tag before it, as the consecutive tools of
     one schedule do, takes that tag's session starts and stops instead of
     cutting them again; either way a window is a pair of the instants'

@@ -236,11 +236,11 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
     The unit is a run: consecutive grids that hold one ``Instants``
     object, as the tools of one schedule do in ``generate``'s stream; a
     grid whose instants are another object, even an equal one, starts a
-    new run. A run's row for one instant holds one line per (grid, badge) in
-    grid order, and is one ``"".join`` of four pieces per line: the
-    instant's ``{"ts":…`` text, formatted once per run; the constant
-    ``,"wearable":…,"tag":…,"rssi_db":`` text of the (grid, badge); its
-    RSSI through ``float.__repr__``, as in ``json`` (a grid holds finite
+    new run. A run's row for one instant holds one line per grid in grid
+    order, and is one ``"".join`` of four pieces per line: the instant's
+    ``{"ts":…`` text, formatted once per run; the grid's constant
+    ``,"wearable":…,"tag":…,"rssi_db":`` text; its RSSI through
+    ``float.__repr__``, as in ``json`` (a grid holds finite
     floats and ``str`` ids); and the grid's constant ``,"activity":…}``
     tail. Each id, tag and activity is JSON-encoded once and copied
     verbatim. The rows are joined lazily, one per instant. One stable sort
@@ -262,13 +262,9 @@ def write_advertisements(path: str | Path, grids: Iterable[Grid]) -> None:
         heads = list(map('{"ts":'.__add__, map(float.__repr__, instants)))
         pieces = []
         for g in run:
-            mid = f',"tag":{text[g.tag]},"rssi_db":'
-            tail = repeat(f',"activity":{text[g.activity.value]}}}\n')
-            n = len(g.wearables)
-            for j, w in enumerate(g.wearables):
-                pieces += (heads, repeat(f',"wearable":{text[w]}{mid}'),
-                           map(float.__repr__, g.rssi[j::n]), tail)
-            n_lines += len(g)
+            pieces += (heads, repeat(f',"wearable":{text[g.wearable]},"tag":{text[g.tag]},"rssi_db":'),
+                       map(float.__repr__, g.rssi), repeat(f',"activity":{text[g.activity.value]}}}\n'))
+        n_lines += len(instants) * len(run)
         blocks.append(map("".join, zip(*pieces)))
         keys += instants
         owner += repeat(k, len(instants))

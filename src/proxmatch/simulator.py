@@ -342,11 +342,12 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     distances and too-fast traces are reported in the returned
     ``GroundTruth``.
 
-    The stream comes as ``Grid``s, tool after tool and each tool's in time
-    order, one or more per run of consecutive segments with one activity:
-    without drop, one heard by every worker; with drop, one per worker that
-    heard any of the run, holding the instants it heard, workers by id. The
-    records the grids hold, stably sorted by ``ts``, are the file
+    The stream comes as one-badge ``Grid``s, tool after tool and each
+    tool's in time order: per run of consecutive segments with one
+    activity, one per worker that heard any of the run, workers by id,
+    holding the instants it heard. Without drop that is every worker and
+    every instant of the run, and the run's grids share one ``Instants``.
+    The records the grids hold, stably sorted by ``ts``, are the file
     ``io.write_advertisements`` writes, which is thus ordered by (ts, tag,
     wearable).
 
@@ -356,14 +357,14 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     and the workers' positions at each stretch start are computed once per
     distinct schedule in a call: tools with the same segment windows and the
     same knot times and moving intervals (the tools of a swap row) share
-    them, and a grid of all of a tool's instants holds the shared
-    ``Instants`` object itself. Distances and model means stay Python
+    them, and the grids of a run of all of a tool's instants hold the
+    shared ``Instants`` object itself. Distances and model means stay Python
     floats, computed once per distinct layout (the tool's position and
     every worker's) in a call. Without drop, a tool's noise is one array
     draw in draw order, added to its stretch means repeated per instant and
     clamped as arrays, which gives the scalar draws, sums and clamps value
-    for value. With drop, each reading keeps its own normal then uniform
-    draw.
+    for value; each worker's readings are a column of it. With drop, each
+    reading keeps its own normal then uniform draw.
     """
     # Imported here, not at module level: only the seeded stream needs numpy.
     import numpy as np
@@ -372,7 +373,6 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     workers = sorted(config.workers, key=lambda w: w.id)
     tools = sorted(config.tools, key=lambda t: t.id)
     worker_ids = [w.id for w in workers]
-    n = len(workers)
     forward = config.model.forward
     std, drop_prob = config.noise_std, config.drop_prob
 
@@ -434,36 +434,38 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
                 layout = layouts[key] = dists, [forward(d) for d in dists], floors
             floored += (hi - lo) * layout[2]
             stretches.append((lo, hi, layout[0], layout[1]))
-        if drop_prob == 0 and n:
+        if drop_prob == 0:
             means = np.repeat([m for *_, m in stretches], [hi - lo for lo, hi, *_ in stretches], axis=0)
             means += rng.normal(0.0, std, size=means.shape)
-            rssi = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).ravel().tolist()
+            columns = np.clip(means, RSSI_MIN_DB, RSSI_MAX_DB, out=means).T.tolist()
         for activity, run in groupby(segments, key=lambda s: s[0].activity):
             run = list(run)
             lo, hi = run[0][1], run[-1][2]
+            # each worker's (instants, values) heard in the run
             if drop_prob == 0:
-                if n:
-                    # a grid of all the instants holds the shared ``Instants``,
-                    # so the writer sees the tools that share it share them
-                    own = instants if hi - lo == len(instants) else instants[lo:hi]
-                    grids.append(Grid(own, worker_ids, tool.id, rssi[lo * n:hi * n], activity))
-                continue
-            # each worker's (instants, values) heard in the run; every segment
-            # start and end is a bound, so the run's stretches are a slice
-            heard = [([], []) for _ in workers]
-            for s_lo, s_hi, _, means in stretches[bisect_left(bounds, lo):bisect_left(bounds, hi)]:
-                for ts in instants[s_lo:s_hi]:
-                    for (own_ts, values), mean in zip(heard, means):
-                        r = mean + rng.normal(0.0, std)
-                        if rng.uniform() < drop_prob:
-                            continue
-                        if r < RSSI_MIN_DB:
-                            r = RSSI_MIN_DB
-                        elif r > RSSI_MAX_DB:
-                            r = RSSI_MAX_DB
-                        own_ts.append(ts)
-                        values.append(r)
-            grids += [Grid(own_ts, (wid,), tool.id, values, activity)
+                # the run's badge grids share one ``Instants``, the shared one
+                # when the run holds all the instants, so the writer sees the
+                # tools that share it share them; a slice of checked instants
+                # needs no check
+                own = instants if hi - lo == len(instants) else tuple.__new__(Instants, instants[lo:hi])
+                heard = [(own, column[lo:hi]) for column in columns]
+            else:
+                # every segment start and end is a bound, so the run's
+                # stretches are a slice
+                heard = [([], []) for _ in workers]
+                for s_lo, s_hi, _, means in stretches[bisect_left(bounds, lo):bisect_left(bounds, hi)]:
+                    for ts in instants[s_lo:s_hi]:
+                        for (own_ts, values), mean in zip(heard, means):
+                            r = mean + rng.normal(0.0, std)
+                            if rng.uniform() < drop_prob:
+                                continue
+                            if r < RSSI_MIN_DB:
+                                r = RSSI_MIN_DB
+                            elif r > RSSI_MAX_DB:
+                                r = RSSI_MAX_DB
+                            own_ts.append(ts)
+                            values.append(r)
+            grids += [Grid(own_ts, wid, tool.id, values, activity)
                       for wid, (own_ts, values) in zip(worker_ids, heard) if own_ts]
         for seg, first, end in segments:
             if seg.activity is Activity.USAGE:

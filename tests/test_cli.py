@@ -13,7 +13,7 @@ import pytest
 
 from proxmatch import cli, io
 from proxmatch.cli import main
-from proxmatch.edge import ACTIVE_DEFAULT, Activity, Advertisement, DistanceReport, Grid
+from proxmatch.edge import ACTIVE_DEFAULT, Activity, Advertisement, DistanceReport, Grid, Instants
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL
 from proxmatch.simulator import (
@@ -329,8 +329,8 @@ def activity_runs():
 
 #: sha256 of the six files ``pipeline`` writes on ``activity_runs()``,
 #: lossless and with drop_prob 0.2, in the order of ``RUN_FILES``. Without
-#: loss, T1's grids hold slices of its instants, the one path of the
-#: simulated stream on which a grid's instants are a plain tuple.
+#: loss, T1's runs each hold part of its instants, the one path of the
+#: simulated stream on which a run's grids share a slice of them.
 ACTIVITY_RUNS_GOLDEN = {
     0.0: (
         "7be33f040384d52dcc65962bc4a1a2dd0e0482fbb42c040703bc8a7822194d80",
@@ -365,7 +365,7 @@ def test_activity_runs_pipeline_bytes_match_the_recorded_digests(tmp_path, drop_
 
 def test_simulate_and_pipeline_pass_grids_and_build_no_advertisement(tmp_path, monkeypatch):
     """Without reception loss, ``generate`` returns one ``Grid`` per (tool,
-    activity run), and ``simulate`` and ``pipeline`` build no
+    activity run, badge), and ``simulate`` and ``pipeline`` build no
     ``Advertisement``: the writer and the edge stage read the grids."""
     returned = []
 
@@ -387,9 +387,11 @@ def test_simulate_and_pipeline_pass_grids_and_build_no_advertisement(tmp_path, m
         assert run("pipeline", scen, "--out-dir", tmp_path / "run") == 0
     for grids in returned:
         assert all(type(g) is Grid for g in grids)
-        assert [(g.tag, g.activity, g.instants[0]) for g in grids] == [
-            ("T1", Activity.USAGE, 0.0), ("T1", Activity.TRANSPORT, 140.0),
-            ("T1", Activity.USAGE, 280.0), ("T2", Activity.USAGE, 0.0),
+        assert [(g.tag, g.activity, g.instants[0], g.wearable) for g in grids] == [
+            (tag, activity, t, w)
+            for tag, activity, t in (("T1", Activity.USAGE, 0.0), ("T1", Activity.TRANSPORT, 140.0),
+                                     ("T1", Activity.USAGE, 280.0), ("T2", Activity.USAGE, 0.0))
+            for w in ("W1", "W2")
         ]
     assert len(returned) == 2
     # the files equal those of the records the grids hold
@@ -397,6 +399,20 @@ def test_simulate_and_pipeline_pass_grids_and_build_no_advertisement(tmp_path, m
     assert skipped == [] and ads == sorted((a for g in returned[0] for a in g), key=lambda a: a.ts)
     assert run("estimate", tmp_path / "run" / "advertisements.jsonl", "-o", tmp_path / "reports.jsonl") == 0
     assert (tmp_path / "reports.jsonl").read_bytes() == (tmp_path / "run" / "reports.jsonl").read_bytes()
+
+
+def test_the_badge_grids_of_an_activity_run_share_one_instants():
+    """Without reception loss every grid holds an ``Instants``: the badge
+    grids of one activity run hold one object, and each of T1's runs, part
+    of its instants, holds its own."""
+    grids, _ = generate(activity_runs())
+    assert all(type(g.instants) is Instants for g in grids)
+    runs = [grids[k:k + 2] for k in range(0, len(grids), 2)]
+    assert [[g.wearable for g in run] for run in runs] == [["W1", "W2"]] * 4
+    assert all(run[0].tag == run[1].tag and run[0].instants is run[1].instants for run in runs)
+    assert len({id(run[0].instants) for run in runs}) == 4
+    assert [(run[0].instants[0], run[0].instants[-1]) for run in runs] == [
+        (0.0, 133.0), (140.0, 203.0), (280.0, 343.0), (0.0, 343.0)]
 
 
 class TestEvaluateCommand:
@@ -454,7 +470,7 @@ class TestEvaluateCommand:
 def write_two_session_stream(path):
     """One tag, two activity runs separated by a 15 s pause."""
     instants = [0.0, 7.0, 14.0, 29.0, 36.0]
-    io.write_advertisements(path, [Grid(instants, ["W1"], "T1", [-45.6] * 5, Activity.USAGE)])
+    io.write_advertisements(path, [Grid(instants, "W1", "T1", [-45.6] * 5, Activity.USAGE)])
 
 
 class TestEstimateFlags:
@@ -470,7 +486,7 @@ class TestEstimateFlags:
     def test_active_classes_flag(self, tmp_path):
         ads_path = tmp_path / "ads.jsonl"
         io.write_advertisements(
-            ads_path, [Grid([7.0 * k for k in range(5)], ["W1"], "T1", [-45.6] * 5, Activity.TRANSPORT)],
+            ads_path, [Grid([7.0 * k for k in range(5)], "W1", "T1", [-45.6] * 5, Activity.TRANSPORT)],
         )
         out = tmp_path / "reports.jsonl"
         assert run("estimate", ads_path, "-o", out) == 0
@@ -519,7 +535,7 @@ class TestEstimateFlags:
         ads_path = tmp_path / "ads.jsonl"
         io.write_advertisements(
             ads_path,
-            [Grid([7.0 * k for k in range(20)], ["W1"], "T1",
+            [Grid([7.0 * k for k in range(20)], "W1", "T1",
                   [float(np.clip(-50.0 + rng.normal(0, 6), -127, 20)) for _ in range(20)],
                   Activity.USAGE)],
         )

@@ -83,23 +83,19 @@ class TestAdvertisement:
         assert {Activity.USAGE: 1}[Activity("usage")] == 1
 
 
-def per_record(instants, wearables, tag, rssi, activity):
-    """What a ``Grid`` must hold: one ``Advertisement`` per (instant,
-    badge), instant-major."""
-    values = iter(rssi)
-    return [Advertisement(t, w, tag, next(values), activity) for t in instants for w in wearables]
+def per_record(instants, wearable, tag, rssi, activity):
+    """What a ``Grid`` must hold: one ``Advertisement`` per instant."""
+    return [Advertisement(t, wearable, tag, r, activity) for t, r in zip(instants, rssi)]
 
 
 @st.composite
 def grids(draw):
-    """(instants, wearables, tag, rssi, activity) of a valid grid."""
+    """(instants, wearable, tag, rssi, activity) of a valid grid."""
     instants = sorted(draw(st.sets(st.floats(-1e6, 1e6), min_size=1, max_size=6)))
-    wearables = draw(st.lists(st.sampled_from(["W1", "W2", "W3", "B1"]), min_size=1, max_size=4,
-                              unique=True))
-    rssi = draw(st.lists(st.floats(-127.0, 20.0), min_size=len(instants) * len(wearables),
-                         max_size=len(instants) * len(wearables)))
+    wearable = draw(st.sampled_from(["W1", "W2", "W3", "B1"]))
+    rssi = draw(st.lists(st.floats(-127.0, 20.0), min_size=len(instants), max_size=len(instants)))
     tag, activity = draw(st.sampled_from(["T1", "T2"])), draw(st.sampled_from(list(Activity)))
-    return instants, wearables, tag, rssi, activity
+    return instants, wearable, tag, rssi, activity
 
 
 class TestGrid:
@@ -110,73 +106,65 @@ class TestGrid:
         assert list(built) == per_record(*grid) and len(built) == len(grid[3])
         assert all(type(a) is Advertisement and type(a.ts) is float and type(a.rssi) is float
                    for a in built)
-        instants, wearables, tag, rssi, activity = grid
-        assert built == Grid(tuple(instants), tuple(wearables), tag, tuple(rssi), activity)
-        assert (built.instants, built.wearables, built.rssi) == (tuple(instants), tuple(wearables),
-                                                                 tuple(rssi))
+        instants, wearable, tag, rssi, activity = grid
+        assert built == Grid(tuple(instants), wearable, tag, tuple(rssi), activity)
+        assert (built.instants, built.wearable, built.rssi) == (tuple(instants), wearable, tuple(rssi))
         with pytest.raises(AttributeError):
             built.tag = "T3"
 
     @settings(max_examples=60)
-    @given(
-        grid=grids(),
-        case=st.sampled_from(BAD_FIELDS),
-        where=st.tuples(st.integers(0, 5), st.integers(0, 3)),
-    )
+    @given(grid=grids(), case=st.sampled_from(BAD_FIELDS), where=st.integers(0, 5))
     def test_a_bad_value_anywhere_raises_the_per_record_error(self, grid, case, where):
         """Each bad value of ``test_positional_and_keyword_construction_both_validate``,
-        at any (instant, badge) of a grid: the error of building that record."""
-        instants, wearables, tag, rssi, activity = grid
-        instants, wearables, rssi = list(instants), list(wearables), list(rssi)
+        at any instant of a grid: the error of building that record."""
+        instants, wearable, tag, rssi, activity = grid
+        instants, rssi = list(instants), list(rssi)
         field, value, message = case
-        i, j = where[0] % len(instants), where[1] % len(wearables)
+        i = where % len(instants)
         if field == "ts":
             instants[i] = value
         elif field == "wearable":
-            wearables[j] = value
+            wearable = value
         elif field == "rssi":
-            rssi[i * len(wearables) + j] = value
+            rssi[i] = value
         elif field == "tag":
             tag = value
         else:
             activity = value
         with pytest.raises(ValueError, match=message) as raised:
-            Grid(instants, wearables, tag, rssi, activity)
+            Grid(instants, wearable, tag, rssi, activity)
         with pytest.raises(ValueError) as expected:
-            per_record(instants, wearables, tag, rssi, activity)
+            per_record(instants, wearable, tag, rssi, activity)
         assert str(raised.value) == str(expected.value)
 
     def test_nan_behind_the_first_rssi_is_caught(self):
         # min and max keep whichever of a NaN and a number comes first
         for rssi in ([-50.0, math.nan, -60.0], [-50.0, -60.0, math.nan]):
             with pytest.raises(ValueError, match="rssi outside plausible range"):
-                Grid([0.0, 7.0, 14.0], ["W1"], "T1", rssi, Activity.USAGE)
+                Grid([0.0, 7.0, 14.0], "W1", "T1", rssi, Activity.USAGE)
 
     def test_ints_come_out_as_floats(self):
-        grid = [0, 7.0], ["W1", "W2"], "T1", [-50, -51.0, -52.0, -53], Activity.USAGE
+        grid = [0, 7.0, 14.0], "W1", "T1", [-50, -51.0, -53], Activity.USAGE
         built = Grid(*grid)
         assert list(built) == per_record(*grid)
-        assert built == Grid([0.0, 7.0], ["W1", "W2"], "T1", [-50.0, -51.0, -52.0, -53.0],
-                             Activity.USAGE)
-        assert [(type(a.ts), type(a.rssi)) for a in built] == [(float, float)] * 4
-        assert repr(list(built)) == repr(per_record([0.0, 7.0], ["W1", "W2"], "T1",
-                                                    [-50.0, -51.0, -52.0, -53.0], Activity.USAGE))
+        assert built == Grid([0.0, 7.0, 14.0], "W1", "T1", [-50.0, -51.0, -53.0], Activity.USAGE)
+        assert [(type(a.ts), type(a.rssi)) for a in built] == [(float, float)] * 3
+        assert repr(list(built)) == repr(per_record([0.0, 7.0, 14.0], "W1", "T1",
+                                                    [-50.0, -51.0, -53.0], Activity.USAGE))
 
     def test_shape_and_empty_grids(self):
-        with pytest.raises(ValueError, match="expected 2 x 2 rssi values, got 3"):
-            Grid([0.0, 7.0], ["W1", "W2"], "T1", [-50.0] * 3, Activity.USAGE)
-        for empty in (([], ["W1"]), ([0.0], []), ([], [])):
-            with pytest.raises(ValueError, match="at least one instant and one badge"):
-                Grid(*empty, "T1", [], Activity.USAGE)
+        with pytest.raises(ValueError, match="expected 2 rssi values, got 3"):
+            Grid([0.0, 7.0], "W1", "T1", [-50.0] * 3, Activity.USAGE)
+        with pytest.raises(ValueError, match="expected 1 rssi values, got 0"):
+            Grid([0.0], "W1", "T1", [], Activity.USAGE)
+        with pytest.raises(ValueError, match="at least one instant"):
+            Grid([], "W1", "T1", [], Activity.USAGE)
 
     def test_each_badge_hears_each_instant_once(self):
-        """Badges are distinct and instants strictly increase; ``-0.0`` and
-        ``0.0`` are one instant."""
-        with pytest.raises(ValueError, match="badges must be distinct"):
-            Grid([0.0], ["W1", "W2", "W1"], "T1", [-50.0] * 3, Activity.USAGE)
+        """Instants strictly increase; ``-0.0`` and ``0.0`` are one instant."""
         for instants in ([7.0, 7.0], [7.0, 0.0], [-0.0, 0.0], [0, 0.0]):
             with pytest.raises(ValueError, match="instants must strictly increase"):
-                Grid(instants, ["W1"], "T1", [-50.0] * 2, Activity.USAGE)
+                Grid(instants, "W1", "T1", [-50.0] * 2, Activity.USAGE)
 
     def test_instants_hold_each_time_as_a_float(self):
         """``Instants`` stores each value under ``Advertisement``'s ``ts``
@@ -190,19 +178,17 @@ class TestGrid:
         """A grid given an ``Instants`` holds that object and still checks
         its other values."""
         instants = Instants((0.0, 7.0))
-        assert Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants is instants
+        assert Grid(instants, "W1", "T1", [-50.0, -51.0], Activity.USAGE).instants is instants
         for rssi in ([-50.0, 20.5], [-127.5, -50.0], [-50.0, math.nan], [math.nan, -50.0]):
             with pytest.raises(ValueError, match="rssi outside plausible range"):
-                Grid(instants, ["W2"], "T2", rssi, Activity.USAGE)
-        for wearables, message in ((["W1", "W1"], "badges must be distinct"),
-                                   (["W1", 1], "wearable must be a string")):
-            with pytest.raises(ValueError, match=message):
-                Grid(instants, wearables, "T2", [-50.0] * 4, Activity.USAGE)
+                Grid(instants, "W2", "T2", rssi, Activity.USAGE)
+        with pytest.raises(ValueError, match="wearable must be a string"):
+            Grid(instants, 1, "T2", [-50.0] * 2, Activity.USAGE)
         with pytest.raises(ValueError, match="activity must be an Activity"):
-            Grid(instants, ["W1"], "T2", [-50.0] * 2, "usage")
+            Grid(instants, "W1", "T2", [-50.0] * 2, "usage")
         with pytest.raises(ValueError, match="tag must be a string"):
-            Grid(instants, ["W1"], None, [-50.0] * 2, Activity.USAGE)
-        assert Grid(instants, ["W2"], "T2", [-52.0, -53.0], Activity.TRANSPORT).instants is instants
+            Grid(instants, "W1", None, [-50.0] * 2, Activity.USAGE)
+        assert Grid(instants, "W2", "T2", [-52.0, -53.0], Activity.TRANSPORT).instants is instants
 
     # Each id names the broken rule, without the values.
     @pytest.mark.parametrize("instants, message", [
@@ -221,23 +207,23 @@ class TestGrid:
             with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 Instants(instants)
             with pytest.raises(ValueError, match=re.escape(message) + "$"):
-                Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+                Grid(instants, "W1", "T1", [-50.0, -51.0], Activity.USAGE)
 
     def test_an_instants_list_is_checked_on_every_construction(self):
         """The same list object, mutated between two grids, is checked again;
         a plain tuple becomes a new ``Instants`` in each grid."""
         instants = [0.0, 7.0]
-        Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        Grid(instants, "W1", "T1", [-50.0, -51.0], Activity.USAGE)
         for value, message in ((-7.0, "instants must strictly increase"),
                                (math.nan, "timestamp must be finite"), (0.0, "strictly increase")):
             instants[1] = value
             with pytest.raises(ValueError, match=message):
-                Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+                Grid(instants, "W1", "T1", [-50.0, -51.0], Activity.USAGE)
         instants[1] = 14.0
-        built = Grid(instants, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants
+        built = Grid(instants, "W1", "T1", [-50.0, -51.0], Activity.USAGE).instants
         assert type(built) is Instants and built == (0.0, 14.0)
         plain = (0.0, 7.0)
-        a, b = (Grid(plain, ["W1"], "T1", [-50.0, -51.0], Activity.USAGE).instants for _ in "ab")
+        a, b = (Grid(plain, "W1", "T1", [-50.0, -51.0], Activity.USAGE).instants for _ in "ab")
         assert type(a) is Instants and a == plain and a is not b and a is not plain
 
 
@@ -248,8 +234,8 @@ def test_building_grids_leaves_the_module_as_it_was():
     before = dict(vars(edge))
     grids = generate(scenario_swap(3, 2.0, [60.0], duration=120.0, seed=5))[0]
     assert len({id(g.instants) for g in grids}) < len(grids)
-    Grid((0.0, 7.0), ["W1", "W2"], "T1", [-50.0] * 4, Activity.USAGE)
-    Grid([14.0, 21.0], ["W1"], "T2", [-50.0] * 2, Activity.TRANSPORT)
+    Grid((0.0, 7.0), "W1", "T1", [-50.0] * 2, Activity.USAGE)
+    Grid([14.0, 21.0], "W2", "T2", [-50.0] * 2, Activity.TRANSPORT)
     after = vars(edge)
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
@@ -492,7 +478,7 @@ class TestAgainstReference:
 
 
 def records(grids):
-    """The records of ``grids`` in the order given, instant-major in each."""
+    """The records of ``grids`` in the order given, in time order in each."""
     return [a for g in grids for a in g]
 
 
@@ -500,10 +486,10 @@ def records(grids):
 def grid_streams(draw):
     """Grids of 1-3 tags on instants 3.5 s apart, with every activity; an
     instant at zero may be ``-0.0``. Each tag's badges are split into lanes
-    that overlap in time. A lane's grids are drawn in time order, each after
-    the last and heard by some of the lane's badges. Tag T4 may copy T1's
-    grids on the same instants tuples with other values. Then all are
-    shuffled."""
+    that overlap in time. A lane's instants are drawn in time order, each
+    run after the last, and each run is one ``Instants`` that some of the
+    lane's badges heard, a grid per badge. Tag T4 may copy T1's grids on
+    the same instants with other values. Then all are shuffled."""
     badges = ["B1", "W1", "W2", "W3"]
     out = []
     for tag in ("T1", "T2", "T3")[:draw(st.integers(1, 3))]:
@@ -513,15 +499,14 @@ def grid_streams(draw):
             for _ in range(draw(st.integers(1, 5 if len(lanes) == 1 else 3))):
                 t = draw(st.integers(t, t + 12))
                 k = draw(st.integers(1, 6))
-                instants = [3.5 * (t + i) or draw(st.sampled_from([0.0, -0.0])) for i in range(k)]
+                instants = Instants([3.5 * (t + i) or draw(st.sampled_from([0.0, -0.0])) for i in range(k)])
                 t += k
                 heard = draw(st.lists(st.sampled_from(lane), min_size=1, max_size=len(lane), unique=True))
-                rssi = draw(st.lists(st.floats(-90.0, -30.0), min_size=k * len(heard),
-                                     max_size=k * len(heard)))
                 activity = draw(st.sampled_from([Activity.USAGE, Activity.TRANSPORT, Activity.INACTIVE]))
-                out.append(Grid(instants, heard, tag, rssi, activity))
+                out += [Grid(instants, w, tag, draw(st.lists(st.floats(-90.0, -30.0), min_size=k, max_size=k)),
+                             activity) for w in heard]
     if draw(st.booleans()):
-        out += [Grid(g.instants, g.wearables, "T4", g.rssi[::-1], g.activity)
+        out += [Grid(g.instants, g.wearable, "T4", g.rssi[::-1], g.activity)
                 for g in out if g.tag == "T1"]
     draw(st.randoms(use_true_random=False)).shuffle(out)
     return out
@@ -545,25 +530,37 @@ class TestGridStream:
     @pytest.mark.parametrize("gap", [10.0, SESSION_GAP_S])
     @pytest.mark.parametrize("active", [ACTIVE_DEFAULT, frozenset({Activity.USAGE, Activity.TRANSPORT})])
     def test_tags_on_one_tuple_share_its_sessions(self, gap, active):
-        """Tags whose one active grid holds one ``Instants`` object fold as
-        their records, and their reports hold its floats as windows, so
-        equal windows are one pair of objects for ``io.write_reports``."""
+        """Tags whose active grids, one per badge, all hold one ``Instants``
+        object fold as one schedule and as their records, and their reports
+        hold its floats as windows, so equal windows are one pair of objects
+        for ``io.write_reports``."""
         shared = Instants((-0.0, 7.0, 14.0, 50.0, 57.0, 64.0))
-        badges = ["W1", "W2"]
-        values = [-50.0 - i / 4 for i in range(12)]
+        values = [-50.0 - i / 4 for i in range(6)]
+        usage, transport = Instants((0.0, 7.0)), Instants((14.0, 21.0, 28.0))
         stream = [
-            Grid(shared, badges, "T1", values, Activity.USAGE),
-            Grid(shared, badges, "T2", values[::-1], Activity.USAGE),
-            Grid(shared, ["W3"], "T3", values[:6], Activity.USAGE),
-            # two activity runs of one tag, then a tag whose grid is inactive
-            Grid((0.0, 7.0), badges, "T4", values[:4], Activity.USAGE),
-            Grid((14.0, 21.0, 28.0), badges, "T4", values[4:10], Activity.TRANSPORT),
-            Grid(shared, badges, "T5", values, Activity.INACTIVE),
-            Grid(shared, ["W1"], "T6", values[6:], Activity.USAGE),
+            Grid(shared, "W1", "T1", values, Activity.USAGE),
+            Grid(shared, "W2", "T1", values[::-1], Activity.USAGE),
+            Grid(shared, "W1", "T2", values[::-1], Activity.USAGE),
+            Grid(shared, "W2", "T2", values, Activity.USAGE),
+            Grid(shared, "W3", "T3", values, Activity.USAGE),
+            # two activity runs of one tag, each on its own object, then a
+            # tag whose grids are inactive
+            Grid(usage, "W1", "T4", values[:2], Activity.USAGE),
+            Grid(usage, "W2", "T4", values[2:4], Activity.USAGE),
+            Grid(transport, "W1", "T4", values[:3], Activity.TRANSPORT),
+            Grid(transport, "W2", "T4", values[3:], Activity.TRANSPORT),
+            Grid(shared, "W1", "T5", values, Activity.INACTIVE),
+            Grid(shared, "W2", "T5", values, Activity.INACTIVE),
+            Grid(shared, "W1", "T6", values[::-1], Activity.USAGE),
             # equal to the shared tuple, but another object, with 0.0 for -0.0
-            Grid((0.0, *shared[1:]), ["W1"], "T7", values[:6], Activity.USAGE),
+            Grid((0.0, *shared[1:]), "W1", "T7", values, Activity.USAGE),
         ]
         assert all(g.instants is shared for g in stream if g.tag not in ("T4", "T7"))
+        # the lane builder hands on the one object of a tag's active grids
+        instants = {tag: tag_instants for tag, tag_instants, _ in edge._grid_lanes(stream, active)}
+        assert all(instants[tag] is shared for tag in ("T1", "T2", "T3", "T6"))
+        assert instants["T4"] is usage if active == ACTIVE_DEFAULT else instants["T4"] == [
+            0.0, 0.0, 7.0, 7.0, 14.0, 14.0, 21.0, 21.0, 28.0, 28.0]
         expected = reference_edge(records(stream), gap, active)
         reports = run_edge(stream, PARAMS, gap=gap, active=active)
         assert reports == expected == run_edge(records(stream), PARAMS, gap=gap, active=active)
@@ -575,12 +572,13 @@ class TestGridStream:
         assert {repr(r.start) for r in reports if r.tag == "T7"} == {"0.0", "50.0"}
 
     def test_a_badge_folds_the_slices_it_heard(self):
-        """A strided slice per badge, across a tag's grids in time order,
-        and sessions cut on the union of the instants."""
-        late = Grid([70.0, 77.0], ["W2"], "T1", [-50.0, -51.0], Activity.USAGE)
-        early = Grid([0.0, 7.0, 14.0], ["W1", "W2"], "T1", [-45.0, -60.0, -46.0, -61.0, -47.0, -62.0],
-                     Activity.USAGE)
-        reports = run_edge([late, early], PARAMS)
+        """Each badge folds its own grids of a tag in time order, in
+        sessions cut on the union of the instants."""
+        late = Grid([70.0, 77.0], "W2", "T1", [-50.0, -51.0], Activity.USAGE)
+        early = Instants([0.0, 7.0, 14.0])
+        w1 = Grid(early, "W1", "T1", [-45.0, -46.0, -47.0], Activity.USAGE)
+        w2 = Grid(early, "W2", "T1", [-60.0, -61.0, -62.0], Activity.USAGE)
+        reports = run_edge([late, w2, w1], PARAMS)
         assert [(r.wearable, r.start, r.stop, r.n_obs) for r in reports] == [
             ("W1", 0.0, 14.0, 3), ("W2", 0.0, 14.0, 3), ("W2", 70.0, 77.0, 2),
         ]
@@ -588,10 +586,10 @@ class TestGridStream:
         for rssi, ts in ((-60.0, 0.0), (-61.0, 7.0), (-62.0, 14.0)):
             state = ekf.step(state, rssi, ts, PARAMS)
         assert reports[1].distance == state.x
-        assert reports == run_edge(records([early, late]), PARAMS)
+        assert reports == run_edge(records([w1, w2, late]), PARAMS)
 
     def test_a_stream_of_grids_holds_only_grids(self):
-        grid = Grid([0.0, 7.0], ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
+        grid = Grid([0.0, 7.0], "W1", "T1", [-50.0, -51.0], Activity.USAGE)
         for stream in ([grid, ad(14.0)], [ad(14.0), grid], [ad(14.0), grid, ad(21.0)],
                        [grid, ad(14.0), grid]):
             with pytest.raises(ValueError, match="a stream of grids holds a record"):
@@ -603,9 +601,10 @@ class TestGridStream:
     def test_reports_are_checked_records(self):
         """Reports are built without the constructor's per-value checks, so
         they must be what it would build: floats, an int count, the type."""
-        grid = Grid([0.0, 7.0, 35.0], ["W1", "W2"], "T1", [-50.0, -51.0, -52.0, -53.0, -54.0, -55.0],
-                    Activity.USAGE)
-        for stream in ([grid], records([grid])):
+        instants = Instants([0.0, 7.0, 35.0])
+        grids = [Grid(instants, "W1", "T1", [-50.0, -52.0, -54.0], Activity.USAGE),
+                 Grid(instants, "W2", "T1", [-51.0, -53.0, -55.0], Activity.USAGE)]
+        for stream in (grids, records(grids)):
             reports = run_edge(stream, PARAMS)
             assert len(reports) == 4
             for r in reports:
@@ -617,7 +616,7 @@ class TestGridStream:
         """An estimate the filter drives to NaN (a variance grown to
         infinity over a huge gap) breaks a report's rule, as it did when
         every report went through the constructor."""
-        grid = Grid([0.0, 1e200], ["W1"], "T1", [-50.0, -50.0], Activity.USAGE)
+        grid = Grid([0.0, 1e200], "W1", "T1", [-50.0, -50.0], Activity.USAGE)
         for stream in ([grid], records([grid])):
             with pytest.raises(ValueError, match="distance must be finite and nonnegative, got nan"):
                 run_edge(stream, PARAMS, gap=1e300)
@@ -626,20 +625,22 @@ class TestGridStream:
     def test_a_badges_grids_of_one_tag_must_not_overlap(self, instants):
         """Whatever their activity; other badges' and other tags' grids may
         share instants, and fold as their records."""
-        grid = Grid([-0.0, 3.5], ["W1", "W2"], "T1", [-50.0, -51.0, -50.5, -51.5], Activity.USAGE)
+        shared = Instants([-0.0, 3.5])
+        grids = [Grid(shared, "W1", "T1", [-50.0, -50.5], Activity.USAGE),
+                 Grid(shared, "W2", "T1", [-51.0, -51.5], Activity.USAGE)]
         values = [-52.0] * len(instants)
-        other = Grid(instants, ["W2"], "T1", values, Activity.INACTIVE)
+        other = Grid(instants, "W2", "T1", values, Activity.INACTIVE)
         with pytest.raises(ValueError, match="grids of tag 'T1' heard by 'W2' overlap in time"):
-            run_edge([grid, other], PARAMS)
-        for apart in (Grid(instants, ["W3"], "T1", values, Activity.USAGE),
-                      Grid(instants, ["W2"], "T2", values, Activity.USAGE)):
-            assert run_edge([grid, apart], PARAMS) == run_edge(records([grid, apart]), PARAMS)
+            run_edge([*grids, other], PARAMS)
+        for apart in (Grid(instants, "W3", "T1", values, Activity.USAGE),
+                      Grid(instants, "W2", "T2", values, Activity.USAGE)):
+            assert run_edge([*grids, apart], PARAMS) == run_edge(records([*grids, apart]), PARAMS)
 
     def test_a_window_keeps_the_sign_of_its_first_and_last_reception(self):
         """``-0.0`` and ``0.0`` in two badges' grids are one instant, first
         and last in the order given, as for their records."""
-        early = Grid([-7.0, -0.0], ["W1"], "T1", [-50.0, -51.0], Activity.USAGE)
-        late = Grid([0.0], ["W2"], "T1", [-52.0], Activity.USAGE)
+        early = Grid([-7.0, -0.0], "W1", "T1", [-50.0, -51.0], Activity.USAGE)
+        late = Grid([0.0], "W2", "T1", [-52.0], Activity.USAGE)
         for stream, stop in (([early, late], "0.0"), ([late, early], "-0.0")):
             reports = run_edge(stream, PARAMS)
             assert reports == reference_edge(records(stream), SESSION_GAP_S, ACTIVE_DEFAULT)

@@ -115,7 +115,7 @@ def reference_ads_bytes(ads) -> bytes:
 
 def one_reading(ads):
     """Each record as a grid of one reading."""
-    return [Grid([a.ts], [a.wearable], a.tag, [a.rssi], a.activity) for a in ads]
+    return [Grid([a.ts], a.wearable, a.tag, [a.rssi], a.activity) for a in ads]
 
 
 def reference_read_ads(path):
@@ -177,10 +177,12 @@ class TestAdvertisementCodec:
             Advertisement(ts=1e22, wearable="W1", tag="T1", rssi=-1e-7, activity=Activity.USAGE),
             Advertisement(ts=3.0, wearable="%(x)s", tag="%", rssi=-47.5, activity=Activity.INACTIVE),
         ]
+        x = Instants([3.0, 4.5])
         grids = [
             *one_reading(ads),
-            Grid([3.0, 4.5], ["W%s", "%%", "%r", "%(x)s"], "T%d",
-                 [-40.0, -41.25, -1e-7, -50.0, 0.0, -127.0, -45.6, -52.25], Activity.USAGE),
+            *(Grid(x, w, "T%d", rssi, Activity.USAGE) for w, rssi in (
+                ("W%s", [-40.0, 0.0]), ("%%", [-41.25, -127.0]), ("%r", [-1e-7, -45.6]),
+                ("%(x)s", [-50.0, -52.25]))),
         ]
         records = [a for g in grids for a in g]
         p = tmp_path / "ads.jsonl"
@@ -207,12 +209,13 @@ class TestAdvertisementCodec:
         a tuple of equal instants, one of them ``0.0`` for ``-0.0``, gets its own."""
         u, shared = Activity.USAGE, Instants((-0.0, 7.0, 1e22))
         grids = [
-            Grid(shared, ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0, -1e-7, 0.0], u),
-            Grid(shared, ["W1"], "T2", [-50.0, -51.5, -52.0], u),
-            Grid((0.0, 7.0, 1e22), ["W1"], "T3", [-40.0, -41.0, -42.0], u),
-            Grid(shared, ["W2"], "T4", [-60.0, -61.0, -62.0], Activity.TRANSPORT),
+            Grid(shared, "W1", "T1", [-45.6, -47.0, -1e-7], u),
+            Grid(shared, "W2", "T1", [-46.0, -48.0, 0.0], u),
+            Grid(shared, "W1", "T2", [-50.0, -51.5, -52.0], u),
+            Grid((0.0, 7.0, 1e22), "W1", "T3", [-40.0, -41.0, -42.0], u),
+            Grid(shared, "W2", "T4", [-60.0, -61.0, -62.0], Activity.TRANSPORT),
         ]
-        assert grids[0].instants is grids[1].instants is grids[3].instants
+        assert grids[0].instants is grids[1].instants is grids[2].instants is grids[4].instants
         records = [a for g in grids for a in g]
         p = tmp_path / "ads.jsonl"
         io.write_advertisements(p, grids)
@@ -226,36 +229,38 @@ class TestAdvertisementCodec:
         u, t = Activity.USAGE, Activity.TRANSPORT
         x, y = Instants((0.0, 7.0, 14.0)), Instants((7.0, 10.5, 14.0))
         if case == "two grids on one tuple":
-            return [Grid(x, ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0, -1e-7, 0.0], u),
-                    Grid(x, ["W3"], "T2", [-50.0, -51.5, -52.0], t)]
+            return [Grid(x, "W1", "T1", [-45.6, -47.0, -1e-7], u),
+                    Grid(x, "W3", "T2", [-50.0, -51.5, -52.0], t)]
         if case == "a run broken by another tuple":
-            return [Grid(x, ["W1"], "A", [-40.0, -41.0, -42.0], u),
-                    Grid(y, ["W1", "W2"], "B", [-50.0, -51.0, -52.0, -53.0, -54.0, -55.0], u),
-                    Grid(x, ["W2"], "C", [-60.0, -61.0, -62.0], t)]
+            return [Grid(x, "W1", "A", [-40.0, -41.0, -42.0], u),
+                    Grid(y, "W1", "B", [-50.0, -52.0, -54.0], u),
+                    Grid(y, "W2", "B", [-51.0, -53.0, -55.0], u),
+                    Grid(x, "W2", "C", [-60.0, -61.0, -62.0], t)]
         if case == "equal tuples, distinct objects":
-            return [Grid((-0.0, 7.0), ["W1"], "T1", [-40.0, -41.0], u),
-                    Grid((0.0, 7.0), ["W1"], "T2", [-50.0, -51.0], u),
-                    Grid((0.0, 7.0), ["W2"], "T3", [-60.0, -61.0], u)]
+            return [Grid((-0.0, 7.0), "W1", "T1", [-40.0, -41.0], u),
+                    Grid((0.0, 7.0), "W1", "T2", [-50.0, -51.0], u),
+                    Grid((0.0, 7.0), "W2", "T3", [-60.0, -61.0], u)]
         if case == "lossy one-badge grids":
             config = dataclasses.replace(scenario_swap(3, 2.0, [60.0], duration=120.0, seed=5),
                                          drop_prob=0.3)
             grids = generate(config)[0]
-            assert {len(g.wearables) for g in grids} == {1} and len(grids) > 3
+            assert len(grids) > 3
             return grids
         if case == "a long lossy stream":
-            # each one-badge grid on its own tuple is a run of one line per
+            # each lossy grid on its own tuple is a run of one line per
             # row, so the rows of 36 runs interleave across several writes
             config = dataclasses.replace(
                 scenario_swap(6, 2.0, [100.0 * k for k in range(1, 6)], duration=600.0, seed=7),
                 drop_prob=0.3)
             grids = generate(config)[0]
-            assert {len(g.wearables) for g in grids} == {1}
             assert len({id(g.instants) for g in grids}) == len(grids) == 36
             assert sum(map(len, grids)) > 3 * io._CHUNK_LINES
             return grids
         assert case == "ids that hold %"
-        return [Grid(x, PERCENT_IDS[:3], "T%d", [-40.0 - i for i in range(9)], u),
-                Grid(x, PERCENT_IDS[3:], "%(x)s", [-50.0 - i for i in range(9)], t)]
+        return [*(Grid(x, w, "T%d", [-40.0 - j, -43.0 - j, -46.0 - j], u)
+                  for j, w in enumerate(PERCENT_IDS[:3])),
+                *(Grid(x, w, "%(x)s", [-50.0 - j, -53.0 - j, -56.0 - j], t)
+                  for j, w in enumerate(PERCENT_IDS[3:]))]
 
     @pytest.mark.parametrize("case", [
         "two grids on one tuple", "a run broken by another tuple", "equal tuples, distinct objects",
@@ -272,8 +277,8 @@ class TestAdvertisementCodec:
     def test_a_run_ends_where_another_tuple_starts(self, tmp_path):
         """Grid C holds A's tuple after B's, so it does not join A's run: at
         an instant of both tuples, A's lines come first, then B's, then C's."""
-        a, b, c = grids = self.grids_on_tuples("a run broken by another tuple")
-        assert a.instants is c.instants and a.instants is not b.instants
+        a, *b, c = grids = self.grids_on_tuples("a run broken by another tuple")
+        assert a.instants is c.instants and a.instants is not b[0].instants is b[1].instants
         p = tmp_path / "ads.jsonl"
         io.write_advertisements(p, grids)
         tags = [json.loads(line)["tag"] for line in p.read_text().splitlines()]
@@ -302,10 +307,12 @@ class TestAdvertisementCodec:
             Advertisement(ts=2.0, wearable="W1", tag="T1", rssi=-50.0, activity=u),
         ]
         # rows of equal instants, 0.0 and -0.0 among them, keep the order given
+        signed = Instants([-0.0, 7.0])
         grids = [
             *one_reading(ads),
-            Grid([-0.0, 7.0], ["W1", "W2"], "T1", [-45.6, -46.0, -47.0, -48.0], u),
-            Grid([0.0, 2.0], ["W3"], "T1", [-45.0, -0.0], Activity.TRANSPORT),
+            Grid(signed, "W1", "T1", [-45.6, -47.0], u),
+            Grid(signed, "W2", "T1", [-46.0, -48.0], u),
+            Grid([0.0, 2.0], "W3", "T1", [-45.0, -0.0], Activity.TRANSPORT),
         ]
         records = [a for g in grids for a in g]
         p = tmp_path / "ads.jsonl"
@@ -345,10 +352,9 @@ class TestAdvertisementCodec:
         for _ in range(data.draw(st.integers(0, 5))):
             instants = data.draw(st.sampled_from(tuples))
             wearables = data.draw(st.lists(ids, min_size=1, max_size=3, unique=True))
-            rssi = data.draw(st.lists(st.floats(-127.0, 20.0), min_size=len(instants) * len(wearables),
-                                      max_size=len(instants) * len(wearables)))
-            grids.append(Grid(instants, wearables, data.draw(ids), rssi,
-                              data.draw(st.sampled_from(ACTIVITIES))))
+            tag, activity = data.draw(ids), data.draw(st.sampled_from(ACTIVITIES))
+            rssi = st.lists(st.floats(-127.0, 20.0), min_size=len(instants), max_size=len(instants))
+            grids += [Grid(instants, w, tag, data.draw(rssi), activity) for w in wearables]
         p = tmp_path_factory.mktemp("codec") / "ads.jsonl"
         io.write_advertisements(p, grids)
         assert p.read_bytes() == reference_ads_bytes([a for g in grids for a in g])

@@ -328,7 +328,7 @@ class TestGenerate:
         kept = sum(map(len, grids)) / 10000
         assert 0.67 < kept < 0.73
         # the one badge's readings in the tool's one activity run are one grid
-        assert [g.wearables for g in grids] == [("W1",)]
+        assert [g.wearable for g in grids] == ["W1"]
         # truth boundaries come from the schedule, not from what survived
         assert truth.sessions == generate(dataclasses.replace(cfg, drop_prob=0.0))[1].sessions
 
@@ -815,12 +815,14 @@ class TestStreamOracle:
             assert {g.tag for g in grids} == {t.tag for t in truth.sessions} == {"T2"}
 
     def test_tools_of_one_schedule_share_their_instants(self):
-        """A grid of all of a tool's instants holds the tuple that every
-        tool with the same segment windows and knot events holds."""
+        """The badge grids of all of a tool's instants hold one tuple, the
+        one that every tool with the same segment windows and knot events
+        holds."""
         def instants(name):
-            grids, _ = generate(ORACLE_SCENARIOS[name])
-            assert len(grids) == len({g.tag for g in grids})
-            return {g.tag: g.instants for g in grids}
+            by_tag = {}
+            for g in generate(ORACLE_SCENARIOS[name])[0]:
+                assert by_tag.setdefault(g.tag, g.instants) is g.instants
+            return by_tag
 
         shared = instants("shared-schedules")
         assert shared["T1"] is shared["T3"]
@@ -852,11 +854,11 @@ class TestStreamOracle:
         assert counts[1][1] > 1.9 * counts[0][1]
         assert counts[0][0] == counts[1][0]
 
-    def test_one_grid_and_one_stretch_cut_per_tool(self, monkeypatch):
+    def test_one_grid_per_badge_and_one_stretch_cut_per_tool(self, monkeypatch):
         """Segments are batched per tool: with five swaps each tool has six
-        segments, built as one ``Grid``, or with reception loss as one
-        ``Grid`` per badge. The three tools share one schedule and stand
-        still, so one cut serves them all."""
+        segments, built as one ``Grid`` per badge, with reception loss or
+        without. The three tools share one schedule and stand still, so one
+        cut serves them all."""
         calls = {"grid": 0, "cut": 0}
         grid, cut = simulator.Grid, simulator._still_stretches
 
@@ -872,15 +874,14 @@ class TestStreamOracle:
         monkeypatch.setattr(simulator, "_still_stretches", counted_cut)
         cfg = scenario_swap(3, 2.0, [60.0, 120.0, 180.0, 240.0, 300.0], seed=2)
         assert all(len(t.schedule) == 6 for t in cfg.tools)
-        _, truth = generate(cfg)
-        assert len(truth.sessions) == 18
-        assert calls == {"grid": 3, "cut": 1}
         # with loss, one grid per badge that heard anything in the run
-        calls.update(grid=0, cut=0)
-        grids, _ = generate(dataclasses.replace(cfg, drop_prob=0.1))
-        assert calls == {"grid": 9, "cut": 1}
-        assert [(g.tag, g.wearables) for g in grids] == [
-            (f"T{t}", (f"W{w}",)) for t in (1, 2, 3) for w in (1, 2, 3)]
+        for drop_prob in (0.0, 0.1):
+            calls.update(grid=0, cut=0)
+            grids, truth = generate(dataclasses.replace(cfg, drop_prob=drop_prob))
+            assert len(truth.sessions) == 18
+            assert calls == {"grid": 9, "cut": 1}
+            assert [(g.tag, g.wearable) for g in grids] == [
+                (f"T{t}", f"W{w}") for t in (1, 2, 3) for w in (1, 2, 3)]
 
     @settings(max_examples=150, deadline=None)
     @given(small_configs())
