@@ -21,10 +21,8 @@ __all__ = [
     "DT_SQUARED",
     "EkfParams",
     "EkfState",
-    "init",
     "jacobian",
     "process_noise_from_speed",
-    "run_filter",
     "run_windows",
     "step",
 ]
@@ -43,7 +41,8 @@ def process_noise_from_speed(v_max: float = 0.7, tail: float = 0.05) -> float:
     1 - tail requires v_max^2 / q to be the (1 - tail) quantile of a
     chi-squared with one degree of freedom, so q = v_max^2 / chi2_ppf(1 - tail, 1).
     That quantile is the square of the standard normal's (1 - tail/2) quantile.
-    The defaults (0.7 m/s, 5% tail) give q = 0.1276 m^2/s^2.
+    The defaults (0.7 m/s, 5% tail) give q = 0.12756 m^2/s^2, which
+    ``EkfParams`` cuts to 0.1275.
     """
     if not (math.isfinite(v_max) and v_max > 0):
         raise ValueError(f"speed bound must be finite and positive, got {v_max}")
@@ -60,9 +59,10 @@ class EkfParams:
     """Filter configuration.
 
     ``q`` is a velocity variance in m^2/s^2 and ``r`` the measurement-noise
-    variance in dB^2. ``d_min``/``d_max`` clamp only the initial estimate: a
-    single noisy RSSI inverted through the log curve can land anywhere, and
-    the plausible badge-to-asset range is known a priori. ``x_floor`` keeps
+    variance in dB^2. The default ``q`` is ``process_noise_from_speed()``,
+    0.12756, cut to four decimals. ``d_min``/``d_max`` clamp only the
+    initial estimate: a single noisy RSSI inverted through the log curve can
+    land anywhere, and the plausible badge-to-asset range is known a priori. ``x_floor`` keeps
     later updates off the singularity of the measurement Jacobian at zero.
     Its numbers follow ``pathloss._number``'s rule and are stored as floats.
     """
@@ -110,16 +110,6 @@ class EkfState(NamedTuple):
     ts: float
 
 
-def init(params: EkfParams, rssi: float, ts: float) -> EkfState:
-    """Start a filter from its first observation: ``run_filter`` of that
-    one observation.
-
-    The raw inversion of one noisy RSSI is clamped into [d_min, d_max];
-    subsequent updates run unclamped (apart from the Jacobian floor).
-    """
-    return run_filter((rssi,), (ts,), params)
-
-
 def jacobian(model: PathLossModel, x: float) -> float:
     """Derivative of expected RSSI with respect to distance at ``x``, in dB/m."""
     if not (x > 0):
@@ -128,29 +118,14 @@ def jacobian(model: PathLossModel, x: float) -> float:
 
 
 def step(state: EkfState | None, rssi: float, ts: float, params: EkfParams) -> EkfState:
-    """Process one observation: ``run_filter`` of it from ``state``, so the
-    first one (``state`` None) starts the filter as ``init`` does and each
-    later one predicts then updates.
+    """Process one observation: ``run_windows`` of it as one window from
+    ``state``, so the first one (``state`` None) starts the filter from its
+    clamped inversion and each later one predicts then updates.
 
     A step at ``state.ts`` is a pure measurement update: its prediction adds
     exactly 0.0 to ``p``.
     """
-    return run_filter((rssi,), (ts,), params, state)
-
-
-def run_filter(
-    rssi: Sequence[float],
-    ts: Sequence[float],
-    params: EkfParams,
-    state: EkfState | None = None,
-) -> EkfState:
-    """Fold a time-ordered observation stream into a filter; the final state.
-
-    Starts from ``state``, or, when ``state`` is None, from the first
-    observation, then predicts and updates per observation: ``run_windows``
-    of one window. ``init`` and ``step`` are calls of it on one observation.
-    """
-    return run_windows(rssi, ts, (len(rssi),), params, state)[0]
+    return run_windows((rssi,), (ts,), (1,), params, state)[0]
 
 
 def run_windows(
@@ -173,7 +148,7 @@ def run_windows(
     a missed broadcast just widens the gap) and updates.
 
     This is the only code that starts or updates a filter, and a window's
-    state is the one ``run_filter`` gives on its slice, bit for bit: the
+    state is the one its slice gives folded alone, bit for bit: the
     parameters are read once per call, and one iterator over the
     observations is consumed window by window. The loop over plain floats
     performs the float operations of ``PathLossModel.inverse``,

@@ -23,7 +23,6 @@ from .matcher import EvalReport, MatchProblem, TruthRecord, evaluate, solve
 from .pathloss import DEFAULT_MODEL, PathLossModel
 
 __all__ = [
-    "ADV_INTERVAL_S",
     "GroundTruth",
     "NOISE_STD_DB",
     "OPERATING_DISTANCE_M",
@@ -248,9 +247,8 @@ class GroundTruth:
     the true distances ``generate`` floored and the ids of traces faster than
     ``V_MAX_M_S`` (workers by id, then tools by id).
 
-    ``true_distances`` gives several (wearable, tag) pairs' distances at one
-    instant, placing each trace there once for pairs ordered by tag;
-    ``true_distance`` is its one-pair case."""
+    ``true_distances`` gives (wearable, tag) pairs' distances at one
+    instant, placing each trace there once for pairs ordered by tag."""
 
     sessions: tuple[TruthRecord, ...]
     worker_traces: dict[str, Trace]
@@ -258,15 +256,11 @@ class GroundTruth:
     floored: int = 0
     too_fast: tuple[str, ...] = ()
 
-    def true_distance(self, wearable: str, tag: str, ts: float) -> float:
-        """Floored Euclidean distance between a badge and a tag at ``ts``."""
-        return self.true_distances(((wearable, tag),), ts)[0]
-
     def true_distances(self, pairs: Iterable[tuple[str, str]], ts: float) -> list[float]:
-        """``true_distance`` of each (wearable, tag) pair at ``ts``, in order.
-        Each badge's position is computed once, each tag's once per run of
-        consecutive pairs that hold the same tag object, as pairs ordered
-        by tag give them."""
+        """The floored Euclidean distance between the badge and the tag of
+        each (wearable, tag) pair at ``ts``, in order. Each badge's position
+        is computed once, each tag's once per run of consecutive pairs that
+        hold the same tag object, as pairs ordered by tag give them."""
         worker_traces, tool_traces = self.worker_traces, self.tool_traces
         badges: dict[str, tuple[float, float]] = {}
         out, last_tag = [], None
@@ -346,7 +340,9 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
     tool's in time order: per run of consecutive segments with one
     activity, one per worker that heard any of the run, workers by id,
     holding the instants it heard. Without drop that is every worker and
-    every instant of the run, and the run's grids share one ``Instants``.
+    every instant of the run, and the run's grids share one ``Instants``;
+    with drop each grid holds its own, built unchecked from the checked
+    instants it heard.
     The records the grids hold, stably sorted by ``ts``, are the file
     ``io.write_advertisements`` writes, which is thus ordered by (ts, tag,
     wearable).
@@ -465,6 +461,8 @@ def generate(config: ScenarioConfig) -> tuple[list[Grid], GroundTruth]:
                                 r = RSSI_MAX_DB
                             own_ts.append(ts)
                             values.append(r)
+                # a subsequence of checked instants needs no check either
+                heard = [(tuple.__new__(Instants, own_ts), values) for own_ts, values in heard]
             grids += [Grid(own_ts, wid, tool.id, values, activity)
                       for wid, (own_ts, values) in zip(worker_ids, heard) if own_ts]
         for seg, first, end in segments:

@@ -29,7 +29,7 @@ import numpy as np
 
 from proxmatch.cli import main as cli_main
 from proxmatch.edge import DistanceReport
-from proxmatch.ekf import EkfParams, init, jacobian, process_noise_from_speed, step
+from proxmatch.ekf import EkfParams, jacobian, process_noise_from_speed, step
 from proxmatch.matcher import EvalReport, MatchProblem, brute_force_solve, solve
 from proxmatch.pathloss import DEFAULT_MODEL
 from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
@@ -185,7 +185,7 @@ def test_criterion_7_filter_properties(capfd):
     worst = 0.0
     for true_d in (0.5, 0.7, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0):
         rssi = model.forward(true_d)
-        state = init(params, rssi, 0.0)
+        state = step(None, rssi, 0.0, params)
         for k in range(1, 51):
             state = step(state, rssi, 7.0 * k, params)
         worst = max(worst, abs(state.x - true_d))
@@ -201,7 +201,7 @@ def test_criterion_7_filter_properties(capfd):
     # Initialization is total over the advertised RSSI range and clamps
     # into [d_min, d_max].
     clamp_ok = all(
-        params.d_min <= init(params, float(z), 0.0).x <= params.d_max
+        params.d_min <= step(None, float(z), 0.0, params).x <= params.d_max
         for z in range(-127, 21)
     )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxmatch import cli, io
+from proxmatch import cli, io, simulator
 from proxmatch.cli import main
 from proxmatch.edge import ACTIVE_DEFAULT, Activity, Advertisement, DistanceReport, Grid, Instants
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
@@ -413,6 +413,23 @@ def test_the_badge_grids_of_an_activity_run_share_one_instants():
     assert len({id(run[0].instants) for run in runs}) == 4
     assert [(run[0].instants[0], run[0].instants[-1]) for run in runs] == [
         (0.0, 133.0), (140.0, 203.0), (280.0, 343.0), (0.0, 343.0)]
+
+
+def test_lossy_badge_grids_are_handed_checked_instants(monkeypatch):
+    """With reception loss each badge grid is handed the instants it heard
+    as an ``Instants``, a subsequence of its schedule's checked ones, which
+    the grid holds as it is."""
+    handed = []
+
+    def spy(instants, *rest):
+        handed.append(instants)
+        return Grid(instants, *rest)
+
+    monkeypatch.setattr(simulator, "Grid", spy)
+    grids, _ = generate(dataclasses.replace(activity_runs(), drop_prob=0.2))
+    assert len(handed) == len(grids) == 8
+    assert all(type(instants) is Instants for instants in handed)
+    assert all(g.instants is instants for g, instants in zip(grids, handed))
 
 
 class TestEvaluateCommand:

@@ -76,7 +76,7 @@ class TestParams:
         p = EkfParams(q=1, r=43, d_min=1, d_max=20, p0=4, x_floor=1)
         assert p == EkfParams(q=1.0, r=43.0, d_min=1.0, d_max=20.0, p0=4.0, x_floor=1.0)
         assert all(type(getattr(p, f)) is float for f in ("q", "r", "d_min", "d_max", "p0", "x_floor"))
-        assert type(ekf.run_filter([-50.0], [0.0], EkfParams(p0=4)).p) is float
+        assert type(ekf.step(None, -50.0, 0.0, EkfParams(p0=4)).p) is float
 
     def test_dict_round_trip(self, tmp_path):
         d = {"n": 1.011, "x0_m": 1.0, "rssi0_db": -45.6, "q": 0.1275, "r": 48.92, "d_min_m": 0.5,
@@ -88,7 +88,7 @@ class TestParams:
 
 class TestInit:
     def test_reference_rssi_maps_to_the_reference_distance(self):
-        s = ekf.init(PARAMS, -45.6, ts=3.0)
+        s = ekf.step(None, -45.6, 3.0, PARAMS)
         assert s.x == pytest.approx(1.0, abs=1e-12)
         assert s.p == 4.0
         assert s.ts == 3.0
@@ -96,18 +96,18 @@ class TestInit:
     def test_weak_signal_clamps_to_far_bound(self):
         # Anything below the expected RSSI at 20 m (-58.753 dB) inverts past
         # the far bound and clamps.
-        assert ekf.init(PARAMS, -70.0, 0.0).x == 20.0
-        assert ekf.init(PARAMS, -58.76, 0.0).x == 20.0
-        assert ekf.init(PARAMS, -58.74, 0.0).x < 20.0
+        assert ekf.step(None, -70.0, 0.0, PARAMS).x == 20.0
+        assert ekf.step(None, -58.76, 0.0, PARAMS).x == 20.0
+        assert ekf.step(None, -58.74, 0.0, PARAMS).x < 20.0
 
     def test_strong_signal_clamps_to_near_bound(self):
-        assert ekf.init(PARAMS, -30.0, 0.0).x == 0.5
-        assert ekf.init(PARAMS, -42.55, 0.0).x == 0.5
-        assert ekf.init(PARAMS, -42.57, 0.0).x > 0.5
+        assert ekf.step(None, -30.0, 0.0, PARAMS).x == 0.5
+        assert ekf.step(None, -42.55, 0.0, PARAMS).x == 0.5
+        assert ekf.step(None, -42.57, 0.0, PARAMS).x > 0.5
 
     @given(st.floats(min_value=-127.0, max_value=20.0))
     def test_total_over_the_plausible_rssi_range(self, rssi):
-        s = ekf.init(PARAMS, rssi, 0.0)
+        s = ekf.step(None, rssi, 0.0, PARAMS)
         assert PARAMS.d_min <= s.x <= PARAMS.d_max
         assert s.p == PARAMS.p0
 
@@ -234,7 +234,7 @@ class TestUpdate:
 class TestStep:
     def test_first_observation_initializes(self):
         s = ekf.step(None, -45.6, 3.0, PARAMS)
-        assert s == ekf.init(PARAMS, -45.6, 3.0)
+        assert s == old_init(PARAMS, -45.6, 3.0)
 
     def test_later_observations_predict_then_update(self):
         s0 = ekf.step(None, -45.6, 0.0, PARAMS)
@@ -312,7 +312,7 @@ class TestConvergence:
 
 def reference_filter(rssi, ts, params):
     """Test-local oracle: the per-observation ``init``, ``predict`` and
-    ``update`` arithmetic, copied from before ``run_filter`` existed."""
+    ``update`` arithmetic, copied from before the filter became one fold."""
     model = params.model
 
     def init(rssi, ts):
@@ -390,15 +390,15 @@ class TestRunFilter:
     @settings(max_examples=300, deadline=None)
     @given(stream=windowed_streams(), dt_mode=st.sampled_from([DT_SQUARED, DT_LINEAR]))
     def test_each_window_is_a_fresh_filter_on_its_slice(self, stream, dt_mode):
-        """``run_windows`` equals ``run_filter`` on each window's slice, and
-        the test-local reference steps on each fresh window, bit for bit."""
+        """``run_windows`` equals its one-window call on each window's slice,
+        and the test-local reference steps on each fresh window, bit for bit."""
         params = EkfParams(dt_mode=dt_mode)
         rssi, ts, ends, state = stream
         got = ekf.run_windows(rssi, ts, ends, params, state)
         assert len(got) == len(ends)
         for i, (lo, hi, window) in enumerate(zip([0, *ends], ends, got)):
             start = state if i == 0 else None
-            want = ekf.run_filter(rssi[lo:hi], ts[lo:hi], params, start)
+            want = ekf.run_windows(rssi[lo:hi], ts[lo:hi], [hi - lo], params, start)[0]
             assert _bits(*window) == _bits(*want)
             if start is None:
                 assert _bits(*window) == _bits(*reference_filter(rssi[lo:hi], ts[lo:hi], params))
@@ -418,7 +418,7 @@ class TestRunFilter:
                 ekf.run_windows(rssi, ts, ends, PARAMS)
         assert ekf.run_windows([], [], [], PARAMS) == []
         start = EkfState(x=1.0, p=1.0, ts=-1.0)
-        assert ekf.run_windows(rssi, ts, [0, 3], PARAMS, start) == [start, ekf.run_filter(rssi, ts, PARAMS)]
+        assert ekf.run_windows(rssi, ts, [0, 3], PARAMS, start) == [start, *ekf.run_windows(rssi, ts, [3], PARAMS)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -432,7 +432,7 @@ class TestRunFilter:
         params = EkfParams(q=q, r=r, dt_mode=dt_mode, x_floor=x_floor)
         rssi, ts = stream
         want = _bits(*reference_filter(rssi, ts, params))
-        got = ekf.run_filter(rssi, ts, params)
+        got = ekf.run_windows(rssi, ts, [len(rssi)], params)[0]
         assert _bits(got.x, got.p, got.ts) == want
         state = None
         for z, t in zip(rssi, ts):
@@ -440,54 +440,65 @@ class TestRunFilter:
         assert _bits(state.x, state.p, state.ts) == want
         k = len(rssi) // 2
         if k:
-            head = ekf.run_filter(rssi[:k], ts[:k], params)
-            tail = ekf.run_filter(rssi[k:], ts[k:], params, head)
+            head = ekf.run_windows(rssi[:k], ts[:k], [k], params)[0]
+            tail = ekf.run_windows(rssi[k:], ts[k:], [len(rssi) - k], params, head)[0]
             assert _bits(tail.x, tail.p, tail.ts) == want
 
     @pytest.mark.parametrize("dt_mode", [DT_SQUARED, DT_LINEAR])
     def test_floor_and_zero_gap_stream(self, dt_mode):
         params = EkfParams(dt_mode=dt_mode)
         rssi, ts = FLOOR_STREAM
-        assert ekf.run_filter(rssi[:2], ts[:2], params).x == params.x_floor
-        got = ekf.run_filter(rssi, ts, params)
+        assert ekf.run_windows(rssi[:2], ts[:2], [2], params)[0].x == params.x_floor
+        got = ekf.run_windows(rssi, ts, [len(rssi)], params)[0]
         assert _bits(got.x, got.p, got.ts) == _bits(*reference_filter(rssi, ts, params))
 
     def test_time_must_not_run_backwards(self):
         with pytest.raises(ValueError, match="time order"):
-            ekf.run_filter([-50.0, -50.0, -50.0], [0.0, 7.0, 6.0], PARAMS)
+            ekf.run_windows([-50.0, -50.0, -50.0], [0.0, 7.0, 6.0], [3], PARAMS)
         with pytest.raises(ValueError, match="time order"):
-            ekf.run_filter([-50.0], [4.0], PARAMS, EkfState(x=1.0, p=1.0, ts=5.0))
+            ekf.run_windows([-50.0], [4.0], [1], PARAMS, EkfState(x=1.0, p=1.0, ts=5.0))
 
     @pytest.mark.parametrize("params", [
         PARAMS,
         EkfParams(model=PathLossModel(n=1.2, x0=2.0, rssi0=-50.0), d_min=0.4, d_max=15.0, p0=2.0),
     ])
     def test_one_observation_is_init(self, params):
-        """``run_filter`` starts a stream in place, by ``init``'s clamped
-        inversion: across both clamps and one ulp either side of each bound."""
+        """A window of one observation starts a filter in place, by the
+        clamped inversion of ``old_init``: across both clamps and one ulp
+        either side of each bound."""
         edges = []
         for d in (params.d_min, params.d_max):
             z = params.model.forward(d)
             edges += [math.nextafter(z, -math.inf), z, math.nextafter(z, math.inf)]
         for z in [-127.0, -70.0, -58.76, -58.75, -50.0, -45.6, -42.56, -42.55, -30.0, 20.0, *edges]:
             for t in (-3.5, 0.0, 7.0):
-                got, want = ekf.run_filter([z], [t], params), ekf.init(params, z, t)
+                got, want = ekf.run_windows([z], [t], [1], params)[0], old_init(params, z, t)
                 assert got == want and _bits(got.x, got.p, got.ts) == _bits(want.x, want.p, want.ts)
-        assert ekf.run_filter([-70.0], [0.0], params).x == params.d_max
-        assert ekf.run_filter([20.0], [0.0], params).x == params.d_min
+        assert ekf.run_windows([-70.0], [0.0], [1], params)[0].x == params.d_max
+        assert ekf.run_windows([20.0], [0.0], [1], params)[0].x == params.d_min
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_a_continued_state_needs_a_positive_distance(self, x):
+        """The update linearizes at the state's ``x``, which must be positive
+        when a step or the first window continues a state."""
+        start = EkfState(x, 1.0, 0.0)
+        with pytest.raises(ValueError, match=f"^jacobian needs a positive distance, got {x}$"):
+            ekf.step(start, -50.0, 7.0, PARAMS)
+        with pytest.raises(ValueError, match=f"^jacobian needs a positive distance, got {x}$"):
+            ekf.run_windows([-50.0, -51.0, -52.0], [7.0, 14.0, 21.0], [1, 3], PARAMS, start)
 
     def test_malformed_input(self):
         with pytest.raises(ValueError):
-            ekf.run_filter([], [], PARAMS)
+            ekf.run_windows([], [], [0], PARAMS)
         with pytest.raises(ValueError):
-            ekf.run_filter([-50.0, -51.0], [0.0], PARAMS)
+            ekf.run_windows([-50.0, -51.0], [0.0], [2], PARAMS)
         start = EkfState(x=1.0, p=1.0, ts=5.0)
-        assert ekf.run_filter([], [], PARAMS, start) == start
+        assert ekf.run_windows([], [], [0], PARAMS, start) == [start]
 
 
 def old_init(params, rssi, ts):
-    """``init`` as its own formula, before it became a ``run_filter`` call:
-    the clamped inversion, variance ``p0``, at ``ts``."""
+    """A filter's start as its own formula, before it became a fold of one
+    observation: the clamped inversion, variance ``p0``, at ``ts``."""
     return EkfState(x=min(max(params.model.inverse(rssi), params.d_min), params.d_max),
                     p=params.p0, ts=ts)
 
@@ -507,20 +518,19 @@ TIMES = st.floats(min_value=-1e6, max_value=1e6)
 
 
 class TestOneObservationCalls:
-    """``init`` and ``step`` are ``run_filter`` calls on one observation."""
+    """``step`` is a ``run_windows`` call on one observation."""
 
     @settings(max_examples=300, deadline=None)
     @given(params=filter_params(), rssi=RSSI, ts=TIMES)
     def test_a_start_is_the_old_init_formula(self, params, rssi, ts):
         want = _bits(*tuple(old_init(params, rssi, ts)))
-        assert _bits(*tuple(ekf.init(params, rssi, ts))) == want
         assert _bits(*tuple(ekf.step(None, rssi, ts, params))) == want
 
     @settings(max_examples=300, deadline=None)
     @given(params=filter_params(), rssi=RSSI, t0=TIMES, gap=st.one_of(st.just(0.0), st.floats(0.0, 600.0)),
            x=st.floats(0.001, 100.0), p=st.floats(1e-6, 1e4))
-    def test_a_step_from_a_state_is_run_filter(self, params, rssi, t0, gap, x, p):
+    def test_a_step_from_a_state_is_one_window(self, params, rssi, t0, gap, x, p):
         state = EkfState(x=x, p=p, ts=t0)
-        want = ekf.run_filter((rssi,), (t0 + gap,), params, state)
+        want = ekf.run_windows((rssi,), (t0 + gap,), (1,), params, state)[0]
         got = ekf.step(state, rssi, t0 + gap, params)
         assert _bits(*tuple(got)) == _bits(*tuple(want))

@@ -641,7 +641,7 @@ def reference_errors_bytes(reports, truth) -> bytes:
 
     lines = [row(["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"])]
     for r in reports:
-        true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
+        true = truth.true_distances(((r.wearable, r.tag),), 0.5 * (r.start + r.stop))[0]
         lines.append(row([r.wearable, r.tag, repr(r.start), repr(r.stop), repr(r.distance),
                           repr(true), repr(r.distance - true)]))
     return "".join(lines).encode()
@@ -702,7 +702,7 @@ class TestErrorsWriter:
                 (wx, wy), (tx, ty) = truth.worker_traces[w].position(ts), truth.tool_traces[t].position(ts)
                 want.append(max(MIN_TRUE_DISTANCE_M, math.hypot(tx - wx, ty - wy)))
             assert truth.true_distances(pairs, ts) == want
-            assert [truth.true_distance(w, t, ts) for w, t in pairs] == want
+            assert [truth.true_distances(((w, t),), ts)[0] for w, t in pairs] == want
         assert truth.true_distances([], 1.0) == []
         with pytest.raises(KeyError):
             truth.true_distances([("W1", "T1"), ("W9", "T1")], 1.0)
@@ -719,7 +719,7 @@ class TestErrorsWriter:
             rows = list(csv.reader(f))
         want = []
         for r in reports:
-            true = truth.true_distance(r.wearable, r.tag, 0.5 * (r.start + r.stop))
+            true = truth.true_distances(((r.wearable, r.tag),), 0.5 * (r.start + r.stop))[0]
             want.append([r.wearable, r.tag, repr(r.start), repr(r.stop), repr(r.distance),
                          repr(true), repr(r.distance - true)])
         assert rows == [["wearable", "tag", "start_s", "stop_s", "estimate_m", "true_m", "error_m"], *want]

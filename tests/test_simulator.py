@@ -7,11 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxmatch import io, simulator
-from proxmatch.edge import SESSION_GAP_S, Activity, Advertisement, Grid, run_edge
+from proxmatch.edge import ADV_INTERVAL_S, SESSION_GAP_S, Activity, Advertisement, Grid, run_edge
 from proxmatch.matcher import TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel
 from proxmatch.simulator import (
-    ADV_INTERVAL_S,
     MIN_TRUE_DISTANCE_M,
     SWAP_PAUSE_S,
     V_MAX_M_S,
@@ -357,7 +356,7 @@ class TestGenerate:
         ads = file_order(grids)
         assert len(ads) >= 55097
         sq = [
-            (a.rssi - DEFAULT_MODEL.forward(truth.true_distance(a.wearable, a.tag, a.ts))) ** 2
+            (a.rssi - DEFAULT_MODEL.forward(truth.true_distances(((a.wearable, a.tag),), a.ts)[0])) ** 2
             for a in ads
         ]
         assert float(np.mean(sq)) == pytest.approx(48.92, abs=2.0)
@@ -368,7 +367,7 @@ class TestGenerate:
         ads = file_order(grids)
         assert truth.floored == 3
         assert truth.too_fast == ()
-        assert truth.true_distance("W1", "T1", 0.0) == 0.05
+        assert truth.true_distances((("W1", "T1"),), 0.0)[0] == 0.05
         assert {a.rssi for a in ads} == {DEFAULT_MODEL.forward(0.05)}
 
     def test_operator_inference_picks_the_nearest_badge(self):
