@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, count, repeat, starmap
 from operator import itemgetter, lt, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import ekf
 from .ekf import EkfParams
@@ -78,25 +78,17 @@ def _ts(value) -> float:
     raise ValueError(f"timestamp must be finite, got {ts}")
 
 
-class _AdvertisementFields(NamedTuple):
-    ts: float
-    wearable: str
-    tag: str
-    rssi: float
-    activity: Activity
-
-
-class Advertisement(_AdvertisementFields):
+class Advertisement(namedtuple("Advertisement", "ts wearable tag rssi activity")):
     """One received broadcast: reception time, both ids, RSSI, activity class.
 
-    A named tuple whose constructor validates, positionally or by keyword,
-    for every caller, ``io.read_advertisements`` too: ids are ``str``;
-    ``ts`` and ``rssi`` are an ``int`` or ``float`` (not ``bool``), stored as
-    ``float``, ``ts`` finite and ``rssi`` in [-127, 20] dB. Being a tuple,
-    an instance is immutable and hashable, iterates over its fields and
-    compares equal to a plain tuple of the same values (and to any other
-    tuple of them). ``_make`` and ``_replace`` build instances without the
-    checks.
+    A class over a ``collections.namedtuple`` whose ``__new__`` validates,
+    positionally or by keyword, for every caller, ``io.read_advertisements``
+    too: ids are ``str``; ``ts`` and ``rssi`` are an ``int`` or ``float``
+    (not ``bool``), stored as ``float``, ``ts`` finite and ``rssi`` in
+    [-127, 20] dB. Being a tuple, an instance is immutable and hashable,
+    iterates over its fields and compares equal to a plain tuple of the same
+    values (and to any other tuple of them). ``_make`` and ``_replace``
+    build instances without the checks; unpickling checks again.
     """
 
     __slots__ = ()
@@ -203,16 +195,7 @@ def _window(start: float, stop: float) -> tuple[float, float]:
     return start, stop
 
 
-class _DistanceReportFields(NamedTuple):
-    wearable: str
-    tag: str
-    start: float
-    stop: float
-    distance: float
-    n_obs: int
-
-
-class DistanceReport(_DistanceReportFields):
+class DistanceReport(namedtuple("DistanceReport", "wearable tag start stop distance n_obs")):
     """What a badge ships per session: final distance estimate and observation
     count.
 

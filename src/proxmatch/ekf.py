@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .pathloss import DEFAULT_MODEL, PathLossModel, _number
+from .pathloss import DEFAULT_MODEL, PathLossModel, _floats
 
 __all__ = [
     "DT_LINEAR",
@@ -77,10 +77,7 @@ class EkfParams:
     x_floor: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("q", "r", "d_min", "d_max", "p0", "x_floor"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                object.__setattr__(self, name, _number(value, name))
+        _floats(self, "q", "r", "d_min", "d_max", "p0", "x_floor")
         if not (math.isfinite(self.q) and self.q > 0):
             raise ValueError(f"process noise must be finite and positive, got {self.q}")
         if not (math.isfinite(self.r) and self.r > 0):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -68,16 +69,7 @@ class TagSession(NamedTuple):
     distances: dict[str, float]
 
 
-class _MatchResultFields(NamedTuple):
-    tag: str
-    start: float
-    stop: float
-    wearable: str | None
-    trust: Trust
-    margin: float
-
-
-class MatchResult(_MatchResultFields):
+class MatchResult(namedtuple("MatchResult", "tag start stop wearable trust margin")):
     """Assignment decision for one session; ``wearable`` is None when no badge
     was free. Construction checks every value; as from ``trust_classify``, a
     SURE result has a wearable and a positive margin.
@@ -109,14 +101,7 @@ class MatchResult(_MatchResultFields):
         return tuple.__new__(cls, (tag, start, stop, wearable, trust, margin))
 
 
-class _TruthRecordFields(NamedTuple):
-    tag: str
-    start: float
-    stop: float
-    wearable: str
-
-
-class TruthRecord(_TruthRecordFields):
+class TruthRecord(namedtuple("TruthRecord", "tag start stop wearable")):
     """Ground truth: who actually operated ``tag`` during [start, stop].
 
     A named tuple whose constructor checks, positionally or by keyword, as

@@ -27,6 +27,15 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _floats(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a float
+    under ``_number``'s rule."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not float:
+            object.__setattr__(obj, name, _number(value, name))
+
+
 class DegenerateFitError(ValueError):
     """Sample set cannot pin down both fit parameters."""
 
@@ -40,10 +49,7 @@ class RangeSample:
     rssi: float
 
     def __post_init__(self) -> None:
-        for name in ("distance", "rssi"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                object.__setattr__(self, name, _number(value, name))
+        _floats(self, "distance", "rssi")
         if not (math.isfinite(self.distance) and self.distance > 0):
             raise ValueError(f"sample distance must be finite and positive, got {self.distance}")
         if not math.isfinite(self.rssi):
@@ -66,10 +72,7 @@ class PathLossModel:
     rssi0: float
 
     def __post_init__(self) -> None:
-        for name in ("n", "x0", "rssi0"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                object.__setattr__(self, name, _number(value, name))
+        _floats(self, "n", "x0", "rssi0")
         if not (math.isfinite(self.n) and self.n > 0):
             raise ValueError(f"decay exponent must be finite and positive, got {self.n}")
         if not (math.isfinite(self.x0) and self.x0 > 0):

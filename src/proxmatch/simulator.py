@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .edge import (ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, DistanceReport, Grid,
                    Instants, _id, _number, _window, run_edge)
 from .matcher import EvalReport, MatchProblem, TruthRecord, evaluate, solve
-from .pathloss import DEFAULT_MODEL, PathLossModel
+from .pathloss import DEFAULT_MODEL, PathLossModel, _floats
 
 __all__ = [
     "GroundTruth",
@@ -128,14 +129,7 @@ class Trace:
         return x0 + a * (x1 - x0), y0 + a * (y1 - y0)
 
 
-class _ScheduleSegmentFields(NamedTuple):
-    start: float
-    stop: float
-    activity: Activity = Activity.USAGE
-    operator: str | None = None
-
-
-class ScheduleSegment(_ScheduleSegmentFields):
+class ScheduleSegment(namedtuple("ScheduleSegment", "start stop activity operator")):
     """Active period [start, stop) of a tool, broadcast with ``activity``.
 
     ``operator`` names the worker actually using the tool during the segment,
@@ -200,10 +194,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        for name in ("duration", "adv_interval", "noise_std", "drop_prob"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                object.__setattr__(self, name, _number(value, name))
+        _floats(self, "duration", "adv_interval", "noise_std", "drop_prob")
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"duration must be finite and nonnegative, got {self.duration}")
         if not (math.isfinite(self.adv_interval) and self.adv_interval > 0):
@@ -224,9 +215,10 @@ class ScenarioConfig:
         for i in worker_ids + tool_ids:
             if type(i) is not str:
                 raise ValueError(f"worker and tool ids must be strings, got {i!r}")
-        if len(set(worker_ids)) != len(worker_ids) or len(set(tool_ids)) != len(tool_ids):
+        workers, tools = set(worker_ids), set(tool_ids)
+        if len(workers) != len(worker_ids) or len(tools) != len(tool_ids):
             raise ValueError("worker and tool ids must be unique")
-        if set(worker_ids) & set(tool_ids):
+        if workers & tools:
             raise ValueError("worker and tool ids must not collide")
         for t in self.tools:
             for seg in t.schedule:
@@ -235,7 +227,7 @@ class ScenarioConfig:
                         f"segment [{seg.start}, {seg.stop}) of tool {t.id!r} "
                         f"lies outside the scenario duration {self.duration}"
                     )
-                if seg.operator is not None and seg.operator not in worker_ids:
+                if seg.operator is not None and seg.operator not in workers:
                     raise ValueError(
                         f"segment operator {seg.operator!r} of tool {t.id!r} is not a worker id"
                     )

@@ -15,7 +15,7 @@ from proxmatch import cli, io, simulator
 from proxmatch.cli import main
 from proxmatch.edge import ACTIVE_DEFAULT, Activity, Advertisement, DistanceReport, Grid, Instants
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
-from proxmatch.pathloss import DEFAULT_MODEL
+from proxmatch.pathloss import DEFAULT_MODEL, PathLossModel, fit
 from proxmatch.simulator import (
     ScenarioConfig,
     ScheduleSegment,
@@ -68,6 +68,19 @@ class TestFit:
         assert abs(m.n - 1.011) < 0.05
         assert abs(m.rssi0 + 45.6) < 0.3
 
+    def test_x0_flag_sets_the_reference_distance(self, tmp_path, capsys):
+        model = PathLossModel(n=1.7, x0=2.0, rssi0=-52.0)
+        samples_path = tmp_path / "samples.csv"
+        write_samples_csv(samples_path, [(d, model.forward(d)) for d in (0.5, 1.0, 2.0, 4.0, 8.0)])
+        out = tmp_path / "model.json"
+        assert run("fit", samples_path, "--x0", 2, "-o", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["x0_m"] == 2.0
+        assert doc["n"] == pytest.approx(1.7, rel=1e-9) and doc["rssi0_db"] == pytest.approx(-52.0, rel=1e-9)
+        assert run("fit", samples_path, "--x0", 0, "-o", tmp_path / "zero.json") == 2
+        assert "error: reference distance must be finite and positive, got 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "zero.json").exists()
+
     def test_empty_samples_exit_2(self, tmp_path, capsys):
         p = tmp_path / "samples.csv"
         p.write_text("distance_m,rssi_db\n")
@@ -89,6 +102,18 @@ class TestFit:
         with pytest.raises(SystemExit) as e:
             run("fit", "--frobnicate")
         assert e.value.code == 2
+
+
+class TestScenarioFlags:
+    @pytest.mark.parametrize("kind", [("static",), ("swap", "--swap-times", 60)], ids=["static", "swap"])
+    def test_noise_std_flag_is_written_and_checked(self, tmp_path, capsys, kind):
+        scen = tmp_path / "scen.json"
+        assert run("scenario", *kind, "-n", 2, "--spacing", 2.0, "--noise-std", 3, "-o", scen) == 0
+        assert json.loads(scen.read_text())["noise_std_db"] == 3.0
+        bad = tmp_path / "bad.json"
+        assert run("scenario", *kind, "-n", 2, "--spacing", 2.0, "--noise-std", -1, "-o", bad) == 2
+        assert "error: noise std must be finite and nonnegative, got -1.0" in capsys.readouterr().err
+        assert not bad.exists()
 
 
 class TestStagedChain:
@@ -719,43 +744,106 @@ class TestEntryPoints:
 
     def test_every_stage_but_simulation_runs_without_numpy(self, tmp_path):
         """Only the simulator's seeded stream needs numpy. With numpy blocked,
-        ``fit``, ``scenario``, ``estimate``, ``match`` and ``evaluate`` run and
-        write the same bytes as an ordinary ``pipeline`` run, and ``estimate``
-        reads the model that ``fit`` wrote."""
-        scen, piped, staged = tmp_path / "scen.json", tmp_path / "piped", tmp_path / "staged"
-        assert run("scenario", "swap", "-n", 3, "--spacing", 2.0, "--swap-times", 60,
-                   "--duration", 120, "-o", scen) == 0
-        assert run("pipeline", scen, "--out-dir", piped, "--seed", 7) == 0
+        ``scenario``, ``fit``, ``estimate``, ``match`` and ``evaluate`` run and
+        write the same bytes as ordinary ``pipeline`` runs at seed 7, and each
+        bad document or record file stops its command with exit 2.
+
+        ``pipeline`` folds the simulated grids and ``estimate`` the records
+        read back, so each equal ``reports.jsonl`` checks that the edge
+        stage's two lane builders feed its one session cut alike: on a stream
+        without reception loss, on one with it, on a bench whose two
+        bystanders operate nothing, on twelve swaps 100 s apart (13 sessions
+        per tag, each badge's lane folded in many windows by one filter
+        call), on a seeded shuffle of the first stream's lines, which the
+        record lane builder must sort back, and on a CSV copy of it, which
+        the CSV reader must read as the JSON Lines reader does."""
+        runs = {
+            "run": ("swap", "--swap-times", "120,240", "--duration", 360),
+            "drop": ("swap", "--swap-times", "120,240", "--duration", 360, "--drop-prob", 0.2),
+            "bystanders": ("static", "--bystanders", 2),
+            "many": ("swap", "--swap-times", ",".join(str(100 * k) for k in range(1, 13)), "--duration", 1300),
+        }
+        for name, (kind, *flags) in runs.items():
+            assert run("scenario", kind, "-n", 3, "--spacing", 2.0, *flags, "-o", tmp_path / f"{name}.json") == 0
+            assert run("pipeline", tmp_path / f"{name}.json", "--out-dir", tmp_path / name, "--seed", 7) == 0
+        ads = tmp_path / "run" / "advertisements.jsonl"
+        lines = ads.read_text().splitlines(keepends=True)
+        random.Random(7).shuffle(lines)
+        (tmp_path / "shuffled.jsonl").write_text("".join(lines))
+        fields = ["ts", "wearable", "tag", "rssi_db", "activity"]
+        with open(tmp_path / "ads.csv", "w", encoding="utf-8", newline="") as f:
+            csv.writer(f).writerows([fields, *([d[k] for k in fields] for d in map(json.loads, lines))])
         samples = tmp_path / "samples.csv"
-        write_samples_csv(samples, [(d, DEFAULT_MODEL.forward(d)) for d in (0.5, 1, 2, 4)])
+        samples.write_text("distance_m,rssi_db\n0.5,-41.9\n1.0,-45.6\n2.0,-49.3\n4.0,-51.2\n")
+        scenario = json.loads((tmp_path / "run.json").read_text())
+        (tmp_path / "bad-seed.json").write_text(json.dumps({**scenario, "seed": 1.5}))
+        (tmp_path / "tiny-interval.json").write_text(json.dumps({**scenario, "adv_interval_s": 1e-300}))
+        (tmp_path / "typo.json").write_text(json.dumps({"n": 1.011, "x0_m": 1.0, "rssi0_db": -45.6,
+                                                        "x_floor": 0.2}))
+        (tmp_path / "reversed.jsonl").write_text(json.dumps(
+            {"wearable": "W1", "tag": "T1", "start_s": 50.0, "stop_s": 10.0, "distance_m": 1.0, "n_obs": 2}) + "\n")
+        (tmp_path / "negative.jsonl").write_text(json.dumps(
+            {"tag": "T1", "start_s": 0.0, "stop_s": 7.0, "wearable": "W1", "trust": "sure", "margin_m": -3.0}) + "\n")
+        (tmp_path / "negative-truth.jsonl").write_text(json.dumps(
+            {"tag": "T1", "start_s": 0.0, "stop_s": 7.0, "wearable": "W1"}) + "\n")
+
+        staged = tmp_path / "staged"
         staged.mkdir()
+        swap = ["scenario", "swap", "-n", 3, "--spacing", 2.0]
+        # (command, exit status, [(written file, file it must equal)])
         commands = [
-            ["fit", samples, "-o", staged / "model.json"],
-            ["scenario", "static", "-n", 2, "--spacing", 2.0, "-o", staged / "scen.json"],
-            ["estimate", piped / "advertisements.jsonl", "-o", staged / "reports.jsonl"],
-            ["estimate", piped / "advertisements.jsonl", "-o", staged / "reports-fit.jsonl",
-             "--config", staged / "model.json"],
-            ["match", piped / "reports.jsonl", "-o", staged / "matches.jsonl"],
-            ["evaluate", piped / "matches.jsonl", piped / "truth.jsonl",
-             "-o", staged / "metrics.json"],
+            ([*swap, "--swap-times", "120,240", "--duration", 360, "-o", staged / "run.json"], 0,
+             [(staged / "run.json", tmp_path / "run.json")]),
+            (["scenario", "static", "-n", 3, "--spacing", 2.0, "-o", staged / "static.json"], 0, []),
+            ([*swap, "-o", staged / "no-swaps.json"], 0, [(staged / "static.json", staged / "no-swaps.json")]),
+            *((["estimate", tmp_path / name / "advertisements.jsonl", "-o", staged / f"{name}-reports.jsonl"], 0,
+               [(staged / f"{name}-reports.jsonl", tmp_path / name / "reports.jsonl")]) for name in runs),
+            *((["estimate", tmp_path / source, "-o", staged / f"{source}-reports.jsonl"], 0,
+               [(staged / f"{source}-reports.jsonl", tmp_path / "run" / "reports.jsonl")])
+              for source in ("shuffled.jsonl", "ads.csv")),
+            *((["match", tmp_path / name / "reports.jsonl", "-o", staged / f"{name}-matches.jsonl"], 0,
+               [(staged / f"{name}-matches.jsonl", tmp_path / name / "matches.jsonl")])
+              for name in ("run", "many", "drop")),
+            *((["evaluate", tmp_path / name / "matches.jsonl", tmp_path / name / "truth.jsonl",
+                "-o", staged / f"{name}-metrics.json"], 0,
+               [(staged / f"{name}-metrics.json", tmp_path / name / "metrics.json")])
+              for name in ("run", "many", "drop")),
+            (["fit", samples, "-o", staged / "model.json"], 0, []),
+            (["estimate", ads, "-o", staged / "reports-fit.jsonl", "--config", staged / "model.json"], 0, []),
+            (["simulate", tmp_path / "bad-seed.json", "--out-dir", staged / "bad-seed"], 2, []),
+            (["simulate", tmp_path / "tiny-interval.json", "--out-dir", staged / "tiny"], 2, []),
+            (["estimate", ads, "-o", staged / "typo.jsonl", "--config", tmp_path / "typo.json"], 2, []),
+            (["match", tmp_path / "reversed.jsonl", "-o", staged / "reversed-matches.jsonl"], 2, []),
+            (["evaluate", tmp_path / "negative.jsonl", tmp_path / "negative-truth.jsonl",
+              "-o", staged / "negative.json"], 2, []),
         ]
         script = (
             "import json, sys\n"
             "sys.modules['numpy'] = None  # makes any import of numpy raise\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import proxmatch, proxmatch.cli\n"
-            "for argv in json.loads(sys.argv[2]):\n"
-            "    if proxmatch.cli.main(argv) != 0:\n"
-            "        sys.exit(f'{argv[0]} failed')\n"
+            "print(json.dumps([proxmatch.cli.main(argv) for argv in json.loads(sys.argv[2])]))\n"
         )
         src = str(Path(io.__file__).parents[1])
-        argv = json.dumps([[str(a) for a in c] for c in commands])
+        argv = json.dumps([[str(a) for a in c] for c, _, _ in commands])
+        # the timeout also fails a command that hangs, as the 1e-300 s interval once did
         proc = subprocess.run([sys.executable, "-c", script, src, argv],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        for name in ("reports.jsonl", "matches.jsonl", "metrics.json"):
-            assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
-        assert io.read_ekf_params(staged / "model.json").model.n == pytest.approx(1.011)
+        statuses = json.loads(proc.stdout.splitlines()[-1])
+        assert list(zip(statuses, (c for c, _, _ in commands))) == [(s, c) for c, s, _ in commands], proc.stderr
+        for message in ("seed must be a nonnegative integer, got 1.5", "adv_interval must leave fewer than 2**53",
+                        "unknown key 'x_floor'", "must be finite with start <= stop, got [50.0, 10.0]",
+                        "margin must be nonnegative, got -3.0"):
+            assert message in proc.stderr
+        for _, _, pairs in commands:
+            for written, expected in pairs:
+                assert written.read_bytes() == expected.read_bytes(), written.name
+        assert io.read_ekf_params(staged / "model.json").model == fit(io.read_samples(samples))
+        assert run("estimate", ads, "-o", tmp_path / "reports-fit.jsonl", "--config", staged / "model.json") == 0
+        assert (staged / "reports-fit.jsonl").read_bytes() == (tmp_path / "reports-fit.jsonl").read_bytes()
+        assert not {"bad-seed", "tiny", "typo.jsonl", "reversed-matches.jsonl", "negative.json"} & {
+            p.name for p in staged.iterdir()}
 
     def test_bad_scenario_json_exits_2(self, tmp_path, capsys):
         p = tmp_path / "scen.json"

@@ -1,4 +1,6 @@
+import inspect
 import math
+import pickle
 import re
 
 import numpy as np
@@ -18,8 +20,9 @@ from proxmatch.edge import (
     run_edge,
 )
 from proxmatch.ekf import EkfParams
+from proxmatch.matcher import MatchResult, Trust, TruthRecord
 from proxmatch.pathloss import DEFAULT_MODEL
-from proxmatch.simulator import generate, scenario_swap
+from proxmatch.simulator import ScheduleSegment, generate, scenario_swap
 
 PARAMS = EkfParams()
 
@@ -81,6 +84,45 @@ class TestAdvertisement:
         with pytest.raises(AttributeError):
             a.extra = 1
         assert {Activity.USAGE: 1}[Activity("usage")] == 1
+
+
+#: (type, valid values, a field, a bad value for it, the constructor's error)
+#: of each validated record: a named tuple whose ``__new__`` checks.
+RECORDS = [
+    (Advertisement, (7.0, "W1", "T1", -45.6, Activity.USAGE), "rssi", 20.5,
+     "rssi outside plausible range [-127, 20] dB: 20.5"),
+    (DistanceReport, ("W1", "T1", 0.0, 7.0, 1.5, 2), "n_obs", 0, "n_obs must be an integer >= 1, got 0"),
+    (MatchResult, ("T1", 0.0, 7.0, "W1", Trust.SURE, 1.0), "margin", -3.0,
+     "margin must be nonnegative, got -3.0"),
+    (TruthRecord, ("T1", 0.0, 7.0, "W1"), "stop", -1.0,
+     "session window must be finite with start <= stop, got [0.0, -1.0]"),
+    (ScheduleSegment, (0.0, 7.0, Activity.TRANSPORT, "W1"), "activity", Activity.INACTIVE,
+     "segments describe active periods; gaps are the inactivity"),
+]
+
+
+@pytest.mark.parametrize("cls, values, field, bad, message", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_a_validated_record_is_a_named_tuple_whose_constructor_checks(cls, values, field, bad, message):
+    """Built positionally or by keyword, the record checks its values;
+    ``_make`` and ``_replace`` do not, and unpickling checks again. It equals
+    and hashes as the plain tuple of its values, and its fields are its
+    constructor's parameters in order."""
+    names = tuple(inspect.signature(cls.__new__).parameters)[1:]
+    assert cls._fields == names
+    record = cls(*values)
+    assert type(record) is cls and record == cls(**dict(zip(names, values))) == values
+    assert hash(record) == hash(values)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    bad_values = {**dict(zip(names, values)), field: bad}
+    for build in (lambda: cls(*bad_values.values()), lambda: cls(**bad_values)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    unchecked = record._replace(**{field: bad})
+    assert type(unchecked) is cls and unchecked == cls._make(bad_values.values()) == tuple(bad_values.values())
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pickle.loads(pickle.dumps(unchecked))
 
 
 def per_record(instants, wearable, tag, rssi, activity):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -908,6 +909,15 @@ class TestStaticScenario:
         reports = run_edge(ads)
         assert {(r.wearable, r.n_obs) for r in reports} == {("W1", 26), ("B1", 26)}
         assert run_edge(grids) == reports
+
+    def test_a_row_of_30000_builds_within_3_s(self):
+        """A segment's operator is looked up in a set of the worker ids, so
+        validation is linear in the row, not segments × workers (a list
+        lookup took about 10 s on a 2-CPU VM)."""
+        start = time.perf_counter()
+        cfg = scenario_static(30_000, 1.0, 7.0)
+        assert time.perf_counter() - start < 3.0
+        assert cfg.tools[-1].schedule[0].operator == cfg.workers[-1].id == "W30000"
 
     def test_zero_duration_produces_nothing(self):
         ads, truth = generate(scenario_static(1, 1.0, 0.0))
