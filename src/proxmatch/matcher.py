@@ -18,7 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .edge import ADV_INTERVAL_S, DistanceReport, _id, _number, _window
 
@@ -35,7 +35,6 @@ __all__ = [
     "TagSession",
     "Trust",
     "TruthRecord",
-    "brute_force_solve",
     "evaluate",
     "solve",
     "trust_classify",
@@ -48,8 +47,6 @@ EVENT_WINDOW_S = ADV_INTERVAL_S
 #: A distance lead below this is within the estimator's own error, so the
 #: assignment is flagged rather than trusted.
 SURE_MARGIN_M = 0.75
-
-_BRUTE_FORCE_LIMIT = 6
 
 
 class Trust(Enum):
@@ -173,7 +170,9 @@ def trust_classify(
     return trust, margin
 
 
-def _min_cost_assignment(costs: Sequence[dict[int, int]], n_cols: int) -> list[int]:
+def _min_cost_assignment(
+    costs: Sequence[dict[int, int]], n_cols: int
+) -> tuple[list[int], list[int], list[int]]:
     """Minimum-cost assignment of every row to its own column.
 
     ``costs[i]`` maps each column row ``i`` may take to an integer cost; an
@@ -183,6 +182,12 @@ def _min_cost_assignment(costs: Sequence[dict[int, int]], n_cols: int) -> list[i
     rectangular assignment algorithms": rows are added one at a time, each by
     a Dijkstra search over reduced costs from the current dual potentials.
     Integer costs keep every comparison exact.
+
+    Returns ``(col_of, u, v)``: row ``i`` takes column ``col_of[i]``, and
+    ``u`` and ``v`` are the final row and column potentials. They certify
+    the assignment optimal by LP duality: ``u[i] + v[j] <= costs[i][j]`` on
+    every allowed pair, with equality on each chosen pair, and ``v[j] <= 0``
+    on every column, with ``v[j] == 0`` on every column left unchosen.
     """
     u = [0] * len(costs)
     v = [0] * n_cols
@@ -219,7 +224,7 @@ def _min_cost_assignment(costs: Sequence[dict[int, int]], n_cols: int) -> list[i
             col_of[i], j = j, col_of[i]
             if i == cur:
                 break
-    return col_of
+    return col_of, u, v
 
 
 def _assign_event(group: Sequence[TagSession], free: Sequence[str]) -> list[str | None]:
@@ -262,94 +267,8 @@ def _assign_event(group: Sequence[TagSession], free: Sequence[str]) -> list[str 
         c = {r: d * t + r * weight for r, d in row}
         c[m + i] = unassigned + m * weight
         costs.append(c)
-    return [free[j] if j < m else None for j in _min_cost_assignment(costs, m + n)]
-
-
-def _enumerate_assignment(
-    group: Sequence[TagSession], free: Sequence[str]
-) -> list[str | None]:
-    """Reference assigner: literally try every injective assignment.
-
-    Exponential and deliberately unclever; guarded to small events. Distance
-    sums are exact fractions, so equal sums tie and the first assignment in
-    candidate order wins. Kept as an independent cross-check of
-    ``_assign_event``.
-    """
-    if len(group) > _BRUTE_FORCE_LIMIT or len(free) > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"brute force capped at {_BRUTE_FORCE_LIMIT} sessions/badges per event, "
-            f"got {len(group)} sessions x {len(free)} badges"
-        )
-    from fractions import Fraction
-
-    pool: list[str | None] = list(free) + [None] * len(group)
-    best_count = -1
-    best_total: Fraction | float = math.inf
-    best: list[str | None] = [None] * len(group)
-    for combo in itertools.permutations(pool, len(group)):
-        count = 0
-        total = Fraction(0)
-        valid = True
-        for s, w in zip(group, combo):
-            if w is None:
-                continue
-            d = s.distances.get(w)
-            if d is None:
-                valid = False
-                break
-            count += 1
-            total += Fraction(d)
-        if not valid:
-            continue
-        if count > best_count or (count == best_count and total < best_total):
-            best_count, best_total, best = count, total, list(combo)
-    return best
-
-
-def _solve_events(
-    problem: MatchProblem,
-    threshold: float,
-    window: float,
-    assigner: Callable[[Sequence[TagSession], Sequence[str]], list[str | None]],
-) -> list[MatchResult]:
-    """The event loop of ``solve`` and ``brute_force_solve``: ``assigner``
-    picks each event's badges.
-
-    Sessions come in the problem's activation order, and their starts are
-    read once into a list. An event is the run of sessions whose start is
-    within ``window`` of its first. One dict maps each badge to the stop of
-    the last session it was bound to (``-inf`` before any); an event's free
-    badges are those whose stop is not after its first start, in
-    ``problem.wearables`` order. Each session is unpacked once, and its
-    result is built positionally, with ``trust_classify`` on the assigned
-    badge's distance against every other badge's.
-    """
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"sure margin must be finite and nonnegative, got {threshold}")
-    if not (math.isfinite(window) and window >= 0):
-        raise ValueError(f"event window must be finite and nonnegative, got {window}")
-    sessions = problem.sessions
-    starts = list(map(itemgetter(1), sessions))
-    wearables = problem.wearables
-    bound = dict.fromkeys(wearables, -math.inf)  # each badge's stop: it is free from then on
-    results: list[MatchResult] = []
-    i, n = 0, len(sessions)
-    while i < n:
-        t0 = starts[i]
-        j = i + 1
-        while j < n and starts[j] - t0 <= window:
-            j += 1
-        group = sessions[i:j]
-        free = [w for w in wearables if not bound[w] > t0]
-        for (tag, start, stop, dists), w in zip(group, assigner(group, free)):
-            if w is None:
-                results.append(MatchResult(tag, start, stop, None, Trust.UNSURE, 0.0))
-                continue
-            trust, margin = trust_classify(dists[w], [d for k, d in dists.items() if k != w], threshold)
-            results.append(MatchResult(tag, start, stop, w, trust, margin))
-            bound[w] = stop
-        i = j
-    return results
+    col_of, _, _ = _min_cost_assignment(costs, m + n)
+    return [free[j] if j < m else None for j in col_of]
 
 
 def solve(
@@ -370,17 +289,32 @@ def solve(
     UNSURE and margin 0. Raises ValueError unless ``threshold`` and
     ``window`` are finite and nonnegative.
     """
-    return _solve_events(problem, threshold, window, _assign_event)
-
-
-def brute_force_solve(
-    problem: MatchProblem,
-    *,
-    threshold: float = SURE_MARGIN_M,
-    window: float = EVENT_WINDOW_S,
-) -> list[MatchResult]:
-    """Reference solver for cross-checking ``solve`` on small problems."""
-    return _solve_events(problem, threshold, window, _enumerate_assignment)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"sure margin must be finite and nonnegative, got {threshold}")
+    if not (math.isfinite(window) and window >= 0):
+        raise ValueError(f"event window must be finite and nonnegative, got {window}")
+    sessions = problem.sessions
+    starts = list(map(itemgetter(1), sessions))
+    wearables = problem.wearables
+    bound = dict.fromkeys(wearables, -math.inf)  # each badge's stop: it is free from then on
+    results: list[MatchResult] = []
+    i, n = 0, len(sessions)
+    while i < n:
+        t0 = starts[i]
+        j = i + 1
+        while j < n and starts[j] - t0 <= window:
+            j += 1
+        group = sessions[i:j]
+        free = [w for w in wearables if not bound[w] > t0]
+        for (tag, start, stop, dists), w in zip(group, _assign_event(group, free)):
+            if w is None:
+                results.append(MatchResult(tag, start, stop, None, Trust.UNSURE, 0.0))
+                continue
+            trust, margin = trust_classify(dists[w], [d for k, d in dists.items() if k != w], threshold)
+            results.append(MatchResult(tag, start, stop, w, trust, margin))
+            bound[w] = stop
+        i = j
+    return results
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ import numpy as np
 from proxmatch.cli import main as cli_main
 from proxmatch.edge import DistanceReport
 from proxmatch.ekf import EkfParams, jacobian, process_noise_from_speed, step
-from proxmatch.matcher import EvalReport, MatchProblem, brute_force_solve, solve
+from proxmatch.matcher import EvalReport, MatchProblem, solve
 from proxmatch.pathloss import DEFAULT_MODEL
 from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
+from reference_chain import brute_force_solve
 
 
 def verdict(capfd, num, name, ok, detail):

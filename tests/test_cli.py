@@ -725,9 +725,9 @@ class TestEntryPoints:
         assert "pipeline" in proc.stdout
 
     def test_importing_the_cli_loads_neither_statistics_nor_fractions(self):
-        """Only ``fit``, the process-noise helper, the exact metrics and the
-        reference assigner need them, and each imports its own, so no
-        command's start-up pays for loading them."""
+        """Only ``fit``, the process-noise helper and the exact metrics need
+        them, and each imports its own, so no command's start-up pays for
+        loading them."""
         script = (
             "import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"

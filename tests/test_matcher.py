@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 from fractions import Fraction
 
@@ -17,11 +16,12 @@ from proxmatch.matcher import (
     TagSession,
     Trust,
     TruthRecord,
-    brute_force_solve,
+    _assign_event,
     evaluate,
     solve,
     trust_classify,
 )
+from reference_chain import brute_force_solve, certified, recorded_solves, scan_evaluate
 
 
 def report(wearable, tag, start, stop, distance, n_obs=10):
@@ -282,8 +282,8 @@ class TestSolve:
 
     def test_thirty_session_event_is_full_and_no_swap_improves_it(self):
         """Past the enumeration oracle's reach: a 30 x 30 co-starting event
-        gets an injective full assignment that is optimal under every
-        exchange of two sessions' badges (compared in exact arithmetic)."""
+        gets an injective full assignment whose solve is certified optimal,
+        so no exchange of two sessions' badges, nor any other, improves it."""
         rng = np.random.default_rng(30)
         rows = []
         for t in range(30):
@@ -291,16 +291,23 @@ class TestSolve:
             for w in range(30):
                 rows.append((f"W{w:02d}", f"T{t:02d}", start, 600.0, float(rng.uniform(0.1, 10.0))))
         prob = problem(*rows)
-        res = solve(prob)
-        dist = {s.tag: s.distances for s in prob.sessions}
+        with recorded_solves() as solves:
+            res = solve(prob)
         chosen = {r.tag: r.wearable for r in res}
         assert len(res) == 30 and None not in chosen.values()
         assert len(set(chosen.values())) == 30
-        for a, b in itertools.combinations(chosen, 2):
-            wa, wb = chosen[a], chosen[b]
-            kept = Fraction(dist[a][wa]) + Fraction(dist[b][wb])
-            swapped = Fraction(dist[a][wb]) + Fraction(dist[b][wa])
-            assert kept <= swapped, (a, b)
+        assert len(solves) == 1 and certified(*solves[0])
+
+    def test_a_twelve_session_tie_goes_in_candidate_order(self):
+        """Past the enumeration oracle's reach: when every distance of a 12 x
+        12 co-starting event is equal, the certified solve hands each session
+        the badge of its own rank, and every match is a dead tie."""
+        ids = [f"{k:02d}" for k in range(1, 13)]
+        prob = problem(*[(f"W{w}", f"T{t}", 0.0, 600.0, 2.5) for t in ids for w in ids])
+        with recorded_solves() as solves:
+            res = solve(prob)
+        assert res == [MatchResult(f"T{k}", 0.0, 600.0, f"W{k}", Trust.UNSURE, 0.0) for k in ids]
+        assert len(solves) == 1 and certified(*solves[0])
 
 
 #: Session starts spread this far past their batch's start.
@@ -414,33 +421,53 @@ class TestInvariants:
             brute_force_solve(problem(*rows))
 
 
-def scan_evaluate(results, truth):
-    """The reference join: every same-tag truth record is scanned for each
-    result and the largest overlap wins, then the earliest start, then the
-    first in input order. ``evaluate`` sweeps sorted truth instead and must
-    agree exactly, errors included."""
-    truth_by_tag = {}
-    for t in truth:
-        truth_by_tag.setdefault(t.tag, []).append(t)
+class TestCertificate:
+    """Each assignment solve returns dual potentials that prove its answer
+    optimal; ``reference_chain.certified`` checks them exactly."""
 
-    def overlap(r, t):
-        return min(r.stop, t.stop) - max(r.start, t.start)
-
-    counts = {(c, trust): 0 for c in (True, False) for trust in Trust}
-    for r in results:
-        candidates = [t for t in truth_by_tag.get(r.tag, ()) if overlap(r, t) >= 0]
-        if not candidates:
-            raise ValueError(
-                f"no ground-truth session overlaps result {r.tag!r}@[{r.start}, {r.stop}]"
-            )
-        best = max(candidates, key=lambda t: (overlap(r, t), -t.start))
-        counts[(r.wearable == best.wearable, r.trust)] += 1
-    return EvalReport(
-        correct_sure=counts[(True, Trust.SURE)],
-        correct_unsure=counts[(True, Trust.UNSURE)],
-        wrong_sure=counts[(False, Trust.SURE)],
-        wrong_unsure=counts[(False, Trust.UNSURE)],
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=64),
+        m=st.integers(min_value=0, max_value=64),
+        decimals=st.sampled_from([0, 1, 3, 17]),
+        forbidden=st.sampled_from([0.0, 0.3, 0.9]),
     )
+    def test_every_event_solve_is_certified(self, seed, n, m, decimals, forbidden):
+        """Events of up to 64 sessions x 64 badges, where a badge misses a
+        session with probability ``forbidden`` and distances are rounded to
+        ``decimals`` places, so that few decimals tie; about half the zeros
+        are -0.0. Swapping two sessions' columns loses the certificate,
+        since no two assignments cost the same."""
+        rng = np.random.default_rng(seed)
+        free = [f"W{r:02d}" for r in range(m)]
+        group = []
+        for i in range(n):
+            dists = {}
+            for w in free:
+                if rng.random() >= forbidden:
+                    d = round(float(rng.uniform(0.0, 4.0)), decimals)
+                    dists[w] = -0.0 if d == 0 and rng.random() < 0.5 else d
+            group.append(TagSession(f"T{i:02d}", 0.0, 60.0, dists))
+        with recorded_solves() as solves:
+            got = _assign_event(group, free)
+        [(costs, n_cols, (col_of, u, v))] = solves
+        assert certified(costs, n_cols, (col_of, u, v))
+        assert got == [free[j] if j < m else None for j in col_of]
+        if n > 1:
+            assert not certified(costs, n_cols, ([col_of[1], col_of[0], *col_of[2:]], u, v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mode=st.sampled_from(["uniform", "ties", "floor"]),
+    )
+    def test_every_event_solve_of_a_problem_is_certified(self, seed, mode):
+        prob = random_problem(np.random.default_rng(seed), mode)
+        with recorded_solves() as solves:
+            solve(prob)
+        assert bool(solves) == bool(prob.sessions)
+        assert all(certified(*call) for call in solves)
 
 
 #: Few distinct times, so that equal starts, touching and nested intervals

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Exported only as references that the tests and the acceptance gate
 #: compare the program against.
-REFERENCES = {("ekf", "jacobian"), ("ekf", "process_noise_from_speed"), ("matcher", "brute_force_solve")}
+REFERENCES = {("ekf", "jacobian"), ("ekf", "process_noise_from_speed")}
 
 
 def program_modules():
