@@ -388,6 +388,33 @@ def test_activity_runs_pipeline_bytes_match_the_recorded_digests(tmp_path, drop_
     assert digests == ACTIVITY_RUNS_GOLDEN[drop_prob]
 
 
+@pytest.mark.parametrize("drop_prob", sorted(ACTIVITY_RUNS_GOLDEN))
+def test_a_rerun_into_a_used_directory_writes_what_a_fresh_one_gets(tmp_path, capsys, drop_prob):
+    """The used directory first holds another seed's files; each rerun over
+    them writes the fresh run's bytes and prints its lines."""
+    scen, fresh, used = tmp_path / "scen.json", tmp_path / "fresh", tmp_path / "used"
+    io.write_scenario(scen, dataclasses.replace(activity_runs(), drop_prob=drop_prob))
+    assert run("pipeline", scen, "--out-dir", fresh) == 0
+    expected = capsys.readouterr().out.replace(str(fresh), "<out>")
+    assert run("pipeline", scen, "--out-dir", used, "--seed", 11) == 0
+    assert (used / "advertisements.jsonl").read_bytes() != (fresh / "advertisements.jsonl").read_bytes()
+    capsys.readouterr()
+    for _ in range(2):
+        assert run("pipeline", scen, "--out-dir", used) == 0
+        assert capsys.readouterr().out.replace(str(used), "<out>") == expected
+        for f in RUN_FILES:
+            assert (used / f).read_bytes() == (fresh / f).read_bytes(), f
+
+
+def test_an_output_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    scen, out = tmp_path / "scen.json", tmp_path / "run"
+    io.write_scenario(scen, activity_runs())
+    (out / "reports.jsonl").mkdir(parents=True)
+    assert run("pipeline", scen, "--out-dir", out) == 2
+    assert str(out / "reports.jsonl") in capsys.readouterr().err
+    assert (out / "reports.jsonl").is_dir()
+
+
 def test_simulate_and_pipeline_pass_grids_and_build_no_advertisement(tmp_path, monkeypatch):
     """Without reception loss, ``generate`` returns one ``Grid`` per (tool,
     activity run, badge), and ``simulate`` and ``pipeline`` build no

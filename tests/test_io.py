@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import stat
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -911,6 +913,71 @@ class TestDocuments:
         p.write_text("{")
         with pytest.raises(ValueError):
             io.read_ekf_params(p)
+
+
+def one_report(k) -> list[DistanceReport]:
+    return [DistanceReport("W1", "T1", 0.0, 1.0 + k, 2.0, 3)]
+
+
+#: Each writer, called to write one of two files ``k`` = 0 or 1 that differ.
+WRITE_CALLS = {
+    "advertisements": lambda p, k: io.write_advertisements(
+        p, [Grid([float(k)], "W1", "T1", [-45.0 - k], Activity.USAGE)]),
+    "reports": lambda p, k: io.write_reports(p, one_report(k)),
+    "truth": lambda p, k: io.write_truth(p, [TruthRecord("T1", 0.0, 1.0 + k, "W1")]),
+    "matches": lambda p, k: io.write_matches(p, [MatchResult("T1", 0.0, 1.0 + k, "W1", Trust.SURE, 0.5)]),
+    "errors": lambda p, k: io.write_errors(p, one_report(k), truth_for(one_report(k))),
+    "metrics": lambda p, k: io.write_eval(p, EvalReport(347 + k, 143, 5, 51)),
+    "scenario": lambda p, k: io.write_scenario(p, scenario_swap(2, 2.0, [120.0], seed=k)),
+    "model": lambda p, k: io.write_model(p, PathLossModel(n=1.0 + k, x0=1.0, rssi0=-50.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITE_CALLS))
+class TestWriteRule:
+    """A writer replaces an existing regular file with a new one, and
+    writes through a symlink or to a device as it stands."""
+
+    def written(self, tmp_path, kind, k) -> bytes:
+        p = tmp_path / f"fresh-{k}"
+        WRITE_CALLS[kind](p, k)
+        return p.read_bytes()
+
+    def test_a_hard_link_keeps_the_old_file(self, tmp_path, kind):
+        old, new = self.written(tmp_path, kind, 0), self.written(tmp_path, kind, 1)
+        assert old != new
+        p, link = tmp_path / "out", tmp_path / "link"
+        WRITE_CALLS[kind](p, 0)
+        os.link(p, link)
+        WRITE_CALLS[kind](p, 1)
+        assert link.read_bytes() == old
+        assert p.read_bytes() == new
+
+    def test_a_file_that_cannot_be_removed_is_written_in_place(self, tmp_path, monkeypatch, kind):
+        """A writable file in a directory the user may not write to cannot
+        be removed; it is truncated and written as before."""
+        p, link = tmp_path / "out", tmp_path / "link"
+        WRITE_CALLS[kind](p, 0)
+        os.link(p, link)
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "remove", refuse)
+        WRITE_CALLS[kind](p, 1)
+        assert p.read_bytes() == link.read_bytes() == self.written(tmp_path, kind, 1)
+
+    def test_a_symlink_is_kept_and_its_target_written(self, tmp_path, kind):
+        target, p = tmp_path / "target", tmp_path / "out"
+        WRITE_CALLS[kind](target, 0)
+        p.symlink_to(target)
+        WRITE_CALLS[kind](p, 1)
+        assert p.is_symlink() and p.readlink() == target
+        assert target.read_bytes() == self.written(tmp_path, kind, 1)
+
+    def test_a_device_is_written_and_kept(self, kind):
+        WRITE_CALLS[kind](os.devnull, 1)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 GOOD_AD = {"ts": 0.0, "wearable": "W1", "tag": "T1", "rssi_db": -45.6, "activity": "usage"}

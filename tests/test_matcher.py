@@ -189,6 +189,20 @@ class TestSolve:
         ))
         assert [r.wearable for r in res] == ["W1", "W2", "W3"]
 
+    def test_a_start_within_the_window_of_the_previous_start_only_is_not_chained_in(self):
+        """Starts at 0, 6, 12 again, where the answer shows the rule: TA and
+        TB form the first event, so TB takes W2 (5.0 < 5.1) and TC, left
+        with W3, gets it. An event chained start to start would hold TC too
+        and solve TB and TC jointly: TB-W3 and TC-W2 sum to 5.2, not 14.0."""
+        res = solve(problem(
+            ("W1", "TA", 0.0, 90.0, 1.0),
+            ("W2", "TB", 6.0, 90.0, 5.0),
+            ("W3", "TB", 6.0, 90.0, 5.1),
+            ("W2", "TC", 12.0, 90.0, 0.1),
+            ("W3", "TC", 12.0, 90.0, 9.0),
+        ))
+        assert {r.tag: r.wearable for r in res} == {"TA": "W1", "TB": "W2", "TC": "W3"}
+
     def test_running_session_keeps_its_badge(self):
         # W1 is bound to T1 until 100; T2 starting at 50 must take W2 even
         # though W1 looks closer.
