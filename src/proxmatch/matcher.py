@@ -1,12 +1,14 @@
 """Server-side matching of asset sessions to operators, and evaluation metrics.
 
 The server sees one distance report per (badge, session) pair and must decide
-who operated each asset. Assignment is event-driven: sessions are handled in
-activation order, a badge stays bound to its running session, and sessions
-starting together are solved jointly by one exact-integer assignment solve,
-polynomial in the event size. Each decision also carries a trust label so
-downstream consumers can separate confident assignments from coin flips
-between nearby workers.
+who operated each asset. A ``MatchProblem`` checks its sessions, and stores
+their windows and distances as floats, when it is built, so ``solve`` builds
+its results from them without checking again. Assignment is event-driven:
+sessions are handled in activation order, a badge stays bound to its running
+session, and sessions starting together are solved jointly by one
+exact-integer assignment solve, polynomial in the event size. Each decision
+also carries a trust label so downstream consumers can separate confident
+assignments from coin flips between nearby workers.
 """
 
 from __future__ import annotations
@@ -120,18 +122,33 @@ class TruthRecord(namedtuple("TruthRecord", "tag start stop wearable")):
 @dataclass(frozen=True)
 class MatchProblem:
     """A run's sessions in (start, stop, tag) order and the sorted union of
-    their badges; each distance is a finite number (not ``bool``) >= 0."""
+    their badges. Construction checks each session under the records' id
+    and window rules, and each distance is a finite number (not ``bool``)
+    >= 0. Windows and distances are stored as floats: a session is rebuilt
+    only when a value is not a float already."""
 
     sessions: tuple[TagSession, ...]
     wearables: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        sessions = tuple(sorted(self.sessions, key=itemgetter(1, 2, 0)))
-        for tag, start, stop, dists in sessions:
+        checked = []
+        for session in self.sessions:
+            tag, start, stop, dists = session
+            if type(tag) is not str:
+                _id(tag, "tag")
+            floats = type(session) is TagSession and type(start) is float and type(stop) is float
+            start, stop = _window(start, stop)
             for w, d in dists.items():
-                if type(d) is bool or not (isinstance(d, (int, float)) and 0 <= d < math.inf):
-                    raise ValueError(f"distance of wearable {w!r} in session {tag!r}@[{start}, {stop}] "
-                                     f"must be a finite number of at least 0, got {d!r}")
+                if type(w) is not str:
+                    _id(w, "wearable")
+                if type(d) is not float or not 0 <= d < math.inf:
+                    if type(d) is bool or not (isinstance(d, (int, float)) and 0 <= d < math.inf):
+                        raise ValueError(f"distance of wearable {w!r} in session {tag!r}@[{start}, {stop}] "
+                                         f"must be a finite number of at least 0, got {d!r}")
+                    floats = False
+            checked.append(session if floats else
+                           TagSession(tag, start, stop, {w: float(d) for w, d in dists.items()}))
+        sessions = tuple(sorted(checked, key=itemgetter(1, 2, 0)))
         object.__setattr__(self, "sessions", sessions)
         object.__setattr__(self, "wearables", tuple(sorted(set().union(*map(itemgetter(3), sessions)))))
 
@@ -165,7 +182,11 @@ def trust_classify(
     threshold strictly: a session decided by exactly the threshold, or by a
     dead tie, stays unsure. Distances must be finite, as a ``MatchProblem``'s are.
     """
-    margin = min((abs(assigned_distance - d) for d in other_distances), default=math.inf)
+    margin = math.inf
+    for d in other_distances:
+        gap = abs(assigned_distance - d)
+        if gap < margin:
+            margin = gap
     trust = Trust.SURE if margin > threshold else Trust.UNSURE
     return trust, margin
 
@@ -189,31 +210,37 @@ def _min_cost_assignment(
     every allowed pair, with equality on each chosen pair, and ``v[j] <= 0``
     on every column, with ``v[j] == 0`` on every column left unchosen.
     """
+    inf = math.inf
     u = [0] * len(costs)
     v = [0] * n_cols
     col_of = [-1] * len(costs)
     row_of = [-1] * n_cols
+    pred = [0] * n_cols  # read only where this search reached
     for cur in range(len(costs)):
-        reached: dict[int, int] = {}  # column -> tentative path cost
-        pred: dict[int, int] = {}
-        scanned: dict[int, int] = {}  # column -> final path cost
+        reached = [inf] * n_cols  # tentative path cost, -inf once scanned
+        todo: list[int] = []  # reached, not yet scanned
+        scanned: list[tuple[int, int]] = []  # (column, final path cost)
         lowest = 0
         i = cur
         while True:
             offset = lowest - u[i]
             for j, c in costs[i].items():
-                if j not in scanned:
-                    r = offset + c - v[j]
-                    if r < reached.get(j, math.inf):
-                        reached[j] = r
-                        pred[j] = i
-            sink = min(reached, key=reached.__getitem__)
-            lowest = scanned[sink] = reached.pop(sink)
+                r = offset + c - v[j]
+                if r < reached[j]:
+                    if reached[j] == inf:
+                        todo.append(j)
+                    reached[j] = r
+                    pred[j] = i
+            sink = min(todo, key=reached.__getitem__)
+            todo.remove(sink)
+            lowest = reached[sink]
+            reached[sink] = -inf
+            scanned.append((sink, lowest))
             if row_of[sink] < 0:
                 break
             i = row_of[sink]
         u[cur] += lowest
-        for j, d in scanned.items():
+        for j, d in scanned:
             v[j] -= lowest - d
             if j != sink:
                 u[row_of[j]] += lowest - d
@@ -236,17 +263,20 @@ def _assign_event(group: Sequence[TagSession], free: Sequence[str]) -> list[str 
     makes ties resolve to the lexicographically smallest badge ids.
 
     The three keys become one exact integer cost. Distances are scaled to
-    integers by the event's largest power-of-two denominator. With ``m`` free
-    badges, ``K = m + 1`` and ``T = K**n``, session ``i`` on the badge of rank
-    ``r`` costs ``dist * T + r * K**(n-1-i)``, and its own "unassigned" column
-    costs ``D + m * K**(n-1-i)`` with ``D`` above any total of assigned
-    distances. The rank terms of a whole assignment are the digits of a base-K
-    number below ``T``, so the sum orders assignments by coverage, then by
-    distance, then by candidate order, and no two assignments cost the same.
+    integers by the event's largest power-of-two denominator ``S``. With
+    ``m`` free badges, ``K = m + 1`` and ``T = K**n``, session ``i`` on the
+    badge of rank ``r`` costs ``dist * S * T + r * K**(n-1-i)``, and its own
+    "unassigned" column costs ``D + m * K**(n-1-i)``. ``D = (n * ceil(top) *
+    S + 1) * T``, with ``top`` the event's largest distance, exceeds every
+    assignment's summed distance terms. The rank terms of a whole assignment
+    are the digits of a base-K number below ``T``, so the sum orders
+    assignments by coverage, then by distance, then by candidate order, and
+    no two assignments cost the same.
     """
     n, m = len(group), len(free)
-    ratios = []
+    ratios = []  # each row's (rank, numerator, denominator)
     scale = 1
+    top = 0
     for s in group:
         row = []
         for r, w in enumerate(free):
@@ -256,15 +286,17 @@ def _assign_event(group: Sequence[TagSession], free: Sequence[str]) -> list[str 
                 row.append((r, p, q))
                 if q > scale:
                     scale = q
+                if d > top:
+                    top = d
         ratios.append(row)
-    dists = [[(r, p * (scale // q)) for r, p, q in row] for row in ratios]
     k = m + 1
-    t = k**n
-    unassigned = (sum(d for row in dists for _, d in row) + 1) * t
+    weight = t = k**n
+    unit = scale * t
+    unassigned = (n * math.ceil(top) * scale + 1) * t
     costs = []
-    for i, row in enumerate(dists):
-        weight = k ** (n - 1 - i)
-        c = {r: d * t + r * weight for r, d in row}
+    for i, row in enumerate(ratios):
+        weight //= k
+        c = {r: p * (unit // q) + r * weight for r, p, q in row}
         c[m + i] = unassigned + m * weight
         costs.append(c)
     col_of, _, _ = _min_cost_assignment(costs, m + n)
@@ -297,6 +329,9 @@ def solve(
     starts = list(map(itemgetter(1), sessions))
     wearables = problem.wearables
     bound = dict.fromkeys(wearables, -math.inf)  # each badge's stop: it is free from then on
+    # the sessions come checked, so the results are built without the checks
+    new = tuple.__new__
+    unsure = Trust.UNSURE
     results: list[MatchResult] = []
     i, n = 0, len(sessions)
     while i < n:
@@ -308,10 +343,12 @@ def solve(
         free = [w for w in wearables if not bound[w] > t0]
         for (tag, start, stop, dists), w in zip(group, _assign_event(group, free)):
             if w is None:
-                results.append(MatchResult(tag, start, stop, None, Trust.UNSURE, 0.0))
+                results.append(new(MatchResult, (tag, start, stop, None, unsure, 0.0)))
                 continue
-            trust, margin = trust_classify(dists[w], [d for k, d in dists.items() if k != w], threshold)
-            results.append(MatchResult(tag, start, stop, w, trust, margin))
+            others = dists.copy()
+            del others[w]
+            trust, margin = trust_classify(dists[w], others.values(), threshold)
+            results.append(new(MatchResult, (tag, start, stop, w, trust, margin)))
             bound[w] = stop
         i = j
     return results

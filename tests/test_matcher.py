@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxmatch import io
 from proxmatch.edge import Activity, DistanceReport
 from proxmatch.matcher import (
     EVENT_WINDOW_S,
@@ -129,6 +130,51 @@ class TestMatchProblem:
     def test_an_int_distance_is_a_number(self):
         p = MatchProblem((TagSession("T1", 0.0, 7.0, {"W1": 1, "W2": 3}),))
         assert solve(p) == [MatchResult("T1", 0.0, 7.0, "W1", Trust.SURE, 2.0)]
+
+    @pytest.mark.parametrize("session, message", [
+        pytest.param(TagSession(5, 0.0, 7.0, {"W1": 1.0}), "tag must be a string, got 5", id="tag"),
+        pytest.param(TagSession("T1", 0.0, 7.0, {5: 1.0}), "wearable must be a string, got 5",
+                     id="badge"),
+        pytest.param(TagSession("T1", 0.0, 7.0, {5: 1.0, "W1": 2.0}), "wearable must be a string, got 5",
+                     id="mixed_badges"),
+        pytest.param(TagSession("T1", 7.0, 0.0, {"W1": 1.0}),
+                     r"session window .* start <= stop, got \[7\.0, 0\.0\]", id="reversed_window"),
+        pytest.param(TagSession("T1", math.nan, 7.0, {"W1": 1.0}),
+                     r"session window .* start <= stop, got \[nan, 7\.0\]", id="nan_start"),
+    ])
+    def test_a_bad_session_is_rejected_at_construction(self, session, message):
+        """As a record is. Before, these failed only inside ``solve``, when
+        a result was built, and the mixed ids raised TypeError from ``sorted``."""
+        with pytest.raises(ValueError, match=message):
+            MatchProblem((TagSession("T0", 0.0, 100.0, {"W1": 1.0}), session))
+
+    def test_int_windows_and_distances_are_stored_as_floats(self):
+        p = MatchProblem((TagSession("T1", 0, 7, {"W1": 1, "W2": 3.0}),))
+        [s] = p.sessions
+        assert type(s) is TagSession and s == ("T1", 0.0, 7.0, {"W1": 1.0, "W2": 3.0})
+        assert [type(x) for x in (s.start, s.stop, *s.distances.values())] == [float] * 4
+
+    def test_a_session_of_floats_is_kept_as_it_is(self):
+        s = TagSession("T1", 0.0, 7.0, {"W1": 1.0})
+        assert MatchProblem((s,)).sessions[0] is s
+
+    def test_int_values_solve_as_their_float_twins(self, tmp_path):
+        """``solve`` builds its results unchecked, so only the conversion at
+        construction keeps an int out of them: an int distance would make
+        the margin the int 2, which ``write_matches`` writes as ``2``."""
+        ints = MatchProblem((TagSession("T1", 0, 7, {"W1": 1, "W2": 3}),
+                             TagSession("T2", 0, 7, {"W1": 2, "W2": 2}),
+                             TagSession("T3", 0, 7, {"W2": 5})))
+        floats = MatchProblem((TagSession("T1", 0.0, 7.0, {"W1": 1.0, "W2": 3.0}),
+                               TagSession("T2", 0.0, 7.0, {"W1": 2.0, "W2": 2.0}),
+                               TagSession("T3", 0.0, 7.0, {"W2": 5.0})))
+        got, want = solve(ints), solve(floats)
+        assert [r.wearable for r in want] == ["W1", "W2", None]
+        assert got == want
+        assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+        io.write_matches(tmp_path / "ints.jsonl", got)
+        io.write_matches(tmp_path / "floats.jsonl", want)
+        assert (tmp_path / "ints.jsonl").read_bytes() == (tmp_path / "floats.jsonl").read_bytes()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, True, "1", None])
     def test_a_bad_distance_is_rejected_naming_badge_and_session(self, bad):
