@@ -1,8 +1,8 @@
 """Monte Carlo verdict numbers: ranging error by true-distance band and
 pooled matching by scenario family.
 
-Runs the library's two chains, ``simulator.ranging_band`` and
-``simulator.pooled_matching``, on the seeds and scenarios of the acceptance
+Runs the library's two Monte Carlo chains, ``chain.ranging_band`` and
+``chain.pooled_matching``, on the seeds and scenarios of the acceptance
 gate (tests/test_acceptance.py). With no flags it prints the numbers of
 criteria 3 and 4 (bands 0.3-1 m and 1-3 m), 5a (static and swap at 2 m) and
 5b (static at 3 m, wrong_sure of sure).
@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
+from proxmatch.chain import pooled_matching, ranging_band
+from proxmatch.simulator import scenario_static, scenario_swap
 
 
 def fmt(metric):

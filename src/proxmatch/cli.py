@@ -1,11 +1,6 @@
-"""Command-line interface: calibration, simulation, and the staged pipeline.
-
-Each stage function takes its input records, writes its output file, prints
-its stage line and returns its output records. A stage command reads the
-file it starts from and runs one stage function; ``pipeline`` chains the
-same functions and passes each stage's records on in memory, so it writes
-byte-identical files and prints the same stage lines as the commands run one
-by one without reading any file back. Exit codes: 0 on success, 2 for
+"""Command-line interface: ``fit`` and ``scenario`` write their files here;
+every other command parses its flags, reads the files it starts from and runs
+its stage of ``chain``, or ``chain.pipeline``. Exit codes: 0 on success, 2 for
 invalid inputs or configuration, 1 for unexpected runtime failures.
 """
 
@@ -16,16 +11,14 @@ import dataclasses
 import functools
 import math
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
-from . import io, simulator
-from .edge import ACTIVE_DEFAULT, SESSION_GAP_S, Activity, Advertisement, DistanceReport, Grid, run_edge
+from . import chain, io, simulator
+from .edge import ACTIVE_DEFAULT, SESSION_GAP_S, Activity
 from .ekf import DT_LINEAR, DT_SQUARED, EkfParams
-from .matcher import (EVENT_WINDOW_S, SURE_MARGIN_M, MatchProblem, MatchResult, Trust, TruthRecord,
-                      evaluate, solve)
+from .matcher import EVENT_WINDOW_S, SURE_MARGIN_M
 from .pathloss import fit, residual_variance
-from .simulator import GroundTruth, ScenarioConfig, generate, scenario_static, scenario_swap
+from .simulator import ScenarioConfig, scenario_static, scenario_swap
 
 __all__ = ["main"]
 
@@ -80,64 +73,6 @@ def _load_params(args: argparse.Namespace) -> EkfParams:
     return params
 
 
-def _simulate_stage(config: ScenarioConfig, out_dir: Path) -> tuple[list[Grid], GroundTruth, int]:
-    """The simulated grids, the truth and the count of advertisements."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grids, truth = generate(config)
-    if truth.floored:
-        print(f"warning: {truth.floored} true distance(s) below "
-              f"{simulator.MIN_TRUE_DISTANCE_M} m floored", file=sys.stderr)
-    traces = {**truth.worker_traces, **truth.tool_traces}
-    for name in truth.too_fast:
-        print(f"warning: trace of {name!r} reaches {traces[name].max_speed:.2f} m/s, "
-              f"above the walking bound {simulator.V_MAX_M_S} m/s", file=sys.stderr)
-    io.write_advertisements(out_dir / "advertisements.jsonl", grids)
-    io.write_truth(out_dir / "truth.jsonl", truth.sessions)
-    n_ads = sum(map(len, grids))
-    print(f"{n_ads} advertisement(s), {len(truth.sessions)} truth session(s) -> {out_dir}")
-    return grids, truth, n_ads
-
-
-def _estimate_stage(ads: Sequence[Advertisement] | Sequence[Grid], n_ads: int, out_path: Path,
-                    params: EkfParams, gap: float, active: frozenset[Activity]) -> list[DistanceReport]:
-    """Reports from records read from a file or from the simulated grids,
-    of ``n_ads`` advertisements in all."""
-    reports = run_edge(ads, params, gap=gap, active=active)
-    io.write_reports(out_path, reports)
-    print(f"{len(reports)} report(s) from {n_ads} advertisement(s) -> {out_path}")
-    return reports
-
-
-def _match_stage(reports: Sequence[DistanceReport], out_path: Path, margin: float,
-                 window: float) -> list[MatchResult]:
-    results = solve(MatchProblem.from_reports(reports), threshold=margin, window=window)
-    io.write_matches(out_path, results)
-    sure = sum(1 for r in results if r.trust is Trust.SURE)  # a SURE result has a wearable
-    unassigned = sum(1 for r in results if r.wearable is None)
-    print(
-        f"{len(results)} session(s): {sure} sure, "
-        f"{len(results) - sure - unassigned} unsure, {unassigned} unassigned -> {out_path}"
-    )
-    return results
-
-
-def _evaluate_stage(matches: Sequence[MatchResult], truth: Sequence[TruthRecord],
-                    out_path: Path | None) -> None:
-    report = evaluate(matches, truth)
-    d = report.to_dict()
-
-    def pct(m):
-        return f"{m['percent']}% ({m['ratio']})" if m else "n/a"
-
-    print(
-        f"total {d['total']}  accuracy {pct(d['accuracy'])}  "
-        f"recall {pct(d['recall'])}  precision {pct(d['precision'])}"
-    )
-    if out_path is not None:
-        io.write_eval(out_path, report)
-        print(f"metrics -> {out_path}")
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     samples = io.read_samples(args.samples)
     model = fit(samples, x0=args.x0)
@@ -153,34 +88,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    common = {"seed": args.seed, "noise_std": args.noise_std, "drop_prob": args.drop_prob}
     if args.kind == "static":
-        config = scenario_static(
-            args.workers,
-            args.spacing,
-            args.duration,
-            args.bystanders,
-            seed=args.seed,
-            noise_std=args.noise_std,
-            drop_prob=args.drop_prob,
-        )
+        config = scenario_static(args.workers, args.spacing, args.duration, args.bystanders, **common)
     else:
         swaps = [float(t) for t in args.swap_times.split(",") if t.strip()] if args.swap_times else []
-        config = scenario_swap(
-            args.workers,
-            args.spacing,
-            swaps,
-            duration=args.duration,
-            seed=args.seed,
-            noise_std=args.noise_std,
-            drop_prob=args.drop_prob,
-        )
+        config = scenario_swap(args.workers, args.spacing, swaps, duration=args.duration, **common)
     io.write_scenario(args.out, config)
     print(f"scenario ({len(config.workers)} wearables, {len(config.tools)} tags) -> {args.out}")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _simulate_stage(_load_scenario(args), Path(args.out_dir))
+    chain.simulate_stage(_load_scenario(args), Path(args.out_dir))
     return 0
 
 
@@ -190,18 +110,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     ads, skipped = io.read_advertisements(ads_path)
     for lineno, reason in skipped:
         print(f"{ads_path}:{lineno}: skipped: {reason}", file=sys.stderr)
-    _estimate_stage(ads, len(ads), Path(args.out), params, args.gap_s, active)
+    chain.estimate_stage(ads, len(ads), Path(args.out), params, args.gap_s, active)
     return 0
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    _match_stage(io.read_reports(Path(args.reports)), Path(args.out), args.margin_m, args.adv_interval_s)
+    chain.match_stage(io.read_reports(Path(args.reports)), Path(args.out), args.margin_m, args.adv_interval_s)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     matches, truth = io.read_matches(Path(args.matches)), io.read_truth(Path(args.truth))
-    _evaluate_stage(matches, truth, Path(args.out) if args.out else None)
+    chain.evaluate_stage(matches, truth, Path(args.out) if args.out else None)
     return 0
 
 
@@ -210,28 +130,9 @@ _write_errors_csv = io.write_errors
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _load_scenario(args)
-    params = _load_params(args)
-    active = _parse_active(args.active_classes)
-    out = Path(args.out_dir)
-
-    def stage(name, fn, *stage_args):
-        try:
-            return fn(*stage_args)
-        except (ValueError, OSError) as e:
-            raise ValueError(f"[{name}] {e}") from e
-        except Exception as e:
-            raise RuntimeError(f"[{name}] {e}") from e
-
-    grids, truth, n_ads = stage("simulate", _simulate_stage, config, out)
-    reports = stage("estimate", _estimate_stage, grids, n_ads, out / "reports.jsonl",
-                    params, args.gap_s, active)
-    del grids  # not held through match and evaluate
-    matches = stage("match", _match_stage, reports, out / "matches.jsonl",
-                    args.margin_m, args.adv_interval_s)
-    stage("evaluate", _evaluate_stage, matches, truth.sessions, out / "metrics.json")
-    stage("errors", io.write_errors, out / "errors.csv", reports, truth)
-    print(f"outputs -> {out}")
+    chain.pipeline(_load_scenario(args), _load_params(args), Path(args.out_dir),
+                   gap=args.gap_s, active=_parse_active(args.active_classes),
+                   margin=args.margin_m, window=args.adv_interval_s)
     return 0
 
 

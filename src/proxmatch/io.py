@@ -75,9 +75,9 @@ _R = TypeVar("_R")
 _E = TypeVar("_E")
 
 #: What a bad line, row or document raises while it is decoded and built:
-#: ``OverflowError`` comes from ``float()`` of a huge JSON integer,
-#: ``RecursionError`` from decoding deeply nested brackets and ``csv.Error``
-#: from a CSV field over the csv module's size limit.
+#: ``RecursionError`` from decoding deeply nested brackets, ``csv.Error``
+#: from a CSV field over the csv module's size limit. A huge JSON integer
+#: raises ``ValueError`` (``_number``); ``OverflowError`` stays as a guard.
 _BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error)
 
 

@@ -142,9 +142,10 @@ class MatchProblem:
                 if type(w) is not str:
                     _id(w, "wearable")
                 if type(d) is not float or not 0 <= d < math.inf:
+                    name = f"distance of wearable {w!r} in session {tag!r}@[{start}, {stop}]"
                     if type(d) is bool or not (isinstance(d, (int, float)) and 0 <= d < math.inf):
-                        raise ValueError(f"distance of wearable {w!r} in session {tag!r}@[{start}, {stop}] "
-                                         f"must be a finite number of at least 0, got {d!r}")
+                        raise ValueError(f"{name} must be a finite number of at least 0, got {d!r}")
+                    _number(d, name)  # an int beyond the largest float raises too
                     floats = False
             checked.append(session if floats else
                            TagSession(tag, start, stop, {w: float(d) for w, d in dists.items()}))

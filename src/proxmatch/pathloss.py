@@ -24,7 +24,10 @@ def _number(value, name: str) -> float:
         return value
     if type(value) is bool or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest float
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def _floats(obj, *names: str) -> None:

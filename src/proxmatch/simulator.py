@@ -5,8 +5,6 @@ periods for each tool, and synthesize the advertisements every badge would
 hear: the path-loss mean at the true distance plus independent Gaussian noise
 in dB, optionally thinned by random reception loss. The constructed truth
 records who operated what and exposes true distances for error analysis.
-Two Monte Carlo chains score the rest of the pipeline against that truth
-over seed batches: ``pooled_matching`` and ``ranging_band``.
 """
 
 from __future__ import annotations
@@ -16,11 +14,11 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .edge import (ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, DistanceReport, Grid,
-                   Instants, _id, _number, _window, run_edge)
-from .matcher import EvalReport, MatchProblem, TruthRecord, evaluate, solve
+from .edge import (ADV_INTERVAL_S, RSSI_MAX_DB, RSSI_MIN_DB, SESSION_GAP_S, Activity, Grid, Instants, _id,
+                   _number, _window)
+from .matcher import TruthRecord
 from .pathloss import DEFAULT_MODEL, PathLossModel, _floats
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "V_MAX_M_S",
     "WorkerSpec",
     "generate",
-    "pooled_matching",
-    "ranging_band",
     "scenario_static",
     "scenario_swap",
 ]
@@ -52,8 +48,6 @@ MIN_TRUE_DISTANCE_M = 0.05
 V_MAX_M_S = 0.7
 #: Tool pause at each swap, longer than the session gap so that it splits sessions.
 SWAP_PAUSE_S = SESSION_GAP_S + 1.0
-#: Seed of ranging band 0's true-distance draws; band k draws from this plus k.
-RANGING_SEED = 20260819
 
 
 @dataclass(frozen=True)
@@ -592,41 +586,3 @@ def _row(n_workers: int, spacing: float, swaps: list[float], duration: float, by
         noise_std=noise_std,
         drop_prob=drop_prob,
     )
-
-
-def pooled_matching(make_config: Callable[[int], ScenarioConfig], n_seeds: int) -> EvalReport:
-    """The whole chain (``generate``, ``run_edge``, ``solve``, ``evaluate``)
-    on the scenario ``make_config(seed)`` of each seed in ``range(n_seeds)``,
-    its reports summed into one."""
-    pooled = EvalReport(0, 0, 0, 0)
-    for seed in range(n_seeds):
-        grids, truth = generate(make_config(seed))
-        pooled += evaluate(solve(MatchProblem.from_reports(run_edge(grids))), truth.sessions)
-    return pooled
-
-
-def ranging_band(band: int, lo: float, hi: float, n_sessions: int) -> list[tuple[DistanceReport, float]]:
-    """Ranging band ``band``: ``n_sessions`` stationary one-worker sessions
-    of 182 s (26 broadcasts), each with its single report and its true
-    distance.
-
-    Session ``j`` puts the tool at a true distance drawn uniformly from
-    [lo, hi) by ``np.random.default_rng(RANGING_SEED + band)``, one draw
-    per session in order, and runs on scenario seed ``1000 * band + j``,
-    so each band's batch is the same whatever other bands run, and no two
-    bands share a seed. More than 1000 sessions, or a session that does not
-    give exactly one report, raises ``ValueError``.
-    """
-    if n_sessions > 1000:
-        raise ValueError(f"at most 1000 sessions per band (seed 1000*band + j), got {n_sessions}")
-    # Imported here, not at module level: only the seeded stream needs numpy.
-    import numpy as np
-
-    draw = np.random.default_rng(RANGING_SEED + band)
-    samples = []
-    for j in range(n_sessions):
-        true_d = float(draw.uniform(lo, hi))
-        grids, _ = generate(scenario_static(1, 1.0, 182.0, seed=1000 * band + j, operating_distance=true_d))
-        (report,) = run_edge(grids)
-        samples.append((report, true_d))
-    return samples

@@ -18,21 +18,23 @@ the margin is labelled sure. With the margin rule off (threshold 0) the
 same runs give 1440/1491 = 0.966 and fail the bound.
 
 Criteria 3, 4, 5a and 5b run the library's Monte Carlo chains,
-``simulator.ranging_band`` and ``simulator.pooled_matching``, on 500 seeds
-each. ``python scripts/run_scenarios.py`` runs the same chains on the same
-seeds and prints the numbers behind these four verdicts, and more.
+``chain.ranging_band`` and ``chain.pooled_matching``, on 500 seeds each;
+tests/test_chain.py ties ``pooled_matching`` to the ``pipeline`` command.
+``python scripts/run_scenarios.py`` runs the same chains on the same seeds
+and prints the numbers behind these four verdicts, and more.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from proxmatch.chain import pooled_matching, ranging_band
 from proxmatch.cli import main as cli_main
 from proxmatch.edge import DistanceReport
 from proxmatch.ekf import EkfParams, jacobian, process_noise_from_speed, step
 from proxmatch.matcher import EvalReport, MatchProblem, solve
 from proxmatch.pathloss import DEFAULT_MODEL
-from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
+from proxmatch.simulator import scenario_static, scenario_swap
 from reference_chain import brute_force_solve
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxmatch import cli, io, simulator
+from proxmatch import chain, cli, io, simulator
 from proxmatch.cli import main
 from proxmatch.edge import ACTIVE_DEFAULT, Activity, Advertisement, DistanceReport, Grid, Instants
 from proxmatch.matcher import MatchResult, Trust, TruthRecord
@@ -432,7 +432,7 @@ def test_simulate_and_pipeline_pass_grids_and_build_no_advertisement(tmp_path, m
     scen = tmp_path / "scen.json"
     io.write_scenario(scen, activity_runs())
     with monkeypatch.context() as m:
-        m.setattr(cli, "generate", spy)
+        m.setattr(chain, "generate", spy)
         m.setattr(Advertisement, "__new__", refuse)
         m.setattr(Grid, "__iter__", refuse)
         assert run("simulate", scen, "--out-dir", tmp_path / "sim") == 0

@@ -125,6 +125,17 @@ def test_a_validated_record_is_a_named_tuple_whose_constructor_checks(cls, value
         pickle.loads(pickle.dumps(unchecked))
 
 
+
+@pytest.mark.parametrize("field, values", [
+    ("distance", ("W1", "T1", 0.0, 1.0, 10**400, 3)),
+    ("stop", ("W1", "T1", 0.0, 10**400, 1.0, 3)),
+])
+def test_an_int_too_large_for_a_float_is_a_value_error_naming_its_field(field, values):
+    """``float()`` of such an int raises ``OverflowError``; the record's
+    rule for a number raises ``ValueError``, as for any other bad value."""
+    with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+        DistanceReport(*values)
+
 def per_record(instants, wearable, tag, rssi, activity):
     """What a ``Grid`` must hold: one ``Advertisement`` per instant."""
     return [Advertisement(t, wearable, tag, r, activity) for t, r in zip(instants, rssi)]

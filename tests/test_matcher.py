@@ -187,6 +187,14 @@ class TestMatchProblem:
             MatchProblem(sessions)
 
 
+    def test_an_int_distance_too_large_for_a_float_is_rejected_naming_badge_and_session(self):
+        """It compares below ``math.inf``, so only its conversion to a float
+        would fail, with ``OverflowError``."""
+        for huge in (10**400, 10**5000):  # the second has too many digits for ``repr``
+            with pytest.raises(ValueError, match=r"^distance of wearable 'W1' in session 'T1'@\[0\.0, 1\.0\] "
+                                                 r"is too large for a float$"):
+                MatchProblem((TagSession("T1", 0.0, 1.0, {"W1": huge}),))
+
 class TestSolve:
     def test_nearest_free_badge_wins(self):
         res = solve(problem(("W1", "T1", 0.0, 90.0, 1.2), ("W2", "T1", 0.0, 90.0, 3.0)))

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxmatch.simulator import pooled_matching, ranging_band, scenario_static, scenario_swap
+from proxmatch.chain import pooled_matching, ranging_band
+from proxmatch.simulator import scenario_static, scenario_swap
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py"
 DIGESTS = SCRIPT.with_name("digests.py")

@@ -1050,11 +1050,3 @@ class TestSwapScenario:
         """A shorter pause would not split a tool's activity into sessions."""
         assert SWAP_PAUSE_S > SESSION_GAP_S
 
-
-def test_a_ranging_band_holds_at_most_1000_sessions(monkeypatch):
-    """Band k's session j runs on scenario seed 1000*k + j, so a larger band
-    would share seeds, and noise draws, with the next; it is rejected before
-    any scenario is generated."""
-    monkeypatch.setattr(simulator, "generate", lambda *a: pytest.fail("a scenario was generated"))
-    with pytest.raises(ValueError, match=r"^at most 1000 sessions per band \(seed 1000\*band \+ j\), got 1001$"):
-        simulator.ranging_band(0, 0.3, 1.0, 1001)
